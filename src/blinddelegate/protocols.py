@@ -93,7 +93,7 @@ class RoundPlan:
             return Angle(self.adapt3[m1])
         return self.base_angle
 
-    def adapt_rule(self, m_bits, a_bits, frame: PauliFrame) -> Angle:
+    def adapt_rule(self, m_bits, frame: PauliFrame) -> Angle:
         """Command angle: the wanted angle, sign-flipped to cancel frame.z."""
         want = self.want_angle(m_bits)
         return -want if frame.z else want
@@ -406,17 +406,38 @@ def _deliver(channel, rng_loss, rng_mask, transcript, round_index, *,
 
 
 def _extract_group_frames(acc, group):
-    """Pauli factors turning the accumulated word into the group target."""
-    if len(group.wires) == 1:
-        for f in ALL_FRAMES:
-            if qsim.matrices_equal_up_to_phase(acc, f.matrix @ group.target):
-                return {group.wires[0]: f}
-    else:
-        for f1, f0 in itertools.product(ALL_FRAMES, repeat=2):
-            cand = np.kron(f1.matrix, f0.matrix) @ group.target
-            if qsim.matrices_equal_up_to_phase(acc, cand):
-                return {group.wires[0]: f0, group.wires[1]: f1}
-    raise RuntimeError(f"group {group.label!r}: accumulated word does not match target")
+    """Pauli factors turning the accumulated word into the group target.
+
+    acc = phase * P * target with P = X^x Z^z per wire (wires[0] on index
+    bit 0), so P is read off acc @ target^dagger: column 0 is nonzero only at
+    row x, and column 2^j carries (-1)^z_j relative to it.
+    """
+    pauli = acc @ group.target.conj().T
+    row = int(np.argmax(np.abs(pauli[:, 0])))
+    frames = tuple(
+        PauliFrame((row >> j) & 1, (pauli[row ^ (1 << j), 1 << j] / pauli[row, 0]).real < 0)
+        for j in range(len(group.wires))
+    )
+    if not qsim.matrices_equal_up_to_phase(acc, _FRAME_MATRICES[frames] @ group.target):
+        raise RuntimeError(f"group {group.label!r}: accumulated word does not match target")
+    return dict(zip(group.wires, frames))
+
+
+# X^x Z^z of one wire, or of a cell with its frames listed low slot first.
+_FRAME_MATRICES = {(f,): f.matrix for f in ALL_FRAMES}
+_FRAME_MATRICES.update(
+    ((f0, f1), np.kron(f1.matrix, f0.matrix)) for f0 in ALL_FRAMES for f1 in ALL_FRAMES
+)
+
+
+# The per-round gain R_k H for each signed angle k, embedded for each
+# (group width, slot): a one-wire group, or the low or high wire of a cell.
+_GAINS = [qsim.rotation(Angle(k)).entries @ qsim.H.entries for k in range(8)]
+_SLOT_GAINS = {
+    (1, 0): _GAINS,
+    (2, 0): [np.kron(np.eye(2), g) for g in _GAINS],
+    (2, 1): [np.kron(g, np.eye(2)) for g in _GAINS],
+}
 
 
 def run_protocol2(
@@ -457,7 +478,7 @@ def run_protocol2(
     groups_by_id = {g.group_id: g for g in program.groups}
 
     transcript = []
-    m_bits, a_bits = [], []
+    m_bits = []
     retransmissions = 0
     prob = 1.0
 
@@ -489,7 +510,7 @@ def run_protocol2(
         client_label = ("sent", plan.round_index)
         reg.append(pair, [server_label, client_label])
 
-        command = plan.adapt_rule(m_bits, a_bits, frames[plan.wire])
+        command = plan.adapt_rule(m_bits, frames[plan.wire])
         if device is not None:
             device.observe_angle(command.k)
         a, pa = reg.measure(qsim.measure_rotated, client_label, command, source.random())
@@ -498,21 +519,15 @@ def run_protocol2(
         reg.relabel(server_label, ("wire", plan.wire))
         transcript.append(Message(plan.round_index, B2A, "X_RESULT", m))
 
-        a_bits.append(a)
         m_bits.append(m)
         prob *= pa * pm
         frames[plan.wire] = RoundPlan.frame_update(frames[plan.wire], a, m)
 
         want = plan.want_angle(m_bits)
         signed = (-want.k if m else want.k) % 8
-        gain = np.diag([1.0, np.exp(1j * np.pi * signed / 4.0)]).astype(complex) @ qsim.H.entries
-        group = groups_by_id[plan.group_id]
-        if len(group.wires) == 1:
-            acc[plan.group_id] = gain @ acc[plan.group_id]
-        else:
-            slot = group.wires.index(plan.wire)
-            embedded = np.kron(gain, np.eye(2)) if slot == 1 else np.kron(np.eye(2), gain)
-            acc[plan.group_id] = embedded @ acc[plan.group_id]
+        wires = groups_by_id[plan.group_id].wires
+        gains = _SLOT_GAINS[len(wires), wires.index(plan.wire)]
+        acc[plan.group_id] = gains[signed] @ acc[plan.group_id]
 
     transcript.append(Message(program.num_rounds, A2B, "DONE"))
     output = reg.extract([("wire", w) for w in range(program.num_wires)])

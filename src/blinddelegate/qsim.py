@@ -99,7 +99,7 @@ CNOT = GateMatrix(
 class StateVector:
     def __init__(self, amplitudes, check: bool = True):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        n = int(np.log2(len(amps)))
+        n = len(amps).bit_length() - 1
         if 2**n != len(amps) or n < 1:
             raise ValueError(f"amplitude length {len(amps)} is not a power of two >= 2")
         if n > CAPACITY:
@@ -111,7 +111,7 @@ class StateVector:
 
     def tensor(self, other: "StateVector") -> "StateVector":
         """Append `other`'s qubits above this register's (they get the high indices)."""
-        return StateVector(np.kron(other.amplitudes, self.amplitudes), check=False)
+        return StateVector(np.outer(other.amplitudes, self.amplitudes).reshape(-1), check=False)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -163,9 +163,12 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     return StateVector(amps / np.linalg.norm(amps), check=False)
 
 
+_BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+
 def bell_pair() -> StateVector:
     """(|00> + |11>)/sqrt(2) on a fresh 2-qubit register."""
-    return StateVector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), check=False)
+    return StateVector(_BELL.copy(), check=False)
 
 
 def _as_tensor(state: StateVector) -> np.ndarray:
@@ -173,61 +176,85 @@ def _as_tensor(state: StateVector) -> np.ndarray:
     return state.amplitudes.reshape([2] * state.num_qubits, order="F")
 
 
-def _from_tensor(tensor: np.ndarray) -> np.ndarray:
-    return tensor.reshape(-1, order="F")
-
-
-def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
-    """Return gate applied to the given target qubits (no in-place mutation)."""
+def _check_targets(targets, num_qubits: int, gate: GateMatrix) -> list:
     targets = [int(t) for t in (targets if hasattr(targets, "__iter__") else [targets])]
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target qubit")
     for t in targets:
-        if not 0 <= t < state.num_qubits:
-            raise IndexError(f"target {t} out of range for {state.num_qubits} qubits")
+        if not 0 <= t < num_qubits:
+            raise IndexError(f"target {t} out of range for {num_qubits} qubits")
     if gate.num_qubits != len(targets):
         raise ValueError("gate dimension does not match target count")
+    return targets
 
-    psi = _as_tensor(state)
+
+def _rows(view: np.ndarray, axes, count: int) -> np.ndarray:
+    """Contiguous copy of `view` with `axes` moved to the front, as `count` rows.
+
+    Every kernel contracts these rows in one BLAS product (np.dot) rather
+    than with elementwise slice arithmetic: BLAS fuses multiply-adds, so a
+    different formula would move the last bits of seeded results, including
+    the noise-level deviations that certificate reports print.
+    """
+    return np.ascontiguousarray(view.transpose(axes)).reshape(count, -1)
+
+
+def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
+    """Return gate applied to the given target qubits (no in-place mutation)."""
+    targets = _check_targets(targets, state.num_qubits, gate)
     if len(targets) == 1:
-        out = np.tensordot(gate.entries, psi, axes=([1], [targets[0]]))
-        out = np.moveaxis(out, 0, targets[0])
+        # (hi, 2, lo) view: axis 1 is the target bit.
+        view = state.amplitudes.reshape(-1, 2, 1 << targets[0])
+        out = np.dot(gate.entries, _rows(view, (1, 0, 2), 2))
+        out = out.reshape(2, *view.shape[0::2]).transpose(1, 0, 2)
     else:
         t0, t1 = targets
-        # 4x4 index bit 0 <-> targets[0]: reshape to (out1, out0, in1, in0).
-        g = gate.entries.reshape(2, 2, 2, 2)
-        out = np.tensordot(g, psi, axes=([3, 2], [t0, t1]))
-        out = np.moveaxis(out, [1, 0], [t0, t1])
-    return StateVector(_from_tensor(out), check=False)
+        low, high = min(t0, t1), max(t0, t1)
+        # (hi, 2, mid, 2, lo) view: axis 1 is the high target bit, axis 3 the low one.
+        view = state.amplitudes.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
+        # Rows are indexed (bit t1, bit t0), matching the 4x4 index bit 0 = targets[0].
+        if t1 == high:
+            axes, back = (1, 3, 0, 2, 4), (2, 0, 3, 1, 4)
+        else:
+            axes, back = (3, 1, 0, 2, 4), (2, 1, 3, 0, 4)
+        out = np.dot(gate.entries, _rows(view, axes, 4))
+        out = out.reshape(2, 2, *view.shape[0::2]).transpose(back)
+    return StateVector(out.reshape(-1), check=False)
 
 
 def expand_gate(gate: GateMatrix, targets, num_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n matrix of `gate` acting on `targets` (reference circuits only)."""
+    """Full 2^n x 2^n matrix of `gate` acting on `targets` (reference circuits only).
+
+    Built without the kernel: np.kron places the gate on the lowest qubits,
+    then the basis is relabelled so that layout bit b lands on qubit order[b].
+    """
     if num_qubits > 6:
         raise CapacityError("expand_gate is for small reference unitaries only")
-    dim = 2**num_qubits
-    cols = []
-    for idx in range(dim):
-        col = apply_gate(basis_state(num_qubits, idx), gate, targets)
-        cols.append(col.amplitudes)
-    return np.stack(cols, axis=1)
+    targets = _check_targets(targets, num_qubits, gate)
+    order = targets + [q for q in range(num_qubits) if q not in targets]
+    full = np.kron(np.eye(2 ** (num_qubits - len(targets))), gate.entries)
+    layout = np.arange(2**num_qubits)
+    index = sum(((layout >> b) & 1) << q for b, q in enumerate(order))
+    out = np.empty_like(full)
+    out[np.ix_(index, index)] = full
+    return out
 
 
-def _projected(state: StateVector, qubit: int, bra: np.ndarray) -> np.ndarray:
-    psi = _as_tensor(state)
-    out = np.tensordot(bra.conj(), psi, axes=([0], [qubit]))
-    return _from_tensor(out)
+def _finish_measurement(state, qubit, bras, rand):
+    """Measure `qubit` in the basis whose bras (conjugated kets) are `bras`.
 
-
-def _finish_measurement(state, qubit, bra0, bra1, rand):
-    branch0 = _projected(state, qubit, bra0)
-    p0 = float(np.vdot(branch0, branch0).real)
+    The two rows of the (2, rest) matrix are the slices with the qubit at 0
+    and at 1; only the branch that is drawn gets built.
+    """
+    rows = _rows(state.amplitudes.reshape(-1, 2, 1 << qubit), (1, 0, 2), 2)
+    branch = np.dot(bras[0], rows)
+    p0 = float(np.vdot(branch, branch).real)
     p0 = min(max(p0, 0.0), 1.0)
     outcome = 0 if rand < p0 else 1
     if outcome == 0:
-        prob, branch = p0, branch0
+        prob = p0
     else:
-        branch = _projected(state, qubit, bra1)
+        branch = np.dot(bras[1], rows)
         prob = 1.0 - p0
     if prob < 1e-12:
         raise DegenerateMeasurementError(
@@ -235,6 +262,18 @@ def _finish_measurement(state, qubit, bra0, bra1, rand):
         )
     post = StateVector(branch / np.sqrt(prob), check=False)
     return outcome, post, prob
+
+
+def _rotated_bras(theta: Angle):
+    """Bras of the measure_rotated basis, built once per grid angle."""
+    phase = np.exp(-1j * theta.radians)
+    bra0 = np.array([1.0, phase], dtype=complex) / np.sqrt(2)
+    bra1 = np.array([1.0, -phase], dtype=complex) / np.sqrt(2)
+    return bra0.conj(), bra1.conj()
+
+
+_ROTATED_BRAS = tuple(_rotated_bras(theta) for theta in ALL_ANGLES)
+_Z_BRAS = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
 def measure_rotated(state: StateVector, qubit: int, theta: Angle, rand: float):
@@ -248,15 +287,12 @@ def measure_rotated(state: StateVector, qubit: int, theta: Angle, rand: float):
         raise IndexError(f"qubit {qubit} out of range")
     if state.num_qubits == 1:
         raise ValueError("cannot remove the last qubit of a register")
-    phase = np.exp(-1j * theta.radians)
-    bra0 = np.array([1.0, phase], dtype=complex) / np.sqrt(2)
-    bra1 = np.array([1.0, -phase], dtype=complex) / np.sqrt(2)
-    return _finish_measurement(state, qubit, bra0, bra1, rand)
+    return _finish_measurement(state, qubit, _ROTATED_BRAS[theta.k], rand)
 
 
 def measure_x(state: StateVector, qubit: int, rand: float):
     """Measurement in the {|+>, |->} basis; outcome 0 means |+>."""
-    return measure_rotated(state, qubit, Angle(0), rand)
+    return measure_rotated(state, qubit, ALL_ANGLES[0], rand)
 
 
 def measure_z(state: StateVector, qubit: int, rand: float):
@@ -272,9 +308,7 @@ def measure_z(state: StateVector, qubit: int, rand: float):
         if prob < 1e-12:
             raise DegenerateMeasurementError(f"outcome {outcome} has probability {prob:.3e}")
         return outcome, basis_state(1, outcome), prob
-    bra0 = np.array([1.0, 0.0], dtype=complex)
-    bra1 = np.array([0.0, 1.0], dtype=complex)
-    return _finish_measurement(state, qubit, bra0, bra1, rand)
+    return _finish_measurement(state, qubit, _Z_BRAS, rand)
 
 
 def partial_trace(obj, keep) -> DensityMatrix:

@@ -68,6 +68,15 @@ def test_total_loss_exhausts_retries(tmp_path):
     assert code == 3
 
 
+def test_run_protocol2_wire_limit(tmp_path):
+    # 6 wires is the largest dense reference the output check builds.
+    argv = ["run", "--protocol", "2", "--seed", "1", "--outdir", str(tmp_path)]
+    six = _circuit(tmp_path, "H 0\nCNOT 0 5\n")
+    assert cli.main(argv + ["--circuit", six]) == 0
+    seven = _circuit(tmp_path, "H 0\nCNOT 0 6\n")
+    assert cli.main(argv + ["--circuit", seven]) == 2
+
+
 def test_run_protocol2_writes_outputs(tmp_path, capsys):
     code = cli.main(
         ["run", "--protocol", "2", "--circuit", _circuit(tmp_path),

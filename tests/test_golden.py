@@ -1,0 +1,65 @@
+"""Golden seed sweep: CLI artifacts must stay byte-identical across changes.
+
+Each digest is a sha256 over `transcript.txt` + `report.txt` (and the exit
+code) of `blinddelegate run` for seeds 0-9, in seed order. The values were
+recorded with the original tensordot-based kernel; a kernel or runtime change
+that alters any outcome draw, frame or message shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from blinddelegate import cli
+
+SEEDS = range(10)
+
+CASES = {
+    "p2-1wire": ("2", "H 0\nT 0\nS 0\n"),
+    "p2-cnot": ("2", "H 0\nCNOT 0 1\nT 1\n"),
+    "p2-cz": ("2", "H 0\nH 1\nCZ 0 1\nS 0\n"),
+    "p2-3wire": ("2", "H 0\nCNOT 0 2\nT 1\nCZ 1 2\n"),
+    "p1-chain": ("1", "H 0\nT 0\nS 0\n"),
+    "tp-chain": ("tp", "H 0\nT 0\nS 0\n"),
+}
+
+GOLDEN = {
+    ("p2-1wire", 0.0): "4b251e3001ac018cf7e61d1a6629fa54e5ff4fe1b81cdd33ac8157256290cbbf",
+    ("p2-1wire", 0.3): "0239d5776f558c9657789523a343c79b4991739db5d1a4f34db3999fdf10ae87",
+    ("p2-cnot", 0.0): "c85e1d7fd7d02fe9512cf001cd844f7018b7f237c2c6e2589195570c4bbf2ed0",
+    ("p2-cnot", 0.3): "a0544d37384f246aeee1fe01821be4a1c480387d6b6a9819e676c9d93bd92f25",
+    ("p2-cz", 0.0): "67846ff5a4410042f939c6af4a17ab7ba8c6736768b4965d9cbe819140149d92",
+    ("p2-cz", 0.3): "7c5cc72d124dff91d7a6fbb88f942456c563ed262823cb8c067f63f1765debf4",
+    ("p2-3wire", 0.0): "88644f842623e352f1d07e58a58e043c7148dc37f67fd99d057bdd00b9ab7f51",
+    ("p2-3wire", 0.3): "a915fb7732232f41c1899e33e42c72adfa83940bb7b7398fc8202a111673a5f1",
+    ("p1-chain", 0.0): "e437f5f9d75b91c5c7bb02e4214601f0dd9135d2dbe28ec2d57cdecaae6519fb",
+    ("p1-chain", 0.3): "60e48026b6b317f0b4af4af436f9b3f32907add4fa502cda7a2f1904cd1e8d0c",
+    ("tp-chain", 0.0): "431f3a3d60c10b219a531c24d11e2ac2bf2f5c8cf04e63bc341896e4058835cc",
+    ("tp-chain", 0.3): "03f1fc587d5e169c8fb1caefa4d7741a486ffa0689ad73932d3c5d555697cd8d",
+}
+
+
+def sweep_digest(tmp_path, protocol, text, loss):
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text(text)
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        outdir = tmp_path / f"out{seed}"
+        code = cli.main(["run", "--protocol", protocol, "--circuit", str(circuit),
+                         "--loss", str(loss), "--seed", str(seed),
+                         "--outdir", str(outdir)])
+        h.update(f"exit={code}\n".encode())
+        h.update((outdir / "transcript.txt").read_bytes())
+        h.update((outdir / "report.txt").read_bytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def _clean_env(monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+
+
+@pytest.mark.parametrize("case,loss", sorted(GOLDEN))
+def test_seed_sweep_is_byte_identical(tmp_path, case, loss):
+    protocol, text = CASES[case]
+    assert sweep_digest(tmp_path, protocol, text, loss) == GOLDEN[case, loss]

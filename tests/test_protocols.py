@@ -172,6 +172,28 @@ def test_run_protocol2_matches_reference(text, wires):
     assert result.rounds_completed == program.num_rounds
 
 
+@pytest.mark.parametrize("text,wires,seed", [
+    ("H 0\nCNOT 0 2\nT 1\nCZ 1 2", 3, 2),
+    ("H 0\nCNOT 0 2\nT 1\nCZ 1 2", 3, 3),
+    ("H 0\nCNOT 0 5\nT 3\nCZ 4 1\nCNOT 2 0\nH 5\nCZ 5 3", 6, 0),
+])
+def test_run_protocol2_beyond_two_wires_with_loss(text, wires, seed):
+    # Cells bridge any two wires, so protocol 2 is not limited to two wires.
+    # Same seeding as `blinddelegate run`, at loss 0.3.
+    gates = protocols.parse_circuit(text)
+    program = protocols.compile_circuit(gates)
+    assert program.num_wires == wires
+    psi = qsim.basis_state(wires, 0)
+    channel = ChannelModel(0.3, rng_seed=seed)
+    result = protocols.run_protocol2(program, psi, channel, rng=default_rng([seed, 0]))
+    ref = protocols.circuit_unitary(gates, wires) @ psi.amplitudes
+    assert qsim.equal_up_to_global_phase(
+        protocols.correct_output(result), qsim.StateVector(ref, check=False)
+    )
+    assert result.retransmission_count > 0
+    assert result.rounds_completed == program.num_rounds
+
+
 def test_outcome_matched_seeding_across_loss():
     # the measurement stream is independent of the loss stream, so the same
     # seed yields identical outcome bits at any loss rate

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,116 @@ def test_apply_gate_matches_expanded_matrix():
         fast2 = qsim.apply_gate(psi, gate2, [t, t2]).amplitudes
         dense2 = qsim.expand_gate(gate2, [t, t2], n) @ psi.amplitudes
         np.testing.assert_allclose(fast2, dense2, atol=1e-12)
+
+
+KERNEL_WIDTHS = [1, 2, 3, 4, 5, 6, 13, 14]
+
+
+def _random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return qsim.GateMatrix(q * (np.diag(r) / np.abs(np.diag(r))), "U")
+
+
+def _index_oracle(amps, matrix, targets):
+    """Explicit sum over basis indices: matrix index bit j belongs to targets[j]."""
+    idx = np.arange(len(amps))
+    row = sum(((idx >> t) & 1) << j for j, t in enumerate(targets))
+    base = idx & ~sum(1 << t for t in targets)
+    out = np.zeros_like(amps)
+    for col in range(len(matrix)):
+        src = base | sum(((col >> j) & 1) << t for j, t in enumerate(targets))
+        out += matrix[row, col] * amps[src]
+    return out
+
+
+def _check_kernel(psi, gate, targets):
+    before = psi.amplitudes.copy()
+    got = qsim.apply_gate(psi, gate, targets)
+    np.testing.assert_array_equal(psi.amplitudes, before)  # input untouched
+    assert got.num_qubits == psi.num_qubits
+    want = _index_oracle(before, gate.entries, targets)
+    np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
+    if psi.num_qubits <= 6:
+        dense = qsim.expand_gate(gate, targets, psi.num_qubits) @ before
+        np.testing.assert_allclose(got.amplitudes, dense, atol=1e-12)
+    # The output must be a fresh array: writing to it leaves the input alone.
+    got.amplitudes[:] = 0.0
+    np.testing.assert_array_equal(psi.amplitudes, before)
+
+
+@pytest.mark.parametrize("n", KERNEL_WIDTHS)
+def test_one_qubit_kernel_every_target(n):
+    rng = np.random.default_rng(100 + n)
+    psi = qsim.random_state(n, rng)
+    for gate in (qsim.H, qsim.T, _random_unitary(2, rng)):
+        for t in range(n):
+            _check_kernel(psi, gate, [t])
+
+
+@pytest.mark.parametrize("n", [w for w in KERNEL_WIDTHS if w >= 2])
+def test_two_qubit_kernel_every_ordered_pair(n):
+    rng = np.random.default_rng(200 + n)
+    psi = qsim.random_state(n, rng)
+    for gate in (qsim.CZ, qsim.CNOT, _random_unitary(4, rng)):
+        for t0, t1 in itertools.permutations(range(n), 2):
+            _check_kernel(psi, gate, [t0, t1])
+
+
+def _measure_oracle(amps, qubit, vec):
+    """Amplitudes of <vec|_qubit psi, indexed with the qubit removed."""
+    idx = np.arange(len(amps) // 2)
+    at0 = ((idx >> qubit) << (qubit + 1)) | (idx & ((1 << qubit) - 1))
+    return np.conj(vec[0]) * amps[at0] + np.conj(vec[1]) * amps[at0 | (1 << qubit)]
+
+
+@pytest.mark.parametrize("n", [w for w in KERNEL_WIDTHS if w >= 2])
+def test_measurements_match_projector_reference(n):
+    rng = np.random.default_rng(300 + n)
+    psi = qsim.random_state(n, rng)
+    before = psi.amplitudes.copy()
+    for q in range(n):
+        for k in [*range(8), None]:
+            for outcome, rand in ((0, -1.0), (1, 2.0)):
+                if k is None:
+                    vec = np.eye(2)[outcome]
+                    got, post, p = qsim.measure_z(psi, q, rand)
+                else:
+                    phase = (-1) ** outcome * np.exp(-1j * k * np.pi / 4)
+                    vec = np.array([1.0, phase]) / np.sqrt(2)
+                    got, post, p = qsim.measure_rotated(psi, q, qsim.Angle(k), rand)
+                branch = _measure_oracle(before, q, vec)
+                prob = float(np.vdot(branch, branch).real)
+                if n <= 6:
+                    proj = np.kron(np.kron(np.eye(2 ** (n - 1 - q)), np.outer(vec, vec.conj())),
+                                   np.eye(2**q))
+                    assert prob == pytest.approx(np.vdot(before, proj @ before).real, abs=1e-12)
+                np.testing.assert_array_equal(psi.amplitudes, before)
+                assert got == outcome
+                assert p == pytest.approx(prob, abs=1e-12)
+                assert post.num_qubits == n - 1
+                np.testing.assert_allclose(post.amplitudes, branch / np.sqrt(prob), atol=1e-12)
+
+
+def test_tensor_matches_kron():
+    rng = np.random.default_rng(12)
+    a, b = qsim.random_state(3, rng), qsim.random_state(2, rng)
+    before = a.amplitudes.copy(), b.amplitudes.copy()
+    joined = a.tensor(b)
+    assert joined.num_qubits == 5
+    np.testing.assert_array_equal(joined.amplitudes, np.kron(b.amplitudes, a.amplitudes))
+    np.testing.assert_array_equal(a.amplitudes, before[0])
+    np.testing.assert_array_equal(b.amplitudes, before[1])
+
+
+def test_expand_gate_input_checks():
+    with pytest.raises(ValueError):
+        qsim.expand_gate(qsim.CZ, [1, 1], 3)
+    with pytest.raises(IndexError):
+        qsim.expand_gate(qsim.H, [3], 3)
+    with pytest.raises(ValueError):
+        qsim.expand_gate(qsim.CZ, [0], 3)
+    with pytest.raises(CapacityError):
+        qsim.expand_gate(qsim.H, [0], 7)
 
 
 def test_cnot_orientation():
