@@ -30,28 +30,6 @@ def _as_density(obj) -> np.ndarray:
     return np.asarray(obj, dtype=complex)
 
 
-def _num_qubits(mat: np.ndarray) -> int:
-    n = int(round(np.log2(mat.shape[0])))
-    if 2**n != mat.shape[0]:
-        raise ValueError("operator dimension is not a power of two")
-    return n
-
-
-def _ptrace_raw(mat: np.ndarray, keep) -> np.ndarray:
-    """Partial trace for possibly subnormalized operators; qubit 0 is the
-    least-significant index and the kept qubits stay in ascending order."""
-    n = _num_qubits(mat)
-    keep = sorted(keep)
-    drop = [q for q in range(n) if q not in keep]
-    t = mat.reshape([2] * (2 * n), order="F")
-    # Row axis of qubit q is q, column axis is n + q.
-    perm = keep + drop + [n + q for q in keep] + [n + q for q in drop]
-    t = np.transpose(t, perm)
-    k, d = len(keep), len(drop)
-    t = t.reshape((2**k, 2**d, 2**k, 2**d), order="F")
-    return np.einsum("arbr->ab", t)
-
-
 @dataclass
 class BobView:
     marginal: DensityMatrix
@@ -96,9 +74,25 @@ def povm_distribution(view, povm: Povm) -> np.ndarray:
     return np.array([float(np.real(np.trace(e @ rho))) for e in povm.elements])
 
 
-def _rotated_bra(theta: Angle, outcome: int):
-    sign = 1.0 if outcome == 0 else -1.0
-    return np.array([1.0, sign * np.exp(-1j * theta.radians)], dtype=complex) / np.sqrt(2.0)
+def _server_branch(rho, alice_qubits, angles, outcomes) -> np.ndarray:
+    """The server's unnormalized state when the client's qubits give `outcomes`.
+
+    Client qubit q is projected onto the measure_rotated basis element of its
+    outcome at its angle; the trace of the result is that outcome's probability.
+    """
+    n = DensityMatrix(rho, check=False).num_qubits
+    proj = np.eye(1, dtype=complex)
+    for q in range(n):
+        if q in alice_qubits:
+            i = alice_qubits.index(q)
+            bra = qsim.ROTATED_BRAS[angles[i].k][outcomes[i]]
+            block = np.outer(bra.conj(), bra)
+        else:
+            block = np.eye(2, dtype=complex)
+        proj = np.kron(block, proj)  # qubit q occupies index bit q
+    branch = DensityMatrix(proj @ rho @ proj.conj().T, check=False)
+    bob_qubits = [q for q in range(n) if q not in alice_qubits]
+    return qsim.partial_trace(branch, bob_qubits).entries
 
 
 def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
@@ -109,27 +103,18 @@ def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
     reaches the server, so the classical view is constant.
     """
     rho = _as_density(joint)
-    n = _num_qubits(rho)
+    n = DensityMatrix(rho, check=False).num_qubits
     alice_qubits = list(alice_qubits)
     angles = [a if isinstance(a, Angle) else Angle(a) for a in alice_angles]
     if len(alice_qubits) != len(angles):
         raise ValueError("one angle per client qubit")
-    bob_qubits = [q for q in range(n) if q not in alice_qubits]
-    if not bob_qubits:
+    if not set(range(n)) - set(alice_qubits):
         raise ValueError("server must retain at least one qubit")
 
-    total = np.zeros((2 ** len(bob_qubits),) * 2, dtype=complex)
-    for outcomes in itertools.product((0, 1), repeat=len(alice_qubits)):
-        proj = np.eye(1, dtype=complex)
-        for q in range(n):
-            if q in alice_qubits:
-                bra = _rotated_bra(angles[alice_qubits.index(q)], outcomes[alice_qubits.index(q)])
-                block = np.outer(bra.conj(), bra)
-            else:
-                block = np.eye(2, dtype=complex)
-            proj = np.kron(block, proj)  # qubit q occupies index bit q
-        branch = proj @ rho @ proj.conj().T
-        total += _ptrace_raw(branch, bob_qubits)
+    total = sum(
+        _server_branch(rho, alice_qubits, angles, outcomes)
+        for outcomes in itertools.product((0, 1), repeat=len(alice_qubits))
+    )
     return BobView(marginal=DensityMatrix(total), transcript_dist={"": 1.0})
 
 
@@ -138,7 +123,7 @@ def bob_view_protocol2_round(theta: Angle) -> DensityMatrix:
     averaged over her (unsent) outcome; equals I/2 for every angle."""
     theta = theta if isinstance(theta, Angle) else Angle(theta)
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    v = np.diag([1.0, np.exp(1j * theta.radians)]) @ plus
+    v = qsim.rotation(theta).entries @ plus
     pure = np.outer(v, v.conj())
     z = qsim.Z.entries
     return DensityMatrix(0.5 * pure + 0.5 * (z @ pure @ z))
@@ -269,7 +254,7 @@ def certify_protocol1(secrets, bob_strategy="honest", n_povms: int = 4,
         joint = graphs.build_graph_state(graphs.linear_cluster(width + 1)).state
     else:
         joint = bob_strategy.state if hasattr(bob_strategy, "state") else bob_strategy
-    n = _num_qubits(_as_density(joint))
+    n = DensityMatrix(_as_density(joint), check=False).num_qubits
     alice_qubits = list(range(width))
     bob_dim = 2 ** (n - width)
 

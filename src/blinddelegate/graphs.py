@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qsim
+from . import pauli, qsim
 from .errors import CalibrationError, CapacityError, FormatError
 from .qsim import Angle, StateVector
 
@@ -146,45 +146,26 @@ class UnitCellCalibration:
     entries: dict = field(default_factory=dict)
 
 
-def _rot(k: int) -> np.ndarray:
-    return np.diag([1.0, np.exp(1j * np.pi * k / 4.0)]).astype(complex)
+# The gain R_k H that one round puts on its wire, indexed by the signed angle
+# k in -7..7: R_{-k} = R_{8-k}, so a negative index reads the right entry.
+# Protocol 2 accumulates the same table round by round.
+ROUND_GAINS = tuple(qsim.rotation(Angle(k)).entries @ qsim.H.entries for k in range(8))
 
 
-_H2 = qsim.H.entries
-
-
-def _wire_word(schedule: WireSchedule, m_bits) -> np.ndarray:
-    """Accumulated single-wire operator for given reported bits (round 1 first).
+def _wire_word(schedule: WireSchedule, m_bits, rounds=range(ROUNDS_PER_CELL)) -> np.ndarray:
+    """Accumulated single-wire operator of `rounds` for given reported bits.
 
     Each round contributes R_{(-1)^m * k} H on the left; the command sign
     adaptation cancels the frame's z bit, so only the residual m sign remains.
     """
     w = np.eye(2, dtype=complex)
-    for r in range(ROUNDS_PER_CELL):
+    for r in rounds:
         k = schedule.angle_index(r, m_bits[0])
-        signed = (-k if m_bits[r] else k) % 8
-        w = (_rot(signed) @ _H2) @ w
+        w = ROUND_GAINS[-k if m_bits[r] else k] @ w
     return w
 
 
-def _split_word(schedule: WireSchedule, m_bits, anchor: int):
-    """(before, after) operator halves around a bridge anchored after `anchor` rounds."""
-    before = np.eye(2, dtype=complex)
-    after = np.eye(2, dtype=complex)
-    for r in range(ROUNDS_PER_CELL):
-        k = schedule.angle_index(r, m_bits[0])
-        signed = (-k if m_bits[r] else k) % 8
-        gain = _rot(signed) @ _H2
-        if r < anchor:
-            before = gain @ before
-        else:
-            after = gain @ after
-    return before, after
-
-
 _CZ4 = qsim.CZ.entries
-_PAULI2 = [np.eye(2, dtype=complex), qsim.X.entries, qsim.Z.entries,
-           qsim.X.entries @ qsim.Z.entries]
 
 
 def cell_operator(w0: WireSchedule, w1: WireSchedule, bridge, m0_bits, m1_bits):
@@ -192,24 +173,23 @@ def cell_operator(w0: WireSchedule, w1: WireSchedule, bridge, m0_bits, m1_bits):
     if bridge is None:
         return np.kron(_wire_word(w1, m1_bits), _wire_word(w0, m0_bits))
     i, j = bridge
-    b0, a0 = _split_word(w0, m0_bits, i)
-    b1, a1 = _split_word(w1, m1_bits, j)
-    return np.kron(a1, a0) @ _CZ4 @ np.kron(b1, b0)
-
-
-def _pauli_pair_match(op: np.ndarray, target: np.ndarray, tol: float = 1e-10):
-    """Frames (p0, p1) with op = phase * (p1 (x) p0) @ target, or None."""
-    for i1, p1 in enumerate(_PAULI2):
-        for i0, p0 in enumerate(_PAULI2):
-            if qsim.matrices_equal_up_to_phase(op, np.kron(p1, p0) @ target, tol):
-                return i0, i1
-    return None
+    before = np.kron(_wire_word(w1, m1_bits, range(j)), _wire_word(w0, m0_bits, range(i)))
+    after = np.kron(
+        _wire_word(w1, m1_bits, range(j, ROUNDS_PER_CELL)),
+        _wire_word(w0, m0_bits, range(i, ROUNDS_PER_CELL)),
+    )
+    return after @ _CZ4 @ before
 
 
 def _deterministic_on_all_branches(w0, w1, bridge, target, tol=1e-10) -> bool:
-    for bits in itertools.product((0, 1), repeat=2 * ROUNDS_PER_CELL):
-        op = cell_operator(w0, w1, bridge, bits[:3], bits[3:])
-        if _pauli_pair_match(op, target, tol) is None:
+    """True iff every outcome branch gives Pauli * target; w1=None checks w0 alone."""
+    wires = 1 if w1 is None else 2
+    for bits in itertools.product((0, 1), repeat=wires * ROUNDS_PER_CELL):
+        if w1 is None:
+            op = _wire_word(w0, bits)
+        else:
+            op = cell_operator(w0, w1, bridge, bits[:3], bits[3:])
+        if pauli.match_frames(op, target, tol) is None:
             return False
     return True
 
@@ -232,15 +212,7 @@ def _search_single_wire(target2: np.ndarray, tol=1e-10):
         _constant_schedules(SEARCH_ANGLES), _adaptive_schedules(SEARCH_ANGLES)
     )
     for sched in candidates:
-        ok = True
-        for bits in itertools.product((0, 1), repeat=ROUNDS_PER_CELL):
-            w = _wire_word(sched, bits)
-            if not any(
-                qsim.matrices_equal_up_to_phase(w, p @ target2, tol) for p in _PAULI2
-            ):
-                ok = False
-                break
-        if ok:
+        if _deterministic_on_all_branches(sched, None, None, target2, tol):
             return sched
     return None
 
@@ -259,7 +231,7 @@ def _search_entangling(target4: np.ndarray, tol=1e-10):
             for w0 in w_candidates:
                 for w1 in w_candidates:
                     op = cell_operator(w0, w1, bridge, zero, zero)
-                    if _pauli_pair_match(op, target4, tol) is None:
+                    if pauli.match_frames(op, target4, tol) is None:
                         continue  # cheap zero-branch reject
                     if _deterministic_on_all_branches(w0, w1, bridge, target4, tol):
                         return bridge, w0, w1
@@ -267,6 +239,7 @@ def _search_entangling(target4: np.ndarray, tol=1e-10):
 
 
 _I2 = np.eye(2, dtype=complex)
+_H2 = qsim.H.entries
 
 # Catalog references; "A x I" means A acts on wire 0 (the 4x4 low index bit).
 _CATALOG_SINGLE = [

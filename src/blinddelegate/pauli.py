@@ -67,6 +67,32 @@ FRAME_Z = PauliFrame(0, 1)
 FRAME_XZ = PauliFrame(1, 1)
 ALL_FRAMES = (FRAME_I, FRAME_X, FRAME_Z, FRAME_XZ)
 
+# X^x Z^z of one wire, or of a two-wire cell with its frames listed low slot
+# first (the low slot acts on index bit 0).
+FRAME_MATRICES = {(f,): f.matrix for f in ALL_FRAMES}
+FRAME_MATRICES.update(
+    ((f0, f1), np.kron(f1.matrix, f0.matrix)) for f0 in ALL_FRAMES for f1 in ALL_FRAMES
+)
+
+
+def match_frames(m: np.ndarray, target: np.ndarray, tol: float = 1e-10):
+    """Per-wire frames P (low slot first) with m = phase * P @ target, or None.
+
+    m and target are 2x2 (one wire) or 4x4 (two wires) unitaries. P is read
+    off m @ target^dagger: column 0 is nonzero only at row x, and column 2^j
+    carries (-1)^z_j relative to it. One check against the frame matrix then
+    decides; when a match exists the frame is unique.
+    """
+    pauli = m @ target.conj().T
+    row = int(np.argmax(np.abs(pauli[:, 0])))
+    frames = tuple(
+        PauliFrame((row >> j) & 1, (pauli[row ^ (1 << j), 1 << j] / pauli[row, 0]).real < 0)
+        for j in range(len(pauli).bit_length() - 1)
+    )
+    if qsim.matrices_equal_up_to_phase(m, FRAME_MATRICES[frames] @ target, tol):
+        return frames
+    return None
+
 
 class CliffordTWord:
     """An ordered word over {H,S,SDG,T,TDG,X,Z}; the rightmost letter acts first."""
@@ -147,24 +173,7 @@ _CANONICAL_WORDS = [
 ]
 
 
-def _canonical_matrices():
-    table = []
-    for name, text in _CANONICAL_WORDS:
-        m = np.eye(2, dtype=complex)
-        for letter in text.split():
-            m = m @ LETTER_MATRICES[letter]
-        table.append((name, m))
-    return table
-
-CANONICAL_TABLE = _canonical_matrices()
-
-
-def _match_pauli_times(m: np.ndarray, target: np.ndarray, tol: float = 1e-10):
-    """Return the frame P with m = phase * P @ target, or None."""
-    for frame in ALL_FRAMES:
-        if qsim.matrices_equal_up_to_phase(m, frame.matrix @ target, tol):
-            return frame
-    return None
+CANONICAL_TABLE = [(name, word(text).matrix()) for name, text in _CANONICAL_WORDS]
 
 
 def reduce_word(w: CliffordTWord, tol: float = 1e-10):
@@ -178,11 +187,9 @@ def reduce_word(w: CliffordTWord, tol: float = 1e-10):
         raise ValueError("empty word")
     m = w.matrix()
     for name, target in CANONICAL_TABLE:
-        frame = _match_pauli_times(m, target, tol)
-        if frame is not None:
-            # Internal soundness check: frame * canonical reproduces the word.
-            assert qsim.matrices_equal_up_to_phase(frame.matrix @ target, m, tol)
-            return frame, GateMatrix(target, name)
+        frames = match_frames(m, target, tol)
+        if frames is not None:
+            return frames[0], GateMatrix(target, name)
     return FRAME_I, GateMatrix(m, "")
 
 

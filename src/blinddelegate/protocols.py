@@ -17,7 +17,7 @@ import numpy as np
 
 from . import graphs, qsim
 from .errors import FormatError, RetryLimitError
-from .pauli import ALL_FRAMES, FRAME_I, PauliFrame
+from .pauli import FRAME_I, PauliFrame, match_frames
 from .qsim import Angle, StateVector
 
 RETRY_CAP = 1000
@@ -406,37 +406,19 @@ def _deliver(channel, rng_loss, rng_mask, transcript, round_index, *,
 
 
 def _extract_group_frames(acc, group):
-    """Pauli factors turning the accumulated word into the group target.
-
-    acc = phase * P * target with P = X^x Z^z per wire (wires[0] on index
-    bit 0), so P is read off acc @ target^dagger: column 0 is nonzero only at
-    row x, and column 2^j carries (-1)^z_j relative to it.
-    """
-    pauli = acc @ group.target.conj().T
-    row = int(np.argmax(np.abs(pauli[:, 0])))
-    frames = tuple(
-        PauliFrame((row >> j) & 1, (pauli[row ^ (1 << j), 1 << j] / pauli[row, 0]).real < 0)
-        for j in range(len(group.wires))
-    )
-    if not qsim.matrices_equal_up_to_phase(acc, _FRAME_MATRICES[frames] @ group.target):
+    """Pauli factors turning the accumulated word into the group target."""
+    frames = match_frames(acc, group.target)
+    if frames is None:
         raise RuntimeError(f"group {group.label!r}: accumulated word does not match target")
     return dict(zip(group.wires, frames))
 
 
-# X^x Z^z of one wire, or of a cell with its frames listed low slot first.
-_FRAME_MATRICES = {(f,): f.matrix for f in ALL_FRAMES}
-_FRAME_MATRICES.update(
-    ((f0, f1), np.kron(f1.matrix, f0.matrix)) for f0 in ALL_FRAMES for f1 in ALL_FRAMES
-)
-
-
-# The per-round gain R_k H for each signed angle k, embedded for each
-# (group width, slot): a one-wire group, or the low or high wire of a cell.
-_GAINS = [qsim.rotation(Angle(k)).entries @ qsim.H.entries for k in range(8)]
+# The per-round gain R_k H (graphs.ROUND_GAINS, indexed by signed k) embedded
+# for each (group width, slot): a one-wire group, or the low or high wire of a cell.
 _SLOT_GAINS = {
-    (1, 0): _GAINS,
-    (2, 0): [np.kron(np.eye(2), g) for g in _GAINS],
-    (2, 1): [np.kron(g, np.eye(2)) for g in _GAINS],
+    (1, 0): graphs.ROUND_GAINS,
+    (2, 0): [np.kron(np.eye(2), g) for g in graphs.ROUND_GAINS],
+    (2, 1): [np.kron(g, np.eye(2)) for g in graphs.ROUND_GAINS],
 }
 
 
@@ -524,10 +506,9 @@ def run_protocol2(
         frames[plan.wire] = RoundPlan.frame_update(frames[plan.wire], a, m)
 
         want = plan.want_angle(m_bits)
-        signed = (-want.k if m else want.k) % 8
         wires = groups_by_id[plan.group_id].wires
         gains = _SLOT_GAINS[len(wires), wires.index(plan.wire)]
-        acc[plan.group_id] = gains[signed] @ acc[plan.group_id]
+        acc[plan.group_id] = gains[-want.k if m else want.k] @ acc[plan.group_id]
 
     transcript.append(Message(program.num_rounds, A2B, "DONE"))
     output = reg.extract([("wire", w) for w in range(program.num_wires)])
@@ -616,8 +597,7 @@ def circuit_to_chain(gates):
 def chain_unitary(plan) -> np.ndarray:
     u = np.eye(2, dtype=complex)
     for step in plan:
-        rot = np.diag([1.0, np.exp(1j * step.base_angle.radians)]).astype(complex)
-        u = qsim.H.entries @ rot @ u
+        u = qsim.H.entries @ qsim.rotation(step.base_angle).entries @ u
     return u
 
 

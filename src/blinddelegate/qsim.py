@@ -272,7 +272,9 @@ def _rotated_bras(theta: Angle):
     return bra0.conj(), bra1.conj()
 
 
-_ROTATED_BRAS = tuple(_rotated_bras(theta) for theta in ALL_ANGLES)
+# ROTATED_BRAS[k][a]: the bra of outcome a when measuring at Angle(k); the
+# projector onto that outcome is np.outer(bra.conj(), bra).
+ROTATED_BRAS = tuple(_rotated_bras(theta) for theta in ALL_ANGLES)
 _Z_BRAS = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
@@ -287,7 +289,7 @@ def measure_rotated(state: StateVector, qubit: int, theta: Angle, rand: float):
         raise IndexError(f"qubit {qubit} out of range")
     if state.num_qubits == 1:
         raise ValueError("cannot remove the last qubit of a register")
-    return _finish_measurement(state, qubit, _ROTATED_BRAS[theta.k], rand)
+    return _finish_measurement(state, qubit, ROTATED_BRAS[theta.k], rand)
 
 
 def measure_x(state: StateVector, qubit: int, rand: float):

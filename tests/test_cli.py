@@ -217,6 +217,22 @@ def _check_console_script(exe, outdir, env):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+def test_python_dash_m_package_runs_without_runpy_warning(tmp_path):
+    """`python -m blinddelegate` reaches cli.main; -W error turns runpy's
+    "found in sys.modules" RuntimeWarning into a failure."""
+    pythonpath = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "blinddelegate", "calibrate"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("calibration bridge=")
+    assert (tmp_path / "calibration.txt").read_text() == proc.stdout
+
+
 def test_console_script_entry_point(tmp_path):
     module, _, attr = _declared_entry_point().partition(":")
     bin_dir = tmp_path / "bin"

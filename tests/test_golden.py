@@ -1,9 +1,12 @@
-"""Golden seed sweep: CLI artifacts must stay byte-identical across changes.
+"""Golden seed sweeps: CLI artifacts must stay byte-identical across changes.
 
-Each digest is a sha256 over `transcript.txt` + `report.txt` (and the exit
-code) of `blinddelegate run` for seeds 0-9, in seed order. The values were
-recorded with the original tensordot-based kernel; a kernel or runtime change
-that alters any outcome draw, frame or message shows up here.
+Each digest is a sha256 over the exit code and the artifacts of a sequence of
+`blinddelegate` calls, in order. `run` hashes `transcript.txt` + `report.txt`
+for seeds 0-9 (recorded with the original tensordot-based kernel); a kernel
+or runtime change that alters any outcome draw, frame or message shows up
+there. `calibrate`, `attack` and `verify` (without the blindness certificates,
+whose noise-level deviations follow floating-point rounding) pin the unit-cell
+search, the side-channel report and the check catalog the same way.
 """
 
 import hashlib
@@ -39,19 +42,55 @@ GOLDEN = {
 }
 
 
+CALIBRATE = "e15b4dcfd16f1928b6cf492fea9656b01b3c972293ca122b7ef142ffa2f8b38d"
+
+ATTACK_SEEDS = range(3)
+ATTACK = {
+    0.0: "d05275e8e6898d79c81e3dc0963f6f4e4248859b55812aefe09d27eabd952247",
+    0.3: "7e3a9313aad281a44fbd24d4fcd38e18f5fcd7c6ac694ff3af3080a68af2eda7",
+}
+
+VERIFY_SEEDS = range(3)
+VERIFY = "7ed0fd8ece1139b434c25fdf0b2278e54f37c9be19b4ebdbe55e36bc423be584"
+
+
+def cli_digest(tmp_path, runs):
+    """sha256 over the exit code and the named artifacts of each `cli.main` call."""
+    h = hashlib.sha256()
+    for i, (argv, artifacts) in enumerate(runs):
+        outdir = tmp_path / f"out{i}"
+        code = cli.main([*argv, "--outdir", str(outdir)])
+        h.update(f"exit={code}\n".encode())
+        for name in artifacts:
+            h.update((outdir / name).read_bytes())
+    return h.hexdigest()
+
+
 def sweep_digest(tmp_path, protocol, text, loss):
     circuit = tmp_path / "circuit.txt"
     circuit.write_text(text)
-    h = hashlib.sha256()
-    for seed in SEEDS:
-        outdir = tmp_path / f"out{seed}"
-        code = cli.main(["run", "--protocol", protocol, "--circuit", str(circuit),
-                         "--loss", str(loss), "--seed", str(seed),
-                         "--outdir", str(outdir)])
-        h.update(f"exit={code}\n".encode())
-        h.update((outdir / "transcript.txt").read_bytes())
-        h.update((outdir / "report.txt").read_bytes())
-    return h.hexdigest()
+    return cli_digest(tmp_path, [
+        (["run", "--protocol", protocol, "--circuit", str(circuit),
+          "--loss", str(loss), "--seed", str(seed)],
+         ["transcript.txt", "report.txt"])
+        for seed in SEEDS
+    ])
+
+
+def attack_digest(tmp_path, loss):
+    return cli_digest(tmp_path, [
+        (["attack", "--trials", "200", "--loss", str(loss), "--seed", str(seed)],
+         ["attack.txt"])
+        for seed in ATTACK_SEEDS
+    ])
+
+
+def verify_digest(tmp_path):
+    return cli_digest(tmp_path, [
+        (["verify", "--checks", "identities,unitcell,stabilizers", "--seed", str(seed)],
+         ["report.txt"])
+        for seed in VERIFY_SEEDS
+    ])
 
 
 @pytest.fixture(autouse=True)
@@ -63,3 +102,16 @@ def _clean_env(monkeypatch):
 def test_seed_sweep_is_byte_identical(tmp_path, case, loss):
     protocol, text = CASES[case]
     assert sweep_digest(tmp_path, protocol, text, loss) == GOLDEN[case, loss]
+
+
+def test_calibrate_is_byte_identical(tmp_path):
+    assert cli_digest(tmp_path, [(["calibrate"], ["calibration.txt"])]) == CALIBRATE
+
+
+@pytest.mark.parametrize("loss", sorted(ATTACK))
+def test_attack_sweep_is_byte_identical(tmp_path, loss):
+    assert attack_digest(tmp_path, loss) == ATTACK[loss]
+
+
+def test_verify_sweep_is_byte_identical(tmp_path):
+    assert verify_digest(tmp_path) == VERIFY

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from blinddelegate import graphs, qsim
+from blinddelegate import graphs, pauli, protocols, qsim
 from blinddelegate.errors import CapacityError, FormatError
 
 
@@ -119,19 +119,71 @@ def test_calibration_targets_match_catalog():
     )
 
 
+# I, X, Z, XZ: the order of pauli.ALL_FRAMES.
+_PAULIS = [
+    np.eye(2, dtype=complex),
+    qsim.X.entries,
+    qsim.Z.entries,
+    qsim.X.entries @ qsim.Z.entries,
+]
+
+
 def _match_pauli_pair(op, target):
-    """Independent matcher: op == phase * (P1 (x) P0) @ target for some pair."""
-    paulis = [
-        np.eye(2, dtype=complex),
-        qsim.X.entries,
-        qsim.Z.entries,
-        qsim.X.entries @ qsim.Z.entries,
-    ]
-    for p1 in paulis:
-        for p0 in paulis:
+    """Independent matcher: the frames (P0, P1) with op == phase * (P1 (x) P0)
+    @ target, found by trying all 16 pairs, or None."""
+    for i1, p1 in enumerate(_PAULIS):
+        for i0, p0 in enumerate(_PAULIS):
             if qsim.matrices_equal_up_to_phase(op, np.kron(p1, p0) @ target, 1e-10):
-                return True
-    return False
+                return pauli.ALL_FRAMES[i0], pauli.ALL_FRAMES[i1]
+    return None
+
+
+def _matcher_targets():
+    """2x2 and 4x4 targets the program matches words against."""
+    two = [t for _, _, t in protocols.BLOCK_TABLE.values()]
+    two += [m for _, m in pauli.CANONICAL_TABLE]
+    four = [e.target for e in graphs.calibrate_unit_cell().entries.values()]
+    return two, four
+
+
+def test_match_frames_returns_the_exact_frame():
+    """Every frame times a random phase times each target is matched to itself,
+    on one wire and on two, and agrees with the 16-way oracle."""
+    rng = np.random.default_rng(31)
+    two, four = _matcher_targets()
+    eye = np.eye(2, dtype=complex)
+    for target in two:
+        for i, p in enumerate(_PAULIS):
+            m = np.exp(2j * np.pi * rng.random()) * p @ target
+            frame = pauli.ALL_FRAMES[i]
+            assert pauli.match_frames(m, target) == (frame,)
+            assert _match_pauli_pair(np.kron(eye, m), np.kron(eye, target)) == (
+                frame, pauli.FRAME_I)
+    for target in four:
+        for (i1, p1), (i0, p0) in itertools.product(enumerate(_PAULIS), repeat=2):
+            m = np.exp(2j * np.pi * rng.random()) * np.kron(p1, p0) @ target
+            frames = (pauli.ALL_FRAMES[i0], pauli.ALL_FRAMES[i1])
+            assert pauli.match_frames(m, target) == frames
+            assert _match_pauli_pair(m, target) == frames
+
+
+def test_match_frames_rejects_non_pauli_factors():
+    rng = np.random.default_rng(32)
+    two, four = _matcher_targets()
+    eye = np.eye(2, dtype=complex)
+    for factor in (qsim.S.entries, qsim.H.entries, qsim.T.entries):
+        for target in two:
+            for p in _PAULIS:
+                m = np.exp(2j * np.pi * rng.random()) * factor @ p @ target
+                assert pauli.match_frames(m, target) is None
+                assert _match_pauli_pair(np.kron(eye, m), np.kron(eye, target)) is None
+        for target in four:
+            for p1, p0 in itertools.product(_PAULIS, repeat=2):
+                for mixed in (np.kron(eye, factor), np.kron(factor, eye)):
+                    phase = np.exp(2j * np.pi * rng.random())
+                    m = phase * mixed @ np.kron(p1, p0) @ target
+                    assert pauli.match_frames(m, target) is None
+                    assert _match_pauli_pair(m, target) is None
 
 
 def test_every_entry_is_branch_deterministic():

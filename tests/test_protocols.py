@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -378,3 +379,18 @@ def test_format_loss_is_compact():
     assert protocols.format_loss(0.0) == "0"
     assert protocols.format_loss(0.5) == "0.5"
     assert protocols.format_loss(1.0) == "1"
+
+
+@pytest.mark.parametrize("text,target", [
+    ("H 0\n", qsim.T.entries),
+    ("CZ 0 1\n", qsim.CNOT.entries),
+])
+def test_run_protocol2_rejects_word_off_group_target(text, target):
+    """Frame extraction raises when the accumulated word is no Pauli * target."""
+    program = protocols.compile_circuit(protocols.parse_circuit(text))
+    program.groups[0] = dataclasses.replace(program.groups[0], target=target)
+    with pytest.raises(RuntimeError, match="does not match target"):
+        protocols.run_protocol2(
+            program, qsim.basis_state(program.num_wires, 0), ChannelModel(0.0),
+            rng=default_rng(0),
+        )
