@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import protocols, qsim
-from .errors import DegenerateMeasurementError
 from .qsim import Angle, DensityMatrix, StateVector
 
 BLINDNESS_TOL = 1e-9
@@ -141,21 +140,14 @@ def resend_distribution(loss_prob: float, cap: int = 8):
     probs = [(1.0 - loss_prob) * loss_prob**r for r in range(cap)]
     return probs + [1.0 - sum(probs)]
 
+
 def m_string_distribution(program, input_state) -> dict:
-    """Exact distribution of the reported X-bit string, by branch enumeration."""
+    """Exact distribution of the reported X-bit string: the leaves of one
+    walk of the outcome tree (protocols.walk_protocol2), summed by string."""
     dist = {}
-    channel = protocols.ChannelModel(0.0)
-    n = program.num_rounds
-    for bits in itertools.product((0, 1), repeat=2 * n):
-        pairs = [(bits[2 * i], bits[2 * i + 1]) for i in range(n)]
-        try:
-            result = protocols.run_protocol2(
-                program, input_state, channel, forced_outcomes=pairs
-            )
-        except DegenerateMeasurementError:
-            continue
-        key = "".join(str(p[1]) for p in pairs)
-        dist[key] = dist.get(key, 0.0) + result.branch_probability
+    for m_bits, prob in protocols.walk_protocol2(program, input_state):
+        key = "".join(map(str, m_bits))
+        dist[key] = dist.get(key, 0.0) + prob
     return dist
 
 
@@ -314,7 +306,8 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
     report = BlindnessReport()
     for i in range(len(secrets)):
         biases = biases_from_distribution(m_dists[i], rounds)
-        report.add("p2-m-bias", (i, i), max(biases))
+        # A program of Pauli gates only has no rounds, hence no bits to bias.
+        report.add("p2-m-bias", (i, i), max(biases, default=0.0))
     for i, j in itertools.combinations(range(len(secrets)), 2):
         dev = 0.0
         for r in range(rounds):

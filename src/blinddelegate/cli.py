@@ -4,6 +4,7 @@ calibrated unit cell, or measure the loss-report side channel."""
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -31,7 +32,10 @@ class ScenarioConfig:
     trials: int = 2000
 
 
-def parse_config(argv) -> ScenarioConfig:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call
+    (parse_args keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="blinddelegate",
         description="Delegated-computation runner and verifier.",
@@ -61,8 +65,11 @@ def parse_config(argv) -> ScenarioConfig:
     attack_p.add_argument("--loss", type=float, default=0.0)
     attack_p.add_argument("--seed", type=int, default=0)
     attack_p.add_argument("--outdir", default=".")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def parse_config(argv) -> ScenarioConfig:
+    args = _parser().parse_args(argv)
     config = ScenarioConfig(command=args.command)
     for name in ("protocol", "circuit", "loss", "seed", "adversary",
                  "countermeasure", "outdir", "trials"):

@@ -357,6 +357,14 @@ class _Register:
             self.labels.pop(idx)
         return outcome, prob
 
+    def branches(self, measure, label, theta):
+        """(outcome, prob, register) for each branch `measure` follows when
+        `label` is measured at `theta`; each register is new and lacks `label`."""
+        idx = self.index(label)
+        rest = self.labels[:idx] + self.labels[idx + 1:]
+        return [(outcome, prob, _Register(post, rest))
+                for outcome, post, prob in measure(self.state, idx, theta)]
+
     def relabel(self, old, new):
         self.labels[self.index(old)] = new
 
@@ -422,6 +430,112 @@ _SLOT_GAINS = {
 }
 
 
+def _drawing(source):
+    """Measure callback of a run: one branch, drawn with `source`."""
+    def draw(state, qubit, theta):
+        return [qsim.measure_rotated(state, qubit, theta, source.random())]
+    return draw
+
+
+def _both_branches(state, qubit, theta):
+    """Measure callback of the exact walk: every possible branch, 0 first."""
+    return qsim.measurement_branches(state, qubit, qsim.ROTATED_BRAS[theta.k])
+
+
+def _round_branches(reg, round_index, wire, command, measure, pair):
+    """The quantum part of one round, as (a, m, pa, pm, register) per branch.
+
+    The fresh pair's halves join `reg`; the client measures hers at `command`
+    (outcome a), the server entangles his with the wire by CZ, measures the
+    wire in the X basis (reported bit m) and keeps his half as the new wire.
+    `measure(state, qubit, theta)` returns the branches to follow as
+    (outcome, post_state, prob), outcome 0 first.
+    """
+    server, client = ("half", round_index), ("sent", round_index)
+    wire_label = ("wire", wire)
+    reg.append(pair, [server, client])
+    branches = []
+    for a, pa, after_a in reg.branches(measure, client, command):
+        after_a.apply(qsim.CZ, [server, wire_label])
+        for m, pm, after_m in after_a.branches(measure, wire_label, qsim.ALL_ANGLES[0]):
+            after_m.relabel(server, wire_label)
+            branches.append((a, m, pa, pm, after_m))
+    return branches
+
+
+@dataclass
+class _Node:
+    """A point of a protocol-2 run: the server's register and the client's
+    record (wire frames, words of the groups not yet extracted, reported bits,
+    branch probability). A node is owned by one branch and consumed by _step."""
+
+    reg: _Register
+    frames: list
+    acc: dict
+    m_bits: tuple = ()
+    prob: float = 1.0
+    command: Angle = None  # the last round's command angle
+
+
+def _start(program: AngleProgram, input_state: StateVector) -> _Node:
+    if input_state.num_qubits != program.num_wires:
+        raise ValueError("input state does not match the program's wire count")
+    reg = _Register(input_state.copy(), [("wire", w) for w in range(program.num_wires)])
+    return _Node(reg, [FRAME_I] * program.num_wires, {})
+
+
+def _word(acc, group):
+    """The group's accumulated word; the identity before its first round."""
+    word = acc.get(group.group_id)
+    return np.eye(2 ** len(group.wires), dtype=complex) if word is None else word
+
+
+def _step(node, event, groups_by_id, measure, pair_source=None):
+    """The nodes that follow `node` through one program event, in branch order.
+
+    A bridge or an extract updates `node` and returns it. A round returns one
+    node per (a, m) branch that `measure` follows; each owns its register and
+    record, and multiplies the parent's probability by pa * pm.
+    """
+    kind = event[0]
+    if kind == "bridge":
+        _, (wa, wb), gid = event
+        node.reg.apply(qsim.CZ, [("wire", wa), ("wire", wb)])
+        fa, fb = node.frames[wa], node.frames[wb]
+        node.frames[wa] = PauliFrame(fa.x, fa.z ^ fb.x)
+        node.frames[wb] = PauliFrame(fb.x, fb.z ^ fa.x)
+        node.acc[gid] = qsim.CZ.entries @ _word(node.acc, groups_by_id[gid])
+        return [node]
+    if kind == "extract":
+        group = groups_by_id[event[1]]
+        if group.target is not None:
+            folds = _extract_group_frames(_word(node.acc, group), group)
+            for w, f in folds.items():
+                node.frames[w] = node.frames[w].compose(f)
+        node.acc.pop(group.group_id, None)
+        return [node]
+
+    plan = event[1]
+    group = groups_by_id[plan.group_id]
+    gains = _SLOT_GAINS[len(group.wires), group.wires.index(plan.wire)]
+    word = _word(node.acc, group)
+    command = plan.adapt_rule(node.m_bits, node.frames[plan.wire])
+    pair = pair_source if pair_source is not None else qsim.bell_pair()
+    children = []
+    for a, m, pa, pm, reg in _round_branches(
+        node.reg, plan.round_index, plan.wire, command, measure, pair
+    ):
+        frames = list(node.frames)
+        frames[plan.wire] = RoundPlan.frame_update(frames[plan.wire], a, m)
+        m_bits = node.m_bits + (m,)
+        want = plan.want_angle(m_bits)
+        acc = dict(node.acc)
+        acc[group.group_id] = gains[-want.k if m else want.k] @ word
+        # pa * pm first: certificates print noise-level sums of these products.
+        children.append(_Node(reg, frames, acc, m_bits, node.prob * (pa * pm), command))
+    return children
+
+
 def run_protocol2(
     program: AngleProgram,
     input_state: StateVector,
@@ -434,12 +548,11 @@ def run_protocol2(
 ) -> RunResult:
     """Execute every round; the output stays on the server side, the client
     keeps the final Pauli frames for classical post-correction."""
-    if input_state.num_qubits != program.num_wires:
-        raise ValueError("input state does not match the program's wire count")
+    node = _start(program, input_state)
     forced_bits = None
     if forced_outcomes is not None:
         forced_bits = [b for pair in forced_outcomes for b in pair]
-    source = _OutcomeSource(rng=rng, forced=forced_bits)
+    draw = _drawing(_OutcomeSource(rng=rng, forced=forced_bits))
 
     device = None
     pair_source = None
@@ -450,76 +563,55 @@ def run_protocol2(
     rng_loss, rng_mask = _channel_streams(
         channel, needed=loss_masking or device is not None
     )
-
-    reg = _Register(input_state.copy(), [("wire", w) for w in range(program.num_wires)])
-    frames = [FRAME_I] * program.num_wires
-    acc = {}
-    for group in program.groups:
-        dim = 2 ** len(group.wires)
-        acc[group.group_id] = np.eye(dim, dtype=complex)
     groups_by_id = {g.group_id: g for g in program.groups}
-
     transcript = []
-    m_bits = []
     retransmissions = 0
-    prob = 1.0
 
     for event in program.events:
-        if event[0] == "bridge":
-            _, (wa, wb), gid = event
-            reg.apply(qsim.CZ, [("wire", wa), ("wire", wb)])
-            fa, fb = frames[wa], frames[wb]
-            frames[wa] = PauliFrame(fa.x, fa.z ^ fb.x)
-            frames[wb] = PauliFrame(fb.x, fb.z ^ fa.x)
-            acc[gid] = qsim.CZ.entries @ acc[gid]
-            continue
-        if event[0] == "extract":
-            group = groups_by_id[event[1]]
-            if group.target is None:
-                continue
-            folds = _extract_group_frames(acc[event[1]], group)
-            for w, f in folds.items():
-                frames[w] = frames[w].compose(f)
-            continue
-
-        plan = event[1]
-        retransmissions += _deliver(
-            channel, rng_loss, rng_mask, transcript, plan.round_index,
-            loss_masking=loss_masking, device=device,
-        )
-        pair = pair_source if pair_source is not None else qsim.bell_pair()
-        server_label = ("half", plan.round_index)
-        client_label = ("sent", plan.round_index)
-        reg.append(pair, [server_label, client_label])
-
-        command = plan.adapt_rule(m_bits, frames[plan.wire])
-        if device is not None:
-            device.observe_angle(command.k)
-        a, pa = reg.measure(qsim.measure_rotated, client_label, command, source.random())
-        reg.apply(qsim.CZ, [server_label, ("wire", plan.wire)])
-        m, pm = reg.measure(qsim.measure_x, ("wire", plan.wire), source.random())
-        reg.relabel(server_label, ("wire", plan.wire))
-        transcript.append(Message(plan.round_index, B2A, "X_RESULT", m))
-
-        m_bits.append(m)
-        prob *= pa * pm
-        frames[plan.wire] = RoundPlan.frame_update(frames[plan.wire], a, m)
-
-        want = plan.want_angle(m_bits)
-        wires = groups_by_id[plan.group_id].wires
-        gains = _SLOT_GAINS[len(wires), wires.index(plan.wire)]
-        acc[plan.group_id] = gains[-want.k if m else want.k] @ acc[plan.group_id]
+        if event[0] == "round":
+            retransmissions += _deliver(
+                channel, rng_loss, rng_mask, transcript, event[1].round_index,
+                loss_masking=loss_masking, device=device,
+            )
+        (node,) = _step(node, event, groups_by_id, draw, pair_source)
+        if event[0] == "round":
+            if device is not None:
+                device.observe_angle(node.command.k)
+            transcript.append(
+                Message(event[1].round_index, B2A, "X_RESULT", node.m_bits[-1])
+            )
 
     transcript.append(Message(program.num_rounds, A2B, "DONE"))
-    output = reg.extract([("wire", w) for w in range(program.num_wires)])
+    output = node.reg.extract([("wire", w) for w in range(program.num_wires)])
     return RunResult(
         logical_output_state=output,
         transcript=transcript,
-        final_frames=list(frames),
+        final_frames=list(node.frames),
         retransmission_count=retransmissions,
-        branch_probability=prob,
+        branch_probability=node.prob,
         rounds_completed=program.num_rounds,
     )
+
+
+def walk_protocol2(program: AngleProgram, input_state: StateVector):
+    """Every possible branch of a lossless, honest protocol-2 run, exactly.
+
+    A depth-first walk of the outcome tree: each round forks on both client
+    outcomes a and both reported bits m (0 before 1, impossible branches
+    dropped), and every fork continues from its parent's register and record.
+    Yields (m_bits, prob) per leaf, in the order of itertools.product over the
+    per-round (a, m) bits. No transcript is kept: nothing is lost or resent.
+    """
+    events = program.events
+    groups_by_id = {g.group_id: g for g in program.groups}
+    stack = [(_start(program, input_state), 0)]
+    while stack:
+        node, i = stack.pop()
+        if i == len(events):
+            yield node.m_bits, node.prob
+            continue
+        children = _step(node, events[i], groups_by_id, _both_branches)
+        stack.extend((child, i + 1) for child in reversed(children))
 
 
 def correct_output(result: RunResult) -> StateVector:
@@ -544,13 +636,11 @@ def round2_step(register: StateVector, wire_qubit: int, theta: Angle,
     transcript = []
     _deliver(channel, rng_loss, rng_mask, transcript, 1)
     labels = [("wire", w) for w in range(register.num_qubits)]
-    reg = _Register(register.copy(), labels)
-    reg.append(qsim.bell_pair(), [("half", 1), ("sent", 1)])
     source = rng if hasattr(rng, "random") else _OutcomeSource(forced=list(rng))
-    a, _ = reg.measure(qsim.measure_rotated, ("sent", 1), theta, source.random())
-    reg.apply(qsim.CZ, [("half", 1), ("wire", wire_qubit)])
-    m, _ = reg.measure(qsim.measure_x, ("wire", wire_qubit), source.random())
-    reg.relabel(("half", 1), ("wire", wire_qubit))
+    [(a, m, _, _, reg)] = _round_branches(
+        _Register(register.copy(), labels), 1, wire_qubit, theta, _drawing(source),
+        qsim.bell_pair(),
+    )
     transcript.append(Message(1, B2A, "X_RESULT", m))
     out = reg.extract([("wire", w) for w in range(register.num_qubits)])
     return a, m, out, transcript

@@ -240,28 +240,60 @@ def expand_gate(gate: GateMatrix, targets, num_qubits: int) -> np.ndarray:
     return out
 
 
-def _finish_measurement(state, qubit, bras, rand):
-    """Measure `qubit` in the basis whose bras (conjugated kets) are `bras`.
+# Outcomes less likely than this are impossible: measuring raises, and
+# measurement_branches drops them.
+DEGENERATE_PROB = 1e-12
+
+
+def _split(state, qubit, bras):
+    """Rows, branch 0 and its clamped probability p0 of measuring `qubit` in
+    the basis whose bras (conjugated kets) are `bras`.
 
     The two rows of the (2, rest) matrix are the slices with the qubit at 0
-    and at 1; only the branch that is drawn gets built.
+    and at 1; branch 1 (probability 1 - p0) is built only by _branch.
     """
     rows = _rows(state.amplitudes.reshape(-1, 2, 1 << qubit), (1, 0, 2), 2)
-    branch = np.dot(bras[0], rows)
-    p0 = float(np.vdot(branch, branch).real)
-    p0 = min(max(p0, 0.0), 1.0)
+    branch0 = np.dot(bras[0], rows)
+    p0 = float(np.vdot(branch0, branch0).real)
+    return rows, branch0, min(max(p0, 0.0), 1.0)
+
+
+def _branch(rows, bras, branch0, p0, outcome):
+    """(post_state, prob) of one outcome; post_state is None if it is impossible."""
+    prob = p0 if outcome == 0 else 1.0 - p0
+    if prob < DEGENERATE_PROB:
+        return None, prob
+    branch = branch0 if outcome == 0 else np.dot(bras[1], rows)
+    return StateVector(branch / np.sqrt(prob), check=False), prob
+
+
+def _finish_measurement(state, qubit, bras, rand):
+    """Measure `qubit` and keep the branch `rand` draws against p0."""
+    rows, branch0, p0 = _split(state, qubit, bras)
     outcome = 0 if rand < p0 else 1
-    if outcome == 0:
-        prob = p0
-    else:
-        branch = np.dot(bras[1], rows)
-        prob = 1.0 - p0
-    if prob < 1e-12:
+    post, prob = _branch(rows, bras, branch0, p0, outcome)
+    if post is None:
         raise DegenerateMeasurementError(
             f"outcome {outcome} has probability {prob:.3e}"
         )
-    post = StateVector(branch / np.sqrt(prob), check=False)
     return outcome, post, prob
+
+
+def measurement_branches(state: StateVector, qubit: int, bras):
+    """Both branches of measuring `qubit`, outcome 0 first, as
+    (outcome, post_state, prob) triples built from one row copy.
+
+    Each branch has exactly the arithmetic of a forced measurement of that
+    outcome; impossible outcomes (prob < DEGENERATE_PROB) are left out.
+    `bras` is a basis such as ROTATED_BRAS[k].
+    """
+    rows, branch0, p0 = _split(state, qubit, bras)
+    branches = []
+    for outcome in (0, 1):
+        post, prob = _branch(rows, bras, branch0, p0, outcome)
+        if post is not None:
+            branches.append((outcome, post, prob))
+    return branches
 
 
 def _rotated_bras(theta: Angle):

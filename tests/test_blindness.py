@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
 from blinddelegate import blindness, graphs, protocols, qsim
 from blinddelegate.blindness import BlindnessReport, Povm, ReportLine
+from blinddelegate.errors import DegenerateMeasurementError
 
 
 def test_povm_must_sum_to_identity():
@@ -181,3 +184,56 @@ def test_certify_dispatcher():
     assert report.passed
     with pytest.raises(ValueError):
         blindness.certify_B1_B2(3, [(0,)])
+
+
+def _leaf_rerun_distribution(program, input_state):
+    """Reference m-string distribution: one full forced run per outcome leaf."""
+    dist = {}
+    channel = protocols.ChannelModel(0.0)
+    n = program.num_rounds
+    for bits in itertools.product((0, 1), repeat=2 * n):
+        pairs = [(bits[2 * i], bits[2 * i + 1]) for i in range(n)]
+        try:
+            result = protocols.run_protocol2(
+                program, input_state, channel, forced_outcomes=pairs
+            )
+        except DegenerateMeasurementError:
+            continue
+        key = "".join(str(p[1]) for p in pairs)
+        dist[key] = dist.get(key, 0.0) + result.branch_probability
+    return dist
+
+
+@pytest.mark.parametrize("text, input_state", [
+    ("H 0", qsim.basis_state(1, 0)),
+    ("S 0\nX 0", qsim.random_state(1, default_rng(12))),
+    ("CZ 0 1", qsim.basis_state(2, 0)),  # 6 rounds
+])
+def test_m_string_walk_equals_leaf_reruns_exactly(text, input_state):
+    program = protocols.compile_circuit(protocols.parse_circuit(text))
+    walk = blindness.m_string_distribution(program, input_state)
+    oracle = _leaf_rerun_distribution(program, input_state)
+    # Same keys, same insertion order, same floating-point sums.
+    assert list(walk.items()) == list(oracle.items())
+
+
+def test_m_string_distribution_runs_no_protocol(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("m_string_distribution reran the protocol")
+
+    monkeypatch.setattr(protocols, "run_protocol2", refuse)
+    program = protocols.compile_circuit(protocols.parse_circuit("T 0"))
+    dist = blindness.m_string_distribution(program, qsim.basis_state(1, 0))
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zero_round_secrets_certify():
+    x, z = protocols.Gate("X", (0,)), protocols.Gate("Z", (0,))
+    program = protocols.compile_circuit([x])
+    assert program.num_rounds == 0
+    assert list(protocols.walk_protocol2(program, qsim.basis_state(1, 0))) == [((), 1.0)]
+    assert blindness.m_string_distribution(program, qsim.basis_state(1, 0)) == {"": 1.0}
+    report = blindness.certify_B1_B2(2, [[x], [z]])
+    lines = report.render().splitlines()
+    assert "check=p2-m-bias secrets=0,0 povm=- max_dev=0 pass=true" in lines
+    assert lines and all(line.endswith(" pass=true") for line in lines)

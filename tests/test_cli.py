@@ -36,6 +36,27 @@ def test_parse_config_run_flags(tmp_path):
     assert config.outdir == str(tmp_path)
 
 
+def test_parse_config_calls_share_no_state(capsys):
+    assert cli._parser() is cli._parser()
+    first = cli.parse_config(
+        ["run", "--protocol", "2", "--circuit", "c.txt", "--countermeasure",
+         "--seed", "9", "--loss", "0.5"]
+    )
+    assert first.countermeasure and first.seed == 9
+    second = cli.parse_config(["run", "--protocol", "1", "--circuit", "d.txt"])
+    assert second.countermeasure is False
+    assert (second.seed, second.loss, second.adversary) == (0, 0.0, "honest")
+    assert cli.parse_config(["verify", "--checks", "identities"]).checks == ("identities",)
+    assert cli.parse_config(["verify"]).checks == cli.DEFAULT_CHECKS
+    for bad in (["run", "--protocol", "9", "--circuit", "c.txt"], ["verify", "--nope"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert len(errors) == 1, bad
+    assert cli.parse_config(["calibrate"]).command == "calibrate"
+
+
 def test_env_seed_overrides_flag(monkeypatch):
     monkeypatch.setenv(cli.ENV_SEED, "77")
     config = cli.parse_config(["verify", "--seed", "5"])

@@ -315,3 +315,53 @@ def test_fidelity_and_frobenius():
     b = qsim.DensityMatrix(np.diag([1.0, 0.0]))
     assert qsim.frobenius_distance(a, a) == pytest.approx(0.0)
     assert qsim.frobenius_distance(a, b) == pytest.approx(np.sqrt(0.5))
+
+
+# Every basis a kernel measures in: the eight rotated bases (angle 0 is the
+# X basis of measure_x) and the computational basis of measure_z.
+_ALL_BASES = [(f"R{k}", bras) for k, bras in enumerate(qsim.ROTATED_BRAS)] + [
+    ("Z", qsim._Z_BRAS)
+]
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_measurement_branches_equal_forced_measurements_bit_for_bit(width):
+    psi = qsim.random_state(width, np.random.default_rng(40 + width))
+    for qubit in range(width):
+        for name, bras in _ALL_BASES:
+            branches = qsim.measurement_branches(psi, qubit, bras)
+            assert [b[0] for b in branches] == [0, 1], (name, qubit)
+            for (outcome, post, prob), rand in zip(branches, (-1.0, 1.0)):
+                want_outcome, want_post, want_prob = qsim._finish_measurement(
+                    psi, qubit, bras, rand
+                )
+                assert outcome == want_outcome
+                assert prob == want_prob
+                assert np.array_equal(post.amplitudes, want_post.amplitudes)
+                assert post.num_qubits == width - 1
+
+
+def test_measurement_branches_drop_impossible_outcomes():
+    # |+> on qubit 0: angle 0 can only give outcome 0, angle pi only outcome 1,
+    # which is where a forced measurement of the other outcome raises.
+    psi = qsim.plus_state(1).tensor(qsim.basis_state(1, 0))
+    for k, possible in ((0, 0), (4, 1)):
+        theta = qsim.Angle(k)
+        [(outcome, post, prob)] = qsim.measurement_branches(
+            psi, 0, qsim.ROTATED_BRAS[k]
+        )
+        assert outcome == possible
+        assert prob == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(post.amplitudes, [1.0, 0.0], atol=1e-12)
+        with pytest.raises(DegenerateMeasurementError):
+            qsim.measure_rotated(psi, 0, theta, rand=1.0 if possible == 0 else -1.0)
+    [(outcome, _, prob)] = qsim.measurement_branches(qsim.basis_state(2, 0), 1, qsim._Z_BRAS)
+    assert (outcome, prob) == (0, 1.0)
+
+
+def test_measurement_branches_leave_input_untouched():
+    psi = qsim.random_state(3, np.random.default_rng(7))
+    before = psi.amplitudes.copy()
+    branches = qsim.measurement_branches(psi, 1, qsim.ROTATED_BRAS[3])
+    assert np.array_equal(psi.amplitudes, before)
+    assert sum(prob for _, _, prob in branches) == pytest.approx(1.0, abs=1e-12)
