@@ -18,7 +18,7 @@ from .errors import (
     FormatError,
     RetryLimitError,
 )
-from .pauli import PauliFrame, CliffordTWord, reduce, verify_identity
+from .pauli import PauliFrame, CliffordTWord, verify_identity
 from .protocols import (
     AngleProgram,
     ChannelModel,
@@ -63,7 +63,6 @@ __all__ = [
     "pauli",
     "protocols",
     "qsim",
-    "reduce",
     "round2_step",
     "run_protocol1",
     "run_protocol2",

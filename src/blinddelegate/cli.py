@@ -77,6 +77,8 @@ def parse_config(argv) -> ScenarioConfig:
             setattr(config, name, getattr(args, name))
     if hasattr(args, "checks"):
         config.checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+        if not config.checks:
+            raise ConfigError("--checks names no check")
         unknown = set(config.checks) - set(DEFAULT_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")

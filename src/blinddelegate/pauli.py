@@ -193,10 +193,6 @@ def reduce_word(w: CliffordTWord, tol: float = 1e-10):
     return FRAME_I, GateMatrix(m, "")
 
 
-# `reduce` is the operation's public name; keep the builtin accessible via builtins.
-reduce = reduce_word
-
-
 @dataclass(frozen=True)
 class IdentityFactor:
     """One (P core) factor of an identity's left side.

@@ -6,17 +6,21 @@ register, reporting one X-basis bit back. Byproducts stay classical: each wire
 carries an (x, z) Pauli frame, the client's command angle cancels the frame's
 z bit, and three-round groups are closed by matching the accumulated word
 against the group's target gate.
+
+Protocol 2 and the linear-cluster protocols 1 and tp are event lists over one
+step (_step). Runs go through one loop (_run), which owns the messages; exact
+distributions come from one depth-first walk of the outcome tree (_walk).
 """
 
 from __future__ import annotations
 
-import itertools
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import graphs, qsim
-from .errors import FormatError, RetryLimitError
+from .errors import DegenerateMeasurementError, FormatError, RetryLimitError
 from .pauli import FRAME_I, PauliFrame, match_frames
 from .qsim import Angle, StateVector
 
@@ -226,6 +230,12 @@ class _ProgramBuilder:
             self._add_round(wire, base[r], gid, r, adapt3, first_idx, kind)
         self.program.events.append(("extract", gid))
 
+    def raw(self, wire, angle_indices):
+        """Rounds at fixed command angles, in one group with no target."""
+        gid = self._new_group((wire,), None, "raw")
+        for k in angle_indices:
+            self._add_round(wire, k, gid, 0, None, None, "raw")
+
     def pauli(self, wire, which):
         target = qsim.X.entries if which == "X" else qsim.Z.entries
         gid = self._new_group((wire,), target, which)
@@ -294,9 +304,7 @@ def compile_circuit(gates, num_wires: int = None, pad_to: int = None) -> AnglePr
 def make_raw_program(angle_indices, wire: int = 0) -> AngleProgram:
     """Rounds with fixed command angles and no gate targets (diagnostics)."""
     builder = _ProgramBuilder(wire + 1)
-    gid = builder._new_group((wire,), None, "raw")
-    for k in angle_indices:
-        builder._add_round(wire, k, gid, 0, None, None, "raw")
+    builder.raw(wire, angle_indices)
     return builder.program
 
 
@@ -316,22 +324,6 @@ class RunResult:
     rounds_completed: int = 0
 
 
-class _OutcomeSource:
-    """Uniform randomness or a forced bit list (for branch enumeration)."""
-
-    def __init__(self, rng=None, forced=None):
-        self.rng = rng
-        self.queue = list(forced) if forced is not None else None
-
-    def random(self) -> float:
-        if self.queue is not None:
-            # Sentinels outside [0, 1) pin the comparison against p0 for any
-            # p0 in [0, 1]; impossible branches then raise as degenerate.
-            bit = self.queue.pop(0)
-            return -1.0 if bit == 0 else 1.0
-        return float(self.rng.random())
-
-
 class _Register:
     """State vector plus label bookkeeping (measurement shifts indices)."""
 
@@ -349,21 +341,14 @@ class _Register:
     def apply(self, gate, labels):
         self.state = qsim.apply_gate(self.state, gate, [self.index(l) for l in labels])
 
-    def measure(self, fn, label, *args):
-        idx = self.index(label)
-        outcome, post, prob = fn(self.state, idx, *args)
-        self.state = post
-        if len(self.labels) > 1:
-            self.labels.pop(idx)
-        return outcome, prob
-
-    def branches(self, measure, label, theta):
+    def branches(self, measure, label, bras):
         """(outcome, prob, register) for each branch `measure` follows when
-        `label` is measured at `theta`; each register is new and lacks `label`."""
+        `label` is measured in the basis `bras`; each register is new and
+        lacks `label`."""
         idx = self.index(label)
         rest = self.labels[:idx] + self.labels[idx + 1:]
         return [(outcome, prob, _Register(post, rest))
-                for outcome, post, prob in measure(self.state, idx, theta)]
+                for outcome, post, prob in measure(self.state, idx, bras)]
 
     def relabel(self, old, new):
         self.labels[self.index(old)] = new
@@ -376,12 +361,27 @@ class _Register:
         )
 
 
-def _channel_streams(channel: ChannelModel, *, needed: bool = True):
-    if not needed and channel.loss_prob == 0.0:
-        return None, None
-    loss = np.random.default_rng([channel.rng_seed, 0])
-    mask = np.random.default_rng([channel.rng_seed, 1])
-    return loss, mask
+def _measurement(rng, forced=None):
+    """The measure callback of a run, which follows one branch per measurement:
+    drawn with one rng.random() call, or named by the next of the `forced` bits.
+
+    A callback measure(state, qubit, bras) returns the branches to follow as
+    (outcome, post_state, prob) triples, outcome 0 first; the exact walk
+    (_walk) follows every possible branch with qsim.measurement_branches.
+    """
+    if forced is None:
+        return lambda state, qubit, bras: [qsim.measure(state, qubit, bras, rng.random())]
+    queue = iter(forced)
+
+    def force(state, qubit, bras):
+        want = next(queue, None)
+        if want is None:
+            raise ValueError("fewer forced outcomes than measurements")
+        for branch in qsim.measurement_branches(state, qubit, bras):
+            if branch[0] == want:
+                return [branch]
+        raise DegenerateMeasurementError(f"forced outcome {want} is impossible")
+    return force
 
 
 def _deliver(channel, rng_loss, rng_mask, transcript, round_index, *,
@@ -413,14 +413,6 @@ def _deliver(channel, rng_loss, rng_mask, transcript, round_index, *,
     )
 
 
-def _extract_group_frames(acc, group):
-    """Pauli factors turning the accumulated word into the group target."""
-    frames = match_frames(acc, group.target)
-    if frames is None:
-        raise RuntimeError(f"group {group.label!r}: accumulated word does not match target")
-    return dict(zip(group.wires, frames))
-
-
 # The per-round gain R_k H (graphs.ROUND_GAINS, indexed by signed k) embedded
 # for each (group width, slot): a one-wire group, or the low or high wire of a cell.
 _SLOT_GAINS = {
@@ -430,34 +422,20 @@ _SLOT_GAINS = {
 }
 
 
-def _drawing(source):
-    """Measure callback of a run: one branch, drawn with `source`."""
-    def draw(state, qubit, theta):
-        return [qsim.measure_rotated(state, qubit, theta, source.random())]
-    return draw
-
-
-def _both_branches(state, qubit, theta):
-    """Measure callback of the exact walk: every possible branch, 0 first."""
-    return qsim.measurement_branches(state, qubit, qsim.ROTATED_BRAS[theta.k])
-
-
 def _round_branches(reg, round_index, wire, command, measure, pair):
     """The quantum part of one round, as (a, m, pa, pm, register) per branch.
 
     The fresh pair's halves join `reg`; the client measures hers at `command`
     (outcome a), the server entangles his with the wire by CZ, measures the
     wire in the X basis (reported bit m) and keeps his half as the new wire.
-    `measure(state, qubit, theta)` returns the branches to follow as
-    (outcome, post_state, prob), outcome 0 first.
     """
     server, client = ("half", round_index), ("sent", round_index)
     wire_label = ("wire", wire)
     reg.append(pair, [server, client])
     branches = []
-    for a, pa, after_a in reg.branches(measure, client, command):
+    for a, pa, after_a in reg.branches(measure, client, qsim.ROTATED_BRAS[command.k]):
         after_a.apply(qsim.CZ, [server, wire_label])
-        for m, pm, after_m in after_a.branches(measure, wire_label, qsim.ALL_ANGLES[0]):
+        for m, pm, after_m in after_a.branches(measure, wire_label, qsim.ROTATED_BRAS[0]):
             after_m.relabel(server, wire_label)
             branches.append((a, m, pa, pm, after_m))
     return branches
@@ -465,9 +443,10 @@ def _round_branches(reg, round_index, wire, command, measure, pair):
 
 @dataclass
 class _Node:
-    """A point of a protocol-2 run: the server's register and the client's
-    record (wire frames, words of the groups not yet extracted, reported bits,
-    branch probability). A node is owned by one branch and consumed by _step."""
+    """A point of a run: the server's register and the client's record (wire
+    frames, words of the groups not yet extracted, bits the server reported,
+    branch probability, a chain's read-out bit). A node is owned by one branch
+    and consumed by _step."""
 
     reg: _Register
     frames: list
@@ -475,6 +454,7 @@ class _Node:
     m_bits: tuple = ()
     prob: float = 1.0
     command: Angle = None  # the last round's command angle
+    out: tuple = ()
 
 
 def _start(program: AngleProgram, input_state: StateVector) -> _Node:
@@ -491,13 +471,18 @@ def _word(acc, group):
 
 
 def _step(node, event, groups_by_id, measure, pair_source=None):
-    """The nodes that follow `node` through one program event, in branch order.
+    """The nodes that follow `node` through one event, in branch order.
 
-    A bridge or an extract updates `node` and returns it. A round returns one
-    node per (a, m) branch that `measure` follows; each owns its register and
-    record, and multiplies the parent's probability by pa * pm.
+    Protocol 2 runs its program's events: round, bridge and extract. The
+    chain protocols (_chain) run deliver, teleport, vertex and readout.
+    An event without a measurement updates `node` and returns it. One with
+    measurements returns a node per branch that `measure` follows; each owns
+    its register and record and multiplies the parent's probability by the
+    event's branch probability.
     """
     kind = event[0]
+    if kind in ("deliver", "done"):
+        return [node]  # classical only: the run loop sends the messages
     if kind == "bridge":
         _, (wa, wb), gid = event
         node.reg.apply(qsim.CZ, [("wire", wa), ("wire", wb)])
@@ -509,11 +494,47 @@ def _step(node, event, groups_by_id, measure, pair_source=None):
     if kind == "extract":
         group = groups_by_id[event[1]]
         if group.target is not None:
-            folds = _extract_group_frames(_word(node.acc, group), group)
-            for w, f in folds.items():
+            # The Pauli factors that turn the accumulated word into the target.
+            folds = match_frames(_word(node.acc, group), group.target)
+            if folds is None:
+                raise RuntimeError(f"group {group.label!r}: accumulated word does not match target")
+            for w, f in zip(group.wires, folds):
                 node.frames[w] = node.frames[w].compose(f)
         node.acc.pop(group.group_id, None)
         return [node]
+    if kind == "teleport":
+        # The server teleports the vertex to the client through a fresh pair
+        # and reports both bits (mz, mx); her particle carries X^mx Z^mz.
+        vertex = event[1]
+        keep, sent = ("keep", vertex), ("tele", vertex)
+        node.reg.append(qsim.bell_pair(), [keep, sent])
+        node.reg.apply(qsim.CNOT, [vertex, keep])
+        node.reg.apply(qsim.H, [vertex])
+        children = []
+        for mz, p1, after_z in node.reg.branches(measure, vertex, qsim.Z_BRAS):
+            for mx, p2, after_x in after_z.branches(measure, keep, qsim.Z_BRAS):
+                after_x.relabel(sent, vertex)
+                children.append(_Node(after_x, list(node.frames), dict(node.acc),
+                                      node.m_bits + (mz, mx), node.prob * (p1 * p2)))
+        return children
+    if kind in ("vertex", "readout"):
+        # The client measures a delivered vertex: a plan step at its angle, or
+        # the last vertex (read out in the Z basis). A teleported particle
+        # carries X^mx Z^mz from the last two reported bits; like the chain's
+        # frame.x, X^mx flips the sign of her command and of her read-out bit,
+        # and Z^mz flips her outcome s.
+        _, target, teleported = event  # a PlanStep, or the read-out vertex
+        mz, mx = node.m_bits[-2:] if teleported else (0, 0)
+        frame = node.frames[0]
+        if kind == "readout":
+            return [_Node(reg, [frame], dict(node.acc), node.m_bits, node.prob * p,
+                          out=(b ^ mx ^ frame.x,))
+                    for b, p, reg in node.reg.branches(measure, target, qsim.Z_BRAS)]
+        command = -target.base_angle if frame.x ^ mx else target.base_angle
+        return [_Node(reg, [RoundPlan.frame_update(frame, 0, s ^ mz)], dict(node.acc),
+                      node.m_bits, node.prob * p, command)
+                for s, p, reg in node.reg.branches(
+                    measure, target.vertex, qsim.ROTATED_BRAS[command.k])]
 
     plan = event[1]
     group = groups_by_id[plan.group_id]
@@ -536,6 +557,65 @@ def _step(node, event, groups_by_id, measure, pair_source=None):
     return children
 
 
+_DONE = ("done",)
+
+
+def _run(node, events, measure, groups_by_id=None, *, channel=None,
+         loss_masking=False, device=None, pair_source=None):
+    """Run `events` from `node` along the one branch `measure` follows.
+
+    The loop owns the messages: a delivery (with resends on a lossy channel)
+    before each round and each "deliver" event, one X_RESULT per bit the
+    server reports, in the round of the last delivery, and DONE at the "done"
+    event. After each round a device sees the command angle.
+    Returns the final node and a RunResult of the classical record.
+    """
+    rng_loss = rng_mask = None  # every delivery is then one send/ack
+    if channel is not None and (channel.loss_prob > 0.0 or loss_masking or device is not None):
+        rng_loss = np.random.default_rng([channel.rng_seed, 0])
+        rng_mask = np.random.default_rng([channel.rng_seed, 1])
+    transcript, resends, rnd = [], 0, 0
+    for event in events:
+        kind = event[0]
+        if kind in ("round", "deliver"):
+            rnd = event[1].round_index if kind == "round" else event[1]
+            resends += _deliver(channel, rng_loss, rng_mask, transcript, rnd,
+                                loss_masking=loss_masking, device=device)
+        elif kind == "done":
+            transcript.append(Message(rnd, A2B, "DONE"))
+        reported = len(node.m_bits)
+        (node,) = _step(node, event, groups_by_id, measure, pair_source)
+        if kind == "round" and device is not None:
+            device.observe_angle(node.command.k)
+        for m in node.m_bits[reported:]:
+            transcript.append(Message(rnd, B2A, "X_RESULT", m))
+    return node, RunResult(transcript=transcript, final_frames=list(node.frames),
+                           retransmission_count=resends, branch_probability=node.prob,
+                           rounds_completed=rnd)
+
+
+def _walk(node, events, groups_by_id=None):
+    """Every leaf of a lossless, honest run's outcome tree, exactly.
+
+    A depth-first walk: each measurement forks on its possible outcomes (0
+    before 1, impossible ones dropped), and every fork continues from its
+    parent's register and record. Leaves come in the order of
+    itertools.product over the outcome bits, measurement by measurement.
+    """
+    stack = [(node, 0)]
+    while stack:
+        node, i = stack.pop()
+        if i == len(events):
+            yield node
+            continue
+        children = _step(node, events[i], groups_by_id, qsim.measurement_branches)
+        stack.extend((child, i + 1) for child in reversed(children))
+
+
+def _groups(program: AngleProgram) -> dict:
+    return {g.group_id: g for g in program.groups}
+
+
 def run_protocol2(
     program: AngleProgram,
     input_state: StateVector,
@@ -547,71 +627,31 @@ def run_protocol2(
     forced_outcomes=None,
 ) -> RunResult:
     """Execute every round; the output stays on the server side, the client
-    keeps the final Pauli frames for classical post-correction."""
+    keeps the final Pauli frames for classical post-correction.
+
+    `forced_outcomes` lists an (a, m) pair per round in place of draws."""
     node = _start(program, input_state)
-    forced_bits = None
     if forced_outcomes is not None:
-        forced_bits = [b for pair in forced_outcomes for b in pair]
-    draw = _drawing(_OutcomeSource(rng=rng, forced=forced_bits))
-
-    device = None
+        forced_outcomes = [b for pair in forced_outcomes for b in pair]
+    device = getattr(adversary, "device", None)
     pair_source = None
-    if adversary is not None:
-        device = getattr(adversary, "device", None)
-        if getattr(adversary, "kind", None) == "SUBSTITUTE_STATE":
-            pair_source = adversary.state
-    rng_loss, rng_mask = _channel_streams(
-        channel, needed=loss_masking or device is not None
+    if getattr(adversary, "kind", None) == "SUBSTITUTE_STATE":
+        pair_source = adversary.state
+    node, result = _run(
+        node, [*program.events, _DONE], _measurement(rng, forced_outcomes),
+        _groups(program), channel=channel, loss_masking=loss_masking, device=device,
+        pair_source=pair_source,
     )
-    groups_by_id = {g.group_id: g for g in program.groups}
-    transcript = []
-    retransmissions = 0
-
-    for event in program.events:
-        if event[0] == "round":
-            retransmissions += _deliver(
-                channel, rng_loss, rng_mask, transcript, event[1].round_index,
-                loss_masking=loss_masking, device=device,
-            )
-        (node,) = _step(node, event, groups_by_id, draw, pair_source)
-        if event[0] == "round":
-            if device is not None:
-                device.observe_angle(node.command.k)
-            transcript.append(
-                Message(event[1].round_index, B2A, "X_RESULT", node.m_bits[-1])
-            )
-
-    transcript.append(Message(program.num_rounds, A2B, "DONE"))
-    output = node.reg.extract([("wire", w) for w in range(program.num_wires)])
-    return RunResult(
-        logical_output_state=output,
-        transcript=transcript,
-        final_frames=list(node.frames),
-        retransmission_count=retransmissions,
-        branch_probability=node.prob,
-        rounds_completed=program.num_rounds,
-    )
+    result.logical_output_state = node.reg.extract(
+        [("wire", w) for w in range(program.num_wires)])
+    return result
 
 
 def walk_protocol2(program: AngleProgram, input_state: StateVector):
-    """Every possible branch of a lossless, honest protocol-2 run, exactly.
-
-    A depth-first walk of the outcome tree: each round forks on both client
-    outcomes a and both reported bits m (0 before 1, impossible branches
-    dropped), and every fork continues from its parent's register and record.
-    Yields (m_bits, prob) per leaf, in the order of itertools.product over the
-    per-round (a, m) bits. No transcript is kept: nothing is lost or resent.
-    """
-    events = program.events
-    groups_by_id = {g.group_id: g for g in program.groups}
-    stack = [(_start(program, input_state), 0)]
-    while stack:
-        node, i = stack.pop()
-        if i == len(events):
-            yield node.m_bits, node.prob
-            continue
-        children = _step(node, events[i], groups_by_id, _both_branches)
-        stack.extend((child, i + 1) for child in reversed(children))
+    """(m_bits, prob) for every leaf of a lossless, honest protocol-2 run, in
+    the order of itertools.product over the per-round (a, m) bits."""
+    for leaf in _walk(_start(program, input_state), program.events, _groups(program)):
+        yield leaf.m_bits, leaf.prob
 
 
 def correct_output(result: RunResult) -> StateVector:
@@ -629,21 +669,20 @@ def round2_step(register: StateVector, wire_qubit: int, theta: Angle,
                 channel: ChannelModel, rng):
     """One standalone round on `wire_qubit` at a fixed command angle.
 
-    Returns (a, m, new_register, messages); the new register holds
+    `rng` draws the outcomes, or is the forced pair [a, m]. Returns
+    (a, m, new_register, messages); the new register holds
     Z^a R_theta X^m H applied to the addressed wire.
     """
-    rng_loss, rng_mask = _channel_streams(channel)
-    transcript = []
-    _deliver(channel, rng_loss, rng_mask, transcript, 1)
-    labels = [("wire", w) for w in range(register.num_qubits)]
-    source = rng if hasattr(rng, "random") else _OutcomeSource(forced=list(rng))
-    [(a, m, _, _, reg)] = _round_branches(
-        _Register(register.copy(), labels), 1, wire_qubit, theta, _drawing(source),
-        qsim.bell_pair(),
-    )
-    transcript.append(Message(1, B2A, "X_RESULT", m))
-    out = reg.extract([("wire", w) for w in range(register.num_qubits)])
-    return a, m, out, transcript
+    builder = _ProgramBuilder(register.num_qubits)
+    builder.raw(wire_qubit, [theta.k])
+    program = builder.program
+    measure = _measurement(rng, None if hasattr(rng, "random") else rng)
+    node, result = _run(_start(program, register), program.events, measure,
+                        _groups(program), channel=channel)
+    # From the identity frame a round leaves the frame (x, z) = (m, a).
+    a = node.frames[wire_qubit].z
+    out = node.reg.extract([("wire", w) for w in range(register.num_qubits)])
+    return a, node.m_bits[-1], out, result.transcript
 
 
 # --------------------------------------------------------------------------
@@ -672,6 +711,8 @@ _CHAIN_TABLE = {
 
 def circuit_to_chain(gates):
     """Measured-vertex angle list for a single-wire circuit."""
+    if not gates:
+        raise FormatError("the circuit is empty: a linear-cluster plan needs a gate")
     ks = []
     for gate in gates:
         if gate.name not in _CHAIN_TABLE:
@@ -691,7 +732,13 @@ def chain_unitary(plan) -> np.ndarray:
     return u
 
 
-def _require_chain(resource, plan):
+def _chain(resource, plan, teleported: bool):
+    """Protocol 1 (or, teleported, tp) as a start node and events.
+
+    Vertex v is delivered in round v + 1; in tp it reaches the client through
+    a fresh pair. She measures vertices 0..n-2 at the plan's angles and reads
+    out vertex n-1 in the computational basis.
+    """
     graph = resource.graph
     n = graph.num_vertices
     expected = {frozenset((i, i + 1)) for i in range(n - 1)}
@@ -699,115 +746,64 @@ def _require_chain(resource, plan):
         raise FormatError("this runner requires a linear-cluster resource")
     if [s.vertex for s in plan] != list(range(n - 1)):
         raise FormatError("plan must cover vertices 0..n-2 in order")
+    events = []
+    for vertex in range(n):
+        events.append(("deliver", vertex + 1))
+        if teleported:
+            events.append(("teleport", vertex))
+        if vertex < n - 1:
+            events.append(("vertex", plan[vertex], teleported))
+        else:
+            events.append(("readout", vertex, teleported))
+    start = _Node(_Register(resource.state.copy(), range(n)), [FRAME_I], {})
+    return start, events + [_DONE]
+
+
+def _run_chain(resource, plan, teleported, rng, forced_outcomes, channel=None):
+    start, events = _chain(resource, plan, teleported)
+    node, result = _run(start, events, _measurement(rng, forced_outcomes), channel=channel)
+    result.outcome_bits = list(node.out)
+    return result
 
 
 def run_protocol1(resource, plan, rng=None, forced_outcomes=None) -> RunResult:
     """The client measures every delivered particle; no quantum memory, no
-    messages back to the server beyond delivery acknowledgements."""
-    _require_chain(resource, plan)
-    n = resource.graph.num_vertices
-    source = _OutcomeSource(rng=rng, forced=forced_outcomes)
-    reg = _Register(resource.state.copy(), list(range(n)))
-    transcript = []
-    x, z = 0, 0
-    prob = 1.0
-    raw_bits = []
-    for step in plan:
-        rnd = step.vertex + 1
-        transcript.append(Message(rnd, B2A, "QUBIT_SENT"))
-        transcript.append(Message(rnd, A2B, "ARRIVED"))
-        command = -step.base_angle if x else step.base_angle
-        s, ps = reg.measure(qsim.measure_rotated, step.vertex, command, source.random())
-        raw_bits.append(s)
-        prob *= ps
-        x, z = (s + z) % 2, x
-    # Output vertex: delivered, then read in the computational basis.
-    rnd = n
-    transcript.append(Message(rnd, B2A, "QUBIT_SENT"))
-    transcript.append(Message(rnd, A2B, "ARRIVED"))
-    b, pb = reg.measure(qsim.measure_z, n - 1, source.random())
-    prob *= pb
-    raw_bits.append(b)
-    transcript.append(Message(rnd, A2B, "DONE"))
-    return RunResult(
-        outcome_bits=[b ^ x],
-        transcript=transcript,
-        final_frames=[PauliFrame(x, z)],
-        branch_probability=prob,
-        rounds_completed=n,
-    )
+    messages back to the server beyond delivery acknowledgements.
+
+    `forced_outcomes` lists one bit per vertex, in place of draws."""
+    return _run_chain(resource, plan, False, rng, forced_outcomes)
 
 
 def run_teleport_variant(resource, plan, channel: ChannelModel, rng=None,
                          forced_outcomes=None) -> RunResult:
     """Loss-tolerant variant: each resource particle reaches the client by
     teleportation through a fresh pair, so only pair halves can be lost. The
-    two reported bits fold into the client's command angle and outcome."""
-    _require_chain(resource, plan)
-    n = resource.graph.num_vertices
-    source = _OutcomeSource(rng=rng, forced=forced_outcomes)
-    rng_loss, rng_mask = _channel_streams(channel, needed=False)
-    reg = _Register(resource.state.copy(), list(range(n)))
-    transcript = []
-    x, z = 0, 0
-    prob = 1.0
-    retransmissions = 0
+    two reported bits fold into the client's command angle and outcome.
 
-    def teleport(vertex, rnd):
-        nonlocal retransmissions, prob
-        retransmissions += _deliver(channel, rng_loss, rng_mask, transcript, rnd)
-        keep = ("keep", rnd)
-        sent = ("tele", rnd)
-        reg.append(qsim.bell_pair(), [keep, sent])
-        reg.apply(qsim.CNOT, [vertex, keep])
-        reg.apply(qsim.H, [vertex])
-        b1, p1 = reg.measure(qsim.measure_z, vertex, source.random())
-        b2, p2 = reg.measure(qsim.measure_z, keep, source.random())
-        prob *= p1 * p2
-        transcript.append(Message(rnd, B2A, "X_RESULT", b1))
-        transcript.append(Message(rnd, B2A, "X_RESULT", b2))
-        reg.relabel(sent, vertex)
-        return b1, b2  # client's particle carries X^b2 Z^b1
-
-    for step in plan:
-        rnd = step.vertex + 1
-        mz, mx = teleport(step.vertex, rnd)
-        flip = (x + mx) % 2
-        command = -step.base_angle if flip else step.base_angle
-        s_raw, ps = reg.measure(qsim.measure_rotated, step.vertex, command, source.random())
-        prob *= ps
-        s = s_raw ^ mz
-        x, z = (s + z) % 2, x
-    rnd = n
-    mz, mx = teleport(n - 1, rnd)
-    b, pb = reg.measure(qsim.measure_z, n - 1, source.random())
-    prob *= pb
-    transcript.append(Message(rnd, A2B, "DONE"))
-    return RunResult(
-        outcome_bits=[b ^ mx ^ x],
-        transcript=transcript,
-        final_frames=[PauliFrame(x, z)],
-        retransmission_count=retransmissions,
-        branch_probability=prob,
-        rounds_completed=n,
-    )
+    `forced_outcomes` lists, per vertex, the two teleport bits and then the
+    client's bit, in place of draws."""
+    return _run_chain(resource, plan, True, rng, forced_outcomes, channel)
 
 
 def enumerate_distribution(runner, *args, num_bits, **kwargs):
-    """Exact outcome distribution of a runner by branch enumeration.
+    """Exact outcome distribution of run_protocol1 or run_teleport_variant.
 
+    Sums the read-out bits over the leaves of one walk of the runner's
+    outcome tree; the runner itself never runs. `num_bits` must be the
+    number of measurements in a run: one per vertex, plus two per teleport.
     Returns {outcome_bits tuple: probability}, summing to 1.
     """
-    from .errors import DegenerateMeasurementError
-
+    if runner not in (run_protocol1, run_teleport_variant):
+        raise ValueError("only the linear-cluster runners can be enumerated")
+    bound = inspect.signature(runner).bind(*args, **kwargs).arguments
+    resource, teleported = bound["resource"], runner is run_teleport_variant
+    start, events = _chain(resource, bound["plan"], teleported)
+    measured = resource.graph.num_vertices * (3 if teleported else 1)
+    if num_bits != measured:
+        raise ValueError(f"a run measures {measured} bits, not {num_bits}")
     dist = {}
-    for bits in itertools.product((0, 1), repeat=num_bits):
-        try:
-            result = runner(*args, forced_outcomes=list(bits), **kwargs)
-        except DegenerateMeasurementError:
-            continue  # zero-probability branch
-        key = tuple(result.outcome_bits)
-        dist[key] = dist.get(key, 0.0) + result.branch_probability
+    for leaf in _walk(start, events):
+        dist[leaf.out] = dist.get(leaf.out, 0.0) + leaf.prob
     return dist
 
 

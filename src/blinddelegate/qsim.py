@@ -250,25 +250,39 @@ def _split(state, qubit, bras):
     the basis whose bras (conjugated kets) are `bras`.
 
     The two rows of the (2, rest) matrix are the slices with the qubit at 0
-    and at 1; branch 1 (probability 1 - p0) is built only by _branch.
+    and at 1; branch 1 (probability 1 - p0) is built only by _branch. Reading
+    out a register's last qubit leaves one amplitude, and p0 is |amp|^2.
     """
     rows = _rows(state.amplitudes.reshape(-1, 2, 1 << qubit), (1, 0, 2), 2)
     branch0 = np.dot(bras[0], rows)
-    p0 = float(np.vdot(branch0, branch0).real)
+    if state.num_qubits == 1:
+        p0 = float(abs(branch0[0]) ** 2)
+    else:
+        p0 = float(np.vdot(branch0, branch0).real)
     return rows, branch0, min(max(p0, 0.0), 1.0)
 
 
 def _branch(rows, bras, branch0, p0, outcome):
-    """(post_state, prob) of one outcome; post_state is None if it is impossible."""
+    """(post_state, prob) of one outcome; post_state is None if it is impossible.
+
+    A read-out last qubit leaves the one-qubit state |outcome> behind.
+    """
     prob = p0 if outcome == 0 else 1.0 - p0
     if prob < DEGENERATE_PROB:
         return None, prob
+    if len(branch0) == 1:
+        return basis_state(1, outcome), prob
     branch = branch0 if outcome == 0 else np.dot(bras[1], rows)
     return StateVector(branch / np.sqrt(prob), check=False), prob
 
 
-def _finish_measurement(state, qubit, bras, rand):
-    """Measure `qubit` and keep the branch `rand` draws against p0."""
+def measure(state: StateVector, qubit: int, bras, rand: float):
+    """Measure `qubit` in the basis `bras` (such as ROTATED_BRAS[k] or Z_BRAS)
+    and keep the branch `rand` in [0, 1) draws against p0.
+
+    Returns (outcome, post_state, prob) with the measured qubit removed;
+    raises DegenerateMeasurementError if the drawn outcome is impossible.
+    """
     rows, branch0, p0 = _split(state, qubit, bras)
     outcome = 0 if rand < p0 else 1
     post, prob = _branch(rows, bras, branch0, p0, outcome)
@@ -307,7 +321,7 @@ def _rotated_bras(theta: Angle):
 # ROTATED_BRAS[k][a]: the bra of outcome a when measuring at Angle(k); the
 # projector onto that outcome is np.outer(bra.conj(), bra).
 ROTATED_BRAS = tuple(_rotated_bras(theta) for theta in ALL_ANGLES)
-_Z_BRAS = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
+Z_BRAS = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
 def measure_rotated(state: StateVector, qubit: int, theta: Angle, rand: float):
@@ -321,7 +335,7 @@ def measure_rotated(state: StateVector, qubit: int, theta: Angle, rand: float):
         raise IndexError(f"qubit {qubit} out of range")
     if state.num_qubits == 1:
         raise ValueError("cannot remove the last qubit of a register")
-    return _finish_measurement(state, qubit, ROTATED_BRAS[theta.k], rand)
+    return measure(state, qubit, ROTATED_BRAS[theta.k], rand)
 
 
 def measure_x(state: StateVector, qubit: int, rand: float):
@@ -330,19 +344,11 @@ def measure_x(state: StateVector, qubit: int, rand: float):
 
 
 def measure_z(state: StateVector, qubit: int, rand: float):
-    """Computational-basis measurement; the measured qubit is removed."""
+    """Computational-basis measurement; the measured qubit is removed, except
+    that reading out a register's last qubit leaves |outcome> behind."""
     if not 0 <= qubit < state.num_qubits:
         raise IndexError(f"qubit {qubit} out of range")
-    if state.num_qubits == 1:
-        # Allow reading out the final qubit: report the bit, keep a dummy state.
-        p0 = float(abs(state.amplitudes[0]) ** 2)
-        p0 = min(max(p0, 0.0), 1.0)
-        outcome = 0 if rand < p0 else 1
-        prob = p0 if outcome == 0 else 1.0 - p0
-        if prob < 1e-12:
-            raise DegenerateMeasurementError(f"outcome {outcome} has probability {prob:.3e}")
-        return outcome, basis_state(1, outcome), prob
-    return _finish_measurement(state, qubit, _Z_BRAS, rand)
+    return measure(state, qubit, Z_BRAS, rand)
 
 
 def partial_trace(obj, keep) -> DensityMatrix:

@@ -78,6 +78,22 @@ def test_unknown_checks_rejected(tmp_path):
     assert cli.main(["verify", "--checks", "bogus", "--outdir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("checks", [",", "", " , "])
+def test_empty_check_list_rejected(tmp_path, capsys, checks):
+    assert cli.main(["verify", "--checks", checks, "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: --checks names no check"]
+    assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("protocol", ["1", "tp"])
+def test_empty_chain_circuit_rejected(tmp_path, capsys, protocol):
+    circuit = _circuit(tmp_path, "# no gates\n")
+    argv = ["run", "--protocol", protocol, "--circuit", circuit, "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: the circuit is empty")
+
+
 def test_missing_circuit_file(tmp_path):
     code = cli.main(
         ["run", "--protocol", "2", "--circuit", str(tmp_path / "nope.txt"),

@@ -7,13 +7,15 @@ or runtime change that alters any outcome draw, frame or message shows up
 there. `calibrate`, `attack` and `verify` (without the blindness certificates,
 whose noise-level deviations follow floating-point rounding) pin the unit-cell
 search, the side-channel report and the check catalog the same way.
+Exact branch enumerations of the linear-cluster protocols are pinned as
+literal dicts.
 """
 
 import hashlib
 
 import pytest
 
-from blinddelegate import cli
+from blinddelegate import cli, graphs, protocols
 
 SEEDS = range(10)
 
@@ -52,6 +54,24 @@ ATTACK = {
 
 VERIFY_SEEDS = range(3)
 VERIFY = "7ed0fd8ece1139b434c25fdf0b2278e54f37c9be19b4ebdbe55e36bc423be584"
+
+
+# Exact outcome distributions of the linear-cluster protocols (`1` and its
+# teleported variant `tp`), as (outcome bits, probability) pairs in insertion
+# order: the chains of acceptance criterion c05, which include the analytic
+# cases of tests/test_protocols.py.
+ENUMERATIONS = {
+    ("1", "H 0"): [((0,), 1.0)],
+    ("1", "S 0"): [((0,), 0.5000000000000002), ((1,), 0.4999999999999997)],
+    ("1", "T 0\nH 0"): [((0,), 0.8535533905932733), ((1,), 0.14644660940672669)],
+    ("1", "H 0\nS 0\nH 0"): [((0,), 0.4999999999999998), ((1,), 0.5000000000000002)],
+    ("1", "S 0\nT 0\nH 0"): [((0,), 0.8535533905932735), ((1,), 0.14644660940672652)],
+    ("1", "T 0\nTDG 0\nS 0\nH 0"): [((0,), 0.5000000000000001), ((1,), 0.5000000000000004)],
+    ("tp", "H 0"): [((0,), 1.0)],
+    ("tp", "S 0"): [((0,), 0.5000000000000008), ((1,), 0.5)],
+    ("tp", "T 0\nH 0"): [((0,), 0.8535533905932848), ((1,), 0.14644660940672452)],
+    ("tp", "H 0\nS 0\nH 0"): [((0,), 0.5000000000000009), ((1,), 0.5000000000000002)],
+}
 
 
 def cli_digest(tmp_path, runs):
@@ -115,3 +135,23 @@ def test_attack_sweep_is_byte_identical(tmp_path, loss):
 
 def test_verify_sweep_is_byte_identical(tmp_path):
     assert verify_digest(tmp_path) == VERIFY
+
+
+def chain_distribution(protocol, text):
+    plan = protocols.circuit_to_chain(protocols.parse_circuit(text))
+    n = len(plan) + 1
+    resource = graphs.build_graph_state(graphs.linear_cluster(n))
+    if protocol == "1":
+        return protocols.enumerate_distribution(
+            protocols.run_protocol1, resource, plan, num_bits=n
+        )
+    return protocols.enumerate_distribution(
+        protocols.run_teleport_variant, resource, plan, protocols.ChannelModel(0.0),
+        num_bits=3 * n,
+    )
+
+
+@pytest.mark.parametrize("protocol,text", list(ENUMERATIONS))
+def test_chain_enumeration_is_exact(protocol, text):
+    # Same keys, same insertion order, same floating-point sums.
+    assert list(chain_distribution(protocol, text).items()) == ENUMERATIONS[protocol, text]

@@ -72,11 +72,11 @@ def test_word_parsing_and_concat():
 
 
 def test_reduce_pinned_cases():
-    frame, canon = pauli.reduce(pauli.word("H H H"))
+    frame, canon = pauli.reduce_word(pauli.word("H H H"))
     assert (frame, canon.name) == (pauli.FRAME_I, "H")
-    frame, canon = pauli.reduce(pauli.word("H S H S H"))
+    frame, canon = pauli.reduce_word(pauli.word("H S H S H"))
     assert (frame, canon.name) == (pauli.FRAME_Z, "S")
-    frame, canon = pauli.reduce(pauli.word("S H H TDG H"))
+    frame, canon = pauli.reduce_word(pauli.word("S H H TDG H"))
     assert (frame, canon.name) == (pauli.FRAME_Z, "TH")
 
 
@@ -87,7 +87,7 @@ def test_reduce_is_sound_on_short_words():
     for length in range(1, 5):
         for combo in itertools.product(letters, repeat=length):
             w = pauli.CliffordTWord(list(combo))
-            frame, canon = pauli.reduce(w)
+            frame, canon = pauli.reduce_word(w)
             if not canon.name:
                 continue
             named += 1
@@ -120,7 +120,7 @@ def test_reduce_covers_round_accumulated_words():
                 elif kk != 0:
                     raise AssertionError(kk)
             w = pauli.CliffordTWord(list(reversed(letters)))
-            frame, canon = pauli.reduce(w)
+            frame, canon = pauli.reduce_word(w)
             assert canon.name, (base, signs)
             assert qsim.matrices_equal_up_to_phase(
                 w.matrix(), frame.matrix @ canon.entries

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from blinddelegate import graphs, protocols, qsim
+from blinddelegate import adversaries, graphs, protocols, qsim
 from blinddelegate.errors import (
     DegenerateMeasurementError,
     FormatError,
@@ -280,6 +280,8 @@ def test_chain_compiler():
         protocols.circuit_to_chain([Gate("CZ", (0, 1))])
     with pytest.raises(FormatError):
         protocols.circuit_to_chain([Gate("H", (1,))])
+    with pytest.raises(FormatError, match="circuit is empty"):
+        protocols.circuit_to_chain([])
 
 
 def test_chain_runner_rejects_wrong_resource():
@@ -340,6 +342,105 @@ def test_forced_impossible_branch_raises():
     resource = graphs.build_graph_state(graphs.linear_cluster(2))
     with pytest.raises(DegenerateMeasurementError):
         protocols.run_protocol1(resource, plan, forced_outcomes=[0, 1])
+
+
+def test_forced_impossible_teleport_branch_raises():
+    # H|+> = |0>: with every other bit 0 the raw read-out bit must be 0.
+    plan = protocols.circuit_to_chain(protocols.parse_circuit("H 0"))
+    resource = graphs.build_graph_state(graphs.linear_cluster(2))
+    result = protocols.run_teleport_variant(
+        resource, plan, ChannelModel(0.0), forced_outcomes=[0] * 6
+    )
+    assert result.outcome_bits == [0]
+    assert result.branch_probability == pytest.approx(1 / 32, abs=1e-12)
+    with pytest.raises(DegenerateMeasurementError):
+        protocols.run_teleport_variant(
+            resource, plan, ChannelModel(0.0), forced_outcomes=[0] * 5 + [1]
+        )
+
+
+def test_forced_impossible_protocol2_branch_raises():
+    # A substituted |00> pair leaves the wire |+> untouched by the CZ, so the
+    # server's X measurement can only report m = 0.
+    program = protocols.make_raw_program([0])
+    substitute = adversaries.AdversaryStrategy(
+        adversaries.SUBSTITUTE_STATE, state=qsim.basis_state(2, 0)
+    )
+    result = protocols.run_protocol2(
+        program, qsim.plus_state(1), ChannelModel(0.0), adversary=substitute,
+        forced_outcomes=[(1, 0)],
+    )
+    assert result.branch_probability == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(DegenerateMeasurementError):
+        protocols.run_protocol2(
+            program, qsim.plus_state(1), ChannelModel(0.0), adversary=substitute,
+            forced_outcomes=[(1, 1)],
+        )
+
+
+def test_forced_outcomes_must_cover_every_measurement():
+    plan = protocols.circuit_to_chain(protocols.parse_circuit("H 0"))
+    resource = graphs.build_graph_state(graphs.linear_cluster(2))
+    with pytest.raises(ValueError, match="fewer forced outcomes"):
+        protocols.run_protocol1(resource, plan, forced_outcomes=[0])
+    with pytest.raises(ValueError, match="fewer forced outcomes"):
+        protocols.round2_step(qsim.plus_state(1), 0, qsim.Angle(0), ChannelModel(0.0), [0])
+
+
+def _leaf_rerun_distribution(runner, *args, num_bits, **kwargs):
+    """Reference enumeration: one full forced run per outcome bit string."""
+    dist = {}
+    for bits in itertools.product((0, 1), repeat=num_bits):
+        try:
+            result = runner(*args, forced_outcomes=list(bits), **kwargs)
+        except DegenerateMeasurementError:
+            continue  # zero-probability branch
+        key = tuple(result.outcome_bits)
+        dist[key] = dist.get(key, 0.0) + result.branch_probability
+    return dist
+
+
+def _chain_case(text, teleported):
+    plan = protocols.circuit_to_chain(protocols.parse_circuit(text))
+    n = len(plan) + 1
+    resource = graphs.build_graph_state(graphs.linear_cluster(n))
+    if teleported:
+        return protocols.run_teleport_variant, (resource, plan, ChannelModel(0.0)), 3 * n
+    return protocols.run_protocol1, (resource, plan), n
+
+
+@pytest.mark.parametrize("text,teleported", [
+    ("H 0", False), ("T 0\nH 0", False), ("T 0\nTDG 0\nS 0\nH 0", False),
+    ("H 0", True), ("S 0", True), ("T 0\nH 0", True),
+])
+def test_chain_walk_equals_leaf_reruns_exactly(text, teleported):
+    runner, args, num_bits = _chain_case(text, teleported)
+    walk = protocols.enumerate_distribution(runner, *args, num_bits=num_bits)
+    oracle = _leaf_rerun_distribution(runner, *args, num_bits=num_bits)
+    # Same keys, same insertion order, same floating-point sums.
+    assert list(walk.items()) == list(oracle.items())
+
+
+def test_enumerate_distribution_runs_no_protocol(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_distribution ran the protocol")
+
+    # Every runner goes through the one run loop.
+    monkeypatch.setattr(protocols, "_run", refuse)
+    for teleported in (False, True):
+        runner, args, num_bits = _chain_case("T 0\nH 0", teleported)
+        with pytest.raises(AssertionError):
+            runner(*args, rng=default_rng(0))
+        dist = protocols.enumerate_distribution(runner, *args, num_bits=num_bits)
+        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_enumerate_distribution_checks_num_bits():
+    for teleported in (False, True):
+        runner, args, num_bits = _chain_case("S 0", teleported)
+        for wrong in (num_bits - 1, num_bits + 1):
+            with pytest.raises(ValueError, match=f"measures {num_bits} bits"):
+                protocols.enumerate_distribution(runner, *args, num_bits=wrong)
 
 
 def test_correct_output_applies_frames_in_order():

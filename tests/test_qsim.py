@@ -246,6 +246,13 @@ def test_measure_z_final_qubit_readout():
     # forcing the impossible branch must raise instead of misreporting
     with pytest.raises(DegenerateMeasurementError):
         qsim.measure_z(qsim.basis_state(1, 0), 0, rand=1.0)
+    # Both branches of a last-qubit readout, with p0 = |amp_0|^2 exactly.
+    psi = qsim.random_state(1, np.random.default_rng(8))
+    p0 = float(abs(psi.amplitudes[0]) ** 2)
+    branches = qsim.measurement_branches(psi, 0, qsim.Z_BRAS)
+    assert [(b, p, post.amplitudes.tolist()) for b, post, p in branches] == [
+        (0, p0, [1.0, 0.0]), (1, 1.0 - p0, [0.0, 1.0])
+    ]
 
 
 def test_partial_trace_bell_is_maximally_mixed():
@@ -320,7 +327,7 @@ def test_fidelity_and_frobenius():
 # Every basis a kernel measures in: the eight rotated bases (angle 0 is the
 # X basis of measure_x) and the computational basis of measure_z.
 _ALL_BASES = [(f"R{k}", bras) for k, bras in enumerate(qsim.ROTATED_BRAS)] + [
-    ("Z", qsim._Z_BRAS)
+    ("Z", qsim.Z_BRAS)
 ]
 
 
@@ -332,7 +339,7 @@ def test_measurement_branches_equal_forced_measurements_bit_for_bit(width):
             branches = qsim.measurement_branches(psi, qubit, bras)
             assert [b[0] for b in branches] == [0, 1], (name, qubit)
             for (outcome, post, prob), rand in zip(branches, (-1.0, 1.0)):
-                want_outcome, want_post, want_prob = qsim._finish_measurement(
+                want_outcome, want_post, want_prob = qsim.measure(
                     psi, qubit, bras, rand
                 )
                 assert outcome == want_outcome
@@ -355,7 +362,7 @@ def test_measurement_branches_drop_impossible_outcomes():
         np.testing.assert_allclose(post.amplitudes, [1.0, 0.0], atol=1e-12)
         with pytest.raises(DegenerateMeasurementError):
             qsim.measure_rotated(psi, 0, theta, rand=1.0 if possible == 0 else -1.0)
-    [(outcome, _, prob)] = qsim.measurement_branches(qsim.basis_state(2, 0), 1, qsim._Z_BRAS)
+    [(outcome, _, prob)] = qsim.measurement_branches(qsim.basis_state(2, 0), 1, qsim.Z_BRAS)
     assert (outcome, prob) == (0, 1.0)
 
 
