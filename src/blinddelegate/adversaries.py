@@ -3,9 +3,15 @@
 The side channel: the client's loss reports are the one message stream a
 compromised measurement device can steer. A device that withholds clicks can
 spell out a captured command digit in unary through resend counts. The
-countermeasure randomizes the reports with a coin the client commits to
-before consulting the device, restoring independence at the price of extra
-deliveries.
+countermeasure accepts an arrived particle on a fair coin alone: the device
+is never asked for a click, so the reports carry no digit, at the price of
+extra deliveries. The model thus also ignores a genuine no-click; modelling
+the click as the client's evidence of arrival is an open item (ROADMAP
+item 2).
+
+The device sees only command angles and answers click or no-click, so
+attacked runs and the overhead sweep hold no register: the honest rounds
+are fair coins (protocols.run_protocol2 with no input state).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blindness, protocols, qsim
+from . import blindness, protocols
 from .qsim import DensityMatrix
 
 HONEST = "HONEST"
@@ -79,20 +85,15 @@ def make_signal_program(first_digit: int, extra_rounds: int = 1):
 def decode_digit_from_transcript(transcript) -> int:
     """Max-likelihood guess from the resend count of the post-capture round:
     r faked + geometric real losses is most likely explained by digit = r."""
-    count = sum(
-        1 for m in transcript if m.kind == "LOST_RESEND" and m.round == 2
-    )
-    return min(count, 7)
+    return _resend_counts(transcript, [2], 7)[0]
 
 
 def run_with_evil_device(program, countermeasure: bool,
                          channel: protocols.ChannelModel, rng):
     """Returns (server_guess, transcript, success) for one attacked run."""
-    device = EvilDevice()
-    adversary = AdversaryStrategy(LOSS_SIGNAL_DEVICE, device=device)
-    input_state = qsim.basis_state(program.num_wires, 0)
+    adversary = AdversaryStrategy(LOSS_SIGNAL_DEVICE, device=EvilDevice())
     result = protocols.run_protocol2(
-        program, input_state, channel,
+        program, None, channel,
         adversary=adversary, rng=rng, loss_masking=countermeasure,
     )
     guess = decode_digit_from_transcript(result.transcript)
@@ -131,13 +132,8 @@ def collect_attack_samples(n_trials: int, countermeasure: bool,
         program = make_signal_program(k)
         channel = protocols.ChannelModel(loss_prob, rng_seed=(seed << 24) + 7 + t)
         rng = np.random.default_rng([seed, 0, t])
-        device = EvilDevice()
-        adversary = AdversaryStrategy(LOSS_SIGNAL_DEVICE, device=device)
-        result = protocols.run_protocol2(
-            program, qsim.basis_state(1, 0), channel,
-            adversary=adversary, rng=rng, loss_masking=countermeasure,
-        )
-        stat = _resend_counts(result.transcript, range(2, program.num_rounds + 1), cap)
+        _, transcript, _ = run_with_evil_device(program, countermeasure, channel, rng)
+        stat = _resend_counts(transcript, range(2, program.num_rounds + 1), cap)
         samples.append((k, stat))
     return samples
 
@@ -180,8 +176,7 @@ def countermeasure_overhead(n_trials: int = 200, loss_prob: float = 0.0,
             channel = protocols.ChannelModel(loss_prob, rng_seed=(seed << 20) + t)
             rng = np.random.default_rng([seed, 1, t])
             result = protocols.run_protocol2(
-                program, qsim.basis_state(1, 0), channel,
-                rng=rng, loss_masking=masked,
+                program, None, channel, rng=rng, loss_masking=masked,
             )
             total_rounds += result.rounds_completed
             total_sends += result.rounds_completed + result.retransmission_count

@@ -368,9 +368,15 @@ def _measurement(rng, forced=None):
     A callback measure(state, qubit, bras) returns the branches to follow as
     (outcome, post_state, prob) triples, outcome 0 first; the exact walk
     (_walk) follows every possible branch with qsim.measurement_branches.
+    With no register (state None) a draw is a fair coin (see _round_branches).
     """
     if forced is None:
-        return lambda state, qubit, bras: [qsim.measure(state, qubit, bras, rng.random())]
+        def draw(state, qubit, bras):
+            rand = rng.random()
+            if state is None:
+                return [(0 if rand < 0.5 else 1, None, 0.5)]
+            return [qsim.measure(state, qubit, bras, rand)]
+        return draw
     queue = iter(forced)
 
     def force(state, qubit, bras):
@@ -384,21 +390,21 @@ def _measurement(rng, forced=None):
     return force
 
 
-def _deliver(channel, rng_loss, rng_mask, transcript, round_index, *,
-             loss_masking=False, device=None):
-    """Run the send/ack loop until the client accepts a particle."""
-    if rng_loss is None:
-        # Lossless, honest, unmasked: the loop degenerates to one delivery.
-        transcript.append(Message(round_index, B2A, "QUBIT_SENT"))
-        transcript.append(Message(round_index, A2B, "ARRIVED"))
-        return 0
+def _deliver(channel, rng_loss, rng_mask, transcript, round_index, device=None):
+    """Run the send/ack loop until the client accepts a particle.
+
+    A particle is lost when `rng_loss` (None on a lossless channel) draws it.
+    Under masking (`rng_mask` set) the client accepts an arrived particle on
+    a fair coin alone.
+    """
     resends = 0
     for _ in range(RETRY_CAP):
         transcript.append(Message(round_index, B2A, "QUBIT_SENT"))
-        arrived = transmit(channel, rng_loss) == ARRIVED
-        if loss_masking:
-            # The client commits to a fresh coin before consulting her device,
-            # so a lying device cannot influence the loss report.
+        arrived = rng_loss is None or transmit(channel, rng_loss) == ARRIVED
+        if rng_mask is not None:
+            # The coin replaces the device: claim_no_click is never called, so
+            # a lying device cannot steer the report, but neither can a real
+            # no-click reject a particle. The click model is an open item.
             accepted = arrived and bool(rng_mask.random() < 0.5)
         else:
             faked = bool(arrived and device is not None and device.claim_no_click())
@@ -425,13 +431,23 @@ _SLOT_GAINS = {
 def _round_branches(reg, round_index, wire, command, measure, pair):
     """The quantum part of one round, as (a, m, pa, pm, register) per branch.
 
-    The fresh pair's halves join `reg`; the client measures hers at `command`
-    (outcome a), the server entangles his with the wire by CZ, measures the
-    wire in the X basis (reported bit m) and keeps his half as the new wire.
+    The fresh pair's halves (`pair`, or a Bell pair if None) join `reg`; the
+    client measures hers at `command` (outcome a), the server entangles his
+    with the wire by CZ, measures the wire in the X basis (reported bit m)
+    and keeps his half as the new wire.
+
+    With no register (`reg` None) the pair is an honest Bell pair, and a and
+    m are fair coins, drawn in that order: the client's half of a Bell pair
+    is maximally mixed whatever the rest, and after the CZ the server's half
+    has <Z> = 0, so the wire's X outcome is unbiased for any angle and state.
     """
+    if reg is None:
+        return [(a, m, pa, pm, None)
+                for a, _, pa in measure(None, None, None)
+                for m, _, pm in measure(None, None, None)]
     server, client = ("half", round_index), ("sent", round_index)
     wire_label = ("wire", wire)
-    reg.append(pair, [server, client])
+    reg.append(qsim.bell_pair() if pair is None else pair, [server, client])
     branches = []
     for a, pa, after_a in reg.branches(measure, client, qsim.ROTATED_BRAS[command.k]):
         after_a.apply(qsim.CZ, [server, wire_label])
@@ -443,12 +459,12 @@ def _round_branches(reg, round_index, wire, command, measure, pair):
 
 @dataclass
 class _Node:
-    """A point of a run: the server's register and the client's record (wire
-    frames, words of the groups not yet extracted, bits the server reported,
-    branch probability, a chain's read-out bit). A node is owned by one branch
-    and consumed by _step."""
+    """A point of a run: the server's register (None on a registerless run)
+    and the client's record (wire frames, words of the groups not yet
+    extracted, bits the server reported, branch probability, a chain's
+    read-out bit). A node is owned by one branch and consumed by _step."""
 
-    reg: _Register
+    reg: _Register | None
     frames: list
     acc: dict
     m_bits: tuple = ()
@@ -458,9 +474,12 @@ class _Node:
 
 
 def _start(program: AngleProgram, input_state: StateVector) -> _Node:
-    if input_state.num_qubits != program.num_wires:
-        raise ValueError("input state does not match the program's wire count")
-    reg = _Register(input_state.copy(), [("wire", w) for w in range(program.num_wires)])
+    """The start node; it holds no register if `input_state` is None."""
+    reg = None
+    if input_state is not None:
+        if input_state.num_qubits != program.num_wires:
+            raise ValueError("input state does not match the program's wire count")
+        reg = _Register(input_state.copy(), [("wire", w) for w in range(program.num_wires)])
     return _Node(reg, [FRAME_I] * program.num_wires, {})
 
 
@@ -485,7 +504,8 @@ def _step(node, event, groups_by_id, measure, pair_source=None):
         return [node]  # classical only: the run loop sends the messages
     if kind == "bridge":
         _, (wa, wb), gid = event
-        node.reg.apply(qsim.CZ, [("wire", wa), ("wire", wb)])
+        if node.reg is not None:
+            node.reg.apply(qsim.CZ, [("wire", wa), ("wire", wb)])
         fa, fb = node.frames[wa], node.frames[wb]
         node.frames[wa] = PauliFrame(fa.x, fa.z ^ fb.x)
         node.frames[wb] = PauliFrame(fb.x, fb.z ^ fa.x)
@@ -541,10 +561,9 @@ def _step(node, event, groups_by_id, measure, pair_source=None):
     gains = _SLOT_GAINS[len(group.wires), group.wires.index(plan.wire)]
     word = _word(node.acc, group)
     command = plan.adapt_rule(node.m_bits, node.frames[plan.wire])
-    pair = pair_source if pair_source is not None else qsim.bell_pair()
     children = []
     for a, m, pa, pm, reg in _round_branches(
-        node.reg, plan.round_index, plan.wire, command, measure, pair
+        node.reg, plan.round_index, plan.wire, command, measure, pair_source
     ):
         frames = list(node.frames)
         frames[plan.wire] = RoundPlan.frame_update(frames[plan.wire], a, m)
@@ -570,17 +589,19 @@ def _run(node, events, measure, groups_by_id=None, *, channel=None,
     event. After each round a device sees the command angle.
     Returns the final node and a RunResult of the classical record.
     """
-    rng_loss = rng_mask = None  # every delivery is then one send/ack
-    if channel is not None and (channel.loss_prob > 0.0 or loss_masking or device is not None):
+    # Each stream exists only where it can change an outcome: at loss 0 no
+    # draw of rng_loss loses a particle.
+    rng_loss = rng_mask = None
+    if channel is not None and channel.loss_prob > 0.0:
         rng_loss = np.random.default_rng([channel.rng_seed, 0])
+    if channel is not None and loss_masking:
         rng_mask = np.random.default_rng([channel.rng_seed, 1])
     transcript, resends, rnd = [], 0, 0
     for event in events:
         kind = event[0]
         if kind in ("round", "deliver"):
             rnd = event[1].round_index if kind == "round" else event[1]
-            resends += _deliver(channel, rng_loss, rng_mask, transcript, rnd,
-                                loss_masking=loss_masking, device=device)
+            resends += _deliver(channel, rng_loss, rng_mask, transcript, rnd, device)
         elif kind == "done":
             transcript.append(Message(rnd, A2B, "DONE"))
         reported = len(node.m_bits)
@@ -629,29 +650,47 @@ def run_protocol2(
     """Execute every round; the output stays on the server side, the client
     keeps the final Pauli frames for classical post-correction.
 
-    `forced_outcomes` lists an (a, m) pair per round in place of draws."""
+    `forced_outcomes` lists an (a, m) pair per round in place of draws.
+
+    With `input_state` None the run holds no register and
+    `logical_output_state` is None: each round's a and m are fair coins
+    (_round_branches), one rng.random() each compared with exactly 1/2, in
+    the register path's order. The register path compares the draw with a
+    computed p0 that misses 1/2 by rounding error (up to 42 * 2**-54 on
+    signal programs, about 1e-12 on random-input compiled circuits), so the
+    paths differ only for a draw in that gap. A substituted pair or forced
+    outcomes need a register.
+    """
     node = _start(program, input_state)
-    if forced_outcomes is not None:
-        forced_outcomes = [b for pair in forced_outcomes for b in pair]
     device = getattr(adversary, "device", None)
     pair_source = None
     if getattr(adversary, "kind", None) == "SUBSTITUTE_STATE":
         pair_source = adversary.state
+    if input_state is None and (pair_source is not None or forced_outcomes is not None):
+        raise ValueError("a substituted pair or forced outcomes need a register")
+    if forced_outcomes is not None:
+        forced_outcomes = [b for pair in forced_outcomes for b in pair]
     node, result = _run(
         node, [*program.events, _DONE], _measurement(rng, forced_outcomes),
         _groups(program), channel=channel, loss_masking=loss_masking, device=device,
         pair_source=pair_source,
     )
-    result.logical_output_state = node.reg.extract(
-        [("wire", w) for w in range(program.num_wires)])
+    if node.reg is not None:
+        result.logical_output_state = node.reg.extract(
+            [("wire", w) for w in range(program.num_wires)])
     return result
 
 
 def walk_protocol2(program: AngleProgram, input_state: StateVector):
     """(m_bits, prob) for every leaf of a lossless, honest protocol-2 run, in
-    the order of itertools.product over the per-round (a, m) bits."""
-    for leaf in _walk(_start(program, input_state), program.events, _groups(program)):
-        yield leaf.m_bits, leaf.prob
+    the order of itertools.product over the per-round (a, m) bits.
+
+    The walk measures the real register, so it needs an input state: with
+    fair coins in its place a certificate would assume what it certifies."""
+    if input_state is None:
+        raise ValueError("the walk needs an input state")
+    leaves = _walk(_start(program, input_state), program.events, _groups(program))
+    return ((leaf.m_bits, leaf.prob) for leaf in leaves)
 
 
 def correct_output(result: RunResult) -> StateVector:

@@ -8,14 +8,17 @@ there. `calibrate`, `attack` and `verify` (without the blindness certificates,
 whose noise-level deviations follow floating-point rounding) pin the unit-cell
 search, the side-channel report and the check catalog the same way.
 Exact branch enumerations of the linear-cluster protocols are pinned as
-literal dicts.
+literal dicts. Attacked protocol-2 runs (the evil device against signal
+programs) are pinned in process: full transcripts, reported bits included,
+and the countermeasure's delivery overhead.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from blinddelegate import cli, graphs, protocols
+from blinddelegate import adversaries, cli, graphs, protocols
 
 SEEDS = range(10)
 
@@ -54,6 +57,24 @@ ATTACK = {
 
 VERIFY_SEEDS = range(3)
 VERIFY = "7ed0fd8ece1139b434c25fdf0b2278e54f37c9be19b4ebdbe55e36bc423be584"
+
+# sha256 over the guesses and full transcripts of run_with_evil_device, keyed by
+# (masking, loss): digits 0-7, four run seeds each.
+ATTACK_RUN_SEEDS = range(4)
+ATTACKED_RUNS = {
+    (False, 0.0): "28b6ae13c5895937c312a453ad508f759e46b877e95dee574570573b77e203df",
+    (False, 0.3): "c51439ab67f95b2d62e14e723b031a832f9914f073441c394fc76b300562d455",
+    (False, 0.5): "b5fcf95fd630f2661b08a51d3bfbdd9f6cf50125fd5ae7e3919ca9837abeeeed",
+    (True, 0.0): "dd3abae02e0384b3867d534edb576d73a34c5a61dfd16f076e07ef3f2263048b",
+    (True, 0.3): "6b07508a4e47216f1481fde653e51ffee657e3f5af2f8917ba8f03414bb31630",
+    (True, 0.5): "9e121f078069e446256b1d0b32385dc707ab1fa052b37a09427071255c42ca46",
+}
+
+# repr of countermeasure_overhead(60, loss, seed=2): (masked, unmasked).
+OVERHEAD = {
+    0.0: "(1.8916666666666666, 1.0)",
+    0.3: "(2.8333333333333335, 1.5)",
+}
 
 
 # Exact outcome distributions of the linear-cluster protocols (`1` and its
@@ -135,6 +156,31 @@ def test_attack_sweep_is_byte_identical(tmp_path, loss):
 
 def test_verify_sweep_is_byte_identical(tmp_path):
     assert verify_digest(tmp_path) == VERIFY
+
+
+def attacked_run_digest(masked, loss):
+    h = hashlib.sha256()
+    for k in range(8):
+        program = adversaries.make_signal_program(k)
+        for seed in ATTACK_RUN_SEEDS:
+            channel = protocols.ChannelModel(loss, rng_seed=100 * seed + k)
+            rng = np.random.default_rng([seed, 5, k])
+            guess, transcript, success = adversaries.run_with_evil_device(
+                program, masked, channel, rng)
+            h.update(f"k={k} seed={seed} guess={guess} success={success}\n".encode())
+            for m in transcript:
+                h.update(f"{m.round} {m.direction} {m.kind} {m.payload}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("masked,loss", sorted(ATTACKED_RUNS))
+def test_attacked_runs_are_byte_identical(masked, loss):
+    assert attacked_run_digest(masked, loss) == ATTACKED_RUNS[masked, loss]
+
+
+@pytest.mark.parametrize("loss", sorted(OVERHEAD))
+def test_countermeasure_overhead_is_exact(loss):
+    assert repr(adversaries.countermeasure_overhead(60, loss, seed=2)) == OVERHEAD[loss]
 
 
 def chain_distribution(protocol, text):

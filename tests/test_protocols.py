@@ -495,3 +495,132 @@ def test_run_protocol2_rejects_word_off_group_target(text, target):
             program, qsim.basis_state(program.num_wires, 0), ChannelModel(0.0),
             rng=default_rng(0),
         )
+
+
+# --------------------------------------------------------------------------
+# Registerless protocol 2: honest rounds as fair coins
+# --------------------------------------------------------------------------
+
+
+def _p2_program(case):
+    if case.startswith("signal"):
+        _, k, extra = case.split()
+        return adversaries.make_signal_program(int(k), extra_rounds=int(extra))
+    return protocols.compile_circuit(protocols.parse_circuit(case))
+
+
+P2_CASES = ["signal 3 1", "signal 6 2", "T 0", "H 0\nCNOT 0 1\nT 1"]
+
+
+def _attacked_run(program, input_state, loss, masked, with_device, seed):
+    adversary = None
+    if with_device:
+        adversary = adversaries.AdversaryStrategy(
+            adversaries.LOSS_SIGNAL_DEVICE, device=adversaries.EvilDevice()
+        )
+    return protocols.run_protocol2(
+        program, input_state, ChannelModel(loss, rng_seed=seed), adversary=adversary,
+        rng=default_rng([seed, 0]), loss_masking=masked,
+    )
+
+
+@pytest.mark.parametrize("case", P2_CASES)
+@pytest.mark.parametrize("loss", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("with_device", [False, True])
+def test_registerless_run_equals_register_run(case, loss, masked, with_device):
+    program = _p2_program(case)
+    for seed in range(50):
+        psi = qsim.random_state(program.num_wires, default_rng([seed, 1]))
+        quantum = _attacked_run(program, psi, loss, masked, with_device, seed)
+        coins = _attacked_run(program, None, loss, masked, with_device, seed)
+        assert coins.transcript == quantum.transcript
+        assert coins.final_frames == quantum.final_frames
+        assert coins.retransmission_count == quantum.retransmission_count
+        assert coins.rounds_completed == quantum.rounds_completed
+        assert coins.logical_output_state is None
+
+
+def test_registerless_run_calls_no_qsim_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a registerless run reached the register")
+
+    for name in ("measure", "measurement_branches", "apply_gate", "bell_pair"):
+        monkeypatch.setattr(qsim, name, refuse)
+    monkeypatch.setattr(qsim.StateVector, "tensor", refuse)
+    program = _p2_program("H 0\nCNOT 0 1\nT 1")
+    with pytest.raises(AssertionError):
+        _attacked_run(program, qsim.basis_state(2, 0), 0.3, True, True, 0)
+    for masked, with_device in itertools.product((False, True), repeat=2):
+        result = _attacked_run(program, None, 0.3, masked, with_device, 0)
+        assert result.rounds_completed == program.num_rounds
+    adversaries.run_with_evil_device(
+        adversaries.make_signal_program(5), False, ChannelModel(0.3), default_rng(0)
+    )
+    adversaries.countermeasure_overhead(5, 0.3)
+
+
+def test_registerless_run_refuses_what_a_coin_cannot_model():
+    program = adversaries.make_signal_program(3)
+    substitute = adversaries.AdversaryStrategy(
+        adversaries.SUBSTITUTE_STATE, state=qsim.basis_state(2, 0)
+    )
+    with pytest.raises(ValueError, match="need a register"):
+        protocols.run_protocol2(program, None, ChannelModel(0.0), adversary=substitute,
+                                rng=default_rng(0))
+    with pytest.raises(ValueError, match="need a register"):
+        protocols.run_protocol2(program, None, ChannelModel(0.0),
+                                forced_outcomes=[(0, 0), (0, 0)])
+    with pytest.raises(ValueError, match="walk needs an input state"):
+        protocols.walk_protocol2(program, None)
+
+
+def _round_probabilities(monkeypatch, program, input_state, adversary, seeds):
+    """The (p(a), p(m)) of every drawn protocol-2 round on the register path."""
+    probs = []
+    measure = qsim.measure
+
+    def recording(state, qubit, bras, rand):
+        branch = measure(state, qubit, bras, rand)
+        probs.append(branch[2])
+        return branch
+
+    monkeypatch.setattr(qsim, "measure", recording)
+    for seed in seeds:
+        protocols.run_protocol2(program, input_state, ChannelModel(0.0),
+                                adversary=adversary, rng=default_rng(seed))
+    assert len(probs) == 2 * program.num_rounds * len(seeds)
+    return probs[0::2], probs[1::2]
+
+
+@pytest.mark.parametrize("case", ["T 0", "H 0\nCNOT 0 1\nT 1", "CZ 0 1\nTDG 0"])
+def test_honest_round_outcomes_are_fair_coins(monkeypatch, case):
+    # No-signaling: the client's half of a Bell pair is maximally mixed, and
+    # after the CZ the server's half has <Z> = 0, so a and m are unbiased
+    # whatever the angle and the input state.
+    program = _p2_program(case)
+    for seed in range(5):
+        psi = qsim.random_state(program.num_wires, default_rng([seed, 2]))
+        pa, pm = _round_probabilities(monkeypatch, program, psi, None, range(4))
+        assert max(abs(p - 0.5) for p in pa + pm) < 1e-12
+
+
+def test_substituted_pair_outcomes_are_not_fair_coins(monkeypatch):
+    # A |00> pair leaves the wire untouched by the CZ: m reads the input's
+    # <X>. Its client half |0> is still unbiased in every equatorial basis;
+    # a |+> client half is not.
+    program = protocols.make_raw_program([1, 3])
+    psi = qsim.random_state(1, default_rng(5))
+    zeros = adversaries.AdversaryStrategy(
+        adversaries.SUBSTITUTE_STATE, state=qsim.basis_state(2, 0)
+    )
+    pa, pm = _round_probabilities(monkeypatch, program, psi, zeros, range(4))
+    assert max(abs(p - 0.5) for p in pa) < 1e-12
+    assert max(abs(p - 0.5) for p in pm) > 1e-3
+    # Qubit 0 is the server's half, qubit 1 the client's: |+>_client |0>_server.
+    plus = adversaries.AdversaryStrategy(
+        adversaries.SUBSTITUTE_STATE,
+        state=qsim.StateVector(np.array([1, 0, 1, 0]) / np.sqrt(2)),
+    )
+    pa, _ = _round_probabilities(monkeypatch, program, psi, plus, range(4))
+    assert min(abs(p - 0.5) for p in pa) > 0.3
