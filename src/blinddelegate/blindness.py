@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import protocols, qsim
+from . import graphs, protocols, qsim
 from .qsim import Angle, DensityMatrix, StateVector
 
 BLINDNESS_TOL = 1e-9
@@ -232,8 +232,6 @@ def certify_protocol1(secrets, bob_strategy="honest", n_povms: int = 4,
     honest joint state is the linear cluster with one retained output vertex,
     an adversarial strategy supplies its own joint state instead.
     """
-    from . import graphs
-
     rng = rng if rng is not None else np.random.default_rng(0)
     secrets = [[a if isinstance(a, Angle) else Angle(a) for a in s] for s in secrets]
     width = len(secrets[0])

@@ -4,6 +4,11 @@ The unit cell is two wires of three measured columns plus one output column.
 Its bridge placement and per-operation angle schedules are not hardcoded from
 a drawing; `calibrate_unit_cell` finds them by deterministic exhaustive search
 and the result is frozen for the life of the process.
+
+`branch_frames` is the one model of a gate group's word: it multiplies out
+the group's rounds on every outcome branch, checks each word is Pauli * target
+and tables the Pauli folds by the reported bits. Calibration keeps each
+entry's table, and protocol 2 closes every group by looking its folds up.
 """
 
 from __future__ import annotations
@@ -117,7 +122,7 @@ ROUNDS_PER_CELL = 3
 
 @dataclass(frozen=True)
 class WireSchedule:
-    """Three command angles; round 3 may adapt on the round-1 reported bit."""
+    """Command angles, one per round; round 3 may adapt on the round-1 bit."""
 
     base: tuple
     adapt3: tuple = None  # (k if m1 == 0, k if m1 == 1) overriding base[2]
@@ -127,17 +132,18 @@ class WireSchedule:
             return self.adapt3[m1]
         return self.base[round_index]
 
-    def angles(self, m_bits) -> list:
-        return [Angle(self.angle_index(r, m_bits[0])) for r in range(ROUNDS_PER_CELL)]
-
 
 @dataclass(frozen=True)
 class CellEntry:
+    """A one- or two-wire group: schedules, bridge, target and the Pauli
+    folds it leaves on each outcome branch (see branch_frames)."""
+
     name: str
     wire0: WireSchedule
-    wire1: WireSchedule
+    wire1: WireSchedule  # None for a one-wire group
     bridge: tuple  # (i, j) after-round anchors, or None
-    target: np.ndarray  # 4x4 reference, np.kron(wire1_factor, wire0_factor)
+    target: np.ndarray  # 2x2, or 4x4 as np.kron(wire1_factor, wire0_factor)
+    frames: dict  # branch_frames(wire0, wire1, bridge, target)
 
 
 @dataclass(frozen=True)
@@ -148,18 +154,18 @@ class UnitCellCalibration:
 
 # The gain R_k H that one round puts on its wire, indexed by the signed angle
 # k in -7..7: R_{-k} = R_{8-k}, so a negative index reads the right entry.
-# Protocol 2 accumulates the same table round by round.
 ROUND_GAINS = tuple(qsim.rotation(Angle(k)).entries @ qsim.H.entries for k in range(8))
 
 
-def _wire_word(schedule: WireSchedule, m_bits, rounds=range(ROUNDS_PER_CELL)) -> np.ndarray:
-    """Accumulated single-wire operator of `rounds` for given reported bits.
+def _wire_word(schedule: WireSchedule, m_bits, rounds=None) -> np.ndarray:
+    """Accumulated single-wire operator of `rounds` (default: all of the
+    schedule's) for given reported bits.
 
     Each round contributes R_{(-1)^m * k} H on the left; the command sign
     adaptation cancels the frame's z bit, so only the residual m sign remains.
     """
     w = np.eye(2, dtype=complex)
-    for r in rounds:
+    for r in range(len(schedule.base)) if rounds is None else rounds:
         k = schedule.angle_index(r, m_bits[0])
         w = ROUND_GAINS[-k if m_bits[r] else k] @ w
     return w
@@ -181,17 +187,36 @@ def cell_operator(w0: WireSchedule, w1: WireSchedule, bridge, m0_bits, m1_bits):
     return after @ _CZ4 @ before
 
 
-def _deterministic_on_all_branches(w0, w1, bridge, target, tol=1e-10) -> bool:
-    """True iff every outcome branch gives Pauli * target; w1=None checks w0 alone."""
-    wires = 1 if w1 is None else 2
-    for bits in itertools.product((0, 1), repeat=wires * ROUNDS_PER_CELL):
+def branch_frames(w0, w1, bridge, target, tol=1e-10):
+    """{m bits: per-wire folds} over every outcome branch, or None if some
+    branch's word is not Pauli * target.
+
+    The key lists the reported bits of the group's rounds, wire 0's first;
+    the folds (low slot first) are the Pauli factors P with word = P @ target
+    up to phase. w1=None checks w0 alone.
+    """
+    n0 = len(w0.base)
+    n = n0 + (0 if w1 is None else len(w1.base))
+    table = {}
+    for bits in itertools.product((0, 1), repeat=n):
         if w1 is None:
             op = _wire_word(w0, bits)
         else:
-            op = cell_operator(w0, w1, bridge, bits[:3], bits[3:])
-        if pauli.match_frames(op, target, tol) is None:
-            return False
-    return True
+            op = cell_operator(w0, w1, bridge, bits[:n0], bits[n0:])
+        folds = pauli.match_frames(op, target, tol)
+        if folds is None:
+            return None
+        table[bits] = folds
+    return table
+
+
+def make_entry(name, w0, w1, bridge, target, tol=1e-10) -> CellEntry:
+    """The entry with its branch-frame table; CalibrationError if some branch
+    misses `target`."""
+    frames = branch_frames(w0, w1, bridge, target, tol)
+    if frames is None:
+        raise CalibrationError(f"{name} is not Pauli * target on every branch")
+    return CellEntry(name, w0, w1, bridge, target, frames)
 
 
 def _constant_schedules(grid):
@@ -212,13 +237,13 @@ def _search_single_wire(target2: np.ndarray, tol=1e-10):
         _constant_schedules(SEARCH_ANGLES), _adaptive_schedules(SEARCH_ANGLES)
     )
     for sched in candidates:
-        if _deterministic_on_all_branches(sched, None, None, target2, tol):
+        if branch_frames(sched, None, None, target2, tol) is not None:
             return sched
     return None
 
 
-def _search_entangling(target4: np.ndarray, tol=1e-10):
-    """First (bridge, w0, w1) realizing target4 on every branch.
+def _search_entangling(name, target4: np.ndarray, tol=1e-10):
+    """The entry of the first (bridge, w0, w1) realizing target4 on every branch.
 
     Stage 1 restricts schedules to the two Clifford angles, which is enough for
     branch determinism without cross-wire adaptation; the wider grid is only
@@ -233,8 +258,9 @@ def _search_entangling(target4: np.ndarray, tol=1e-10):
                     op = cell_operator(w0, w1, bridge, zero, zero)
                     if pauli.match_frames(op, target4, tol) is None:
                         continue  # cheap zero-branch reject
-                    if _deterministic_on_all_branches(w0, w1, bridge, target4, tol):
-                        return bridge, w0, w1
+                    frames = branch_frames(w0, w1, bridge, target4, tol)
+                    if frames is not None:
+                        return CellEntry(name, w0, w1, bridge, target4, frames)
     return None
 
 
@@ -260,7 +286,8 @@ _CACHED_CALIBRATION = None
 
 def calibrate_unit_cell(tol: float = 1e-10) -> UnitCellCalibration:
     """Exhaustively reconstruct the cell: bridge placement plus one verified
-    angle schedule per catalog operation. Deterministic; cached per process."""
+    angle schedule, with its branch-frame table, per catalog operation.
+    Deterministic; cached per process."""
     global _CACHED_CALIBRATION
     if _CACHED_CALIBRATION is not None:
         return _CACHED_CALIBRATION
@@ -274,21 +301,16 @@ def calibrate_unit_cell(tol: float = 1e-10) -> UnitCellCalibration:
         sched = _search_single_wire(target2, tol)
         if sched is None:
             raise CalibrationError(f"no schedule realizes {name}")
-        target4 = np.kron(_I2, target2)
-        entry = CellEntry(name, sched, identity_wire, None, target4)
-        if not _deterministic_on_all_branches(sched, identity_wire, None, target4, tol):
-            raise CalibrationError(f"{name} schedule is not branch-deterministic")
-        entries[name] = entry
+        entries[name] = make_entry(name, sched, identity_wire, None, np.kron(_I2, target2), tol)
 
     bridge_used = None
     for name, target4 in _CATALOG_ENTANGLING:
-        found = _search_entangling(target4, tol)
-        if found is None:
+        entry = _search_entangling(name, target4, tol)
+        if entry is None:
             raise CalibrationError(f"no bridged cell realizes {name}")
-        bridge, w0, w1 = found
-        entries[name] = CellEntry(name, w0, w1, bridge, target4)
+        entries[name] = entry
         if name == "CZCNOT":
-            bridge_used = bridge
+            bridge_used = entry.bridge
 
     _CACHED_CALIBRATION = UnitCellCalibration(bridge=bridge_used, entries=entries)
     return _CACHED_CALIBRATION

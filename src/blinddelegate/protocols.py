@@ -4,8 +4,9 @@ The server mints one fresh entangled pair per round; the client measures its
 half in a secretly rotated basis and the server folds the other half into the
 register, reporting one X-basis bit back. Byproducts stay classical: each wire
 carries an (x, z) Pauli frame, the client's command angle cancels the frame's
-z bit, and three-round groups are closed by matching the accumulated word
-against the group's target gate.
+z bit, and each gate group is closed by looking up, by the bits its rounds
+reported, the Pauli folds that graphs.branch_frames found for that branch
+when the group's table was built: no round multiplies a matrix.
 
 Protocol 2 and the linear-cluster protocols 1 and tp are event lists over one
 step (_step). Runs go through one loop (_run), which owns the messages; exact
@@ -14,6 +15,7 @@ distributions come from one depth-first walk of the outcome tree (_walk).
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import graphs, qsim
 from .errors import DegenerateMeasurementError, FormatError, RetryLimitError
-from .pauli import FRAME_I, PauliFrame, match_frames
+from .pauli import FRAME_I, PauliFrame
 from .qsim import Angle, StateVector
 
 RETRY_CAP = 1000
@@ -115,6 +117,8 @@ class Group:
     wires: tuple              # 1 or 2 wires; wires[0] is the cell's low slot
     target: np.ndarray        # 2x2 or 4x4 reference, or None for raw rounds
     label: str = ""
+    rounds: tuple = ()        # round indices of its rounds, wires[0]'s first
+    frames: dict = None       # {their reported bits: per-wire folds}
 
 
 @dataclass
@@ -122,25 +126,36 @@ class AngleProgram:
     num_wires: int
     rounds: list = field(default_factory=list)
     groups: list = field(default_factory=list)
-    events: list = field(default_factory=list)  # ("round", plan) | ("bridge", wires, gid) | ("extract", gid)
+    events: list = field(default_factory=list)  # ("round", plan) | ("bridge", wires) | ("extract", group)
 
     @property
     def num_rounds(self) -> int:
         return len(self.rounds)
 
 
-# Frozen three-round blocks: base angle indices, round-3 adaptation on the
-# block's first reported bit, and the realized gate. Derived by exhaustive
-# enumeration of outcome branches against reference unitaries (see tests).
+# One-wire groups the compiler emits: base angle indices (three rounds, or
+# none for a Pauli), round-3 adaptation on the block's first reported bit, and
+# the realized gate. block_entry checks each on every outcome branch and keeps
+# its table of Pauli folds.
 BLOCK_TABLE = {
     "H": ((0, 0, 0), None, qsim.H.entries),
     "S": ((2, 2, 0), None, qsim.S.entries),
     "SDG": ((2, 2, 0), None, qsim.SDG.entries),
-    "SH": ((2, 0, 0), None, qsim.S.entries @ qsim.H.entries),
     "I": ((2, 2, 2), None, np.eye(2, dtype=complex)),
     "TH": ((7, 0, 0), (0, 2), qsim.T.entries @ qsim.H.entries),
     "TDGH": ((1, 0, 0), (0, 2), qsim.TDG.entries @ qsim.H.entries),
+    "X": ((), None, qsim.X.entries),
+    "Z": ((), None, qsim.Z.entries),
 }
+
+
+@functools.cache
+def block_entry(kind) -> graphs.CellEntry:
+    """The one-wire group of a BLOCK_TABLE kind, with its branch-frame table;
+    built on first use. Raises CalibrationError if a branch misses the gate."""
+    base, adapt3, target = BLOCK_TABLE[kind]
+    return graphs.make_entry(kind, graphs.WireSchedule(base, adapt3), None, None, target)
+
 
 GATE_ARITY = {
     "H": 1, "S": 1, "SDG": 1, "T": 1, "TDG": 1, "X": 1, "Z": 1,
@@ -199,13 +214,6 @@ def circuit_unitary(gates, num_wires: int) -> np.ndarray:
 class _ProgramBuilder:
     def __init__(self, num_wires):
         self.program = AngleProgram(num_wires=num_wires)
-        self._next_gid = 0
-
-    def _new_group(self, wires, target, label):
-        gid = self._next_gid
-        self._next_gid += 1
-        self.program.groups.append(Group(gid, tuple(wires), target, label))
-        return gid
 
     def _add_round(self, wire, k, gid, rig, adapt3, m1_idx, label):
         plan = RoundPlan(
@@ -222,50 +230,42 @@ class _ProgramBuilder:
         self.program.events.append(("round", plan))
         return plan
 
-    def block(self, wire, kind):
-        base, adapt3, target = BLOCK_TABLE[kind]
-        gid = self._new_group((wire,), target, kind)
-        first_idx = len(self.program.rounds) + 1
-        for r in range(graphs.ROUNDS_PER_CELL):
-            self._add_round(wire, base[r], gid, r, adapt3, first_idx, kind)
-        self.program.events.append(("extract", gid))
-
     def raw(self, wire, angle_indices):
         """Rounds at fixed command angles, in one group with no target."""
-        gid = self._new_group((wire,), None, "raw")
+        gid = len(self.program.groups)
+        self.program.groups.append(Group(gid, (wire,), None, "raw"))
         for k in angle_indices:
             self._add_round(wire, k, gid, 0, None, None, "raw")
 
-    def pauli(self, wire, which):
-        target = qsim.X.entries if which == "X" else qsim.Z.entries
-        gid = self._new_group((wire,), target, which)
-        self.program.events.append(("extract", gid))
+    def group(self, entry: graphs.CellEntry, wires):
+        """Emit `entry` on `wires` (low slot first): the rounds of each wire,
+        a bridge after rounds (i, j) if the entry has one, and the extract."""
+        gid = len(self.program.groups)
+        schedules = (entry.wire0, entry.wire1)[:len(wires)]
+        plans = [[] for _ in wires]
 
-    def cell(self, entry_name, low_wire, high_wire):
-        entry = graphs.calibrate_unit_cell().entries[entry_name]
-        gid = self._new_group((low_wire, high_wire), entry.target, entry_name)
-        i, j = entry.bridge
-        specs = ((low_wire, entry.wire0), (high_wire, entry.wire1))
-        firsts = {}
-        counts = {low_wire: 0, high_wire: 0}
+        def emit(slot, upto):
+            sched, done = schedules[slot], plans[slot]
+            while len(done) < upto:
+                first = done[0].round_index if done else len(self.program.rounds) + 1
+                done.append(self._add_round(wires[slot], sched.base[len(done)], gid,
+                                            len(done), sched.adapt3, first, entry.name))
 
-        def emit(wire, sched, upto):
-            while counts[wire] < upto:
-                r = counts[wire]
-                if r == 0:
-                    firsts[wire] = len(self.program.rounds) + 1
-                self._add_round(
-                    wire, sched.base[r], gid, r, sched.adapt3, firsts[wire],
-                    entry_name,
-                )
-                counts[wire] += 1
+        if entry.bridge is not None:
+            for slot, anchor in enumerate(entry.bridge):
+                emit(slot, anchor)
+            self.program.events.append(("bridge", tuple(wires)))
+        for slot, sched in enumerate(schedules):
+            emit(slot, len(sched.base))
+        rounds = tuple(p.round_index for done in plans for p in done)
+        group = Group(gid, tuple(wires), entry.target, entry.name, rounds, entry.frames)
+        self.program.groups.append(group)
+        self.program.events.append(("extract", group))
 
-        emit(low_wire, entry.wire0, i)
-        emit(high_wire, entry.wire1, j)
-        self.program.events.append(("bridge", (low_wire, high_wire), gid))
-        emit(low_wire, entry.wire0, graphs.ROUNDS_PER_CELL)
-        emit(high_wire, entry.wire1, graphs.ROUNDS_PER_CELL)
-        self.program.events.append(("extract", gid))
+
+# The groups that realize a gate, in order, where they are not the gate's
+# own block or cell: CZ * (CZ * CNOT) = CNOT, so the bridged cell goes first.
+_GATE_GROUPS = {"T": ("H", "TH"), "TDG": ("H", "TDGH"), "CNOT": ("CZCNOT", "CZ")}
 
 
 def compile_circuit(gates, num_wires: int = None, pad_to: int = None) -> AngleProgram:
@@ -274,22 +274,12 @@ def compile_circuit(gates, num_wires: int = None, pad_to: int = None) -> AnglePr
         num_wires = max((w for g in gates for w in g.wires), default=0) + 1
     builder = _ProgramBuilder(num_wires)
     for gate in gates:
-        if gate.name in ("H", "S", "SDG"):
-            builder.block(gate.wires[0], gate.name)
-        elif gate.name == "T":
-            builder.block(gate.wires[0], "H")
-            builder.block(gate.wires[0], "TH")
-        elif gate.name == "TDG":
-            builder.block(gate.wires[0], "H")
-            builder.block(gate.wires[0], "TDGH")
-        elif gate.name in ("X", "Z"):
-            builder.pauli(gate.wires[0], gate.name)
-        elif gate.name == "CZ":
-            builder.cell("CZ", gate.wires[0], gate.wires[1])
-        elif gate.name == "CNOT":
-            # CZ * (CZ * CNOT) = CNOT; the bridged cell goes first.
-            builder.cell("CZCNOT", gate.wires[0], gate.wires[1])
-            builder.cell("CZ", gate.wires[0], gate.wires[1])
+        for name in _GATE_GROUPS.get(gate.name, (gate.name,)):
+            if len(gate.wires) == 2:
+                entry = graphs.calibrate_unit_cell().entries[name]
+            else:
+                entry = block_entry(name)
+            builder.group(entry, gate.wires)
     program = builder.program
     if pad_to is not None:
         if pad_to < program.num_rounds or (pad_to - program.num_rounds) % 3:
@@ -297,7 +287,7 @@ def compile_circuit(gates, num_wires: int = None, pad_to: int = None) -> AnglePr
                 f"cannot pad {program.num_rounds} rounds to {pad_to}"
             )
         while program.num_rounds < pad_to:
-            builder.block(0, "I")
+            builder.group(block_entry("I"), (0,))
     return program
 
 
@@ -419,15 +409,6 @@ def _deliver(channel, rng_loss, rng_mask, transcript, round_index, device=None):
     )
 
 
-# The per-round gain R_k H (graphs.ROUND_GAINS, indexed by signed k) embedded
-# for each (group width, slot): a one-wire group, or the low or high wire of a cell.
-_SLOT_GAINS = {
-    (1, 0): graphs.ROUND_GAINS,
-    (2, 0): [np.kron(np.eye(2), g) for g in graphs.ROUND_GAINS],
-    (2, 1): [np.kron(g, np.eye(2)) for g in graphs.ROUND_GAINS],
-}
-
-
 def _round_branches(reg, round_index, wire, command, measure, pair):
     """The quantum part of one round, as (a, m, pa, pm, register) per branch.
 
@@ -460,13 +441,12 @@ def _round_branches(reg, round_index, wire, command, measure, pair):
 @dataclass
 class _Node:
     """A point of a run: the server's register (None on a registerless run)
-    and the client's record (wire frames, words of the groups not yet
-    extracted, bits the server reported, branch probability, a chain's
-    read-out bit). A node is owned by one branch and consumed by _step."""
+    and the client's record (wire frames, bits the server reported, branch
+    probability, a chain's read-out bit). A node is owned by one branch and
+    consumed by _step."""
 
     reg: _Register | None
     frames: list
-    acc: dict
     m_bits: tuple = ()
     prob: float = 1.0
     command: Angle = None  # the last round's command angle
@@ -480,16 +460,10 @@ def _start(program: AngleProgram, input_state: StateVector) -> _Node:
         if input_state.num_qubits != program.num_wires:
             raise ValueError("input state does not match the program's wire count")
         reg = _Register(input_state.copy(), [("wire", w) for w in range(program.num_wires)])
-    return _Node(reg, [FRAME_I] * program.num_wires, {})
+    return _Node(reg, [FRAME_I] * program.num_wires)
 
 
-def _word(acc, group):
-    """The group's accumulated word; the identity before its first round."""
-    word = acc.get(group.group_id)
-    return np.eye(2 ** len(group.wires), dtype=complex) if word is None else word
-
-
-def _step(node, event, groups_by_id, measure, pair_source=None):
+def _step(node, event, measure, pair_source=None):
     """The nodes that follow `node` through one event, in branch order.
 
     Protocol 2 runs its program's events: round, bridge and extract. The
@@ -503,24 +477,19 @@ def _step(node, event, groups_by_id, measure, pair_source=None):
     if kind in ("deliver", "done"):
         return [node]  # classical only: the run loop sends the messages
     if kind == "bridge":
-        _, (wa, wb), gid = event
+        _, (wa, wb) = event
         if node.reg is not None:
             node.reg.apply(qsim.CZ, [("wire", wa), ("wire", wb)])
         fa, fb = node.frames[wa], node.frames[wb]
         node.frames[wa] = PauliFrame(fa.x, fa.z ^ fb.x)
         node.frames[wb] = PauliFrame(fb.x, fb.z ^ fa.x)
-        node.acc[gid] = qsim.CZ.entries @ _word(node.acc, groups_by_id[gid])
         return [node]
     if kind == "extract":
-        group = groups_by_id[event[1]]
-        if group.target is not None:
-            # The Pauli factors that turn the accumulated word into the target.
-            folds = match_frames(_word(node.acc, group), group.target)
-            if folds is None:
-                raise RuntimeError(f"group {group.label!r}: accumulated word does not match target")
-            for w, f in zip(group.wires, folds):
-                node.frames[w] = node.frames[w].compose(f)
-        node.acc.pop(group.group_id, None)
+        # The Pauli factors the group's word leaves on this branch.
+        group = event[1]
+        folds = group.frames[tuple(node.m_bits[r - 1] for r in group.rounds)]
+        for w, f in zip(group.wires, folds):
+            node.frames[w] = node.frames[w].compose(f)
         return [node]
     if kind == "teleport":
         # The server teleports the vertex to the client through a fresh pair
@@ -534,8 +503,8 @@ def _step(node, event, groups_by_id, measure, pair_source=None):
         for mz, p1, after_z in node.reg.branches(measure, vertex, qsim.Z_BRAS):
             for mx, p2, after_x in after_z.branches(measure, keep, qsim.Z_BRAS):
                 after_x.relabel(sent, vertex)
-                children.append(_Node(after_x, list(node.frames), dict(node.acc),
-                                      node.m_bits + (mz, mx), node.prob * (p1 * p2)))
+                children.append(_Node(after_x, list(node.frames), node.m_bits + (mz, mx),
+                                      node.prob * (p1 * p2)))
         return children
     if kind in ("vertex", "readout"):
         # The client measures a delivered vertex: a plan step at its angle, or
@@ -547,19 +516,16 @@ def _step(node, event, groups_by_id, measure, pair_source=None):
         mz, mx = node.m_bits[-2:] if teleported else (0, 0)
         frame = node.frames[0]
         if kind == "readout":
-            return [_Node(reg, [frame], dict(node.acc), node.m_bits, node.prob * p,
+            return [_Node(reg, [frame], node.m_bits, node.prob * p,
                           out=(b ^ mx ^ frame.x,))
                     for b, p, reg in node.reg.branches(measure, target, qsim.Z_BRAS)]
         command = -target.base_angle if frame.x ^ mx else target.base_angle
-        return [_Node(reg, [RoundPlan.frame_update(frame, 0, s ^ mz)], dict(node.acc),
-                      node.m_bits, node.prob * p, command)
+        return [_Node(reg, [RoundPlan.frame_update(frame, 0, s ^ mz)], node.m_bits,
+                      node.prob * p, command)
                 for s, p, reg in node.reg.branches(
                     measure, target.vertex, qsim.ROTATED_BRAS[command.k])]
 
     plan = event[1]
-    group = groups_by_id[plan.group_id]
-    gains = _SLOT_GAINS[len(group.wires), group.wires.index(plan.wire)]
-    word = _word(node.acc, group)
     command = plan.adapt_rule(node.m_bits, node.frames[plan.wire])
     children = []
     for a, m, pa, pm, reg in _round_branches(
@@ -567,19 +533,16 @@ def _step(node, event, groups_by_id, measure, pair_source=None):
     ):
         frames = list(node.frames)
         frames[plan.wire] = RoundPlan.frame_update(frames[plan.wire], a, m)
-        m_bits = node.m_bits + (m,)
-        want = plan.want_angle(m_bits)
-        acc = dict(node.acc)
-        acc[group.group_id] = gains[-want.k if m else want.k] @ word
         # pa * pm first: certificates print noise-level sums of these products.
-        children.append(_Node(reg, frames, acc, m_bits, node.prob * (pa * pm), command))
+        children.append(_Node(reg, frames, node.m_bits + (m,), node.prob * (pa * pm),
+                              command))
     return children
 
 
 _DONE = ("done",)
 
 
-def _run(node, events, measure, groups_by_id=None, *, channel=None,
+def _run(node, events, measure, *, channel=None,
          loss_masking=False, device=None, pair_source=None):
     """Run `events` from `node` along the one branch `measure` follows.
 
@@ -605,7 +568,7 @@ def _run(node, events, measure, groups_by_id=None, *, channel=None,
         elif kind == "done":
             transcript.append(Message(rnd, A2B, "DONE"))
         reported = len(node.m_bits)
-        (node,) = _step(node, event, groups_by_id, measure, pair_source)
+        (node,) = _step(node, event, measure, pair_source)
         if kind == "round" and device is not None:
             device.observe_angle(node.command.k)
         for m in node.m_bits[reported:]:
@@ -615,7 +578,7 @@ def _run(node, events, measure, groups_by_id=None, *, channel=None,
                            rounds_completed=rnd)
 
 
-def _walk(node, events, groups_by_id=None):
+def _walk(node, events):
     """Every leaf of a lossless, honest run's outcome tree, exactly.
 
     A depth-first walk: each measurement forks on its possible outcomes (0
@@ -629,12 +592,8 @@ def _walk(node, events, groups_by_id=None):
         if i == len(events):
             yield node
             continue
-        children = _step(node, events[i], groups_by_id, qsim.measurement_branches)
+        children = _step(node, events[i], qsim.measurement_branches)
         stack.extend((child, i + 1) for child in reversed(children))
-
-
-def _groups(program: AngleProgram) -> dict:
-    return {g.group_id: g for g in program.groups}
 
 
 def run_protocol2(
@@ -672,7 +631,7 @@ def run_protocol2(
         forced_outcomes = [b for pair in forced_outcomes for b in pair]
     node, result = _run(
         node, [*program.events, _DONE], _measurement(rng, forced_outcomes),
-        _groups(program), channel=channel, loss_masking=loss_masking, device=device,
+        channel=channel, loss_masking=loss_masking, device=device,
         pair_source=pair_source,
     )
     if node.reg is not None:
@@ -689,7 +648,7 @@ def walk_protocol2(program: AngleProgram, input_state: StateVector):
     fair coins in its place a certificate would assume what it certifies."""
     if input_state is None:
         raise ValueError("the walk needs an input state")
-    leaves = _walk(_start(program, input_state), program.events, _groups(program))
+    leaves = _walk(_start(program, input_state), program.events)
     return ((leaf.m_bits, leaf.prob) for leaf in leaves)
 
 
@@ -716,8 +675,7 @@ def round2_step(register: StateVector, wire_qubit: int, theta: Angle,
     builder.raw(wire_qubit, [theta.k])
     program = builder.program
     measure = _measurement(rng, None if hasattr(rng, "random") else rng)
-    node, result = _run(_start(program, register), program.events, measure,
-                        _groups(program), channel=channel)
+    node, result = _run(_start(program, register), program.events, measure, channel=channel)
     # From the identity frame a round leaves the frame (x, z) = (m, a).
     a = node.frames[wire_qubit].z
     out = node.reg.extract([("wire", w) for w in range(register.num_qubits)])
@@ -794,7 +752,7 @@ def _chain(resource, plan, teleported: bool):
             events.append(("vertex", plan[vertex], teleported))
         else:
             events.append(("readout", vertex, teleported))
-    start = _Node(_Register(resource.state.copy(), range(n)), [FRAME_I], {})
+    start = _Node(_Register(resource.state.copy(), range(n)), [FRAME_I])
     return start, events + [_DONE]
 
 

@@ -50,8 +50,6 @@ class Angle:
 
 
 ALL_ANGLES = tuple(Angle(k) for k in range(8))
-# The subset a compiled program ever commands: 0, pi/2, -pi/4, pi/4.
-SCHEDULE_ANGLES = (Angle(0), Angle(2), Angle(7), Angle(1))
 
 
 class GateMatrix:
@@ -80,7 +78,6 @@ def rotation(theta: Angle) -> GateMatrix:
     return GateMatrix(np.diag([1.0, np.exp(1j * theta.radians)]), f"R{theta.k}")
 
 
-I = GateMatrix(np.eye(2), "I")
 H = GateMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2), "H")
 X = GateMatrix(np.array([[0, 1], [1, 0]]), "X")
 Z = GateMatrix(np.diag([1.0, -1.0]), "Z")

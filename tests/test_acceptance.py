@@ -63,20 +63,24 @@ def test_c02_composition_identity_catalog(acceptance_log):
 
 
 def test_c03_blocks_exhaustive_branches(acceptance_log):
-    """Every 3-round block realizes its gate on all 64 outcome branches."""
+    """Every one-wire block the compiler emits realizes its gate on every
+    outcome branch (64 for three rounds, one for a Pauli)."""
     start = time.monotonic()
-    ok = True
+    singles = [name for name, arity in protocols.GATE_ARITY.items() if arity == 1]
+    kinds = {g.label for name in singles
+             for g in protocols.compile_circuit([protocols.Gate(name, (0,))], pad_to=9).groups}
+    ok = kinds == set(protocols.BLOCK_TABLE)
     rng = default_rng(5)
-    for kind in ("H", "S", "SH", "TH", "TDGH"):
+    for kind in sorted(kinds):
         builder = protocols._ProgramBuilder(1)
-        builder.block(0, kind)
+        builder.group(protocols.block_entry(kind), (0,))
         program = builder.program
         target = protocols.BLOCK_TABLE[kind][2]
         psi = qsim.random_state(1, rng)
         want = qsim.StateVector(target @ psi.amplitudes, check=False)
         total = 0.0
-        for bits in itertools.product((0, 1), repeat=6):
-            forced = [(bits[2 * r], bits[2 * r + 1]) for r in range(3)]
+        for bits in itertools.product((0, 1), repeat=2 * program.num_rounds):
+            forced = [(bits[2 * r], bits[2 * r + 1]) for r in range(program.num_rounds)]
             try:
                 result = protocols.run_protocol2(
                     program, psi, ChannelModel(0.0), forced_outcomes=forced

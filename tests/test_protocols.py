@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -7,10 +7,12 @@ from numpy.random import default_rng
 
 from blinddelegate import adversaries, graphs, protocols, qsim
 from blinddelegate.errors import (
+    CalibrationError,
     DegenerateMeasurementError,
     FormatError,
     RetryLimitError,
 )
+from blinddelegate.pauli import FRAME_I, PauliFrame, match_frames
 from blinddelegate.protocols import ChannelModel, Gate, Message
 
 
@@ -486,15 +488,102 @@ def test_format_loss_is_compact():
     ("H 0\n", qsim.T.entries),
     ("CZ 0 1\n", qsim.CNOT.entries),
 ])
-def test_run_protocol2_rejects_word_off_group_target(text, target):
-    """Frame extraction raises when the accumulated word is no Pauli * target."""
-    program = protocols.compile_circuit(protocols.parse_circuit(text))
-    program.groups[0] = dataclasses.replace(program.groups[0], target=target)
-    with pytest.raises(RuntimeError, match="does not match target"):
-        protocols.run_protocol2(
-            program, qsim.basis_state(program.num_wires, 0), ChannelModel(0.0),
-            rng=default_rng(0),
-        )
+def test_group_table_rejects_word_off_target(monkeypatch, text, target):
+    """A group whose word is no Pauli * target on some branch is refused with
+    CalibrationError where its branch-frame table is built, so no program
+    that holds it compiles and no round of it runs."""
+    group = protocols.compile_circuit(protocols.parse_circuit(text)).groups[0]
+    if len(group.wires) == 2:
+        entry = graphs.calibrate_unit_cell().entries[group.label]
+    else:
+        entry = protocols.block_entry(group.label)
+    with pytest.raises(CalibrationError, match="not Pauli \\* target on every branch"):
+        graphs.make_entry(entry.name, entry.wire0, entry.wire1, entry.bridge, target)
+    if len(group.wires) == 1:
+        # The same block row with the wrong gate stops the compile.
+        base, adapt3, _ = protocols.BLOCK_TABLE[group.label]
+        monkeypatch.setitem(protocols.BLOCK_TABLE, group.label, (base, adapt3, target))
+        monkeypatch.setattr(protocols, "block_entry",
+                            functools.cache(protocols.block_entry.__wrapped__))
+        with pytest.raises(CalibrationError, match="not Pauli \\* target on every branch"):
+            protocols.compile_circuit(protocols.parse_circuit(text))
+
+
+def _reference_frames(program, bits):
+    """Final frames by per-round word accumulation, for per-round (a, m) bits.
+
+    Each round multiplies its gain R_{(-1)^m k} H into the open group's word,
+    a bridge multiplies CZ, and an extract matches the word against the
+    group's target for the Pauli folds. A compiled program closes each group
+    before it opens the next, so one word is open at a time.
+    """
+    gains = [qsim.rotation(qsim.Angle(k)).entries @ qsim.H.entries for k in range(8)]
+    m_bits = bits[1::2]
+    frames = [FRAME_I] * program.num_wires
+    word = None
+    for event in program.events:
+        if event[0] == "round":
+            plan = event[1]
+            r = plan.round_index - 1
+            wires = program.groups[plan.group_id].wires
+            frames[plan.wire] = protocols.RoundPlan.frame_update(
+                frames[plan.wire], bits[2 * r], m_bits[r])
+            k = plan.want_angle(m_bits).k
+            gain = gains[-k if m_bits[r] else k]
+            if len(wires) == 2:
+                eye = np.eye(2)
+                gain = np.kron(eye, gain) if plan.wire == wires[0] else np.kron(gain, eye)
+            word = gain @ (np.eye(2 ** len(wires)) if word is None else word)
+        elif event[0] == "bridge":
+            wa, wb = event[1]
+            fa, fb = frames[wa], frames[wb]
+            frames[wa] = PauliFrame(fa.x, fa.z ^ fb.x)
+            frames[wb] = PauliFrame(fb.x, fb.z ^ fa.x)
+            word = qsim.CZ.entries @ (np.eye(4) if word is None else word)
+        else:
+            group = event[1]
+            folds = match_frames(np.eye(2) if word is None else word, group.target)
+            assert folds is not None, group.label
+            for w, f in zip(group.wires, folds):
+                frames[w] = frames[w].compose(f)
+            word = None
+    return frames
+
+
+def _block_program(kind):
+    builder = protocols._ProgramBuilder(1)
+    builder.group(protocols.block_entry(kind), (0,))
+    return builder.program
+
+
+@pytest.mark.parametrize("case", ["T 0", "CZ 0 1", *[f"block {k}" for k in protocols.BLOCK_TABLE]])
+def test_table_frames_equal_word_accumulation_on_every_leaf(case):
+    # Honest rounds never drop a branch, so the walk's leaves are exactly the
+    # per-round (a, m) bit strings, in itertools.product order.
+    if case.startswith("block"):
+        program = _block_program(case.split()[1])
+    else:
+        program = protocols.compile_circuit(protocols.parse_circuit(case))
+    psi = qsim.random_state(program.num_wires, default_rng(8))
+    start = protocols._start(program, psi)
+    leaves = protocols._walk(start, program.events)
+    strings = itertools.product((0, 1), repeat=2 * program.num_rounds)
+    for leaf, bits in zip(leaves, strings, strict=True):
+        assert leaf.m_bits == bits[1::2]
+        assert leaf.frames == _reference_frames(program, bits)
+
+
+def test_table_frames_equal_word_accumulation_on_sampled_runs():
+    # 21 rounds: 4**21 leaves are too many to walk, so forced runs sample them.
+    program = protocols.compile_circuit(protocols.parse_circuit("H 0\nCNOT 0 1\nT 1"))
+    rng = default_rng(9)
+    psi = qsim.random_state(2, rng)
+    for _ in range(200):
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=2 * program.num_rounds))
+        forced = list(zip(bits[0::2], bits[1::2]))
+        result = protocols.run_protocol2(program, psi, ChannelModel(0.0),
+                                         forced_outcomes=forced)
+        assert result.final_frames == _reference_frames(program, bits)
 
 
 # --------------------------------------------------------------------------
