@@ -1,20 +1,21 @@
-"""Graph-state builders, stabilizer checks, and the two-wire unit-cell catalog.
+"""Graph-state builders, stabilizer checks, and the gate-group entries.
 
 The unit cell is two wires of three measured columns plus one output column.
 Its bridge placement and per-operation angle schedules are not hardcoded from
-a drawing; `calibrate_unit_cell` finds them by deterministic exhaustive search
-and the result is frozen for the life of the process.
+a drawing: `group_entry` finds each catalog cell by deterministic exhaustive
+search, and builds each one-wire block from its BLOCK_TABLE row, once per
+process and only when first asked; `calibrate_unit_cell` views the catalog.
 
 `branch_frames` is the one model of a gate group's word: it multiplies out
 the group's rounds on every outcome branch, checks each word is Pauli * target
-and tables the Pauli folds by the reported bits. Calibration keeps each
-entry's table, and protocol 2 closes every group by looking its folds up.
+and tables the Pauli folds by the reported bits. Every entry keeps its table,
+and protocol 2 closes every group by looking its folds up.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,10 +112,10 @@ def stabilizer_expectation(resource: ResourceState, vertex: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# Unit-cell calibration
+# Gate-group entries: one-wire blocks and calibrated unit cells
 # --------------------------------------------------------------------------
 
-# Angle grid a schedule entry may use (indices k with theta = k*pi/4).
+# Angle grids the searches scan (indices k with theta = k*pi/4).
 SEARCH_ANGLES = (0, 2, 7, 1)
 CLIFFORD_ANGLES = (0, 2)
 ROUNDS_PER_CELL = 3
@@ -149,7 +150,7 @@ class CellEntry:
 @dataclass(frozen=True)
 class UnitCellCalibration:
     bridge: tuple  # placement used by the entangling entry (graph edge columns)
-    entries: dict = field(default_factory=dict)
+    entries: dict  # catalog name -> CellEntry, in catalog order
 
 
 # The gain R_k H that one round puts on its wire, indexed by the signed angle
@@ -187,13 +188,13 @@ def cell_operator(w0: WireSchedule, w1: WireSchedule, bridge, m0_bits, m1_bits):
     return after @ _CZ4 @ before
 
 
-def branch_frames(w0, w1, bridge, target, tol=1e-10):
+def branch_frames(w0, w1, bridge, target):
     """{m bits: per-wire folds} over every outcome branch, or None if some
     branch's word is not Pauli * target.
 
     The key lists the reported bits of the group's rounds, wire 0's first;
     the folds (low slot first) are the Pauli factors P with word = P @ target
-    up to phase. w1=None checks w0 alone.
+    up to phase. w1=None checks w0 alone. The all-zero branch is tried first.
     """
     n0 = len(w0.base)
     n = n0 + (0 if w1 is None else len(w1.base))
@@ -203,17 +204,17 @@ def branch_frames(w0, w1, bridge, target, tol=1e-10):
             op = _wire_word(w0, bits)
         else:
             op = cell_operator(w0, w1, bridge, bits[:n0], bits[n0:])
-        folds = pauli.match_frames(op, target, tol)
+        folds = pauli.match_frames(op, target)
         if folds is None:
             return None
         table[bits] = folds
     return table
 
 
-def make_entry(name, w0, w1, bridge, target, tol=1e-10) -> CellEntry:
+def make_entry(name, w0, w1, bridge, target) -> CellEntry:
     """The entry with its branch-frame table; CalibrationError if some branch
     misses `target`."""
-    frames = branch_frames(w0, w1, bridge, target, tol)
+    frames = branch_frames(w0, w1, bridge, target)
     if frames is None:
         raise CalibrationError(f"{name} is not Pauli * target on every branch")
     return CellEntry(name, w0, w1, bridge, target, frames)
@@ -231,89 +232,90 @@ def _adaptive_schedules(grid):
                 yield WireSchedule((k1, k2, c0), adapt3=(c0, c1))
 
 
-def _search_single_wire(target2: np.ndarray, tol=1e-10):
-    """First schedule whose every branch word is Pauli * target2."""
+def _search_single_wire(name, target2: np.ndarray):
+    """The entry of the first wire-0 schedule whose every branch word is
+    Pauli * target2, with wire 1 idle on IxI's schedule, or None."""
     candidates = itertools.chain(
         _constant_schedules(SEARCH_ANGLES), _adaptive_schedules(SEARCH_ANGLES)
     )
     for sched in candidates:
-        if branch_frames(sched, None, None, target2, tol) is not None:
-            return sched
+        if branch_frames(sched, None, None, target2) is not None:
+            idle = sched if name == "IxI" else group_entry("IxI").wire0
+            return make_entry(name, sched, idle, None, np.kron(_I2, target2))
     return None
 
 
-def _search_entangling(name, target4: np.ndarray, tol=1e-10):
-    """The entry of the first (bridge, w0, w1) realizing target4 on every branch.
-
-    Stage 1 restricts schedules to the two Clifford angles, which is enough for
-    branch determinism without cross-wire adaptation; the wider grid is only
-    scanned if that fails.
-    """
-    zero = (0, 0, 0)
-    for grid in (CLIFFORD_ANGLES, SEARCH_ANGLES):
-        w_candidates = list(_constant_schedules(grid))
-        for bridge in itertools.product(range(ROUNDS_PER_CELL + 1), repeat=2):
-            for w0 in w_candidates:
-                for w1 in w_candidates:
-                    op = cell_operator(w0, w1, bridge, zero, zero)
-                    if pauli.match_frames(op, target4, tol) is None:
-                        continue  # cheap zero-branch reject
-                    frames = branch_frames(w0, w1, bridge, target4, tol)
-                    if frames is not None:
-                        return CellEntry(name, w0, w1, bridge, target4, frames)
+def _search_entangling(name, target4: np.ndarray):
+    """The entry of the first (bridge, w0, w1) realizing target4 on every
+    branch, or None. The two Clifford angles suffice for both entangling
+    entries: no cross-wire adaptation is needed for branch determinism."""
+    schedules = list(_constant_schedules(CLIFFORD_ANGLES))
+    for bridge in itertools.product(range(ROUNDS_PER_CELL + 1), repeat=2):
+        for w0, w1 in itertools.product(schedules, repeat=2):
+            frames = branch_frames(w0, w1, bridge, target4)
+            if frames is not None:
+                return CellEntry(name, w0, w1, bridge, target4, frames)
     return None
 
 
 _I2 = np.eye(2, dtype=complex)
 _H2 = qsim.H.entries
 
+# One-wire groups the compiler emits: base angle indices (three rounds, or
+# none for a Pauli), round-3 adaptation on the block's first reported bit, and
+# the realized gate. group_entry checks each on every outcome branch and keeps
+# its table of Pauli folds.
+BLOCK_TABLE = {
+    "H": ((0, 0, 0), None, qsim.H.entries),
+    "S": ((2, 2, 0), None, qsim.S.entries),
+    "SDG": ((2, 2, 0), None, qsim.SDG.entries),
+    "I": ((2, 2, 2), None, _I2),
+    "TH": ((7, 0, 0), (0, 2), qsim.T.entries @ _H2),
+    "TDGH": ((1, 0, 0), (0, 2), qsim.TDG.entries @ _H2),
+    "X": ((), None, qsim.X.entries),
+    "Z": ((), None, qsim.Z.entries),
+}
+
 # Catalog references; "A x I" means A acts on wire 0 (the 4x4 low index bit).
-_CATALOG_SINGLE = [
-    ("IxI", _I2),
-    ("SHxI", qsim.S.entries @ _H2),
-    ("STHxI", qsim.S.entries @ qsim.T.entries @ _H2),
-    ("STDGHxI", qsim.S.entries @ qsim.TDG.entries @ _H2),
-    ("HxI", _H2),
-]
-_CNOT4 = qsim.CNOT.entries  # control = wire 0
-_CATALOG_ENTANGLING = [
-    ("CZCNOT", _CZ4 @ _CNOT4),
-    ("CZ", _CZ4),
-]
+_CATALOG_SINGLE = {
+    "IxI": _I2,
+    "SHxI": qsim.S.entries @ _H2,
+    "STHxI": qsim.S.entries @ qsim.T.entries @ _H2,
+    "STDGHxI": qsim.S.entries @ qsim.TDG.entries @ _H2,
+    "HxI": _H2,
+}
+_CATALOG_ENTANGLING = {
+    "CZCNOT": _CZ4 @ qsim.CNOT.entries,  # the CNOT's control is wire 0
+    "CZ": _CZ4,
+}
 
-_CACHED_CALIBRATION = None
+_ENTRIES = {}  # name -> CellEntry, each built by group_entry on first use
 
 
-def calibrate_unit_cell(tol: float = 1e-10) -> UnitCellCalibration:
-    """Exhaustively reconstruct the cell: bridge placement plus one verified
-    angle schedule, with its branch-frame table, per catalog operation.
-    Deterministic; cached per process."""
-    global _CACHED_CALIBRATION
-    if _CACHED_CALIBRATION is not None:
-        return _CACHED_CALIBRATION
-
-    identity_wire = _search_single_wire(_I2, tol)
-    if identity_wire is None:
-        raise CalibrationError("no schedule realizes the identity wire")
-
-    entries = {}
-    for name, target2 in _CATALOG_SINGLE:
-        sched = _search_single_wire(target2, tol)
-        if sched is None:
-            raise CalibrationError(f"no schedule realizes {name}")
-        entries[name] = make_entry(name, sched, identity_wire, None, np.kron(_I2, target2), tol)
-
-    bridge_used = None
-    for name, target4 in _CATALOG_ENTANGLING:
-        entry = _search_entangling(name, target4, tol)
+def group_entry(name) -> CellEntry:
+    """The gate group `name` with its branch-frame table: a BLOCK_TABLE
+    block, or a catalog cell found by search. Built once, on first use;
+    CalibrationError if a block misses its gate or a search finds nothing."""
+    entry = _ENTRIES.get(name)
+    if entry is None:
+        if name in BLOCK_TABLE:
+            base, adapt3, target = BLOCK_TABLE[name]
+            entry = make_entry(name, WireSchedule(base, adapt3), None, None, target)
+        elif name in _CATALOG_SINGLE:
+            entry = _search_single_wire(name, _CATALOG_SINGLE[name])
+        else:
+            entry = _search_entangling(name, _CATALOG_ENTANGLING[name])
         if entry is None:
-            raise CalibrationError(f"no bridged cell realizes {name}")
-        entries[name] = entry
-        if name == "CZCNOT":
-            bridge_used = entry.bridge
+            raise CalibrationError(f"no schedule realizes {name}")
+        _ENTRIES[name] = entry
+    return entry
 
-    _CACHED_CALIBRATION = UnitCellCalibration(bridge=bridge_used, entries=entries)
-    return _CACHED_CALIBRATION
+
+def calibrate_unit_cell() -> UnitCellCalibration:
+    """Every catalog entry (from group_entry, so each is searched at most
+    once per process) and the entangling cell's bridge placement."""
+    entries = {name: group_entry(name) for name in (*_CATALOG_SINGLE, *_CATALOG_ENTANGLING)}
+    return UnitCellCalibration(bridge=entries["CZCNOT"].bridge, entries=entries)
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +335,6 @@ def tile(cells_wide: int, cells_deep: int) -> GraphSpec:
     """
     if cells_wide < 1 or cells_deep < 1:
         raise ValueError("tiling dimensions must be >= 1")
-    calibration = calibrate_unit_cell()
     wires = cells_wide + 1
     cols = _cell_columns(cells_deep)
 
@@ -344,7 +345,7 @@ def tile(cells_wide: int, cells_deep: int) -> GraphSpec:
     edges = [
         (vid(w, c), vid(w, c + 1)) for w in range(wires) for c in range(cols - 1)
     ]
-    bi, bj = calibration.bridge
+    bi, bj = group_entry("CZCNOT").bridge
     for row in range(cells_wide):
         for depth in range(cells_deep):
             if depth % 2 == row % 2:
@@ -393,20 +394,23 @@ def read_graph(text: str) -> GraphSpec:
     edges, assignment, inputs, outputs = [], {}, [], []
     for ln in lines[1:]:
         fields = ln.split()
-        if fields[0] == "e" and len(fields) == 3:
-            edges.append((int(fields[1]), int(fields[2])))
-        elif fields[0] == "v" and len(fields) in (4, 5):
-            v = int(fields[1])
-            assignment[v] = (int(fields[2]), int(fields[3]))
-            mark = fields[4] if len(fields) == 5 else "mid"
-            if mark not in _MARKS:
-                raise FormatError(f"unknown vertex mark {mark!r}")
-            if mark == "in":
-                inputs.append(v)
-            elif mark == "out":
-                outputs.append(v)
-        else:
-            raise FormatError(f"unrecognized graph line: {ln!r}")
+        try:
+            if fields[0] == "e" and len(fields) == 3:
+                edges.append((int(fields[1]), int(fields[2])))
+            elif fields[0] == "v" and len(fields) in (4, 5):
+                v = int(fields[1])
+                assignment[v] = (int(fields[2]), int(fields[3]))
+                mark = fields[4] if len(fields) == 5 else "mid"
+                if mark not in _MARKS:
+                    raise FormatError(f"unknown vertex mark {mark!r}")
+                if mark == "in":
+                    inputs.append(v)
+                elif mark == "out":
+                    outputs.append(v)
+            else:
+                raise FormatError(f"unrecognized graph line: {ln!r}")
+        except ValueError as exc:
+            raise FormatError(f"malformed graph line: {ln!r}") from exc
     try:
         return make_graph(n, edges, assignment, inputs, outputs)
     except ValueError as exc:

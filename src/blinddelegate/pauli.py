@@ -75,7 +75,7 @@ FRAME_MATRICES.update(
 )
 
 
-def match_frames(m: np.ndarray, target: np.ndarray, tol: float = 1e-10):
+def match_frames(m: np.ndarray, target: np.ndarray):
     """Per-wire frames P (low slot first) with m = phase * P @ target, or None.
 
     m and target are 2x2 (one wire) or 4x4 (two wires) unitaries. P is read
@@ -89,7 +89,7 @@ def match_frames(m: np.ndarray, target: np.ndarray, tol: float = 1e-10):
         PauliFrame((row >> j) & 1, (pauli[row ^ (1 << j), 1 << j] / pauli[row, 0]).real < 0)
         for j in range(len(pauli).bit_length() - 1)
     )
-    if qsim.matrices_equal_up_to_phase(m, FRAME_MATRICES[frames] @ target, tol):
+    if qsim.matrices_equal_up_to_phase(m, FRAME_MATRICES[frames] @ target):
         return frames
     return None
 
@@ -176,7 +176,7 @@ _CANONICAL_WORDS = [
 CANONICAL_TABLE = [(name, word(text).matrix()) for name, text in _CANONICAL_WORDS]
 
 
-def reduce_word(w: CliffordTWord, tol: float = 1e-10):
+def reduce_word(w: CliffordTWord):
     """Split w into (frame, canonical) with w = phase * frame * canonical.
 
     The canonical factor is a GateMatrix named after the dictionary entry; if
@@ -187,7 +187,7 @@ def reduce_word(w: CliffordTWord, tol: float = 1e-10):
         raise ValueError("empty word")
     m = w.matrix()
     for name, target in CANONICAL_TABLE:
-        frames = match_frames(m, target, tol)
+        frames = match_frames(m, target)
         if frames is not None:
             return frames[0], GateMatrix(target, name)
     return FRAME_I, GateMatrix(m, "")
@@ -205,14 +205,14 @@ class IdentityFactor:
     domain: tuple = ALL_FRAMES
 
 
-def verify_identity(lhs_factors, rhs: str, tol: float = 1e-10) -> bool:
+def verify_identity(lhs_factors, rhs: str) -> bool:
     """Check lhs = P * rhs for every assignment of the annotated Pauli slots.
 
     lhs_factors is a sequence of IdentityFactor; the factors multiply left to
     right with the rightmost acting first. True iff every slot assignment
     reduces to the same canonical class as rhs (left Pauli factor free).
     """
-    rhs_frame, rhs_canonical = reduce_word(word(rhs), tol)
+    rhs_frame, rhs_canonical = reduce_word(word(rhs))
     assignments = [()]
     for factor in lhs_factors:
         assignments = [prefix + (p,) for prefix in assignments for p in factor.domain]
@@ -221,9 +221,9 @@ def verify_identity(lhs_factors, rhs: str, tol: float = 1e-10) -> bool:
         for p, factor in zip(assignment, lhs_factors):
             letters.extend(p.letters)
             letters.extend(factor.core.split())
-        frame, canonical = reduce_word(CliffordTWord(letters), tol)
+        frame, canonical = reduce_word(CliffordTWord(letters))
         if canonical.name != rhs_canonical.name or not qsim.matrices_equal_up_to_phase(
-            canonical.entries, rhs_canonical.entries, tol
+            canonical.entries, rhs_canonical.entries
         ):
             return False
     return True
@@ -257,6 +257,6 @@ TEN_IDENTITIES = [
 ]
 
 
-def verify_all_identities(tol: float = 1e-10):
+def verify_all_identities():
     """Run the whole catalog; returns list of (name, passed)."""
-    return [(name, verify_identity(lhs, rhs, tol)) for name, lhs, rhs in TEN_IDENTITIES]
+    return [(name, verify_identity(lhs, rhs)) for name, lhs, rhs in TEN_IDENTITIES]

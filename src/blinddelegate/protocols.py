@@ -6,7 +6,7 @@ register, reporting one X-basis bit back. Byproducts stay classical: each wire
 carries an (x, z) Pauli frame, the client's command angle cancels the frame's
 z bit, and each gate group is closed by looking up, by the bits its rounds
 reported, the Pauli folds that graphs.branch_frames found for that branch
-when the group's table was built: no round multiplies a matrix.
+when graphs.group_entry built the group's table: no round multiplies a matrix.
 
 Protocol 2 and the linear-cluster protocols 1 and tp are event lists over one
 step (_step). Runs go through one loop (_run), which owns the messages; exact
@@ -15,7 +15,6 @@ distributions come from one depth-first walk of the outcome tree (_walk).
 
 from __future__ import annotations
 
-import functools
 import inspect
 from dataclasses import dataclass, field
 
@@ -131,30 +130,6 @@ class AngleProgram:
     @property
     def num_rounds(self) -> int:
         return len(self.rounds)
-
-
-# One-wire groups the compiler emits: base angle indices (three rounds, or
-# none for a Pauli), round-3 adaptation on the block's first reported bit, and
-# the realized gate. block_entry checks each on every outcome branch and keeps
-# its table of Pauli folds.
-BLOCK_TABLE = {
-    "H": ((0, 0, 0), None, qsim.H.entries),
-    "S": ((2, 2, 0), None, qsim.S.entries),
-    "SDG": ((2, 2, 0), None, qsim.SDG.entries),
-    "I": ((2, 2, 2), None, np.eye(2, dtype=complex)),
-    "TH": ((7, 0, 0), (0, 2), qsim.T.entries @ qsim.H.entries),
-    "TDGH": ((1, 0, 0), (0, 2), qsim.TDG.entries @ qsim.H.entries),
-    "X": ((), None, qsim.X.entries),
-    "Z": ((), None, qsim.Z.entries),
-}
-
-
-@functools.cache
-def block_entry(kind) -> graphs.CellEntry:
-    """The one-wire group of a BLOCK_TABLE kind, with its branch-frame table;
-    built on first use. Raises CalibrationError if a branch misses the gate."""
-    base, adapt3, target = BLOCK_TABLE[kind]
-    return graphs.make_entry(kind, graphs.WireSchedule(base, adapt3), None, None, target)
 
 
 GATE_ARITY = {
@@ -275,11 +250,7 @@ def compile_circuit(gates, num_wires: int = None, pad_to: int = None) -> AnglePr
     builder = _ProgramBuilder(num_wires)
     for gate in gates:
         for name in _GATE_GROUPS.get(gate.name, (gate.name,)):
-            if len(gate.wires) == 2:
-                entry = graphs.calibrate_unit_cell().entries[name]
-            else:
-                entry = block_entry(name)
-            builder.group(entry, gate.wires)
+            builder.group(graphs.group_entry(name), gate.wires)
     program = builder.program
     if pad_to is not None:
         if pad_to < program.num_rounds or (pad_to - program.num_rounds) % 3:
@@ -287,7 +258,7 @@ def compile_circuit(gates, num_wires: int = None, pad_to: int = None) -> AnglePr
                 f"cannot pad {program.num_rounds} rounds to {pad_to}"
             )
         while program.num_rounds < pad_to:
-            builder.group(block_entry("I"), (0,))
+            builder.group(graphs.group_entry("I"), (0,))
     return program
 
 
@@ -831,7 +802,10 @@ def parse_transcript(text: str):
         header[key] = value
     messages = []
     for ln in lines[1:]:
-        fields = dict(f.split("=", 1) for f in ln.split())
-        payload = None if fields["p"] == "-" else int(fields["p"])
-        messages.append(Message(int(fields["r"]), fields["d"], fields["k"], payload))
+        try:
+            fields = dict(f.split("=", 1) for f in ln.split())
+            payload = None if fields["p"] == "-" else int(fields["p"])
+            messages.append(Message(int(fields["r"]), fields["d"], fields["k"], payload))
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"malformed transcript line: {ln!r}") from exc
     return header, messages

@@ -69,13 +69,13 @@ def test_c03_blocks_exhaustive_branches(acceptance_log):
     singles = [name for name, arity in protocols.GATE_ARITY.items() if arity == 1]
     kinds = {g.label for name in singles
              for g in protocols.compile_circuit([protocols.Gate(name, (0,))], pad_to=9).groups}
-    ok = kinds == set(protocols.BLOCK_TABLE)
+    ok = kinds == set(graphs.BLOCK_TABLE)
     rng = default_rng(5)
     for kind in sorted(kinds):
         builder = protocols._ProgramBuilder(1)
-        builder.group(protocols.block_entry(kind), (0,))
+        builder.group(graphs.group_entry(kind), (0,))
         program = builder.program
-        target = protocols.BLOCK_TABLE[kind][2]
+        target = graphs.BLOCK_TABLE[kind][2]
         psi = qsim.random_state(1, rng)
         want = qsim.StateVector(target @ psi.amplitudes, check=False)
         total = 0.0

@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from blinddelegate import graphs, pauli, protocols, qsim
-from blinddelegate.errors import CapacityError, FormatError
+from blinddelegate.errors import CalibrationError, CapacityError, FormatError
 
 
 def test_graph_spec_validation():
@@ -140,7 +141,7 @@ def _match_pauli_pair(op, target):
 
 def _matcher_targets():
     """2x2 and 4x4 targets the program matches words against."""
-    two = [t for _, _, t in protocols.BLOCK_TABLE.values()]
+    two = [t for _, _, t in graphs.BLOCK_TABLE.values()]
     two += [m for _, m in pauli.CANONICAL_TABLE]
     four = [e.target for e in graphs.calibrate_unit_cell().entries.values()]
     return two, four
@@ -194,6 +195,43 @@ def test_every_entry_is_branch_deterministic():
                 entry.wire0, entry.wire1, entry.bridge, bits[:3], bits[3:]
             )
             assert _match_pauli_pair(op, entry.target), (entry.name, bits)
+
+
+def test_group_entries_are_built_only_where_used(monkeypatch):
+    """Blocks never search; a CNOT searches its two cells and no other; a
+    tiling builds only the entangling cell; calibration reuses built entries."""
+    monkeypatch.setattr(graphs, "_ENTRIES", {})
+
+    def refuse(*args):
+        raise AssertionError("a one-wire program searched the catalog")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_search_single_wire", refuse)
+        patch.setattr(graphs, "_search_entangling", refuse)
+        protocols.compile_circuit(protocols.parse_circuit("H 0\nT 0\nS 0"))
+    assert set(graphs._ENTRIES) == {"H", "TH", "S"}
+    protocols.compile_circuit(protocols.parse_circuit("CNOT 0 1"))
+    assert set(graphs._ENTRIES) == {"H", "TH", "S", "CZCNOT", "CZ"}
+    built = dict(graphs._ENTRIES)
+    cal = graphs.calibrate_unit_cell()
+    assert cal.entries["CZCNOT"] is built["CZCNOT"] and cal.entries["CZ"] is built["CZ"]
+    assert all(entry is graphs._ENTRIES[name] for name, entry in cal.entries.items())
+
+    monkeypatch.setattr(graphs, "_ENTRIES", {})
+    assert graphs.tile(1, 1) == graphs.build_unit_cell()
+    assert set(graphs._ENTRIES) == {"CZCNOT"}
+
+
+@pytest.mark.parametrize("catalog,name,target", [
+    ("_CATALOG_SINGLE", "HxI", qsim.T.entries),
+    ("_CATALOG_ENTANGLING", "CZ", np.eye(4, dtype=complex)[[0, 2, 1, 3]]),  # SWAP
+])
+def test_group_entry_raises_when_the_search_finds_nothing(monkeypatch, catalog, name, target):
+    monkeypatch.setattr(graphs, "_ENTRIES", {})
+    monkeypatch.setitem(getattr(graphs, catalog), name, target)
+    with pytest.raises(CalibrationError, match=f"no schedule realizes {name}$"):
+        graphs.group_entry(name)
+    assert name not in graphs._ENTRIES
 
 
 def test_cell_operator_without_bridge_factorizes():
@@ -255,3 +293,6 @@ def test_graph_file_errors():
         graphs.read_graph("graph 2\nodd line\n")
     with pytest.raises(FormatError):
         graphs.read_graph("graph 2\ne 0 5\nv 0 0 0\nv 1 0 1\n")
+    for line in ("e a b", "v 0 x 0"):
+        with pytest.raises(FormatError, match=re.escape(repr(line))):
+            graphs.read_graph(f"graph 2\n{line}\n")

@@ -1,5 +1,5 @@
-import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -476,6 +476,10 @@ def test_transcript_round_trip():
 def test_transcript_header_required():
     with pytest.raises(FormatError):
         protocols.parse_transcript("r=1 d=B2A k=QUBIT_SENT p=-\n")
+    # A malformed message line is a FormatError that names the line.
+    for line in ("foo", "r=x d=B2A k=QUBIT_SENT p=-", "r=1 d=B2A"):
+        with pytest.raises(FormatError, match=re.escape(repr(line))):
+            protocols.parse_transcript(f"run protocol=2 seed=0 loss=0\n{line}\n")
 
 
 def test_format_loss_is_compact():
@@ -493,18 +497,14 @@ def test_group_table_rejects_word_off_target(monkeypatch, text, target):
     CalibrationError where its branch-frame table is built, so no program
     that holds it compiles and no round of it runs."""
     group = protocols.compile_circuit(protocols.parse_circuit(text)).groups[0]
-    if len(group.wires) == 2:
-        entry = graphs.calibrate_unit_cell().entries[group.label]
-    else:
-        entry = protocols.block_entry(group.label)
+    entry = graphs.group_entry(group.label)
     with pytest.raises(CalibrationError, match="not Pauli \\* target on every branch"):
         graphs.make_entry(entry.name, entry.wire0, entry.wire1, entry.bridge, target)
     if len(group.wires) == 1:
         # The same block row with the wrong gate stops the compile.
-        base, adapt3, _ = protocols.BLOCK_TABLE[group.label]
-        monkeypatch.setitem(protocols.BLOCK_TABLE, group.label, (base, adapt3, target))
-        monkeypatch.setattr(protocols, "block_entry",
-                            functools.cache(protocols.block_entry.__wrapped__))
+        base, adapt3, _ = graphs.BLOCK_TABLE[group.label]
+        monkeypatch.setitem(graphs.BLOCK_TABLE, group.label, (base, adapt3, target))
+        monkeypatch.setattr(graphs, "_ENTRIES", {})
         with pytest.raises(CalibrationError, match="not Pauli \\* target on every branch"):
             protocols.compile_circuit(protocols.parse_circuit(text))
 
@@ -552,11 +552,11 @@ def _reference_frames(program, bits):
 
 def _block_program(kind):
     builder = protocols._ProgramBuilder(1)
-    builder.group(protocols.block_entry(kind), (0,))
+    builder.group(graphs.group_entry(kind), (0,))
     return builder.program
 
 
-@pytest.mark.parametrize("case", ["T 0", "CZ 0 1", *[f"block {k}" for k in protocols.BLOCK_TABLE]])
+@pytest.mark.parametrize("case", ["T 0", "CZ 0 1", *[f"block {k}" for k in graphs.BLOCK_TABLE]])
 def test_table_frames_equal_word_accumulation_on_every_leaf(case):
     # Honest rounds never drop a branch, so the walk's leaves are exactly the
     # per-round (a, m) bit strings, in itertools.product order.
