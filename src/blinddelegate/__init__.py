@@ -1,11 +1,12 @@
 """Delegated measurement-driven computation on shared entanglement, with
 verifiable blindness of the client's instructions.
 
-Layers: `qsim` (small dense state vectors), `pauli` (byproduct frames and the
-Clifford+T word identities that make the round structure work), `graphs`
-(cluster resources and the calibrated two-wire unit cell), `protocols` (the
-message-level client/server machines), `blindness` (what the server sees),
-`adversaries` (cheating strategies and the loss side channel), `cli`.
+Layers: `qsim` (small dense state vectors), `pauli` (byproduct frames, the
+frame matcher and the composition identities that make the round structure
+work), `graphs` (cluster resources and the calibrated two-wire unit cell),
+`protocols` (the message-level client/server machines), `blindness` (what the
+server sees), `adversaries` (cheating strategies and the loss side channel),
+`cli`.
 """
 
 from . import adversaries, blindness, cli, graphs, pauli, protocols, qsim
@@ -18,7 +19,7 @@ from .errors import (
     FormatError,
     RetryLimitError,
 )
-from .pauli import PauliFrame, CliffordTWord, verify_identity
+from .pauli import PauliFrame, verify_identity
 from .protocols import (
     AngleProgram,
     ChannelModel,
@@ -43,7 +44,6 @@ __all__ = [
     "CalibrationError",
     "CapacityError",
     "ChannelModel",
-    "CliffordTWord",
     "ConfigError",
     "DegenerateMeasurementError",
     "DensityMatrix",

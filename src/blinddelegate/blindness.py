@@ -76,7 +76,7 @@ def povm_distribution(view, povm: Povm) -> np.ndarray:
 def _server_branch(rho, alice_qubits, angles, outcomes) -> np.ndarray:
     """The server's unnormalized state when the client's qubits give `outcomes`.
 
-    Client qubit q is projected onto the measure_rotated basis element of its
+    Client qubit q is projected onto the qsim.ROTATED_BRAS element of its
     outcome at its angle; the trace of the result is that outcome's probability.
     """
     n = DensityMatrix(rho, check=False).num_qubits

@@ -34,9 +34,9 @@ class GraphSpec:
 
     def __post_init__(self):
         for e in self.edges:
-            u, v = sorted(e)
-            if u == v:
+            if len(e) != 2:
                 raise ValueError("self-loop edge")
+            u, v = sorted(e)
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError("edge references unknown vertex")
         for v in range(self.num_vertices):

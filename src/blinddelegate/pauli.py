@@ -1,19 +1,21 @@
-"""Symbolic byproduct calculus over the word monoid {H, S, S†, T, T†, X, Z}.
+"""Pauli byproduct frames, the one frame matcher, and the identity catalog.
 
-A PauliFrame is one of the four classes {I, X, Z, XZ} with phases discarded;
-words reduce to `frame * canonical` where the canonical part is looked up in a
-fixed matrix dictionary. Everything here is anchored to matrix arithmetic, not
-to a rewriting system.
+A PauliFrame is one of the four classes {I, X, Z, XZ} with phases discarded.
+`match_frames` decides whether a one- or two-wire unitary is a Pauli frame
+times a target, and which frame. The source paper's composition identities,
+(P A)(P B)(P C) = P * target, are checked with it: `verify_identity` multiplies
+out every assignment of the Pauli slots as matrices and matches the product
+against the right-hand side's matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qsim
-from .qsim import Angle, GateMatrix
 
 LETTER_MATRICES = {
     "H": qsim.H.entries,
@@ -24,10 +26,6 @@ LETTER_MATRICES = {
     "X": qsim.X.entries,
     "Z": qsim.Z.entries,
 }
-
-# Letters that are plain R_theta rotations, by angle index.
-_ROTATION_LETTERS = {"S": 2, "SDG": 6, "T": 7, "TDG": 1}
-_ROTATION_FLIP = {"S": "SDG", "SDG": "S", "T": "TDG", "TDG": "T"}
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,6 @@ class PauliFrame:
         if self.z:
             m = m @ qsim.Z.entries
         return m
-
-    @property
-    def letters(self) -> list:
-        return (["X"] if self.x else []) + (["Z"] if self.z else [])
 
     def __repr__(self):
         return {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "XZ"}[(self.x, self.z)]
@@ -94,103 +88,14 @@ def match_frames(m: np.ndarray, target: np.ndarray):
     return None
 
 
-class CliffordTWord:
-    """An ordered word over {H,S,SDG,T,TDG,X,Z}; the rightmost letter acts first."""
-
-    def __init__(self, letters):
-        letters = list(letters)
-        for letter in letters:
-            if letter not in LETTER_MATRICES:
-                raise ValueError(f"unknown letter {letter!r}")
-        self.letters = letters
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(2, dtype=complex)
-        for letter in self.letters:
-            m = m @ LETTER_MATRICES[letter]
-        return m
-
-    def __add__(self, other: "CliffordTWord") -> "CliffordTWord":
-        return CliffordTWord(self.letters + other.letters)
-
-    def __repr__(self):
-        return f"Word({' '.join(self.letters)})"
-
-
-def word(text: str) -> CliffordTWord:
-    """Build a word from space-separated letters, e.g. word("S H T")."""
-    return CliffordTWord(text.split())
-
-
-def propagate_through_H(frame: PauliFrame) -> PauliFrame:
-    # HX = ZH and HZ = XH: the two bits swap.
-    return PauliFrame(frame.z, frame.x)
-
-
-def propagate_through_R(frame: PauliFrame, theta: Angle):
-    """Push the frame left through R_theta; X flips the angle sign (phase dropped)."""
-    residual = -theta if frame.x else theta
-    return frame, residual
-
-
-def push_frame(frame: PauliFrame, w: CliffordTWord):
-    """Rewrite w * frame as frame' * w' letter by letter.
-
-    H swaps the frame bits; rotation letters keep the frame but flip their own
-    angle sign when x=1 (S<->SDG, T<->TDG); Pauli letters commute up to phase.
-    """
-    out = []
-    for letter in reversed(w.letters):
-        if letter == "H":
-            frame = propagate_through_H(frame)
-            out.append(letter)
-        elif letter in _ROTATION_LETTERS:
-            out.append(_ROTATION_FLIP[letter] if frame.x else letter)
-        else:  # X or Z
-            out.append(letter)
-    return frame, CliffordTWord(list(reversed(out)))
-
-
-# Canonical residual dictionary, scanned in order; first Pauli-relatable entry
-# wins, so e.g. H S H S H reduces to (Z, S) rather than to SDG.
-_CANONICAL_WORDS = [
-    ("I", ""),
-    ("H", "H"),
-    ("S", "S"),
-    ("SDG", "SDG"),
-    ("SH", "S H"),
-    ("SDGH", "SDG H"),
-    ("T", "T"),
-    ("TDG", "TDG"),
-    ("TH", "T H"),
-    ("TDGH", "TDG H"),
-    ("HS", "H S"),
-    ("HT", "H T"),
-    ("HTDG", "H TDG"),
-    ("X", "X"),
-    ("Z", "Z"),
-    ("XZ", "X Z"),
-]
-
-
-CANONICAL_TABLE = [(name, word(text).matrix()) for name, text in _CANONICAL_WORDS]
-
-
-def reduce_word(w: CliffordTWord):
-    """Split w into (frame, canonical) with w = phase * frame * canonical.
-
-    The canonical factor is a GateMatrix named after the dictionary entry; if
-    no entry matches (possible for long mixed words), the raw product is
-    returned with an identity frame.
-    """
-    if not w.letters:
-        raise ValueError("empty word")
-    m = w.matrix()
-    for name, target in CANONICAL_TABLE:
-        frames = match_frames(m, target)
-        if frames is not None:
-            return frames[0], GateMatrix(target, name)
-    return FRAME_I, GateMatrix(m, "")
+def word_matrix(text: str) -> np.ndarray:
+    """Product of space-separated letters, e.g. "S H T"; the rightmost acts first."""
+    m = np.eye(2, dtype=complex)
+    for letter in text.split():
+        if letter not in LETTER_MATRICES:
+            raise ValueError(f"unknown letter {letter!r}")
+        m = m @ LETTER_MATRICES[letter]
+    return m
 
 
 @dataclass(frozen=True)
@@ -209,22 +114,16 @@ def verify_identity(lhs_factors, rhs: str) -> bool:
     """Check lhs = P * rhs for every assignment of the annotated Pauli slots.
 
     lhs_factors is a sequence of IdentityFactor; the factors multiply left to
-    right with the rightmost acting first. True iff every slot assignment
-    reduces to the same canonical class as rhs (left Pauli factor free).
+    right with the rightmost acting first. True iff every slot assignment's
+    product matches rhs up to a left Pauli factor (free) and a global phase.
     """
-    rhs_frame, rhs_canonical = reduce_word(word(rhs))
-    assignments = [()]
-    for factor in lhs_factors:
-        assignments = [prefix + (p,) for prefix in assignments for p in factor.domain]
-    for assignment in assignments:
-        letters = []
-        for p, factor in zip(assignment, lhs_factors):
-            letters.extend(p.letters)
-            letters.extend(factor.core.split())
-        frame, canonical = reduce_word(CliffordTWord(letters))
-        if canonical.name != rhs_canonical.name or not qsim.matrices_equal_up_to_phase(
-            canonical.entries, rhs_canonical.entries
-        ):
+    target = word_matrix(rhs)
+    cores = [word_matrix(f.core) for f in lhs_factors]
+    for assignment in itertools.product(*(f.domain for f in lhs_factors)):
+        lhs = np.eye(2, dtype=complex)
+        for p, core in zip(assignment, cores):
+            lhs = lhs @ FRAME_MATRICES[(p,)] @ core
+        if match_frames(lhs, target) is None:
             return False
     return True
 

@@ -308,7 +308,8 @@ def measurement_branches(state: StateVector, qubit: int, bras):
 
 
 def _rotated_bras(theta: Angle):
-    """Bras of the measure_rotated basis, built once per grid angle."""
+    """Bras (outcome 0 first) of the basis (|0> +- e^{-i theta}|1>)/sqrt2,
+    built once per grid angle."""
     phase = np.exp(-1j * theta.radians)
     bra0 = np.array([1.0, phase], dtype=complex) / np.sqrt(2)
     bra1 = np.array([1.0, -phase], dtype=complex) / np.sqrt(2)
@@ -319,33 +320,6 @@ def _rotated_bras(theta: Angle):
 # projector onto that outcome is np.outer(bra.conj(), bra).
 ROTATED_BRAS = tuple(_rotated_bras(theta) for theta in ALL_ANGLES)
 Z_BRAS = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
-
-
-def measure_rotated(state: StateVector, qubit: int, theta: Angle, rand: float):
-    """Measure in the basis {(|0> + e^{-i theta}|1>)/sqrt2, (|0> - e^{-i theta}|1>)/sqrt2}.
-
-    Outcome a=0 projects onto the '+' element. Returns (outcome, post_state, prob)
-    with the measured qubit removed from the register; `rand` in [0,1) picks the
-    branch by comparison against the a=0 probability.
-    """
-    if not 0 <= qubit < state.num_qubits:
-        raise IndexError(f"qubit {qubit} out of range")
-    if state.num_qubits == 1:
-        raise ValueError("cannot remove the last qubit of a register")
-    return measure(state, qubit, ROTATED_BRAS[theta.k], rand)
-
-
-def measure_x(state: StateVector, qubit: int, rand: float):
-    """Measurement in the {|+>, |->} basis; outcome 0 means |+>."""
-    return measure_rotated(state, qubit, ALL_ANGLES[0], rand)
-
-
-def measure_z(state: StateVector, qubit: int, rand: float):
-    """Computational-basis measurement; the measured qubit is removed, except
-    that reading out a register's last qubit leaves |outcome> behind."""
-    if not 0 <= qubit < state.num_qubits:
-        raise IndexError(f"qubit {qubit} out of range")
-    return measure(state, qubit, Z_BRAS, rand)
 
 
 def partial_trace(obj, keep) -> DensityMatrix:

@@ -57,13 +57,14 @@ def test_bob_view_equals_partial_trace():
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("outcome", [0, 1])
 def test_bob_view_branch_projects_onto_measure_rotated_basis(k, outcome):
-    """One outcome's server branch is p * |post><post| of qsim.measure_rotated
-    at +theta. The summed view cannot show the basis sign (no-signalling)."""
+    """One outcome's server branch is p * |post><post| of qsim.measure in the
+    ROTATED_BRAS basis at +theta. The summed view cannot show the basis sign
+    (no-signalling)."""
     joint = graphs.build_graph_state(graphs.linear_cluster(2)).state
     rho = np.outer(joint.amplitudes, joint.amplitudes.conj())
     branch = blindness._server_branch(rho, [0], [qsim.Angle(k)], (outcome,))
     # rand -1.0 always draws outcome 0, rand 1.0 always draws outcome 1.
-    drawn, post, p = qsim.measure_rotated(joint, 0, qsim.Angle(k), [-1.0, 1.0][outcome])
+    drawn, post, p = qsim.measure(joint, 0, qsim.ROTATED_BRAS[k], [-1.0, 1.0][outcome])
     assert drawn == outcome
     v = post.amplitudes
     np.testing.assert_allclose(branch, p * np.outer(v, v.conj()), atol=1e-12)

@@ -9,7 +9,7 @@ from blinddelegate.errors import CalibrationError, CapacityError, FormatError
 
 
 def test_graph_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-loop"):
         graphs.make_graph(2, [(0, 0)], {0: (0, 0), 1: (0, 1)})
     with pytest.raises(ValueError):
         graphs.make_graph(2, [(0, 5)], {0: (0, 0), 1: (0, 1)})
@@ -128,6 +128,12 @@ _PAULIS = [
     qsim.X.entries @ qsim.Z.entries,
 ]
 
+# One-wire Clifford+T words of up to two letters, Paulis included.
+_CANONICAL_WORDS = (
+    "", "H", "S", "SDG", "S H", "SDG H", "T", "TDG", "T H", "TDG H",
+    "H S", "H T", "H TDG", "X", "Z", "X Z",
+)
+
 
 def _match_pauli_pair(op, target):
     """Independent matcher: the frames (P0, P1) with op == phase * (P1 (x) P0)
@@ -140,9 +146,10 @@ def _match_pauli_pair(op, target):
 
 
 def _matcher_targets():
-    """2x2 and 4x4 targets the program matches words against."""
+    """2x2 and 4x4 targets the program matches words against, plus the
+    one-wire words of _CANONICAL_WORDS."""
     two = [t for _, _, t in graphs.BLOCK_TABLE.values()]
-    two += [m for _, m in pauli.CANONICAL_TABLE]
+    two += [pauli.word_matrix(w) for w in _CANONICAL_WORDS]
     four = [e.target for e in graphs.calibrate_unit_cell().entries.values()]
     return two, four
 
@@ -293,6 +300,8 @@ def test_graph_file_errors():
         graphs.read_graph("graph 2\nodd line\n")
     with pytest.raises(FormatError):
         graphs.read_graph("graph 2\ne 0 5\nv 0 0 0\nv 1 0 1\n")
+    with pytest.raises(FormatError, match="self-loop"):
+        graphs.read_graph("graph 2\ne 1 1\nv 0 0 0\nv 1 0 1\n")
     for line in ("e a b", "v 0 x 0"):
         with pytest.raises(FormatError, match=re.escape(repr(line))):
             graphs.read_graph(f"graph 2\n{line}\n")

@@ -21,110 +21,12 @@ def test_frame_matrices():
     )
 
 
-def test_propagation_through_h_swaps_bits():
-    assert pauli.propagate_through_H(pauli.FRAME_X) == pauli.FRAME_Z
-    assert pauli.propagate_through_H(pauli.FRAME_XZ) == pauli.FRAME_XZ
-
-
-def test_propagation_through_rotation_flips_angle_on_x():
-    frame, residual = pauli.propagate_through_R(pauli.FRAME_X, qsim.Angle(2))
-    assert frame == pauli.FRAME_X and residual.k == 6
-    frame, residual = pauli.propagate_through_R(pauli.FRAME_Z, qsim.Angle(2))
-    assert frame == pauli.FRAME_Z and residual.k == 2
-
-
-def test_propagation_rules_match_matrix_algebra():
-    """The symbolic rules must mirror H P = P' H and R P = P R' up to phase."""
-    for frame in pauli.ALL_FRAMES:
-        lhs = qsim.H.entries @ frame.matrix
-        rhs = pauli.propagate_through_H(frame).matrix @ qsim.H.entries
-        assert qsim.matrices_equal_up_to_phase(lhs, rhs)
-    for frame in pauli.ALL_FRAMES:
-        for k in range(8):
-            rot = np.diag([1.0, np.exp(1j * k * np.pi / 4)])
-            _, residual = pauli.propagate_through_R(frame, qsim.Angle(k))
-            res = np.diag([1.0, np.exp(1j * residual.radians)])
-            assert qsim.matrices_equal_up_to_phase(
-                rot @ frame.matrix, frame.matrix @ res
-            )
-
-
-def test_push_frame_soundness():
-    rng = np.random.default_rng(13)
-    letters = ["H", "S", "SDG", "T", "TDG", "X", "Z"]
-    for _ in range(60):
-        length = int(rng.integers(1, 6))
-        w = pauli.CliffordTWord([letters[i] for i in rng.integers(len(letters), size=length)])
-        for frame in pauli.ALL_FRAMES:
-            out_frame, out_word = pauli.push_frame(frame, w)
-            lhs = w.matrix() @ frame.matrix
-            rhs = out_frame.matrix @ out_word.matrix()
-            assert qsim.matrices_equal_up_to_phase(lhs, rhs), (w, frame)
-
-
 def test_word_parsing_and_concat():
-    w = pauli.word("S H")
-    np.testing.assert_allclose(w.matrix(), qsim.S.entries @ qsim.H.entries)
-    both = pauli.word("S") + pauli.word("H")
-    np.testing.assert_allclose(both.matrix(), w.matrix())
-    with pytest.raises(ValueError):
-        pauli.word("Q")
-
-
-def test_reduce_pinned_cases():
-    frame, canon = pauli.reduce_word(pauli.word("H H H"))
-    assert (frame, canon.name) == (pauli.FRAME_I, "H")
-    frame, canon = pauli.reduce_word(pauli.word("H S H S H"))
-    assert (frame, canon.name) == (pauli.FRAME_Z, "S")
-    frame, canon = pauli.reduce_word(pauli.word("S H H TDG H"))
-    assert (frame, canon.name) == (pauli.FRAME_Z, "TH")
-
-
-def test_reduce_is_sound_on_short_words():
-    """Whenever a canonical form is reported, frame * canon == word up to phase."""
-    letters = ["H", "S", "SDG", "T", "TDG"]
-    named = 0
-    for length in range(1, 5):
-        for combo in itertools.product(letters, repeat=length):
-            w = pauli.CliffordTWord(list(combo))
-            frame, canon = pauli.reduce_word(w)
-            if not canon.name:
-                continue
-            named += 1
-            assert qsim.matrices_equal_up_to_phase(
-                w.matrix(), frame.matrix @ canon.entries
-            ), combo
-    assert named > 200  # the dictionary must actually cover this family
-
-
-def test_reduce_covers_round_accumulated_words():
-    """Every three-round word the runner can accumulate has a canonical name."""
-    blocks = [(0, 0, 0), (2, 2, 0), (2, 0, 0), (2, 2, 2), (7, 0, 0), (7, 0, 2), (1, 0, 0), (1, 0, 2)]
-    h = qsim.H.entries
-    for base in blocks:
-        for signs in itertools.product((1, -1), repeat=3):
-            letters = []
-            for k, s in zip(base, signs):
-                letters.append("H")
-                kk = (s * k) % 8
-                if kk == 2:
-                    letters.append("S")
-                elif kk == 6:
-                    letters.append("SDG")
-                elif kk == 7:
-                    letters.append("T")
-                elif kk == 1:
-                    letters.append("TDG")
-                elif kk == 4:
-                    letters.extend(["Z"])
-                elif kk != 0:
-                    raise AssertionError(kk)
-            w = pauli.CliffordTWord(list(reversed(letters)))
-            frame, canon = pauli.reduce_word(w)
-            assert canon.name, (base, signs)
-            assert qsim.matrices_equal_up_to_phase(
-                w.matrix(), frame.matrix @ canon.entries
-            )
+    m = pauli.word_matrix("S H")
+    np.testing.assert_allclose(m, qsim.S.entries @ qsim.H.entries)
+    np.testing.assert_allclose(pauli.word_matrix("S") @ pauli.word_matrix("H"), m)
+    with pytest.raises(ValueError, match="unknown letter 'Q'"):
+        pauli.word_matrix("Q")
 
 
 def test_identity_catalog_all_pass():
@@ -149,3 +51,47 @@ def test_identity_slot_restrictions_matter():
 def test_verify_identity_rejects_wrong_rhs():
     name, lhs, rhs = pauli.TEN_IDENTITIES[0]
     assert not pauli.verify_identity(lhs, "S")
+
+
+# I, X, Z, XZ: the order of pauli.ALL_FRAMES.
+_PAULIS = [np.eye(2), qsim.X.entries, qsim.Z.entries, qsim.X.entries @ qsim.Z.entries]
+_LETTERS = {"H": qsim.H.entries, "S": qsim.S.entries, "SDG": qsim.SDG.entries,
+            "T": qsim.T.entries, "TDG": qsim.TDG.entries, "Z": qsim.Z.entries}
+
+
+def _letters(text):
+    m = np.eye(2, dtype=complex)
+    for letter in text.split():
+        m = m @ _LETTERS[letter]
+    return m
+
+
+def _identity_oracle(lhs_factors, rhs):
+    """True iff every slot assignment's product is phase * P @ rhs for one of
+    the four Paulis P, found by trying all four."""
+    target = _letters(rhs)
+    for assignment in itertools.product(*(f.domain for f in lhs_factors)):
+        product = np.eye(2, dtype=complex)
+        for frame, factor in zip(assignment, lhs_factors):
+            slot = _PAULIS[pauli.ALL_FRAMES.index(frame)]
+            product = product @ slot @ _letters(factor.core)
+        if not any(qsim.matrices_equal_up_to_phase(product, p @ target)
+                   for p in _PAULIS):
+            return False
+    return True
+
+
+def test_verify_identity_agrees_with_pauli_search_oracle():
+    """Each identity, its widened form (every slot ranging over all four
+    frames) and every other catalog right side give the oracle's answer."""
+    rhs_options = sorted({rhs for _, _, rhs in pauli.TEN_IDENTITIES})
+    answers = []
+    for name, lhs, own_rhs in pauli.TEN_IDENTITIES:
+        widened = [pauli.IdentityFactor(f.core) for f in lhs]
+        assert _identity_oracle(lhs, own_rhs), name
+        for form in (lhs, widened):
+            for rhs in rhs_options:
+                want = _identity_oracle(form, rhs)
+                assert pauli.verify_identity(form, rhs) == want, (name, form, rhs)
+                answers.append(want)
+    assert True in answers and False in answers

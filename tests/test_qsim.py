@@ -143,11 +143,11 @@ def test_measurements_match_projector_reference(n):
             for outcome, rand in ((0, -1.0), (1, 2.0)):
                 if k is None:
                     vec = np.eye(2)[outcome]
-                    got, post, p = qsim.measure_z(psi, q, rand)
+                    got, post, p = qsim.measure(psi, q, qsim.Z_BRAS, rand)
                 else:
                     phase = (-1) ** outcome * np.exp(-1j * k * np.pi / 4)
                     vec = np.array([1.0, phase]) / np.sqrt(2)
-                    got, post, p = qsim.measure_rotated(psi, q, qsim.Angle(k), rand)
+                    got, post, p = qsim.measure(psi, q, qsim.ROTATED_BRAS[k], rand)
                 branch = _measure_oracle(before, q, vec)
                 prob = float(np.vdot(branch, branch).real)
                 if n <= 6:
@@ -211,9 +211,9 @@ def test_rotated_measurement_probability_on_plus():
         if k == 4:
             # theta = pi makes the 0 branch impossible on |+>
             with pytest.raises(DegenerateMeasurementError):
-                qsim.measure_rotated(psi, 0, theta, rand=-1.0)
+                qsim.measure(psi, 0, qsim.ROTATED_BRAS[k], rand=-1.0)
             continue
-        outcome, post, prob = qsim.measure_rotated(psi, 0, theta, rand=-1.0)
+        outcome, post, prob = qsim.measure(psi, 0, qsim.ROTATED_BRAS[k], rand=-1.0)
         assert outcome == 0
         assert prob == pytest.approx(expected, abs=1e-12)
         assert post.num_qubits == 1
@@ -221,31 +221,24 @@ def test_rotated_measurement_probability_on_plus():
 
 def test_measurement_removes_qubit_and_projects():
     bell = qsim.bell_pair()
-    outcome, post, prob = qsim.measure_x(bell, 0, rand=-1.0)
+    outcome, post, prob = qsim.measure(bell, 0, qsim.ROTATED_BRAS[0], rand=-1.0)
     assert outcome == 0 and prob == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(post.amplitudes, qsim.plus_state(1).amplitudes, atol=1e-12)
-
-
-def test_rotated_measurement_guards():
-    with pytest.raises(ValueError):
-        qsim.measure_rotated(qsim.plus_state(1), 0, qsim.Angle(0), 0.3)
-    with pytest.raises(IndexError):
-        qsim.measure_rotated(qsim.plus_state(2), 4, qsim.Angle(0), 0.3)
 
 
 def test_degenerate_branch_raises():
     psi = qsim.basis_state(2, 0)
     with pytest.raises(DegenerateMeasurementError):
-        qsim.measure_z(psi, 0, rand=1.0)  # outcome 1 has probability 0
+        qsim.measure(psi, 0, qsim.Z_BRAS, rand=1.0)  # outcome 1 has probability 0
 
 
 def test_measure_z_final_qubit_readout():
-    outcome, post, prob = qsim.measure_z(qsim.basis_state(1, 1), 0, rand=0.5)
+    outcome, post, prob = qsim.measure(qsim.basis_state(1, 1), 0, qsim.Z_BRAS, rand=0.5)
     assert outcome == 1
     assert prob == pytest.approx(1.0)
     # forcing the impossible branch must raise instead of misreporting
     with pytest.raises(DegenerateMeasurementError):
-        qsim.measure_z(qsim.basis_state(1, 0), 0, rand=1.0)
+        qsim.measure(qsim.basis_state(1, 0), 0, qsim.Z_BRAS, rand=1.0)
     # Both branches of a last-qubit readout, with p0 = |amp_0|^2 exactly.
     psi = qsim.random_state(1, np.random.default_rng(8))
     p0 = float(abs(psi.amplitudes[0]) ** 2)
@@ -325,7 +318,7 @@ def test_fidelity_and_frobenius():
 
 
 # Every basis a kernel measures in: the eight rotated bases (angle 0 is the
-# X basis of measure_x) and the computational basis of measure_z.
+# X basis) and the computational basis.
 _ALL_BASES = [(f"R{k}", bras) for k, bras in enumerate(qsim.ROTATED_BRAS)] + [
     ("Z", qsim.Z_BRAS)
 ]
@@ -353,15 +346,15 @@ def test_measurement_branches_drop_impossible_outcomes():
     # which is where a forced measurement of the other outcome raises.
     psi = qsim.plus_state(1).tensor(qsim.basis_state(1, 0))
     for k, possible in ((0, 0), (4, 1)):
-        theta = qsim.Angle(k)
         [(outcome, post, prob)] = qsim.measurement_branches(
             psi, 0, qsim.ROTATED_BRAS[k]
         )
         assert outcome == possible
         assert prob == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(post.amplitudes, [1.0, 0.0], atol=1e-12)
+        rand = 1.0 if possible == 0 else -1.0
         with pytest.raises(DegenerateMeasurementError):
-            qsim.measure_rotated(psi, 0, theta, rand=1.0 if possible == 0 else -1.0)
+            qsim.measure(psi, 0, qsim.ROTATED_BRAS[k], rand)
     [(outcome, _, prob)] = qsim.measurement_branches(qsim.basis_state(2, 0), 1, qsim.Z_BRAS)
     assert (outcome, prob) == (0, 1.0)
 
