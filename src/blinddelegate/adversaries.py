@@ -18,33 +18,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import blindness, protocols
 from .qsim import DensityMatrix
-
-HONEST = "HONEST"
-SUBSTITUTE_STATE = "SUBSTITUTE_STATE"
-LOSS_SIGNAL_DEVICE = "LOSS_SIGNAL_DEVICE"
-
-_KINDS = (HONEST, SUBSTITUTE_STATE, LOSS_SIGNAL_DEVICE)
-
-
-@dataclass
-class AdversaryStrategy:
-    kind: str
-    state: object = None      # pair state handed out instead of fresh pairs
-    device: object = None     # client-side measurement device under server control
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown adversary kind {self.kind!r}")
-        if self.kind == SUBSTITUTE_STATE and self.state is None:
-            raise ValueError("SUBSTITUTE_STATE requires a state")
-        if self.kind == LOSS_SIGNAL_DEVICE and self.device is None:
-            raise ValueError("LOSS_SIGNAL_DEVICE requires a device")
 
 
 class EvilDevice:
@@ -91,13 +69,11 @@ def decode_digit_from_transcript(transcript) -> int:
 def run_with_evil_device(program, countermeasure: bool,
                          channel: protocols.ChannelModel, rng):
     """Returns (server_guess, transcript, success) for one attacked run."""
-    adversary = AdversaryStrategy(LOSS_SIGNAL_DEVICE, device=EvilDevice())
     result = protocols.run_protocol2(
-        program, None, channel,
-        adversary=adversary, rng=rng, loss_masking=countermeasure,
+        program, None, channel, rng, device=EvilDevice(), loss_masking=countermeasure,
     )
     guess = decode_digit_from_transcript(result.transcript)
-    secret = program.rounds[0].base_angle.k
+    secret = program.rounds[0].wants[0].k
     return guess, result.transcript, guess == secret
 
 

@@ -167,14 +167,9 @@ def m_bit_biases(program, input_state):
 
 
 def _round_angle_options(plan):
-    if plan.adapt3 is not None and plan.round_in_group == 2:
-        wants = set(plan.adapt3)
-    else:
-        wants = {plan.base_angle.k}
-    ks = set()
-    for k in wants:
-        ks.add(k % 8)
-        ks.add((-k) % 8)
+    """Every command angle the client can send in this round: each tabled
+    want, with either frame-cancelling sign."""
+    ks = {k for want in plan.wants for k in (want.k, (-want).k)}
     return [Angle(k) for k in sorted(ks)]
 
 
@@ -220,10 +215,6 @@ def _max_abs(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-def _frob(a, b) -> float:
-    return float(np.linalg.norm(_as_density(a) - _as_density(b)))
-
-
 def certify_protocol1(secrets, bob_strategy="honest", n_povms: int = 4,
                       rng=None) -> BlindnessReport:
     """Compare the server's quantum marginal across client secrets.
@@ -252,7 +243,8 @@ def certify_protocol1(secrets, bob_strategy="honest", n_povms: int = 4,
     povms = [random_povm(bob_dim, 4, rng) for _ in range(n_povms)]
     report = BlindnessReport()
     for i, j in itertools.combinations(range(len(secrets)), 2):
-        report.add("p1-marginal", (i, j), _frob(views[i].marginal, views[j].marginal))
+        report.add("p1-marginal", (i, j),
+                   qsim.frobenius_distance(views[i].marginal, views[j].marginal))
         report.add(
             "p1-transcript", (i, j),
             _max_abs(
@@ -311,7 +303,7 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
         for r in range(rounds):
             for vi in round_views[i][r]:
                 for vj in round_views[j][r]:
-                    dev = max(dev, _frob(vi, vj))
+                    dev = max(dev, qsim.frobenius_distance(vi, vj))
         report.add("p2-round-view", (i, j), dev)
 
         keys = sorted(set(m_dists[i]) | set(m_dists[j]))

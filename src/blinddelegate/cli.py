@@ -116,13 +116,9 @@ def _run(config) -> int:
     if config.protocol == "2":
         program = protocols.compile_circuit(gates)
         input_state = qsim.basis_state(program.num_wires, 0)
-        adversary = None
-        if config.adversary == "loss-device":
-            adversary = adversaries.AdversaryStrategy(
-                adversaries.LOSS_SIGNAL_DEVICE, device=adversaries.EvilDevice()
-            )
+        device = adversaries.EvilDevice() if config.adversary == "loss-device" else None
         result = protocols.run_protocol2(
-            program, input_state, channel, adversary=adversary, rng=rng,
+            program, input_state, channel, rng, device=device,
             loss_masking=config.countermeasure,
         )
         corrected = protocols.correct_output(result)

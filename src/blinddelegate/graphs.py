@@ -175,13 +175,18 @@ def _wire_word(schedule: WireSchedule, m_bits, rounds=None) -> np.ndarray:
 _CZ4 = qsim.CZ.entries
 
 
+def _kron2(a, b) -> np.ndarray:
+    """np.kron(a, b) of two 2x2 blocks, entry for entry, as one broadcast."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def cell_operator(w0: WireSchedule, w1: WireSchedule, bridge, m0_bits, m1_bits):
     """4x4 operator realized by one cell on a given outcome branch."""
     if bridge is None:
-        return np.kron(_wire_word(w1, m1_bits), _wire_word(w0, m0_bits))
+        return _kron2(_wire_word(w1, m1_bits), _wire_word(w0, m0_bits))
     i, j = bridge
-    before = np.kron(_wire_word(w1, m1_bits, range(j)), _wire_word(w0, m0_bits, range(i)))
-    after = np.kron(
+    before = _kron2(_wire_word(w1, m1_bits, range(j)), _wire_word(w0, m0_bits, range(i)))
+    after = _kron2(
         _wire_word(w1, m1_bits, range(j, ROUNDS_PER_CELL)),
         _wire_word(w0, m0_bits, range(i, ROUNDS_PER_CELL)),
     )

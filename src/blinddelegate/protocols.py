@@ -8,6 +8,10 @@ z bit, and each gate group is closed by looking up, by the bits its rounds
 reported, the Pauli folds that graphs.branch_frames found for that branch
 when graphs.group_entry built the group's table: no round multiplies a matrix.
 
+The compiler tables each round's wanted angle once, from
+graphs.WireSchedule.angle_index, the one place the adaptation rule lives:
+the runtime, the blindness certificate and the attacks all read that table.
+
 Protocol 2 and the linear-cluster protocols 1 and tp are event lists over one
 step (_step). Runs go through one loop (_run), which owns the messages; exact
 distributions come from one depth-first walk of the outcome tree (_walk).
@@ -82,21 +86,22 @@ def transmit(channel: ChannelModel, rng) -> str:
 
 @dataclass
 class RoundPlan:
+    """One round: its wire, its 1-based position in the program, and the angle
+    the client wants, one per value of the bit that drives the choice.
+
+    `driver` is the round whose reported bit picks from `wants`, or None when
+    both entries agree. The compiler fills both from the group's
+    graphs.WireSchedule, so no run re-derives the adaptation rule.
+    """
+
     wire: int
-    base_angle: Angle
-    round_index: int          # 1-based position in the program
-    group_id: int
-    round_in_group: int       # 0..2 within this wire's part of the group
-    adapt3: tuple = None      # round-3 angle keyed on this wire's group m1
-    m1_round_index: int = None  # absolute round whose m drives adapt3
-    label: str = ""
+    round_index: int
+    wants: tuple              # (Angle if the driver's m is 0, Angle if it is 1)
+    driver: int = None
 
     def want_angle(self, m_bits) -> Angle:
         """The logical angle for this round (before frame-cancelling sign)."""
-        if self.adapt3 is not None and self.round_in_group == 2:
-            m1 = m_bits[self.m1_round_index - 1]
-            return Angle(self.adapt3[m1])
-        return self.base_angle
+        return self.wants[0 if self.driver is None else m_bits[self.driver - 1]]
 
     def adapt_rule(self, m_bits, frame: PauliFrame) -> Angle:
         """Command angle: the wanted angle, sign-flipped to cancel frame.z."""
@@ -112,19 +117,19 @@ class RoundPlan:
 
 @dataclass(frozen=True)
 class Group:
-    group_id: int
-    wires: tuple              # 1 or 2 wires; wires[0] is the cell's low slot
-    target: np.ndarray        # 2x2 or 4x4 reference, or None for raw rounds
-    label: str = ""
-    rounds: tuple = ()        # round indices of its rounds, wires[0]'s first
-    frames: dict = None       # {their reported bits: per-wire folds}
+    """An emitted gate group: its wires (wires[0] is the cell's low slot), the
+    round indices of its rounds (wires[0]'s first) and the graphs.CellEntry
+    it came from, whose frames table closes it."""
+
+    wires: tuple
+    rounds: tuple
+    entry: graphs.CellEntry
 
 
 @dataclass
 class AngleProgram:
     num_wires: int
     rounds: list = field(default_factory=list)
-    groups: list = field(default_factory=list)
     events: list = field(default_factory=list)  # ("round", plan) | ("bridge", wires) | ("extract", group)
 
     @property
@@ -190,41 +195,33 @@ class _ProgramBuilder:
     def __init__(self, num_wires):
         self.program = AngleProgram(num_wires=num_wires)
 
-    def _add_round(self, wire, k, gid, rig, adapt3, m1_idx, label):
-        plan = RoundPlan(
-            wire=wire,
-            base_angle=Angle(k),
-            round_index=len(self.program.rounds) + 1,
-            group_id=gid,
-            round_in_group=rig,
-            adapt3=adapt3,
-            m1_round_index=m1_idx,
-            label=label,
-        )
+    def _add_round(self, wire, schedule: graphs.WireSchedule, done):
+        """Append round len(done) of `schedule` on `wire` to `done`. Its wanted
+        angle is tabled for both values of the bit of `done`'s first round,
+        which becomes the driver only if the two angles differ."""
+        k0, k1 = schedule.angle_index(len(done), 0), schedule.angle_index(len(done), 1)
+        wants = (qsim.ALL_ANGLES[k0 % 8], qsim.ALL_ANGLES[k1 % 8])
+        driver = done[0].round_index if k0 != k1 else None
+        plan = RoundPlan(wire, len(self.program.rounds) + 1, wants, driver)
         self.program.rounds.append(plan)
         self.program.events.append(("round", plan))
-        return plan
+        done.append(plan)
 
     def raw(self, wire, angle_indices):
-        """Rounds at fixed command angles, in one group with no target."""
-        gid = len(self.program.groups)
-        self.program.groups.append(Group(gid, (wire,), None, "raw"))
-        for k in angle_indices:
-            self._add_round(wire, k, gid, 0, None, None, "raw")
+        """Rounds at fixed command angles, with no group to close."""
+        schedule, done = graphs.WireSchedule(tuple(angle_indices)), []
+        for _ in schedule.base:
+            self._add_round(wire, schedule, done)
 
     def group(self, entry: graphs.CellEntry, wires):
         """Emit `entry` on `wires` (low slot first): the rounds of each wire,
         a bridge after rounds (i, j) if the entry has one, and the extract."""
-        gid = len(self.program.groups)
         schedules = (entry.wire0, entry.wire1)[:len(wires)]
         plans = [[] for _ in wires]
 
         def emit(slot, upto):
-            sched, done = schedules[slot], plans[slot]
-            while len(done) < upto:
-                first = done[0].round_index if done else len(self.program.rounds) + 1
-                done.append(self._add_round(wires[slot], sched.base[len(done)], gid,
-                                            len(done), sched.adapt3, first, entry.name))
+            while len(plans[slot]) < upto:
+                self._add_round(wires[slot], schedules[slot], plans[slot])
 
         if entry.bridge is not None:
             for slot, anchor in enumerate(entry.bridge):
@@ -233,9 +230,7 @@ class _ProgramBuilder:
         for slot, sched in enumerate(schedules):
             emit(slot, len(sched.base))
         rounds = tuple(p.round_index for done in plans for p in done)
-        group = Group(gid, tuple(wires), entry.target, entry.name, rounds, entry.frames)
-        self.program.groups.append(group)
-        self.program.events.append(("extract", group))
+        self.program.events.append(("extract", Group(tuple(wires), rounds, entry)))
 
 
 # The groups that realize a gate, in order, where they are not the gate's
@@ -458,7 +453,7 @@ def _step(node, event, measure, pair_source=None):
     if kind == "extract":
         # The Pauli factors the group's word leaves on this branch.
         group = event[1]
-        folds = group.frames[tuple(node.m_bits[r - 1] for r in group.rounds)]
+        folds = group.entry.frames[tuple(node.m_bits[r - 1] for r in group.rounds)]
         for w, f in zip(group.wires, folds):
             node.frames[w] = node.frames[w].compose(f)
         return [node]
@@ -571,16 +566,21 @@ def run_protocol2(
     program: AngleProgram,
     input_state: StateVector,
     channel: ChannelModel,
-    adversary=None,
     rng=None,
     *,
+    device=None,
+    pair=None,
     loss_masking: bool = False,
     forced_outcomes=None,
 ) -> RunResult:
     """Execute every round; the output stays on the server side, the client
     keeps the final Pauli frames for classical post-correction.
 
-    `forced_outcomes` lists an (a, m) pair per round in place of draws.
+    A cheating server may hand out `pair` (a two-qubit state, server half
+    first) in place of each fresh Bell pair, or control the client's
+    measuring `device`, which sees each round's command angle and is asked
+    for clicks. `forced_outcomes` lists an (a, m) pair per round in place
+    of draws.
 
     With `input_state` None the run holds no register and
     `logical_output_state` is None: each round's a and m are fair coins
@@ -592,18 +592,13 @@ def run_protocol2(
     outcomes need a register.
     """
     node = _start(program, input_state)
-    device = getattr(adversary, "device", None)
-    pair_source = None
-    if getattr(adversary, "kind", None) == "SUBSTITUTE_STATE":
-        pair_source = adversary.state
-    if input_state is None and (pair_source is not None or forced_outcomes is not None):
+    if input_state is None and (pair is not None or forced_outcomes is not None):
         raise ValueError("a substituted pair or forced outcomes need a register")
     if forced_outcomes is not None:
-        forced_outcomes = [b for pair in forced_outcomes for b in pair]
+        forced_outcomes = [b for ab in forced_outcomes for b in ab]
     node, result = _run(
         node, [*program.events, _DONE], _measurement(rng, forced_outcomes),
-        channel=channel, loss_masking=loss_masking, device=device,
-        pair_source=pair_source,
+        channel=channel, loss_masking=loss_masking, device=device, pair_source=pair,
     )
     if node.reg is not None:
         result.logical_output_state = node.reg.extract(

@@ -67,8 +67,9 @@ def test_c03_blocks_exhaustive_branches(acceptance_log):
     outcome branch (64 for three rounds, one for a Pauli)."""
     start = time.monotonic()
     singles = [name for name, arity in protocols.GATE_ARITY.items() if arity == 1]
-    kinds = {g.label for name in singles
-             for g in protocols.compile_circuit([protocols.Gate(name, (0,))], pad_to=9).groups}
+    kinds = {event[1].entry.name for name in singles
+             for event in protocols.compile_circuit([protocols.Gate(name, (0,))], pad_to=9).events
+             if event[0] == "extract"}
     ok = kinds == set(graphs.BLOCK_TABLE)
     rng = default_rng(5)
     for kind in sorted(kinds):

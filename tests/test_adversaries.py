@@ -3,18 +3,7 @@ import pytest
 from numpy.random import default_rng
 
 from blinddelegate import adversaries, protocols, qsim
-from blinddelegate.adversaries import AdversaryStrategy, EvilDevice
-
-
-def test_strategy_validation():
-    AdversaryStrategy(adversaries.HONEST)
-    with pytest.raises(ValueError):
-        AdversaryStrategy("EVIL")
-    with pytest.raises(ValueError):
-        AdversaryStrategy(adversaries.SUBSTITUTE_STATE)
-    with pytest.raises(ValueError):
-        AdversaryStrategy(adversaries.LOSS_SIGNAL_DEVICE)
-    AdversaryStrategy(adversaries.LOSS_SIGNAL_DEVICE, device=EvilDevice())
+from blinddelegate.adversaries import EvilDevice
 
 
 def test_evil_device_captures_only_first_angle():
@@ -38,8 +27,9 @@ def test_random_mixed_state_is_valid():
 def test_signal_program_shape():
     program = adversaries.make_signal_program(5, extra_rounds=2)
     assert program.num_rounds == 3
-    assert program.rounds[0].base_angle.k == 5
-    assert all(p.base_angle.k == 0 for p in program.rounds[1:])
+    assert program.rounds[0].wants == (qsim.Angle(5), qsim.Angle(5))
+    assert all(p.wants == (qsim.Angle(0), qsim.Angle(0)) for p in program.rounds[1:])
+    assert all(p.driver is None for p in program.rounds)
 
 
 def test_digit_recovered_for_every_secret_without_countermeasure():

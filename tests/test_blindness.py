@@ -238,3 +238,34 @@ def test_zero_round_secrets_certify():
     lines = report.render().splitlines()
     assert "check=p2-m-bias secrets=0,0 povm=- max_dev=0 pass=true" in lines
     assert lines and all(line.endswith(" pass=true") for line in lines)
+
+
+class _RecordingDevice:
+    """An honest measuring device that records each round's command digit."""
+
+    def __init__(self):
+        self.seen = []
+
+    def observe_angle(self, k):
+        self.seen.append(k)
+
+    def claim_no_click(self):
+        return False
+
+
+@pytest.mark.parametrize("text", ["T 0", "TDG 0", "CNOT 0 1"])
+def test_round_angle_options_cover_every_issued_command(text):
+    # The certificate compares the server's view over _round_angle_options;
+    # a command outside them would be a view it never checked.
+    program = protocols.compile_circuit(protocols.parse_circuit(text))
+    psi = qsim.basis_state(program.num_wires, 0)
+    options = [{a.k for a in blindness._round_angle_options(plan)} for plan in program.rounds]
+    rng = default_rng(31)
+    for _ in range(40):
+        bits = rng.integers(0, 2, size=(program.num_rounds, 2)).tolist()
+        device = _RecordingDevice()
+        protocols.run_protocol2(program, psi, protocols.ChannelModel(0.0), device=device,
+                                forced_outcomes=bits)
+        assert len(device.seen) == program.num_rounds
+        for r, k in enumerate(device.seen):
+            assert k in options[r], (r, k, bits)

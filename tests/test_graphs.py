@@ -305,3 +305,12 @@ def test_graph_file_errors():
     for line in ("e a b", "v 0 x 0"):
         with pytest.raises(FormatError, match=re.escape(repr(line))):
             graphs.read_graph(f"graph 2\n{line}\n")
+
+
+def test_kron2_equals_np_kron_entry_for_entry():
+    rng = np.random.default_rng(17)
+    blocks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(6)]
+    blocks += [g.entries for g in (qsim.H, qsim.S, qsim.T)]
+    for a in blocks:
+        for b in blocks:
+            assert np.array_equal(graphs._kron2(a, b), np.kron(a, b))

@@ -83,33 +83,39 @@ def test_circuit_unitary_matches_expanded_gates():
     np.testing.assert_allclose(u, ref, atol=1e-12)
 
 
+def _groups(program):
+    return [event[1] for event in program.events if event[0] == "extract"]
+
+
 def test_compile_single_blocks():
     program = protocols.compile_circuit(protocols.parse_circuit("S 0"))
     assert program.num_rounds == 3
-    assert [p.base_angle.k for p in program.rounds] == [2, 2, 0]
+    assert [p.wants[0].k for p in program.rounds] == [2, 2, 0]
+    assert all(p.wants[1] == p.wants[0] and p.driver is None for p in program.rounds)
     assert [p.round_index for p in program.rounds] == [1, 2, 3]
-    assert len(program.groups) == 1 and program.groups[0].label == "S"
+    assert [g.entry.name for g in _groups(program)] == ["S"]
 
     program = protocols.compile_circuit(protocols.parse_circuit("T 0"))
     assert program.num_rounds == 6
-    assert [g.label for g in program.groups] == ["H", "TH"]
-    th_rounds = [p for p in program.rounds if p.label == "TH"]
-    assert [p.base_angle.k for p in th_rounds] == [7, 0, 0]
-    assert all(p.adapt3 == (0, 2) for p in th_rounds)
-    assert all(p.m1_round_index == 4 for p in th_rounds)
+    assert [g.entry.name for g in _groups(program)] == ["H", "TH"]
+    assert _groups(program)[1].rounds == (4, 5, 6)
+    th_rounds = program.rounds[3:]
+    assert [[a.k for a in p.wants] for p in th_rounds] == [[7, 7], [0, 0], [0, 2]]
+    assert [p.driver for p in th_rounds] == [None, None, 4]
 
 
 def test_compile_pauli_group_has_no_rounds():
     program = protocols.compile_circuit(protocols.parse_circuit("X 0"))
     assert program.num_rounds == 0
-    assert len(program.groups) == 1
-    np.testing.assert_allclose(program.groups[0].target, qsim.X.entries)
+    (group,) = _groups(program)
+    assert group.rounds == ()
+    np.testing.assert_allclose(group.entry.target, qsim.X.entries)
 
 
 def test_compile_cnot_uses_two_bridged_cells():
     program = protocols.compile_circuit(protocols.parse_circuit("CNOT 0 1"))
     assert program.num_rounds == 12
-    assert [g.label for g in program.groups] == ["CZCNOT", "CZ"]
+    assert [g.entry.name for g in _groups(program)] == ["CZCNOT", "CZ"]
     bridges = [e for e in program.events if e[0] == "bridge"]
     assert len(bridges) == 2
     assert all(e[1] == (0, 1) for e in bridges)
@@ -119,7 +125,7 @@ def test_compile_padding():
     gates = protocols.parse_circuit("H 0\nH 1")
     program = protocols.compile_circuit(gates, pad_to=9)
     assert program.num_rounds == 9
-    assert program.groups[-1].label == "I"
+    assert _groups(program)[-1].entry.name == "I"
     with pytest.raises(ValueError):
         protocols.compile_circuit(gates, pad_to=3)
     with pytest.raises(ValueError):
@@ -365,17 +371,15 @@ def test_forced_impossible_protocol2_branch_raises():
     # A substituted |00> pair leaves the wire |+> untouched by the CZ, so the
     # server's X measurement can only report m = 0.
     program = protocols.make_raw_program([0])
-    substitute = adversaries.AdversaryStrategy(
-        adversaries.SUBSTITUTE_STATE, state=qsim.basis_state(2, 0)
-    )
+    substitute = qsim.basis_state(2, 0)
     result = protocols.run_protocol2(
-        program, qsim.plus_state(1), ChannelModel(0.0), adversary=substitute,
+        program, qsim.plus_state(1), ChannelModel(0.0), pair=substitute,
         forced_outcomes=[(1, 0)],
     )
     assert result.branch_probability == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(DegenerateMeasurementError):
         protocols.run_protocol2(
-            program, qsim.plus_state(1), ChannelModel(0.0), adversary=substitute,
+            program, qsim.plus_state(1), ChannelModel(0.0), pair=substitute,
             forced_outcomes=[(1, 1)],
         )
 
@@ -496,14 +500,14 @@ def test_group_table_rejects_word_off_target(monkeypatch, text, target):
     """A group whose word is no Pauli * target on some branch is refused with
     CalibrationError where its branch-frame table is built, so no program
     that holds it compiles and no round of it runs."""
-    group = protocols.compile_circuit(protocols.parse_circuit(text)).groups[0]
-    entry = graphs.group_entry(group.label)
+    group = _groups(protocols.compile_circuit(protocols.parse_circuit(text)))[0]
+    entry = group.entry
     with pytest.raises(CalibrationError, match="not Pauli \\* target on every branch"):
         graphs.make_entry(entry.name, entry.wire0, entry.wire1, entry.bridge, target)
     if len(group.wires) == 1:
         # The same block row with the wrong gate stops the compile.
-        base, adapt3, _ = graphs.BLOCK_TABLE[group.label]
-        monkeypatch.setitem(graphs.BLOCK_TABLE, group.label, (base, adapt3, target))
+        base, adapt3, _ = graphs.BLOCK_TABLE[entry.name]
+        monkeypatch.setitem(graphs.BLOCK_TABLE, entry.name, (base, adapt3, target))
         monkeypatch.setattr(graphs, "_ENTRIES", {})
         with pytest.raises(CalibrationError, match="not Pauli \\* target on every branch"):
             protocols.compile_circuit(protocols.parse_circuit(text))
@@ -512,41 +516,43 @@ def test_group_table_rejects_word_off_target(monkeypatch, text, target):
 def _reference_frames(program, bits):
     """Final frames by per-round word accumulation, for per-round (a, m) bits.
 
-    Each round multiplies its gain R_{(-1)^m k} H into the open group's word,
-    a bridge multiplies CZ, and an extract matches the word against the
+    Each round contributes its gain R_{(-1)^m k} H on its wire and a bridge
+    contributes CZ; an extract multiplies out the contributions since the
+    last extract on the group's wires and matches the word against the
     group's target for the Pauli folds. A compiled program closes each group
-    before it opens the next, so one word is open at a time.
+    before it opens the next, so the open contributions are one group's.
     """
     gains = [qsim.rotation(qsim.Angle(k)).entries @ qsim.H.entries for k in range(8)]
     m_bits = bits[1::2]
     frames = [FRAME_I] * program.num_wires
-    word = None
+    open_ops = []  # (wire, gain), or (None, CZ) for a bridge
     for event in program.events:
         if event[0] == "round":
             plan = event[1]
             r = plan.round_index - 1
-            wires = program.groups[plan.group_id].wires
             frames[plan.wire] = protocols.RoundPlan.frame_update(
                 frames[plan.wire], bits[2 * r], m_bits[r])
             k = plan.want_angle(m_bits).k
-            gain = gains[-k if m_bits[r] else k]
-            if len(wires) == 2:
-                eye = np.eye(2)
-                gain = np.kron(eye, gain) if plan.wire == wires[0] else np.kron(gain, eye)
-            word = gain @ (np.eye(2 ** len(wires)) if word is None else word)
+            open_ops.append((plan.wire, gains[-k if m_bits[r] else k]))
         elif event[0] == "bridge":
             wa, wb = event[1]
             fa, fb = frames[wa], frames[wb]
             frames[wa] = PauliFrame(fa.x, fa.z ^ fb.x)
             frames[wb] = PauliFrame(fb.x, fb.z ^ fa.x)
-            word = qsim.CZ.entries @ (np.eye(4) if word is None else word)
+            open_ops.append((None, qsim.CZ.entries))
         else:
             group = event[1]
-            folds = match_frames(np.eye(2) if word is None else word, group.target)
-            assert folds is not None, group.label
+            eye = np.eye(2)
+            word = np.eye(2 ** len(group.wires))
+            for wire, op in open_ops:
+                if wire is not None and len(group.wires) == 2:
+                    op = np.kron(eye, op) if wire == group.wires[0] else np.kron(op, eye)
+                word = op @ word
+            folds = match_frames(word, group.entry.target)
+            assert folds is not None, group.entry.name
             for w, f in zip(group.wires, folds):
                 frames[w] = frames[w].compose(f)
-            word = None
+            open_ops = []
     return frames
 
 
@@ -602,14 +608,9 @@ P2_CASES = ["signal 3 1", "signal 6 2", "T 0", "H 0\nCNOT 0 1\nT 1"]
 
 
 def _attacked_run(program, input_state, loss, masked, with_device, seed):
-    adversary = None
-    if with_device:
-        adversary = adversaries.AdversaryStrategy(
-            adversaries.LOSS_SIGNAL_DEVICE, device=adversaries.EvilDevice()
-        )
     return protocols.run_protocol2(
-        program, input_state, ChannelModel(loss, rng_seed=seed), adversary=adversary,
-        rng=default_rng([seed, 0]), loss_masking=masked,
+        program, input_state, ChannelModel(loss, rng_seed=seed), default_rng([seed, 0]),
+        device=adversaries.EvilDevice() if with_device else None, loss_masking=masked,
     )
 
 
@@ -651,12 +652,9 @@ def test_registerless_run_calls_no_qsim_kernel(monkeypatch):
 
 def test_registerless_run_refuses_what_a_coin_cannot_model():
     program = adversaries.make_signal_program(3)
-    substitute = adversaries.AdversaryStrategy(
-        adversaries.SUBSTITUTE_STATE, state=qsim.basis_state(2, 0)
-    )
     with pytest.raises(ValueError, match="need a register"):
-        protocols.run_protocol2(program, None, ChannelModel(0.0), adversary=substitute,
-                                rng=default_rng(0))
+        protocols.run_protocol2(program, None, ChannelModel(0.0), default_rng(0),
+                                pair=qsim.basis_state(2, 0))
     with pytest.raises(ValueError, match="need a register"):
         protocols.run_protocol2(program, None, ChannelModel(0.0),
                                 forced_outcomes=[(0, 0), (0, 0)])
@@ -664,7 +662,7 @@ def test_registerless_run_refuses_what_a_coin_cannot_model():
         protocols.walk_protocol2(program, None)
 
 
-def _round_probabilities(monkeypatch, program, input_state, adversary, seeds):
+def _round_probabilities(monkeypatch, program, input_state, pair, seeds):
     """The (p(a), p(m)) of every drawn protocol-2 round on the register path."""
     probs = []
     measure = qsim.measure
@@ -676,8 +674,8 @@ def _round_probabilities(monkeypatch, program, input_state, adversary, seeds):
 
     monkeypatch.setattr(qsim, "measure", recording)
     for seed in seeds:
-        protocols.run_protocol2(program, input_state, ChannelModel(0.0),
-                                adversary=adversary, rng=default_rng(seed))
+        protocols.run_protocol2(program, input_state, ChannelModel(0.0), default_rng(seed),
+                                pair=pair)
     assert len(probs) == 2 * program.num_rounds * len(seeds)
     return probs[0::2], probs[1::2]
 
@@ -700,16 +698,11 @@ def test_substituted_pair_outcomes_are_not_fair_coins(monkeypatch):
     # a |+> client half is not.
     program = protocols.make_raw_program([1, 3])
     psi = qsim.random_state(1, default_rng(5))
-    zeros = adversaries.AdversaryStrategy(
-        adversaries.SUBSTITUTE_STATE, state=qsim.basis_state(2, 0)
-    )
+    zeros = qsim.basis_state(2, 0)
     pa, pm = _round_probabilities(monkeypatch, program, psi, zeros, range(4))
     assert max(abs(p - 0.5) for p in pa) < 1e-12
     assert max(abs(p - 0.5) for p in pm) > 1e-3
     # Qubit 0 is the server's half, qubit 1 the client's: |+>_client |0>_server.
-    plus = adversaries.AdversaryStrategy(
-        adversaries.SUBSTITUTE_STATE,
-        state=qsim.StateVector(np.array([1, 0, 1, 0]) / np.sqrt(2)),
-    )
+    plus = qsim.StateVector(np.array([1, 0, 1, 0]) / np.sqrt(2))
     pa, _ = _round_probabilities(monkeypatch, program, psi, plus, range(4))
     assert min(abs(p - 0.5) for p in pa) > 0.3
