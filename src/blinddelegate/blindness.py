@@ -73,6 +73,14 @@ def povm_distribution(view, povm: Povm) -> np.ndarray:
     return np.array([float(np.real(np.trace(e @ rho))) for e in povm.elements])
 
 
+# _PROJECTORS[k][a]: the rank-1 projector onto the qsim.ROTATED_BRAS element
+# of outcome a at Angle(k).
+_PROJECTORS = tuple(
+    tuple(np.outer(bra.conj(), bra) for bra in bras) for bras in qsim.ROTATED_BRAS
+)
+_IDLE = np.eye(2, dtype=complex)
+
+
 def _server_branch(rho, alice_qubits, angles, outcomes) -> np.ndarray:
     """The server's unnormalized state when the client's qubits give `outcomes`.
 
@@ -84,11 +92,10 @@ def _server_branch(rho, alice_qubits, angles, outcomes) -> np.ndarray:
     for q in range(n):
         if q in alice_qubits:
             i = alice_qubits.index(q)
-            bra = qsim.ROTATED_BRAS[angles[i].k][outcomes[i]]
-            block = np.outer(bra.conj(), bra)
+            block = _PROJECTORS[angles[i].k][outcomes[i]]
         else:
-            block = np.eye(2, dtype=complex)
-        proj = np.kron(block, proj)  # qubit q occupies index bit q
+            block = _IDLE
+        proj = qsim.kron(block, proj)  # qubit q occupies index bit q
     branch = DensityMatrix(proj @ rho @ proj.conj().T, check=False)
     bob_qubits = [q for q in range(n) if q not in alice_qubits]
     return qsim.partial_trace(branch, bob_qubits).entries

@@ -77,6 +77,10 @@ class ResourceState:
     """A graph plus the realized graph state; checked stabilizer-by-stabilizer."""
 
     def __init__(self, graph: GraphSpec, state: StateVector, check: bool = True):
+        if state.num_qubits != graph.num_vertices:
+            raise ValueError(
+                f"{state.num_qubits}-qubit state for a {graph.num_vertices}-vertex graph"
+            )
         self.graph = graph
         self.state = state
         if check:
@@ -90,13 +94,22 @@ class ResourceState:
 
 
 def build_graph_state(graph: GraphSpec) -> ResourceState:
-    if graph.num_vertices > qsim.CAPACITY:
-        raise CapacityError(
-            f"{graph.num_vertices} vertices exceeds capacity {qsim.CAPACITY}"
-        )
-    state = qsim.plus_state(graph.num_vertices)
+    """prod_{(u,v) in E} CZ_uv |+>^n, computed amplitude by amplitude.
+
+    Amplitude i is 2^(-n/2) * (-1)^e(i), where e(i) counts the edges with
+    both ends set in i (Hein, Eisert and Briegel, PRA 69, 062311, 2004): each
+    CZ negates exactly those indices. The result is exact, entry for entry
+    equal to applying the CZs to plus_state one by one.
+    """
+    n = graph.num_vertices
+    if n > qsim.CAPACITY:
+        raise CapacityError(f"{n} vertices exceeds capacity {qsim.CAPACITY}")
+    index = np.arange(1 << n, dtype=np.int32)
+    parity = np.zeros_like(index)  # bit 0 is e(i) mod 2
     for u, v in graph.edge_list():
-        state = qsim.apply_gate(state, qsim.CZ, [u, v])
+        parity ^= (index >> u) & (index >> v)
+    amp = 2.0 ** (-n / 2)
+    state = StateVector(np.where(parity & 1, -amp, amp), check=False)
     return ResourceState(graph, state, check=False)
 
 
@@ -104,9 +117,7 @@ def stabilizer_expectation(resource: ResourceState, vertex: int) -> float:
     """<psi| X_v prod_{u in N(v)} Z_u |psi> for the resource's graph."""
     if not 0 <= vertex < resource.graph.num_vertices:
         raise IndexError(f"vertex {vertex} out of range")
-    moved = qsim.apply_gate(resource.state, qsim.X, [vertex])
-    for u in resource.graph.neighbors(vertex):
-        moved = qsim.apply_gate(moved, qsim.Z, [u])
+    moved = qsim.apply_pauli(resource.state, 1 << vertex, resource.graph.neighbors(vertex))
     value = np.vdot(resource.state.amplitudes, moved.amplitudes)
     return float(value.real)
 
@@ -143,7 +154,7 @@ class CellEntry:
     wire0: WireSchedule
     wire1: WireSchedule  # None for a one-wire group
     bridge: tuple  # (i, j) after-round anchors, or None
-    target: np.ndarray  # 2x2, or 4x4 as np.kron(wire1_factor, wire0_factor)
+    target: np.ndarray  # 2x2, or 4x4 as qsim.kron(wire1_factor, wire0_factor)
     frames: dict  # branch_frames(wire0, wire1, bridge, target)
 
 
@@ -175,18 +186,13 @@ def _wire_word(schedule: WireSchedule, m_bits, rounds=None) -> np.ndarray:
 _CZ4 = qsim.CZ.entries
 
 
-def _kron2(a, b) -> np.ndarray:
-    """np.kron(a, b) of two 2x2 blocks, entry for entry, as one broadcast."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-
-
 def cell_operator(w0: WireSchedule, w1: WireSchedule, bridge, m0_bits, m1_bits):
     """4x4 operator realized by one cell on a given outcome branch."""
     if bridge is None:
-        return _kron2(_wire_word(w1, m1_bits), _wire_word(w0, m0_bits))
+        return qsim.kron(_wire_word(w1, m1_bits), _wire_word(w0, m0_bits))
     i, j = bridge
-    before = _kron2(_wire_word(w1, m1_bits, range(j)), _wire_word(w0, m0_bits, range(i)))
-    after = _kron2(
+    before = qsim.kron(_wire_word(w1, m1_bits, range(j)), _wire_word(w0, m0_bits, range(i)))
+    after = qsim.kron(
         _wire_word(w1, m1_bits, range(j, ROUNDS_PER_CELL)),
         _wire_word(w0, m0_bits, range(i, ROUNDS_PER_CELL)),
     )
@@ -246,7 +252,7 @@ def _search_single_wire(name, target2: np.ndarray):
     for sched in candidates:
         if branch_frames(sched, None, None, target2) is not None:
             idle = sched if name == "IxI" else group_entry("IxI").wire0
-            return make_entry(name, sched, idle, None, np.kron(_I2, target2))
+            return make_entry(name, sched, idle, None, qsim.kron(_I2, target2))
     return None
 
 

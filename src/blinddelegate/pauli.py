@@ -65,7 +65,7 @@ ALL_FRAMES = (FRAME_I, FRAME_X, FRAME_Z, FRAME_XZ)
 # first (the low slot acts on index bit 0).
 FRAME_MATRICES = {(f,): f.matrix for f in ALL_FRAMES}
 FRAME_MATRICES.update(
-    ((f0, f1), np.kron(f1.matrix, f0.matrix)) for f0 in ALL_FRAMES for f1 in ALL_FRAMES
+    ((f0, f1), qsim.kron(f1.matrix, f0.matrix)) for f0 in ALL_FRAMES for f1 in ALL_FRAMES
 )
 
 

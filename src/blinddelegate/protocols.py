@@ -381,7 +381,11 @@ def _round_branches(reg, round_index, wire, command, measure, pair):
     The fresh pair's halves (`pair`, or a Bell pair if None) join `reg`; the
     client measures hers at `command` (outcome a), the server entangles his
     with the wire by CZ, measures the wire in the X basis (reported bit m)
-    and keeps his half as the new wire.
+    and keeps his half as the new wire. The CZ acts on the server's half and
+    the wire and the client measures only her half, so the two commute
+    exactly: this is the protocol's no-signaling structure. The CZ is
+    therefore applied once per round, before her measurement, and not once
+    per outcome a.
 
     With no register (`reg` None) the pair is an honest Bell pair, and a and
     m are fair coins, drawn in that order: the client's half of a Bell pair
@@ -395,9 +399,9 @@ def _round_branches(reg, round_index, wire, command, measure, pair):
     server, client = ("half", round_index), ("sent", round_index)
     wire_label = ("wire", wire)
     reg.append(qsim.bell_pair() if pair is None else pair, [server, client])
+    reg.apply(qsim.CZ, [server, wire_label])
     branches = []
     for a, pa, after_a in reg.branches(measure, client, qsim.ROTATED_BRAS[command.k]):
-        after_a.apply(qsim.CZ, [server, wire_label])
         for m, pm, after_m in after_a.branches(measure, wire_label, qsim.ROTATED_BRAS[0]):
             after_m.relabel(server, wire_label)
             branches.append((a, m, pa, pm, after_m))
@@ -619,14 +623,12 @@ def walk_protocol2(program: AngleProgram, input_state: StateVector):
 
 
 def correct_output(result: RunResult) -> StateVector:
-    """Apply the client's final frames to the server-side register."""
-    state = result.logical_output_state
-    for w, frame in enumerate(result.final_frames):
-        if frame.z:
-            state = qsim.apply_gate(state, qsim.Z, [w])
-        if frame.x:
-            state = qsim.apply_gate(state, qsim.X, [w])
-    return state
+    """Apply the client's final frames (Z first, then X, on each wire) to the
+    server-side register."""
+    frames = result.final_frames
+    x_mask = sum(frame.x << w for w, frame in enumerate(frames))
+    z_qubits = [w for w, frame in enumerate(frames) if frame.z]
+    return qsim.apply_pauli(result.logical_output_state, x_mask, z_qubits)
 
 
 def round2_step(register: StateVector, wire_qubit: int, theta: Angle,

@@ -4,7 +4,7 @@ Conventions used everywhere in this package:
 
 * Qubit 0 is the least-significant bit of the amplitude index, so the
   amplitude of |q_{n-1} ... q_1 q_0> sits at index sum(q_i << i).
-* Two-qubit gate matrices are written in np.kron(U_high, U_low) order,
+* Two-qubit gate matrices are written in kron(U_high, U_low) order,
   i.e. the 4x4 index bit 0 belongs to the *first* target.
 * Measured qubits are removed from the register (the state shrinks by
   one qubit; indices above the measured one shift down by one).
@@ -219,17 +219,55 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     return StateVector(out.reshape(-1), check=False)
 
 
+# Amplitude indices 0 .. 2^CAPACITY - 1; apply_pauli slices them to a register.
+_INDEX = np.arange(1 << CAPACITY)
+_INDEX.setflags(write=False)
+
+
+def apply_pauli(state: StateVector, x_mask: int, z_qubits) -> StateVector:
+    """Return X^x Z^z |psi> (Z on each of `z_qubits`, then X on each bit of
+    `x_mask`) as a new state.
+
+    Amplitude i is amplitude i ^ x_mask of the input, negated when the
+    `z_qubits` bits of i ^ x_mask have odd parity: one index gather, then one
+    in-place negation per Z qubit. Moving and negating round nothing, so the
+    result equals the dense apply_gate chain entry for entry. IndexError for
+    a qubit or mask bit outside the register. Needs numpy >= 1.24 only (no
+    np.bitwise_count).
+    """
+    n = state.num_qubits
+    z_qubits = [int(q) for q in z_qubits]
+    for q in z_qubits:
+        if not 0 <= q < n:
+            raise IndexError(f"Z qubit {q} out of range for {n} qubits")
+    if x_mask < 0 or x_mask >> n:
+        raise IndexError(f"X mask {x_mask:#x} out of range for {n} qubits")
+    out = state.amplitudes[_INDEX[: 1 << n] ^ x_mask]
+    for q in z_qubits:
+        # (hi, 2, lo) view: axis 1 is bit q of i, so bit q of i ^ x_mask is set
+        # in the slice at 1 ^ (bit q of x_mask).
+        half = out.reshape(-1, 2, 1 << q)[:, 1 ^ ((x_mask >> q) & 1), :]
+        np.negative(half, out=half)
+    return StateVector(out, check=False)
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices, entry for entry, as one broadcast product."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def expand_gate(gate: GateMatrix, targets, num_qubits: int) -> np.ndarray:
     """Full 2^n x 2^n matrix of `gate` acting on `targets` (reference circuits only).
 
-    Built without the kernel: np.kron places the gate on the lowest qubits,
-    then the basis is relabelled so that layout bit b lands on qubit order[b].
+    Built without the kernel: kron places the gate on the lowest qubits, then
+    the basis is relabelled so that layout bit b lands on qubit order[b].
     """
     if num_qubits > 6:
         raise CapacityError("expand_gate is for small reference unitaries only")
     targets = _check_targets(targets, num_qubits, gate)
     order = targets + [q for q in range(num_qubits) if q not in targets]
-    full = np.kron(np.eye(2 ** (num_qubits - len(targets))), gate.entries)
+    full = kron(np.eye(2 ** (num_qubits - len(targets))), gate.entries)
     layout = np.arange(2**num_qubits)
     index = sum(((layout >> b) & 1) << q for b, q in enumerate(order))
     out = np.empty_like(full)

@@ -53,6 +53,72 @@ def test_capacity_guard():
         graphs.build_graph_state(g)
 
 
+def _dense_graph_state(graph):
+    """The reference graph state: one dense CZ per edge on |+>^n."""
+    state = qsim.plus_state(graph.num_vertices)
+    for u, v in graph.edge_list():
+        state = qsim.apply_gate(state, qsim.CZ, [u, v])
+    return state
+
+
+def _dense_stabilizer(graph, state, v):
+    moved = qsim.apply_gate(state, qsim.X, [v])
+    for u in graph.neighbors(v):
+        moved = qsim.apply_gate(moved, qsim.Z, [u])
+    return float(np.vdot(state.amplitudes, moved.amplitudes).real)
+
+
+def _random_one_qubit_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return qsim.GateMatrix(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def _random_graphs(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = rng.random(len(pairs)) < rng.random()
+        yield graphs.make_graph(
+            n, [e for e, k in zip(pairs, keep) if k], {v: (0, v) for v in range(n)}
+        )
+
+
+def _named_graphs():
+    return [graphs.linear_cluster(5), graphs.build_unit_cell(), graphs.tile(1, 1),
+            graphs.tile(1, 2)]
+
+
+def test_graph_state_equals_dense_cz_reference():
+    for g in [*_named_graphs(), *_random_graphs(30, 31)]:
+        got = graphs.build_graph_state(g).state.amplitudes
+        assert np.array_equal(got, _dense_graph_state(g).amplitudes), g.edge_list()
+
+
+def test_stabilizer_expectation_equals_dense_reference():
+    rng = np.random.default_rng(32)
+    for g in [*_named_graphs(), *_random_graphs(10, 33)]:
+        n = g.num_vertices
+        honest = graphs.build_graph_state(g).state
+        q = int(rng.integers(n))
+        tampered = qsim.apply_gate(honest, _random_one_qubit_unitary(rng), [q])
+        for state in (honest, tampered, qsim.random_state(n, rng)):
+            resource = graphs.ResourceState(g, state, check=False)
+            for v in range(n):
+                assert graphs.stabilizer_expectation(resource, v) == _dense_stabilizer(
+                    g, state, v
+                )
+
+
+def test_resource_state_width_must_match_graph():
+    g = graphs.linear_cluster(4)
+    for width in (3, 5):
+        with pytest.raises(ValueError, match="4-vertex graph"):
+            graphs.ResourceState(g, qsim.plus_state(width), check=False)
+    with pytest.raises(ValueError):
+        graphs.build_graph_state(graphs.make_graph(0, [], {}))
+
+
 def test_tampered_state_is_rejected():
     g = graphs.linear_cluster(4)
     resource = graphs.build_graph_state(g)
@@ -305,12 +371,3 @@ def test_graph_file_errors():
     for line in ("e a b", "v 0 x 0"):
         with pytest.raises(FormatError, match=re.escape(repr(line))):
             graphs.read_graph(f"graph 2\n{line}\n")
-
-
-def test_kron2_equals_np_kron_entry_for_entry():
-    rng = np.random.default_rng(17)
-    blocks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(6)]
-    blocks += [g.entries for g in (qsim.H, qsim.S, qsim.T)]
-    for a in blocks:
-        for b in blocks:
-            assert np.array_equal(graphs._kron2(a, b), np.kron(a, b))

@@ -450,15 +450,21 @@ def test_enumerate_distribution_checks_num_bits():
 
 
 def test_correct_output_applies_frames_in_order():
-    from blinddelegate.pauli import FRAME_XZ, FRAME_I
+    from blinddelegate.pauli import ALL_FRAMES
 
     psi = qsim.random_state(2, default_rng(3))
-    result = protocols.RunResult(
-        logical_output_state=psi, final_frames=[FRAME_XZ, FRAME_I]
-    )
-    corrected = protocols.correct_output(result)
-    ref = qsim.apply_gate(qsim.apply_gate(psi, qsim.Z, [0]), qsim.X, [0])
-    np.testing.assert_allclose(corrected.amplitudes, ref.amplitudes, atol=1e-12)
+    for frames in itertools.product(ALL_FRAMES, repeat=2):
+        result = protocols.RunResult(logical_output_state=psi, final_frames=list(frames))
+        ref = psi
+        for w, frame in enumerate(frames):  # Z first, then X, wire by wire
+            if frame.z:
+                ref = qsim.apply_gate(ref, qsim.Z, [w])
+            if frame.x:
+                ref = qsim.apply_gate(ref, qsim.X, [w])
+        assert np.array_equal(protocols.correct_output(result).amplitudes, ref.amplitudes)
+    extra = protocols.RunResult(logical_output_state=psi, final_frames=list(ALL_FRAMES[:3]))
+    with pytest.raises(IndexError):
+        protocols.correct_output(extra)
 
 
 def test_transcript_round_trip():

@@ -172,6 +172,68 @@ def test_tensor_matches_kron():
     np.testing.assert_array_equal(b.amplitudes, before[1])
 
 
+def test_kron_equals_np_kron_entry_for_entry():
+    rng = np.random.default_rng(17)
+    blocks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(6)]
+    blocks += [g.entries for g in (qsim.H, qsim.S, qsim.T)]
+    for a in blocks:
+        for b in blocks:
+            assert np.array_equal(qsim.kron(a, b), np.kron(a, b))
+    shapes = [(1, 1), (2, 2), (1, 4), (4, 1), (2, 8), (8, 8), (16, 16)]
+    for sa, sb in itertools.product(shapes, repeat=2):
+        real = rng.normal(size=sa), rng.normal(size=sb)
+        cplx = [m + 1j * rng.normal(size=m.shape) for m in real]
+        for a, b in ((real[0], real[1]), (cplx[0], cplx[1]), (real[0], cplx[1])):
+            got = qsim.kron(a, b)
+            assert got.dtype == np.kron(a, b).dtype
+            assert np.array_equal(got, np.kron(a, b))
+
+
+def _pauli_chain(psi, x_mask, z_qubits):
+    """X^x Z^z |psi> as the dense apply_gate chain: every Z, then every X."""
+    for q in z_qubits:
+        psi = qsim.apply_gate(psi, qsim.Z, [q])
+    for q in range(psi.num_qubits):
+        if (x_mask >> q) & 1:
+            psi = qsim.apply_gate(psi, qsim.X, [q])
+    return psi
+
+
+def _check_pauli(psi, x_mask, z_qubits):
+    before = psi.amplitudes.copy()
+    got = qsim.apply_pauli(psi, x_mask, z_qubits)
+    np.testing.assert_array_equal(psi.amplitudes, before)  # input untouched
+    assert got.num_qubits == psi.num_qubits
+    assert np.array_equal(got.amplitudes, _pauli_chain(psi, x_mask, z_qubits).amplitudes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_apply_pauli_equals_dense_chain_for_every_mask_pair(n):
+    psi = qsim.random_state(n, np.random.default_rng(400 + n))
+    for x_mask, z_mask in itertools.product(range(1 << n), repeat=2):
+        _check_pauli(psi, x_mask, [q for q in range(n) if (z_mask >> q) & 1])
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_apply_pauli_equals_dense_chain_at_full_width(n):
+    rng = np.random.default_rng(500 + n)
+    psi = qsim.random_state(n, rng)
+    for _ in range(12):
+        x_mask = int(rng.integers(1 << n))
+        z_qubits = [int(q) for q in rng.choice(n, size=rng.integers(n + 1), replace=False)]
+        _check_pauli(psi, x_mask, z_qubits)
+
+
+def test_apply_pauli_rejects_bits_outside_the_register():
+    psi = qsim.random_state(3, np.random.default_rng(6))
+    for x_mask, z_qubits in ((1 << 3, []), (0b1001, [0]), (-1, []), (0, [3]), (1, [0, -1])):
+        with pytest.raises(IndexError):
+            qsim.apply_pauli(psi, x_mask, z_qubits)
+    got = qsim.apply_pauli(psi, 0, [])
+    got.amplitudes[:] = 0.0  # a fresh array even for the identity
+    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0)
+
+
 def test_expand_gate_input_checks():
     with pytest.raises(ValueError):
         qsim.expand_gate(qsim.CZ, [1, 1], 3)
