@@ -21,7 +21,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import blindness, protocols
+from . import protocols
 from .qsim import DensityMatrix
 
 
@@ -75,15 +75,6 @@ def run_with_evil_device(program, countermeasure: bool,
     guess = decode_digit_from_transcript(result.transcript)
     secret = program.rounds[0].wants[0].k
     return guess, result.transcript, guess == secret
-
-
-def run_with_substituted_state(protocol, substitute, alice_angles):
-    """Server view when it hands out `substitute` instead of the resource."""
-    if int(protocol) != 1:
-        raise ValueError("substituted-state analysis is defined for protocol 1")
-    return blindness.bob_view_protocol1(
-        substitute, list(range(len(alice_angles))), alice_angles
-    )
 
 
 # --------------------------------------------------------------------------

@@ -73,54 +73,34 @@ def povm_distribution(view, povm: Povm) -> np.ndarray:
     return np.array([float(np.real(np.trace(e @ rho))) for e in povm.elements])
 
 
-# _PROJECTORS[k][a]: the rank-1 projector onto the qsim.ROTATED_BRAS element
-# of outcome a at Angle(k).
-_PROJECTORS = tuple(
-    tuple(np.outer(bra.conj(), bra) for bra in bras) for bras in qsim.ROTATED_BRAS
-)
-_IDLE = np.eye(2, dtype=complex)
-
-
-def _server_branch(rho, alice_qubits, angles, outcomes) -> np.ndarray:
-    """The server's unnormalized state when the client's qubits give `outcomes`.
-
-    Client qubit q is projected onto the qsim.ROTATED_BRAS element of its
-    outcome at its angle; the trace of the result is that outcome's probability.
-    """
-    n = DensityMatrix(rho, check=False).num_qubits
-    proj = np.eye(1, dtype=complex)
-    for q in range(n):
-        if q in alice_qubits:
-            i = alice_qubits.index(q)
-            block = _PROJECTORS[angles[i].k][outcomes[i]]
-        else:
-            block = _IDLE
-        proj = qsim.kron(block, proj)  # qubit q occupies index bit q
-    branch = DensityMatrix(proj @ rho @ proj.conj().T, check=False)
-    bob_qubits = [q for q in range(n) if q not in alice_qubits]
-    return qsim.partial_trace(branch, bob_qubits).entries
-
-
 def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
     """Sum the server's conditional states over the client's outcome strings.
 
-    The client holds `alice_qubits` of the joint state and measures qubit q in
-    the rotated basis at the matching angle; no outcome-dependent message ever
-    reaches the server, so the classical view is constant.
+    The client holds `alice_qubits` of the joint state and measures them in
+    turn at the matching angles, through protocol 1's own vertex step
+    (protocols.walk_protocol1). No outcome-dependent message ever reaches the
+    server, so the classical view is constant. A mixed joint state
+    sum_i l_i |v_i><v_i| has the view sum_i l_i view(v_i).
     """
-    rho = _as_density(joint)
-    n = DensityMatrix(rho, check=False).num_qubits
     alice_qubits = list(alice_qubits)
     angles = [a if isinstance(a, Angle) else Angle(a) for a in alice_angles]
     if len(alice_qubits) != len(angles):
         raise ValueError("one angle per client qubit")
+    if isinstance(joint, StateVector):
+        mixture = [(1.0, joint)]
+    else:
+        weights, vectors = np.linalg.eigh(_as_density(joint))
+        mixture = [(w, StateVector(v, check=False)) for w, v in zip(weights, vectors.T)]
+    n = mixture[0][1].num_qubits
     if not set(range(n)) - set(alice_qubits):
         raise ValueError("server must retain at least one qubit")
 
-    total = sum(
-        _server_branch(rho, alice_qubits, angles, outcomes)
-        for outcomes in itertools.product((0, 1), repeat=len(alice_qubits))
-    )
+    plan = [protocols.PlanStep(q, a) for q, a in zip(alice_qubits, angles)]
+    total = 0.0
+    for weight, psi in mixture:
+        for post, prob in protocols.walk_protocol1(psi, plan):
+            v = post.amplitudes
+            total = total + (weight * prob) * np.outer(v, v.conj())
     return BobView(marginal=DensityMatrix(total), transcript_dist={"": 1.0})
 
 
@@ -222,31 +202,24 @@ def _max_abs(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-def certify_protocol1(secrets, bob_strategy="honest", n_povms: int = 4,
+def certify_protocol1(secrets, joint=None, n_povms: int = 4,
                       rng=None) -> BlindnessReport:
     """Compare the server's quantum marginal across client secrets.
 
-    `secrets` are equal-length angle vectors for the measured vertices; the
-    honest joint state is the linear cluster with one retained output vertex,
-    an adversarial strategy supplies its own joint state instead.
+    `secrets` are equal-length angle vectors for the measured vertices. The
+    joint state is the honest linear cluster with one retained output vertex
+    when `joint` is None; a cheating server supplies its own instead.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     secrets = [[a if isinstance(a, Angle) else Angle(a) for a in s] for s in secrets]
     width = len(secrets[0])
     if any(len(s) != width for s in secrets):
         raise ValueError("all secrets must measure the same number of qubits")
-
-    if isinstance(bob_strategy, str):
-        if bob_strategy != "honest":
-            raise ValueError(f"unknown strategy {bob_strategy!r}")
+    if joint is None:
         joint = graphs.build_graph_state(graphs.linear_cluster(width + 1)).state
-    else:
-        joint = bob_strategy.state if hasattr(bob_strategy, "state") else bob_strategy
-    n = DensityMatrix(_as_density(joint), check=False).num_qubits
-    alice_qubits = list(range(width))
-    bob_dim = 2 ** (n - width)
 
-    views = [bob_view_protocol1(joint, alice_qubits, s) for s in secrets]
+    views = [bob_view_protocol1(joint, range(width), s) for s in secrets]
+    bob_dim = views[0].marginal.entries.shape[0]
     povms = [random_povm(bob_dim, 4, rng) for _ in range(n_povms)]
     report = BlindnessReport()
     for i, j in itertools.combinations(range(len(secrets)), 2):
@@ -335,11 +308,11 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
     return report
 
 
-def certify_B1_B2(protocol, secrets, bob_strategy="honest", n_povms: int = 4,
+def certify_B1_B2(protocol, secrets, joint=None, n_povms: int = 4,
                   rng=None, loss_prob: float = 0.0) -> BlindnessReport:
     """Render a pass/fail line per comparison; `protocol` selects the family."""
     if int(protocol) == 1:
-        return certify_protocol1(secrets, bob_strategy, n_povms, rng)
+        return certify_protocol1(secrets, joint, n_povms, rng)
     if int(protocol) == 2:
         return certify_protocol2(secrets, loss_prob, n_povms, rng)
     raise ValueError("protocol must be 1 or 2")

@@ -89,6 +89,9 @@ def parse_config(argv) -> ScenarioConfig:
             raise ConfigError(f"{ENV_SEED} must be an integer") from exc
     if not 0.0 <= config.loss <= 1.0:
         raise ConfigError("loss must lie in [0, 1]")
+    if config.protocol != "2" and (config.adversary != "honest" or config.countermeasure):
+        # Only protocol 2's deliveries consult a measuring device.
+        raise ConfigError("--adversary and --countermeasure apply to protocol 2 only")
     return config
 
 

@@ -622,6 +622,18 @@ def walk_protocol2(program: AngleProgram, input_state: StateVector):
     return ((leaf.m_bits, leaf.prob) for leaf in leaves)
 
 
+def walk_protocol1(state: StateVector, plan):
+    """(server state, prob) for every leaf of the client measuring `state`'s
+    plan vertices in turn, as protocol 1's vertex step does (adaptive sign
+    included), in the order of itertools.product over her outcomes.
+
+    The server state holds the qubits no step measured, in ascending order
+    (measuring only removes labels from the ascending register)."""
+    start = _Node(_Register(state, range(state.num_qubits)), [FRAME_I])
+    leaves = _walk(start, [("vertex", step, False) for step in plan])
+    return ((leaf.reg.state, leaf.prob) for leaf in leaves)
+
+
 def correct_output(result: RunResult) -> StateVector:
     """Apply the client's final frames (Z first, then X, on each wire) to the
     server-side register."""

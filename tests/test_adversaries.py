@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from blinddelegate import adversaries, protocols, qsim
+from blinddelegate import adversaries, blindness, protocols, qsim
 from blinddelegate.adversaries import EvilDevice
 
 
@@ -87,15 +87,13 @@ def test_substituted_state_view_is_angle_independent():
     rng = default_rng(9)
     rho = adversaries.random_mixed_state(3, rng)
     views = [
-        adversaries.run_with_substituted_state(1, rho, angles)
+        blindness.bob_view_protocol1(rho, [0, 1], angles)
         for angles in ([0, 0], [2, 6], [7, 3])
     ]
     for v in views[1:]:
         np.testing.assert_allclose(
             v.marginal.entries, views[0].marginal.entries, atol=1e-12
         )
-    with pytest.raises(ValueError):
-        adversaries.run_with_substituted_state(2, rho, [0])
 
 
 def test_mutual_information_estimator():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from blinddelegate import blindness, graphs, protocols, qsim
+from blinddelegate import adversaries, blindness, graphs, protocols, qsim
 from blinddelegate.blindness import BlindnessReport, Povm, ReportLine
 from blinddelegate.errors import DegenerateMeasurementError
 
@@ -45,29 +45,53 @@ def test_povm_distribution_projective():
 
 def test_bob_view_equals_partial_trace():
     """Summing conditionals over a complete client measurement is exactly the
-    partial trace, whatever the angles are (no-signaling oracle)."""
+    partial trace, whatever the angles are (no-signaling oracle), for a pure
+    joint state and for a mixed one."""
     rng = default_rng(17)
-    joint = qsim.random_state(4, rng)
-    for angles in ([0, 0], [2, 7], [5, 3]):
-        view = blindness.bob_view_protocol1(joint, [0, 2], angles)
+    for joint in (qsim.random_state(4, rng), adversaries.random_mixed_state(4, rng)):
         ref = qsim.partial_trace(joint, [1, 3])
-        np.testing.assert_allclose(view.marginal.entries, ref.entries, atol=1e-10)
+        for angles in ([0, 0], [2, 7], [5, 3]):
+            view = blindness.bob_view_protocol1(joint, [0, 2], angles)
+            np.testing.assert_allclose(view.marginal.entries, ref.entries, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("outcome", [0, 1])
-def test_bob_view_branch_projects_onto_measure_rotated_basis(k, outcome):
-    """One outcome's server branch is p * |post><post| of qsim.measure in the
-    ROTATED_BRAS basis at +theta. The summed view cannot show the basis sign
-    (no-signalling)."""
+def test_walk_protocol1_leaf_equals_measure_rotated_basis(k, outcome):
+    """Each leaf of the walk is qsim.measure's post-state and probability in
+    the ROTATED_BRAS basis at +theta, bit for bit."""
     joint = graphs.build_graph_state(graphs.linear_cluster(2)).state
-    rho = np.outer(joint.amplitudes, joint.amplitudes.conj())
-    branch = blindness._server_branch(rho, [0], [qsim.Angle(k)], (outcome,))
+    leaves = list(protocols.walk_protocol1(joint, [protocols.PlanStep(0, qsim.Angle(k))]))
+    assert len(leaves) == 2
+    post, p = leaves[outcome]
     # rand -1.0 always draws outcome 0, rand 1.0 always draws outcome 1.
-    drawn, post, p = qsim.measure(joint, 0, qsim.ROTATED_BRAS[k], [-1.0, 1.0][outcome])
+    drawn, ref, ref_p = qsim.measure(joint, 0, qsim.ROTATED_BRAS[k], [-1.0, 1.0][outcome])
     assert drawn == outcome
-    v = post.amplitudes
-    np.testing.assert_allclose(branch, p * np.outer(v, v.conj()), atol=1e-12)
+    assert np.array_equal(post.amplitudes, ref.amplitudes)
+    assert p == ref_p
+
+
+def test_announced_outcomes_would_reveal_the_secret():
+    """Negative control: a client who announced her outcome string would
+    hand the server the branch states one by one, and those depend on her
+    angles. Only their sum, what the server holds, is angle-independent."""
+    joint = graphs.build_graph_state(graphs.linear_cluster(4)).state
+    leaves = [
+        list(protocols.walk_protocol1(
+            joint, [protocols.PlanStep(v, qsim.Angle(k)) for v, k in enumerate(secret)]))
+        for secret in ((0, 2, 7), (1, 4, 2))
+    ]
+    assert len(leaves[0]) == len(leaves[1]) == 8
+
+    def branch(post, p):
+        return p * np.outer(post.amplitudes, post.amplitudes.conj())
+
+    per_leaf = max(
+        np.max(np.abs(branch(*a) - branch(*b))) for a, b in zip(*leaves)
+    )
+    assert per_leaf > blindness.BLINDNESS_TOL
+    summed = [sum(branch(*leaf) for leaf in side) for side in leaves]
+    assert np.max(np.abs(summed[0] - summed[1])) < 1e-12
 
 
 def test_bob_view_accepts_density_input():
@@ -148,7 +172,7 @@ def test_certify_protocol1_substituted_joint_is_invariant():
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     report = blindness.certify_protocol1(
-        [(0, 1), (6, 3)], bob_strategy=rho, n_povms=1, rng=rng
+        [(0, 1), (6, 3)], joint=rho, n_povms=1, rng=rng
     )
     assert report.passed
 

@@ -94,6 +94,17 @@ def test_empty_chain_circuit_rejected(tmp_path, capsys, protocol):
     assert line.startswith("error: the circuit is empty")
 
 
+@pytest.mark.parametrize("protocol", ["1", "tp"])
+@pytest.mark.parametrize("flags", [["--adversary", "loss-device"], ["--countermeasure"]])
+def test_chain_protocols_reject_protocol2_attack_flags(tmp_path, capsys, protocol, flags):
+    argv = ["run", "--protocol", protocol, "--circuit", _circuit(tmp_path, "H 0\n"),
+            "--outdir", str(tmp_path), *flags]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --adversary and --countermeasure apply to protocol 2 only"]
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_missing_circuit_file(tmp_path):
     code = cli.main(
         ["run", "--protocol", "2", "--circuit", str(tmp_path / "nope.txt"),
