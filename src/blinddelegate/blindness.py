@@ -9,6 +9,7 @@ reported X-bits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -104,15 +105,24 @@ def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
     return BobView(marginal=DensityMatrix(total), transcript_dist={"": 1.0})
 
 
-def bob_view_protocol2_round(theta: Angle) -> DensityMatrix:
-    """The server-side pair half after the client's rotated measurement,
-    averaged over her (unsent) outcome; equals I/2 for every angle."""
-    theta = theta if isinstance(theta, Angle) else Angle(theta)
+@functools.cache
+def _round_view(k: int) -> DensityMatrix:
+    """The round view at Angle(k), built and checked once per process (on
+    first use: the check's eigvalsh pulls in LAPACK, which runs never take)."""
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    v = qsim.rotation(theta).entries @ plus
+    v = qsim.rotation(Angle(k)).entries @ plus
     pure = np.outer(v, v.conj())
     z = qsim.Z.entries
-    return DensityMatrix(0.5 * pure + 0.5 * (z @ pure @ z))
+    view = DensityMatrix(0.5 * pure + 0.5 * (z @ pure @ z))
+    view.entries.setflags(write=False)
+    return view
+
+
+def bob_view_protocol2_round(theta: Angle) -> DensityMatrix:
+    """The server-side pair half after the client's rotated measurement,
+    averaged over her (unsent) outcome; equals I/2 for every angle. The
+    entries are read-only: every call at one angle returns the same view."""
+    return _round_view(theta.k if isinstance(theta, Angle) else Angle(theta).k)
 
 
 # --------------------------------------------------------------------------
@@ -221,6 +231,8 @@ def certify_protocol1(secrets, joint=None, n_povms: int = 4,
     views = [bob_view_protocol1(joint, range(width), s) for s in secrets]
     bob_dim = views[0].marginal.entries.shape[0]
     povms = [random_povm(bob_dim, 4, rng) for _ in range(n_povms)]
+    # Each POVM's outcome vector, once per view.
+    outcomes = [[povm_distribution(v, povm) for v in views] for povm in povms]
     report = BlindnessReport()
     for i, j in itertools.combinations(range(len(secrets)), 2):
         report.add("p1-marginal", (i, j),
@@ -232,11 +244,8 @@ def certify_protocol1(secrets, joint=None, n_povms: int = 4,
                 [views[j].transcript_dist.get(k, 0.0) for k in ("",)],
             ),
         )
-        for p, povm in enumerate(povms):
-            dev = _max_abs(
-                povm_distribution(views[i], povm), povm_distribution(views[j], povm)
-            )
-            report.add("p1-povm", (i, j), dev, povm=p)
+        for p, dists in enumerate(outcomes):
+            report.add("p1-povm", (i, j), _max_abs(dists[i], dists[j]), povm=p)
     return report
 
 
@@ -257,13 +266,11 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
     ]
     input_state = qsim.basis_state(wires, 0)
 
-    round_views = []
-    for prog in programs:
-        per_round = []
-        for plan in prog.rounds:
-            views = [bob_view_protocol2_round(t) for t in _round_angle_options(plan)]
-            per_round.append(views)
-        round_views.append(per_round)
+    # Per program and round, the angles the server's round view is taken at.
+    round_angles = [[[t.k for t in _round_angle_options(plan)] for plan in prog.rounds]
+                    for prog in programs]
+    views = {k: bob_view_protocol2_round(k)
+             for per_round in round_angles for ks in per_round for k in ks}
     m_dists = [m_string_distribution(p, input_state) for p in programs]
     # The loss pattern of each delivery is channel randomness only; with the
     # padded round counts the whole classical loss view is one dist per round.
@@ -272,6 +279,8 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
         for p in programs
     ]
     povms = [random_povm(2, 4, rng) for _ in range(n_povms)]
+    # Each POVM's outcome vector, once per distinct view.
+    outcomes = [{k: povm_distribution(v, povm) for k, v in views.items()} for povm in povms]
 
     report = BlindnessReport()
     for i in range(len(secrets)):
@@ -281,9 +290,9 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
     for i, j in itertools.combinations(range(len(secrets)), 2):
         dev = 0.0
         for r in range(rounds):
-            for vi in round_views[i][r]:
-                for vj in round_views[j][r]:
-                    dev = max(dev, qsim.frobenius_distance(vi, vj))
+            for ki in round_angles[i][r]:
+                for kj in round_angles[j][r]:
+                    dev = max(dev, qsim.frobenius_distance(views[ki], views[kj]))
         report.add("p2-round-view", (i, j), dev)
 
         keys = sorted(set(m_dists[i]) | set(m_dists[j]))
@@ -292,18 +301,12 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
         dev = 0.0 if resends[i][0] == resends[j][0] else 1.0
         dev = max(dev, _max_abs(resends[i][1], resends[j][1]))
         report.add("p2-resend", (i, j), dev)
-        for p, povm in enumerate(povms):
+        for p, dists in enumerate(outcomes):
             dev = 0.0
             for r in range(rounds):
-                for vi in round_views[i][r]:
-                    for vj in round_views[j][r]:
-                        dev = max(
-                            dev,
-                            _max_abs(
-                                povm_distribution(vi, povm),
-                                povm_distribution(vj, povm),
-                            ),
-                        )
+                for ki in round_angles[i][r]:
+                    for kj in round_angles[j][r]:
+                        dev = max(dev, _max_abs(dists[ki], dists[kj]))
             report.add("p2-povm", (i, j), dev, povm=p)
     return report
 

@@ -40,7 +40,7 @@ class PauliFrame:
         object.__setattr__(self, "z", int(self.z) % 2)
 
     def compose(self, other: "PauliFrame") -> "PauliFrame":
-        return PauliFrame(self.x ^ other.x, self.z ^ other.z)
+        return frame(self.x ^ other.x, self.z ^ other.z)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -60,6 +60,13 @@ FRAME_X = PauliFrame(1, 0)
 FRAME_Z = PauliFrame(0, 1)
 FRAME_XZ = PauliFrame(1, 1)
 ALL_FRAMES = (FRAME_I, FRAME_X, FRAME_Z, FRAME_XZ)
+
+
+def frame(x: int, z: int) -> PauliFrame:
+    """The module frame X^x Z^z for bits x and z: a table lookup, equal by
+    field to PauliFrame(x, z)."""
+    return ALL_FRAMES[x | z << 1]
+
 
 # X^x Z^z of one wire, or of a two-wire cell with its frames listed low slot
 # first (the low slot acts on index bit 0).

@@ -14,7 +14,7 @@ the runtime, the blindness certificate and the attacks all read that table.
 
 Protocol 2 and the linear-cluster protocols 1 and tp are event lists over one
 step (_step). Runs go through one loop (_run), which owns the messages; exact
-distributions come from one depth-first walk of the outcome tree (_walk).
+distributions come from one walk of the outcome tree (_walk), level by level.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graphs, qsim
+from . import graphs, pauli, qsim
 from .errors import DegenerateMeasurementError, FormatError, RetryLimitError
 from .pauli import FRAME_I, PauliFrame
 from .qsim import Angle, StateVector
@@ -112,7 +112,7 @@ class RoundPlan:
     def frame_update(frame: PauliFrame, a: int, m: int) -> PauliFrame:
         # Round byproduct: Z^a lands on the fresh qubit, X^m H shuffles the old
         # frame; net effect (x, z) -> (m + z, a + x).
-        return PauliFrame((m + frame.z) % 2, (a + frame.x) % 2)
+        return pauli.frame((m + frame.z) % 2, (a + frame.x) % 2)
 
 
 @dataclass(frozen=True)
@@ -280,70 +280,107 @@ class RunResult:
     rounds_completed: int = 0
 
 
-class _Register:
-    """State vector plus label bookkeeping (measurement shifts indices)."""
+@dataclass(slots=True)
+class _Node:
+    """The client's record at one point of a run: wire frames, the bits the
+    server reported, the branch probability, the last round's command angle
+    and a chain's read-out bit. A node is owned by one branch."""
 
-    def __init__(self, state: StateVector, labels):
-        self.state = state
-        self.labels = list(labels)
+    frames: list
+    m_bits: tuple = ()
+    prob: float = 1.0
+    command: Angle = None
+    out: tuple = ()
 
-    def index(self, label) -> int:
+
+@dataclass(slots=True)
+class _Level:
+    """The nodes at one depth of the outcome tree, and their registers.
+
+    Labels follow the events and not the outcomes, so every node's register
+    holds the same `labels` (qubit i is labels[i]) and `amps` stacks them, row
+    b for nodes[b]. A registerless run has no `amps` and no labels. A level
+    is consumed by _step.
+    """
+
+    amps: np.ndarray | None
+    labels: list
+    nodes: list
+
+    def qubit(self, label) -> int:
         return self.labels.index(label)
 
-    def append(self, other: StateVector, labels):
-        self.state = self.state.tensor(other)
+    def append(self, amplitudes, labels):
+        self.amps = qsim.tensor_stack(self.amps, amplitudes)
         self.labels.extend(labels)
 
     def apply(self, gate, labels):
-        self.state = qsim.apply_gate(self.state, gate, [self.index(l) for l in labels])
+        self.amps = qsim.apply_stack(self.amps, gate, [self.qubit(l) for l in labels])
 
-    def branches(self, measure, label, bras):
-        """(outcome, prob, register) for each branch `measure` follows when
-        `label` is measured in the basis `bras`; each register is new and
-        lacks `label`."""
-        idx = self.index(label)
-        rest = self.labels[:idx] + self.labels[idx + 1:]
-        return [(outcome, prob, _Register(post, rest))
-                for outcome, post, prob in measure(self.state, idx, bras)]
+    def fork(self, measure, label, bras):
+        """Measure `label` on every node with `measure`; returns (parents,
+        outcomes, probs), one entry per branch, and keeps the branches'
+        stack. The caller builds the branches' nodes."""
+        qubit = self.qubit(label)
+        parents, outcomes, probs, self.amps = measure(self.amps, qubit, bras)
+        del self.labels[qubit]
+        return parents, outcomes, probs
 
     def relabel(self, old, new):
-        self.labels[self.index(old)] = new
+        self.labels[self.qubit(old)] = new
 
-    def extract(self, ordered_labels) -> StateVector:
-        perm = [self.index(l) for l in ordered_labels]
-        psi = self.state.amplitudes.reshape([2] * self.state.num_qubits, order="F")
-        return StateVector(
-            np.transpose(psi, axes=perm).reshape(-1, order="F"), check=False
-        )
+    def state(self, ordered_labels) -> StateVector:
+        """A run's register (its one node's) with `ordered_labels` as qubits
+        0, 1, ..."""
+        perm = [self.qubit(l) for l in ordered_labels]
+        (amps,) = self.amps
+        psi = amps.reshape([2] * len(self.labels), order="F")
+        return StateVector(np.transpose(psi, axes=perm).reshape(-1, order="F"), check=False)
+
+
+def _level(state, labels, frames) -> _Level:
+    """A level of one node: a copy of `state` (None: no register) on `labels`."""
+    if state is None:
+        return _Level(None, [], [_Node(frames)])
+    return _Level(state.amplitudes[None].copy(), list(labels), [_Node(frames)])
+
+
+def _bases(commands):
+    """The bras of each node's command angle: one shared basis when every
+    node has the same angle (as a run's level of one does), else a stack."""
+    ks = [c.k for c in commands]
+    return qsim.ROTATED_BRAS[ks[0] if ks.count(ks[0]) == len(ks) else ks]
 
 
 def _measurement(rng, forced=None):
-    """The measure callback of a run, which follows one branch per measurement:
-    drawn with one rng.random() call, or named by the next of the `forced` bits.
+    """The measure callback of a run, which follows one branch per node and
+    measurement: drawn with one rng.random() call, or named by the next of
+    the `forced` bits.
 
-    A callback measure(state, qubit, bras) returns the branches to follow as
-    (outcome, post_state, prob) triples, outcome 0 first; the exact walk
-    (_walk) follows every possible branch with qsim.measurement_branches.
-    With no register (state None) a draw is a fair coin (see _round_branches).
+    A callback measure(stack, qubit, bras) returns what qsim.measure_stack
+    does; the exact walk (_walk) calls measure_stack itself, which keeps
+    every possible branch. With no register (stack None) a draw is a fair
+    coin (see _round).
     """
     if forced is None:
-        def draw(state, qubit, bras):
-            rand = rng.random()
-            if state is None:
-                return [(0 if rand < 0.5 else 1, None, 0.5)]
-            return [qsim.measure(state, qubit, bras, rand)]
-        return draw
-    queue = iter(forced)
+        def pick(p0):
+            return 0 if rng.random() < p0 else 1
+    else:
+        queue = iter(forced)
 
-    def force(state, qubit, bras):
-        want = next(queue, None)
-        if want is None:
-            raise ValueError("fewer forced outcomes than measurements")
-        for branch in qsim.measurement_branches(state, qubit, bras):
-            if branch[0] == want:
-                return [branch]
-        raise DegenerateMeasurementError(f"forced outcome {want} is impossible")
-    return force
+        def pick(p0):
+            want = next(queue, None)
+            if want is None:
+                raise ValueError("fewer forced outcomes than measurements")
+            if want not in (0, 1):
+                raise DegenerateMeasurementError(f"forced outcome {want} is impossible")
+            return want
+
+    def measure(stack, qubit, bras):
+        if stack is None:
+            return [0], [pick(0.5)], [0.5], None
+        return qsim.measure_stack(stack, qubit, bras, pick)
+    return measure
 
 
 def _deliver(channel, rng_loss, rng_mask, transcript, round_index, device=None):
@@ -375,152 +412,152 @@ def _deliver(channel, rng_loss, rng_mask, transcript, round_index, device=None):
     )
 
 
-def _round_branches(reg, round_index, wire, command, measure, pair):
-    """The quantum part of one round, as (a, m, pa, pm, register) per branch.
-
-    The fresh pair's halves (`pair`, or a Bell pair if None) join `reg`; the
-    client measures hers at `command` (outcome a), the server entangles his
-    with the wire by CZ, measures the wire in the X basis (reported bit m)
-    and keeps his half as the new wire. The CZ acts on the server's half and
-    the wire and the client measures only her half, so the two commute
-    exactly: this is the protocol's no-signaling structure. The CZ is
-    therefore applied once per round, before her measurement, and not once
-    per outcome a.
-
-    With no register (`reg` None) the pair is an honest Bell pair, and a and
-    m are fair coins, drawn in that order: the client's half of a Bell pair
-    is maximally mixed whatever the rest, and after the CZ the server's half
-    has <Z> = 0, so the wire's X outcome is unbiased for any angle and state.
-    """
-    if reg is None:
-        return [(a, m, pa, pm, None)
-                for a, _, pa in measure(None, None, None)
-                for m, _, pm in measure(None, None, None)]
-    server, client = ("half", round_index), ("sent", round_index)
-    wire_label = ("wire", wire)
-    reg.append(qsim.bell_pair() if pair is None else pair, [server, client])
-    reg.apply(qsim.CZ, [server, wire_label])
-    branches = []
-    for a, pa, after_a in reg.branches(measure, client, qsim.ROTATED_BRAS[command.k]):
-        for m, pm, after_m in after_a.branches(measure, wire_label, qsim.ROTATED_BRAS[0]):
-            after_m.relabel(server, wire_label)
-            branches.append((a, m, pa, pm, after_m))
-    return branches
+def _start(program: AngleProgram, input_state: StateVector) -> _Level:
+    """The start level; it holds no register if `input_state` is None."""
+    frames = [FRAME_I] * program.num_wires
+    if input_state is None:
+        return _level(None, (), frames)
+    if input_state.num_qubits != program.num_wires:
+        raise ValueError("input state does not match the program's wire count")
+    return _level(input_state, [("wire", w) for w in range(program.num_wires)], frames)
 
 
-@dataclass
-class _Node:
-    """A point of a run: the server's register (None on a registerless run)
-    and the client's record (wire frames, bits the server reported, branch
-    probability, a chain's read-out bit). A node is owned by one branch and
-    consumed by _step."""
-
-    reg: _Register | None
-    frames: list
-    m_bits: tuple = ()
-    prob: float = 1.0
-    command: Angle = None  # the last round's command angle
-    out: tuple = ()
-
-
-def _start(program: AngleProgram, input_state: StateVector) -> _Node:
-    """The start node; it holds no register if `input_state` is None."""
-    reg = None
-    if input_state is not None:
-        if input_state.num_qubits != program.num_wires:
-            raise ValueError("input state does not match the program's wire count")
-        reg = _Register(input_state.copy(), [("wire", w) for w in range(program.num_wires)])
-    return _Node(reg, [FRAME_I] * program.num_wires)
-
-
-def _step(node, event, measure, pair_source=None):
-    """The nodes that follow `node` through one event, in branch order.
+def _step(level, event, measure, pair_source=None):
+    """The level that follows `level` through one event.
 
     Protocol 2 runs its program's events: round, bridge and extract. The
     chain protocols (_chain) run deliver, teleport, vertex and readout.
-    An event without a measurement updates `node` and returns it. One with
-    measurements returns a node per branch that `measure` follows; each owns
-    its register and record and multiplies the parent's probability by the
-    event's branch probability.
+    Each gate and each measurement is one kernel call on the whole stack. An
+    event without a measurement updates the nodes in place. One with
+    measurements gives each node a child per branch that `measure` follows,
+    node by node and outcome 0 first; each child owns its record and
+    multiplies its parent's probability by the event's branch probability.
     """
-    kind = event[0]
+    kind, nodes = event[0], level.nodes
+    if kind == "round":
+        return _round(level, event[1], measure, pair_source)
     if kind in ("deliver", "done"):
-        return [node]  # classical only: the run loop sends the messages
+        return level  # classical only: the run loop sends the messages
     if kind == "bridge":
         _, (wa, wb) = event
-        if node.reg is not None:
-            node.reg.apply(qsim.CZ, [("wire", wa), ("wire", wb)])
-        fa, fb = node.frames[wa], node.frames[wb]
-        node.frames[wa] = PauliFrame(fa.x, fa.z ^ fb.x)
-        node.frames[wb] = PauliFrame(fb.x, fb.z ^ fa.x)
-        return [node]
+        if level.amps is not None:
+            qsim.cz_stack(level.amps, level.qubit(("wire", wa)), level.qubit(("wire", wb)))
+        for node in nodes:
+            fa, fb = node.frames[wa], node.frames[wb]
+            node.frames[wa] = pauli.frame(fa.x, fa.z ^ fb.x)
+            node.frames[wb] = pauli.frame(fb.x, fb.z ^ fa.x)
+        return level
     if kind == "extract":
-        # The Pauli factors the group's word leaves on this branch.
+        # The Pauli factors the group's word leaves on each branch.
         group = event[1]
-        folds = group.entry.frames[tuple(node.m_bits[r - 1] for r in group.rounds)]
-        for w, f in zip(group.wires, folds):
-            node.frames[w] = node.frames[w].compose(f)
-        return [node]
+        for node in nodes:
+            folds = group.entry.frames[tuple(node.m_bits[r - 1] for r in group.rounds)]
+            for w, f in zip(group.wires, folds):
+                node.frames[w] = node.frames[w].compose(f)
+        return level
     if kind == "teleport":
         # The server teleports the vertex to the client through a fresh pair
         # and reports both bits (mz, mx); her particle carries X^mx Z^mz.
         vertex = event[1]
         keep, sent = ("keep", vertex), ("tele", vertex)
-        node.reg.append(qsim.bell_pair(), [keep, sent])
-        node.reg.apply(qsim.CNOT, [vertex, keep])
-        node.reg.apply(qsim.H, [vertex])
-        children = []
-        for mz, p1, after_z in node.reg.branches(measure, vertex, qsim.Z_BRAS):
-            for mx, p2, after_x in after_z.branches(measure, keep, qsim.Z_BRAS):
-                after_x.relabel(sent, vertex)
-                children.append(_Node(after_x, list(node.frames), node.m_bits + (mz, mx),
-                                      node.prob * (p1 * p2)))
-        return children
-    if kind in ("vertex", "readout"):
-        # The client measures a delivered vertex: a plan step at its angle, or
-        # the last vertex (read out in the Z basis). A teleported particle
-        # carries X^mx Z^mz from the last two reported bits; like the chain's
-        # frame.x, X^mx flips the sign of her command and of her read-out bit,
-        # and Z^mz flips her outcome s.
-        _, target, teleported = event  # a PlanStep, or the read-out vertex
-        mz, mx = node.m_bits[-2:] if teleported else (0, 0)
-        frame = node.frames[0]
-        if kind == "readout":
-            return [_Node(reg, [frame], node.m_bits, node.prob * p,
-                          out=(b ^ mx ^ frame.x,))
-                    for b, p, reg in node.reg.branches(measure, target, qsim.Z_BRAS)]
-        command = -target.base_angle if frame.x ^ mx else target.base_angle
-        return [_Node(reg, [RoundPlan.frame_update(frame, 0, s ^ mz)], node.m_bits,
-                      node.prob * p, command)
-                for s, p, reg in node.reg.branches(
-                    measure, target.vertex, qsim.ROTATED_BRAS[command.k])]
+        level.append(qsim.bell_pair().amplitudes, [keep, sent])
+        level.apply(qsim.CNOT, [vertex, keep])
+        level.apply(qsim.H, [vertex])
+        z_of, mz, pz = level.fork(measure, vertex, qsim.Z_BRAS)
+        x_of, mx, px = level.fork(measure, keep, qsim.Z_BRAS)
+        level.relabel(sent, vertex)
+        children = level.nodes = []
+        for i, x_bit, p_x in zip(x_of, mx, px):
+            node = nodes[z_of[i]]
+            children.append(_Node(list(node.frames), node.m_bits + (mz[i], x_bit),
+                                  node.prob * (pz[i] * p_x)))
+        return level
+    if kind == "readout":
+        # The client reads out the last vertex in the Z basis; a teleported
+        # particle's X^mx flips her bit, like the chain's frame.x.
+        _, vertex, teleported = event
+        of, bits, probs = level.fork(measure, vertex, qsim.Z_BRAS)
+        children = level.nodes = []
+        for i, b, p in zip(of, bits, probs):
+            node = nodes[i]
+            mx = node.m_bits[-1] if teleported else 0
+            frame = node.frames[0]
+            children.append(_Node([frame], node.m_bits, node.prob * p,
+                                  out=(b ^ mx ^ frame.x,)))
+        return level
+    if kind == "vertex":
+        # The client measures a delivered vertex at its plan step's angle. A
+        # teleported particle carries X^mx Z^mz from the last two reported
+        # bits; X^mx flips the sign of her command, and Z^mz her outcome s.
+        _, step, teleported = event
+        shifts = [node.m_bits[-2:] if teleported else (0, 0) for node in nodes]
+        commands = [-step.base_angle if node.frames[0].x ^ mx else step.base_angle
+                    for node, (_, mx) in zip(nodes, shifts)]
+        of, outcomes, probs = level.fork(measure, step.vertex, _bases(commands))
+        children = level.nodes = []
+        for i, s, p in zip(of, outcomes, probs):
+            frame = RoundPlan.frame_update(nodes[i].frames[0], 0, s ^ shifts[i][0])
+            children.append(_Node([frame], nodes[i].m_bits, nodes[i].prob * p, commands[i]))
+        return level
 
-    plan = event[1]
-    command = plan.adapt_rule(node.m_bits, node.frames[plan.wire])
-    children = []
-    for a, m, pa, pm, reg in _round_branches(
-        node.reg, plan.round_index, plan.wire, command, measure, pair_source
-    ):
+
+_X_BRAS = qsim.ROTATED_BRAS[0]  # the server's X-basis read-out of the wire
+
+
+def _round(level, plan, measure, pair_source):
+    """One protocol-2 round on every node of `level`.
+
+    The fresh pair's halves (`pair_source`, or a Bell pair) join the
+    register; the client measures hers at the command angle (outcome a), the
+    server entangles his with the wire by CZ, measures the wire in the X
+    basis (reported bit m) and keeps his half as the new wire. The CZ acts on
+    the server's half and the wire and the client measures only her half, so
+    the two commute exactly: this is the protocol's no-signaling structure.
+    The CZ is therefore applied before her measurement, once.
+
+    With no register the pair is an honest Bell pair, and a and m are fair
+    coins, drawn in that order: the client's half of a Bell pair is
+    maximally mixed whatever the rest, and after the CZ the server's half has
+    <Z> = 0, so the wire's X outcome is unbiased for any angle and state.
+    """
+    nodes, w = level.nodes, plan.wire
+    commands = [plan.adapt_rule(node.m_bits, node.frames[w]) for node in nodes]
+    if level.amps is None:
+        (a_of, a, pa, _), (m_of, m, pm, _) = measure(None, None, None), measure(None, None, None)
+    else:
+        server, client = ("half", plan.round_index), ("sent", plan.round_index)
+        wire = ("wire", w)
+        pair = qsim.bell_pair() if pair_source is None else pair_source
+        level.append(pair.amplitudes, [server, client])
+        qsim.cz_stack(level.amps, level.qubit(server), level.qubit(wire))
+        a_of, a, pa = level.fork(measure, client, _bases(commands))
+        m_of, m, pm = level.fork(measure, wire, _X_BRAS)
+        level.relabel(server, wire)
+    children = level.nodes = []
+    for i, m_bit, p_m in zip(m_of, m, pm):
+        parent = a_of[i]
+        node = nodes[parent]
         frames = list(node.frames)
-        frames[plan.wire] = RoundPlan.frame_update(frames[plan.wire], a, m)
+        frames[w] = RoundPlan.frame_update(frames[w], a[i], m_bit)
         # pa * pm first: certificates print noise-level sums of these products.
-        children.append(_Node(reg, frames, node.m_bits + (m,), node.prob * (pa * pm),
-                              command))
-    return children
+        children.append(_Node(frames, node.m_bits + (m_bit,), node.prob * (pa[i] * p_m),
+                              commands[parent]))
+    return level
 
 
 _DONE = ("done",)
 
 
-def _run(node, events, measure, *, channel=None,
+def _run(level, events, measure, *, channel=None,
          loss_masking=False, device=None, pair_source=None):
-    """Run `events` from `node` along the one branch `measure` follows.
+    """Run `events` from a level of one node along the one branch `measure`
+    follows.
 
     The loop owns the messages: a delivery (with resends on a lossy channel)
     before each round and each "deliver" event, one X_RESULT per bit the
     server reports, in the round of the last delivery, and DONE at the "done"
     event. After each round a device sees the command angle.
-    Returns the final node and a RunResult of the classical record.
+    Returns the final level and a RunResult of the classical record.
     """
     # Each stream exists only where it can change an outcome: at loss 0 no
     # draw of rng_loss loses a particle.
@@ -537,33 +574,34 @@ def _run(node, events, measure, *, channel=None,
             resends += _deliver(channel, rng_loss, rng_mask, transcript, rnd, device)
         elif kind == "done":
             transcript.append(Message(rnd, A2B, "DONE"))
-        reported = len(node.m_bits)
-        (node,) = _step(node, event, measure, pair_source)
+        reported = len(level.nodes[0].m_bits)
+        level = _step(level, event, measure, pair_source)
+        (node,) = level.nodes
         if kind == "round" and device is not None:
             device.observe_angle(node.command.k)
         for m in node.m_bits[reported:]:
             transcript.append(Message(rnd, B2A, "X_RESULT", m))
-    return node, RunResult(transcript=transcript, final_frames=list(node.frames),
+    (node,) = level.nodes
+    return level, RunResult(transcript=transcript, final_frames=list(node.frames),
                            retransmission_count=resends, branch_probability=node.prob,
                            rounds_completed=rnd)
 
 
-def _walk(node, events):
-    """Every leaf of a lossless, honest run's outcome tree, exactly.
+def _walk(level, events):
+    """The leaves of a lossless, honest run's outcome tree, exactly: the last
+    level of a walk that advances the whole frontier one event at a time.
 
-    A depth-first walk: each measurement forks on its possible outcomes (0
-    before 1, impossible ones dropped), and every fork continues from its
-    parent's register and record. Leaves come in the order of
-    itertools.product over the outcome bits, measurement by measurement.
+    Level by level, each measurement forks every node on its possible
+    outcomes (0 before 1, impossible ones dropped), and children keep their
+    parents' order, so the leaves come in the order of itertools.product
+    over the outcome bits, measurement by measurement. A level holds every
+    node's register, so memory grows with the widest level (its nodes times
+    the register's 2^n amplitudes): the walk is for exact checks of a few
+    rounds or vertices.
     """
-    stack = [(node, 0)]
-    while stack:
-        node, i = stack.pop()
-        if i == len(events):
-            yield node
-            continue
-        children = _step(node, events[i], qsim.measurement_branches)
-        stack.extend((child, i + 1) for child in reversed(children))
+    for event in events:
+        level = _step(level, event, qsim.measure_stack)
+    return level
 
 
 def run_protocol2(
@@ -588,24 +626,24 @@ def run_protocol2(
 
     With `input_state` None the run holds no register and
     `logical_output_state` is None: each round's a and m are fair coins
-    (_round_branches), one rng.random() each compared with exactly 1/2, in
+    (_round), one rng.random() each compared with exactly 1/2, in
     the register path's order. The register path compares the draw with a
     computed p0 that misses 1/2 by rounding error (up to 42 * 2**-54 on
     signal programs, about 1e-12 on random-input compiled circuits), so the
     paths differ only for a draw in that gap. A substituted pair or forced
     outcomes need a register.
     """
-    node = _start(program, input_state)
+    level = _start(program, input_state)
     if input_state is None and (pair is not None or forced_outcomes is not None):
         raise ValueError("a substituted pair or forced outcomes need a register")
     if forced_outcomes is not None:
         forced_outcomes = [b for ab in forced_outcomes for b in ab]
-    node, result = _run(
-        node, [*program.events, _DONE], _measurement(rng, forced_outcomes),
+    level, result = _run(
+        level, [*program.events, _DONE], _measurement(rng, forced_outcomes),
         channel=channel, loss_masking=loss_masking, device=device, pair_source=pair,
     )
-    if node.reg is not None:
-        result.logical_output_state = node.reg.extract(
+    if level.amps is not None:
+        result.logical_output_state = level.state(
             [("wire", w) for w in range(program.num_wires)])
     return result
 
@@ -618,7 +656,7 @@ def walk_protocol2(program: AngleProgram, input_state: StateVector):
     fair coins in its place a certificate would assume what it certifies."""
     if input_state is None:
         raise ValueError("the walk needs an input state")
-    leaves = _walk(_start(program, input_state), program.events)
+    leaves = _walk(_start(program, input_state), program.events).nodes
     return ((leaf.m_bits, leaf.prob) for leaf in leaves)
 
 
@@ -629,9 +667,10 @@ def walk_protocol1(state: StateVector, plan):
 
     The server state holds the qubits no step measured, in ascending order
     (measuring only removes labels from the ascending register)."""
-    start = _Node(_Register(state, range(state.num_qubits)), [FRAME_I])
+    start = _level(state, range(state.num_qubits), [FRAME_I])
     leaves = _walk(start, [("vertex", step, False) for step in plan])
-    return ((leaf.reg.state, leaf.prob) for leaf in leaves)
+    return ((StateVector(amps, check=False), leaf.prob)
+            for amps, leaf in zip(leaves.amps, leaves.nodes))
 
 
 def correct_output(result: RunResult) -> StateVector:
@@ -655,10 +694,11 @@ def round2_step(register: StateVector, wire_qubit: int, theta: Angle,
     builder.raw(wire_qubit, [theta.k])
     program = builder.program
     measure = _measurement(rng, None if hasattr(rng, "random") else rng)
-    node, result = _run(_start(program, register), program.events, measure, channel=channel)
+    level, result = _run(_start(program, register), program.events, measure, channel=channel)
+    (node,) = level.nodes
     # From the identity frame a round leaves the frame (x, z) = (m, a).
     a = node.frames[wire_qubit].z
-    out = node.reg.extract([("wire", w) for w in range(register.num_qubits)])
+    out = level.state([("wire", w) for w in range(register.num_qubits)])
     return a, node.m_bits[-1], out, result.transcript
 
 
@@ -732,14 +772,13 @@ def _chain(resource, plan, teleported: bool):
             events.append(("vertex", plan[vertex], teleported))
         else:
             events.append(("readout", vertex, teleported))
-    start = _Node(_Register(resource.state.copy(), range(n)), [FRAME_I])
-    return start, events + [_DONE]
+    return _level(resource.state, range(n), [FRAME_I]), events + [_DONE]
 
 
 def _run_chain(resource, plan, teleported, rng, forced_outcomes, channel=None):
     start, events = _chain(resource, plan, teleported)
-    node, result = _run(start, events, _measurement(rng, forced_outcomes), channel=channel)
-    result.outcome_bits = list(node.out)
+    level, result = _run(start, events, _measurement(rng, forced_outcomes), channel=channel)
+    result.outcome_bits = list(level.nodes[0].out)
     return result
 
 
@@ -779,7 +818,7 @@ def enumerate_distribution(runner, *args, num_bits, **kwargs):
     if num_bits != measured:
         raise ValueError(f"a run measures {measured} bits, not {num_bits}")
     dist = {}
-    for leaf in _walk(start, events):
+    for leaf in _walk(start, events).nodes:
         dist[leaf.out] = dist.get(leaf.out, 0.0) + leaf.prob
     return dist
 

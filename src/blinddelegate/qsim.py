@@ -108,13 +108,7 @@ class StateVector:
 
     def tensor(self, other: "StateVector") -> "StateVector":
         """Append `other`'s qubits above this register's (they get the high indices)."""
-        return StateVector(np.outer(other.amplitudes, self.amplitudes).reshape(-1), check=False)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), check=False)
+        return StateVector(tensor_stack(self.amplitudes[None], other.amplitudes)[0], check=False)
 
     def __repr__(self):
         return f"StateVector(n={self.num_qubits})"
@@ -186,37 +180,67 @@ def _check_targets(targets, num_qubits: int, gate: GateMatrix) -> list:
 
 
 def _rows(view: np.ndarray, axes, count: int) -> np.ndarray:
-    """Contiguous copy of `view` with `axes` moved to the front, as `count` rows.
+    """Contiguous copy of the stacked `view` (node axis first) with `axes`
+    moved to the front, as `count` rows per node: shape (nodes, count, rest).
 
-    Every kernel contracts these rows in one BLAS product (np.dot) rather
-    than with elementwise slice arithmetic: BLAS fuses multiply-adds, so a
+    Every kernel contracts each node's rows in one BLAS product rather than
+    with elementwise slice arithmetic: BLAS fuses multiply-adds, so a
     different formula would move the last bits of seeded results, including
-    the noise-level deviations that certificate reports print.
+    the noise-level deviations that certificate reports print. Nodes keep a
+    leading axis and go through np.matmul, which gives each node exactly the
+    floats of its own np.dot; they are never folded into the columns of one
+    product, whose one-column rows take a different BLAS path and round
+    differently (tests/test_qsim.py pins this).
     """
-    return np.ascontiguousarray(view.transpose(axes)).reshape(count, -1)
+    return np.ascontiguousarray(view.transpose(axes)).reshape(len(view), count, -1)
+
+
+def tensor_stack(stack: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Append `amplitudes`' qubits above every node's register (they get the
+    high indices): one broadcast product, np.outer's per node."""
+    return (amplitudes[None, :, None] * stack[:, None, :]).reshape(len(stack), -1)
+
+
+def apply_stack(stack: np.ndarray, gate: GateMatrix, targets) -> np.ndarray:
+    """`gate` applied to the target qubits of every node of `stack` (one row of
+    amplitudes per node), as a new stack."""
+    targets = _check_targets(targets, stack.shape[1].bit_length() - 1, gate)
+    count = len(stack)
+    if len(targets) == 1:
+        # (node, hi, 2, lo) view: axis 2 is the target bit.
+        view = stack.reshape(count, -1, 2, 1 << targets[0])
+        out = np.matmul(gate.entries, _rows(view, (0, 2, 1, 3), 2))
+        out = out.reshape(count, 2, view.shape[1], view.shape[3]).transpose(0, 2, 1, 3)
+    else:
+        t0, t1 = targets
+        low, high = min(t0, t1), max(t0, t1)
+        # (node, hi, 2, mid, 2, lo) view: axis 2 is the high target bit, axis 4
+        # the low one.
+        view = stack.reshape(count, -1, 2, 1 << (high - low - 1), 2, 1 << low)
+        # Rows are indexed (bit t1, bit t0), matching the 4x4 index bit 0 = targets[0].
+        if t1 == high:
+            axes, back = (0, 2, 4, 1, 3, 5), (0, 3, 1, 4, 2, 5)
+        else:
+            axes, back = (0, 4, 2, 1, 3, 5), (0, 3, 2, 4, 1, 5)
+        out = np.matmul(gate.entries, _rows(view, axes, 4))
+        out = out.reshape(count, 2, 2, *view.shape[1::2]).transpose(back)
+    return out.reshape(count, -1)
+
+
+def cz_stack(stack: np.ndarray, q0: int, q1: int) -> None:
+    """CZ on qubits q0 and q1 of every node of a C-contiguous `stack`, in
+    place: the quarter where both bits are set is negated. Negating rounds
+    nothing, so every amplitude equals apply_stack(stack, CZ, [q0, q1])'s
+    (a zero may differ in sign only)."""
+    low, high = min(q0, q1), max(q0, q1)
+    view = stack.reshape(len(stack), -1, 2, 1 << (high - low - 1), 2, 1 << low)
+    quarter = view[:, :, 1, :, 1, :]
+    np.negative(quarter, out=quarter)
 
 
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     """Return gate applied to the given target qubits (no in-place mutation)."""
-    targets = _check_targets(targets, state.num_qubits, gate)
-    if len(targets) == 1:
-        # (hi, 2, lo) view: axis 1 is the target bit.
-        view = state.amplitudes.reshape(-1, 2, 1 << targets[0])
-        out = np.dot(gate.entries, _rows(view, (1, 0, 2), 2))
-        out = out.reshape(2, *view.shape[0::2]).transpose(1, 0, 2)
-    else:
-        t0, t1 = targets
-        low, high = min(t0, t1), max(t0, t1)
-        # (hi, 2, mid, 2, lo) view: axis 1 is the high target bit, axis 3 the low one.
-        view = state.amplitudes.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
-        # Rows are indexed (bit t1, bit t0), matching the 4x4 index bit 0 = targets[0].
-        if t1 == high:
-            axes, back = (1, 3, 0, 2, 4), (2, 0, 3, 1, 4)
-        else:
-            axes, back = (3, 1, 0, 2, 4), (2, 1, 3, 0, 4)
-        out = np.dot(gate.entries, _rows(view, axes, 4))
-        out = out.reshape(2, 2, *view.shape[0::2]).transpose(back)
-    return StateVector(out.reshape(-1), check=False)
+    return StateVector(apply_stack(state.amplitudes[None], gate, targets)[0], check=False)
 
 
 # Amplitude indices 0 .. 2^CAPACITY - 1; apply_pauli slices them to a register.
@@ -275,74 +299,85 @@ def expand_gate(gate: GateMatrix, targets, num_qubits: int) -> np.ndarray:
     return out
 
 
-# Outcomes less likely than this are impossible: measuring raises, and
-# measurement_branches drops them.
+# Outcomes less likely than this are impossible: a measurement that picks
+# one raises, and one that keeps every branch drops it.
 DEGENERATE_PROB = 1e-12
 
 
-def _split(state, qubit, bras):
-    """Rows, branch 0 and its clamped probability p0 of measuring `qubit` in
-    the basis whose bras (conjugated kets) are `bras`.
+def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
+    """Measure `qubit` of every node of `stack` (one row of amplitudes per
+    node), node b in the basis whose bras (conjugated kets, outcome 0 first)
+    are bras[b]; `bras` is (nodes, 2, 2), or one (2, 2) basis such as Z_BRAS
+    for all.
 
-    The two rows of the (2, rest) matrix are the slices with the qubit at 0
-    and at 1; branch 1 (probability 1 - p0) is built only by _branch. Reading
-    out a register's last qubit leaves one amplitude, and p0 is |amp|^2.
+    With `pick` None, every possible branch is kept: node by node, outcome 0
+    first, impossible ones (prob < DEGENERATE_PROB) dropped. Otherwise each
+    node keeps the one outcome pick(p0) names, in node order, and an
+    impossible one raises DegenerateMeasurementError.
+
+    Returns (parents, outcomes, probs, posts): the node, outcome and
+    probability of each branch (lists), and the stack of its normalized post
+    states with the qubit removed. The arithmetic is the same for every node
+    and branch: p0 is <b0|b0> of branch 0 = <bra_0|rows>, clamped to [0, 1],
+    outcome 1 has 1 - p0, and a read-out last qubit (one amplitude) has
+    p0 = |b0|^2.
     """
-    rows = _rows(state.amplitudes.reshape(-1, 2, 1 << qubit), (1, 0, 2), 2)
-    branch0 = np.dot(bras[0], rows)
-    if state.num_qubits == 1:
-        p0 = float(abs(branch0[0]) ** 2)
+    count, bras = len(stack), np.asarray(bras)
+    rows = _rows(stack.reshape(count, -1, 2, 1 << qubit), (0, 2, 1, 3), 2)
+    branch0 = np.matmul(bras[..., 0:1, :], rows)
+    if rows.shape[2] == 1:
+        p0 = [float(abs(b) ** 2) for b in branch0[:, 0, 0]]
     else:
-        p0 = float(np.vdot(branch0, branch0).real)
-    return rows, branch0, min(max(p0, 0.0), 1.0)
-
-
-def _branch(rows, bras, branch0, p0, outcome):
-    """(post_state, prob) of one outcome; post_state is None if it is impossible.
-
-    A read-out last qubit leaves the one-qubit state |outcome> behind.
-    """
-    prob = p0 if outcome == 0 else 1.0 - p0
-    if prob < DEGENERATE_PROB:
-        return None, prob
-    if len(branch0) == 1:
-        return basis_state(1, outcome), prob
-    branch = branch0 if outcome == 0 else np.dot(bras[1], rows)
-    return StateVector(branch / np.sqrt(prob), check=False), prob
+        p0 = np.matmul(branch0.conj(), branch0.transpose(0, 2, 1))[:, 0, 0].real.tolist()
+    parents, outcomes, probs = [], [], []
+    for b, q in enumerate(p0):
+        q = min(max(q, 0.0), 1.0)
+        for outcome in (0, 1) if pick is None else (pick(q),):
+            prob = q if outcome == 0 else 1.0 - q
+            if prob >= DEGENERATE_PROB:
+                parents.append(b)
+                outcomes.append(outcome)
+                probs.append(prob)
+            elif pick is not None:
+                raise DegenerateMeasurementError(
+                    f"outcome {outcome} has probability {prob:.3e}"
+                )
+    if len(parents) == count and outcomes.count(outcomes[0]) == count:
+        # One branch per node, all of one outcome: every run's case.
+        posts = np.matmul(bras[..., 1:2, :], rows) if outcomes[0] else branch0
+        posts = posts.reshape(count, -1)
+    else:
+        branch1 = np.matmul(bras[..., 1:2, :], rows)
+        posts = np.concatenate((branch0, branch1), axis=1).reshape(2 * count, -1)
+        if len(parents) < 2 * count:
+            posts = posts[[2 * b + o for b, o in zip(parents, outcomes)]]
+    return parents, outcomes, probs, posts / np.sqrt(probs)[:, None]
 
 
 def measure(state: StateVector, qubit: int, bras, rand: float):
     """Measure `qubit` in the basis `bras` (such as ROTATED_BRAS[k] or Z_BRAS)
     and keep the branch `rand` in [0, 1) draws against p0.
 
-    Returns (outcome, post_state, prob) with the measured qubit removed;
-    raises DegenerateMeasurementError if the drawn outcome is impossible.
+    Returns (outcome, post_state, prob) with the measured qubit removed; a
+    read-out last qubit leaves the one-qubit state |outcome> behind. Raises
+    DegenerateMeasurementError if the drawn outcome is impossible.
     """
-    rows, branch0, p0 = _split(state, qubit, bras)
-    outcome = 0 if rand < p0 else 1
-    post, prob = _branch(rows, bras, branch0, p0, outcome)
-    if post is None:
-        raise DegenerateMeasurementError(
-            f"outcome {outcome} has probability {prob:.3e}"
-        )
-    return outcome, post, prob
+    _, [outcome], [prob], posts = measure_stack(
+        state.amplitudes[None], qubit, bras, lambda p0: 0 if rand < p0 else 1)
+    return outcome, _post_state(posts[0], outcome), prob
 
 
 def measurement_branches(state: StateVector, qubit: int, bras):
     """Both branches of measuring `qubit`, outcome 0 first, as
-    (outcome, post_state, prob) triples built from one row copy.
+    (outcome, post_state, prob) triples; impossible outcomes are left out."""
+    _, outcomes, probs, posts = measure_stack(state.amplitudes[None], qubit, bras)
+    return [(o, _post_state(post, o), p) for o, p, post in zip(outcomes, probs, posts)]
 
-    Each branch has exactly the arithmetic of a forced measurement of that
-    outcome; impossible outcomes (prob < DEGENERATE_PROB) are left out.
-    `bras` is a basis such as ROTATED_BRAS[k].
-    """
-    rows, branch0, p0 = _split(state, qubit, bras)
-    branches = []
-    for outcome in (0, 1):
-        post, prob = _branch(rows, bras, branch0, p0, outcome)
-        if post is not None:
-            branches.append((outcome, post, prob))
-    return branches
+
+def _post_state(amplitudes, outcome) -> StateVector:
+    if len(amplitudes) == 1:
+        return basis_state(1, outcome)
+    return StateVector(amplitudes, check=False)
 
 
 def _rotated_bras(theta: Angle):
@@ -355,9 +390,12 @@ def _rotated_bras(theta: Angle):
 
 
 # ROTATED_BRAS[k][a]: the bra of outcome a when measuring at Angle(k); the
-# projector onto that outcome is np.outer(bra.conj(), bra).
-ROTATED_BRAS = tuple(_rotated_bras(theta) for theta in ALL_ANGLES)
-Z_BRAS = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
+# projector onto that outcome is np.outer(bra.conj(), bra). ROTATED_BRAS[ks]
+# gives a stack's per-node bases.
+ROTATED_BRAS = np.array([_rotated_bras(theta) for theta in ALL_ANGLES])
+ROTATED_BRAS.setflags(write=False)
+Z_BRAS = np.eye(2, dtype=complex)
+Z_BRAS.setflags(write=False)
 
 
 def partial_trace(obj, keep) -> DensityMatrix:

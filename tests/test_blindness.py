@@ -233,6 +233,7 @@ def _leaf_rerun_distribution(program, input_state):
     ("H 0", qsim.basis_state(1, 0)),
     ("S 0\nX 0", qsim.random_state(1, default_rng(12))),
     ("CZ 0 1", qsim.basis_state(2, 0)),  # 6 rounds
+    ("H 0\nS 0", qsim.random_state(1, default_rng(13))),  # 6 rounds, one wire
 ])
 def test_m_string_walk_equals_leaf_reruns_exactly(text, input_state):
     program = protocols.compile_circuit(protocols.parse_circuit(text))

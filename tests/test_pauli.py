@@ -10,6 +10,10 @@ def test_frame_compose_is_xor():
     assert pauli.FRAME_X.compose(pauli.FRAME_X) == pauli.FRAME_I
     assert pauli.FRAME_X.compose(pauli.FRAME_Z) == pauli.FRAME_XZ
     assert pauli.FRAME_XZ.compose(pauli.FRAME_Z) == pauli.FRAME_X
+    # Every composition and pauli.frame lookup is one of the four module frames.
+    for f, g in itertools.product(pauli.ALL_FRAMES, repeat=2):
+        assert f.compose(g) is pauli.frame(f.x ^ g.x, f.z ^ g.z)
+        assert f.compose(g) == pauli.PauliFrame(f.x ^ g.x, f.z ^ g.z)
 
 
 def test_frame_matrices():

@@ -418,6 +418,7 @@ def _chain_case(text, teleported):
 @pytest.mark.parametrize("text,teleported", [
     ("H 0", False), ("T 0\nH 0", False), ("T 0\nTDG 0\nS 0\nH 0", False),
     ("H 0", True), ("S 0", True), ("T 0\nH 0", True),
+    ("X 0\nH 0", True),  # H X|+> = |0>: half the read-out branches are impossible
 ])
 def test_chain_walk_equals_leaf_reruns_exactly(text, teleported):
     runner, args, num_bits = _chain_case(text, teleported)
@@ -578,7 +579,7 @@ def test_table_frames_equal_word_accumulation_on_every_leaf(case):
         program = protocols.compile_circuit(protocols.parse_circuit(case))
     psi = qsim.random_state(program.num_wires, default_rng(8))
     start = protocols._start(program, psi)
-    leaves = protocols._walk(start, program.events)
+    leaves = protocols._walk(start, program.events).nodes
     strings = itertools.product((0, 1), repeat=2 * program.num_rounds)
     for leaf, bits in zip(leaves, strings, strict=True):
         assert leaf.m_bits == bits[1::2]
@@ -641,7 +642,8 @@ def test_registerless_run_calls_no_qsim_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a registerless run reached the register")
 
-    for name in ("measure", "measurement_branches", "apply_gate", "bell_pair"):
+    for name in ("measure_stack", "apply_stack", "tensor_stack", "cz_stack", "measure",
+                 "measurement_branches", "apply_gate", "bell_pair"):
         monkeypatch.setattr(qsim, name, refuse)
     monkeypatch.setattr(qsim.StateVector, "tensor", refuse)
     program = _p2_program("H 0\nCNOT 0 1\nT 1")
@@ -671,14 +673,14 @@ def test_registerless_run_refuses_what_a_coin_cannot_model():
 def _round_probabilities(monkeypatch, program, input_state, pair, seeds):
     """The (p(a), p(m)) of every drawn protocol-2 round on the register path."""
     probs = []
-    measure = qsim.measure
+    measure = qsim.measure_stack
 
-    def recording(state, qubit, bras, rand):
-        branch = measure(state, qubit, bras, rand)
-        probs.append(branch[2])
-        return branch
+    def recording(stack, qubit, bras, pick=None):
+        branches = measure(stack, qubit, bras, pick)
+        probs.extend(branches[2])
+        return branches
 
-    monkeypatch.setattr(qsim, "measure", recording)
+    monkeypatch.setattr(qsim, "measure_stack", recording)
     for seed in seeds:
         protocols.run_protocol2(program, input_state, ChannelModel(0.0), default_rng(seed),
                                 pair=pair)

@@ -427,3 +427,134 @@ def test_measurement_branches_leave_input_untouched():
     branches = qsim.measurement_branches(psi, 1, qsim.ROTATED_BRAS[3])
     assert np.array_equal(psi.amplitudes, before)
     assert sum(prob for _, _, prob in branches) == pytest.approx(1.0, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Stacked kernels against the per-node arithmetic
+# --------------------------------------------------------------------------
+
+
+def _node_rows(amps, axes):
+    """One node's rows, as the one-state kernels built them: the C-order
+    tensor axes of `axes` moved to the front (row index bit 0 is the last)."""
+    moved = np.moveaxis(amps.reshape([2] * (amps.size.bit_length() - 1)), axes,
+                        range(len(axes)))
+    return moved, np.ascontiguousarray(moved).reshape(2 ** len(axes), -1)
+
+
+def _node_branches(amps, qubit, bras):
+    """(outcome, prob, post) of each possible branch of one node, with np.dot
+    rows and np.vdot probabilities."""
+    _, rows = _node_rows(amps, [amps.size.bit_length() - 2 - qubit])
+    branch0 = np.dot(bras[0], rows)
+    if rows.shape[1] == 1:
+        p0 = float(abs(branch0[0]) ** 2)
+    else:
+        p0 = float(np.vdot(branch0, branch0).real)
+    p0 = min(max(p0, 0.0), 1.0)
+    branches = []
+    for outcome, prob in ((0, p0), (1, 1.0 - p0)):
+        if prob >= qsim.DEGENERATE_PROB:
+            branch = branch0 if outcome == 0 else np.dot(bras[1], rows)
+            branches.append((outcome, prob, branch / np.sqrt(prob)))
+    return branches
+
+
+def _random_stack(rng, count, width, qubit, eigen_bras):
+    """`count` random registers; a node b with eigen_bras[b] set holds `qubit`
+    in that basis's outcome-0 or -1 ket, so one of its branches is impossible."""
+    stack = rng.normal(size=(count, 2**width)) + 1j * rng.normal(size=(count, 2**width))
+    stack /= np.linalg.norm(stack, axis=1)[:, None]
+    for b, bras in enumerate(eigen_bras):
+        if bras is not None:
+            ket = bras[int(rng.integers(2))].conj()
+            rest = stack[b].reshape(-1, 2, 1 << qubit)[:, 0, :]
+            rest = rest / np.linalg.norm(rest)
+            stack[b] = (rest[:, None, :] * ket[None, :, None]).reshape(-1)
+    return stack
+
+
+@pytest.mark.parametrize("count", [1, 3, 64])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+def test_measure_stack_equals_per_node_arithmetic(count, width):
+    """Every node's branches, in node order and outcome 0 first, carry
+    exactly the floats of np.dot(bras[a], rows) and np.vdot on that node
+    alone, and impossible branches are dropped in place. This pins the
+    batching rule: a leading node axis through np.matmul."""
+    rng = np.random.default_rng([count, width])
+    bases = [qsim.Z_BRAS] + list(qsim.ROTATED_BRAS)
+    for qubit in range(width):
+        bras = np.array([bases[i] for i in rng.integers(len(bases), size=count)])
+        eigen = [bras[b] if rng.random() < 0.4 else None for b in range(count)]
+        stack = _random_stack(rng, count, width, qubit, eigen)
+        want = [(b, outcome, prob, post) for b in range(count)
+                for outcome, prob, post in _node_branches(stack[b], qubit, bras[b])]
+        if any(e is not None for e in eigen):
+            assert len(want) < 2 * count
+        before = stack.copy()
+        parents, outcomes, probs, posts = qsim.measure_stack(stack, qubit, bras)
+        assert np.array_equal(stack, before)
+        assert parents == [w[0] for w in want]
+        assert outcomes == [w[1] for w in want]
+        assert probs == [w[2] for w in want]
+        assert posts.shape == (len(want), 2 ** (width - 1))
+        for post, w in zip(posts, want):
+            assert np.array_equal(post, w[3])
+        # One shared basis broadcasts to every node with the same floats.
+        shared = qsim.measure_stack(stack, qubit, bras[0])
+        ref = qsim.measure_stack(stack, qubit, np.repeat(bras[:1], count, axis=0))
+        assert shared[:3] == ref[:3] and np.array_equal(shared[3], ref[3])
+
+
+@pytest.mark.parametrize("count", [1, 3, 64])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+def test_measure_stack_picks_one_branch_per_node(count, width):
+    """A pick keeps, per node, the outcome it names with the walk's floats,
+    and raises on an impossible one."""
+    rng = np.random.default_rng([count, width, 1])
+    qubit = width - 1
+    stack = _random_stack(rng, count, width, qubit, [None] * count)
+    bras = qsim.ROTATED_BRAS[rng.integers(8, size=count)]
+    every = qsim.measure_stack(stack, qubit, bras)
+    wanted = [int(o) for o in rng.integers(2, size=count)]
+    picked = iter(wanted)
+    parents, outcomes, probs, posts = qsim.measure_stack(
+        stack, qubit, bras, lambda p0: next(picked))
+    assert parents == list(range(count)) and outcomes == wanted
+    rows = [every[0].index(b) + o for b, o in enumerate(wanted)]
+    assert probs == [every[2][r] for r in rows]
+    assert np.array_equal(posts, every[3][rows])
+    eigen = _random_stack(rng, 1, width, qubit, [qsim.Z_BRAS])
+    impossible = 1 - qsim.measure_stack(eigen, qubit, qsim.Z_BRAS)[1][0]
+    with pytest.raises(DegenerateMeasurementError):
+        qsim.measure_stack(eigen, qubit, qsim.Z_BRAS, lambda p0: impossible)
+
+
+def _node_gate(amps, gate, targets):
+    """`gate` on one node by np.dot of its rows, row index bit 0 = targets[0]."""
+    width = amps.size.bit_length() - 1
+    axes = [width - 1 - t for t in reversed(targets)]
+    moved, rows = _node_rows(amps, axes)
+    out = np.dot(gate.entries, rows).reshape(moved.shape)
+    return np.moveaxis(out, range(len(axes)), axes).reshape(-1)
+
+
+@pytest.mark.parametrize("count", [1, 3, 64])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+def test_apply_stack_equals_per_node_arithmetic(count, width):
+    rng = np.random.default_rng([count, width, 2])
+    stack = _random_stack(rng, count, width, 0, [None] * count)
+    cases = [(qsim.H, [t]) for t in range(width)] + [(qsim.T, [width - 1])]
+    cases += [(g, list(p)) for g in (qsim.CNOT, qsim.CZ)
+              for p in itertools.permutations(range(width), 2)]
+    for gate, targets in cases:
+        before = stack.copy()
+        out = qsim.apply_stack(stack, gate, targets)
+        assert np.array_equal(stack, before)
+        for b in range(count):
+            assert np.array_equal(out[b], _node_gate(stack[b], gate, targets)), (
+                gate, targets, b)
+        if gate is qsim.CZ:
+            negated = stack.copy()
+            qsim.cz_stack(negated, *targets)
+            assert np.array_equal(negated, out)
