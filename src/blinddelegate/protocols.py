@@ -2,11 +2,16 @@
 
 The server mints one fresh entangled pair per round; the client measures its
 half in a secretly rotated basis and the server folds the other half into the
-register, reporting one X-basis bit back. Byproducts stay classical: each wire
-carries an (x, z) Pauli frame, the client's command angle cancels the frame's
-z bit, and each gate group is closed by looking up, by the bits its rounds
-reported, the Pauli folds that graphs.branch_frames found for that branch
-when graphs.group_entry built the group's table: no round multiplies a matrix.
+register, reporting one X-basis bit back. Her outcome depends on the pair
+alone (no-signaling), so the simulation tables it per pair and never puts the
+pair in the register: a round is one draw against the table and one 2x2 map
+per reported bit on the wire, and the register holds only the wires.
+
+Byproducts stay classical: each wire carries an (x, z) Pauli frame, the
+client's command angle cancels the frame's z bit, and each gate group is
+closed by looking up, by the bits its rounds reported, the Pauli folds that
+graphs.branch_frames found for that branch when graphs.group_entry built the
+group's table: no round multiplies a matrix.
 
 The compiler tables each round's wanted angle once, from
 graphs.WireSchedule.angle_index, the one place the adaptation rule lives:
@@ -19,13 +24,15 @@ distributions come from one walk of the outcome tree (_walk), level by level.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import graphs, pauli, qsim
-from .errors import DegenerateMeasurementError, FormatError, RetryLimitError
+from .errors import CapacityError, DegenerateMeasurementError, FormatError, RetryLimitError
 from .pauli import FRAME_I, PauliFrame
 from .qsim import Angle, StateVector
 
@@ -44,24 +51,42 @@ _KIND_DIRECTIONS = {
     "DONE": A2B,
 }
 
+# Every valid (direction, kind, payload): X_RESULT carries one bit, the
+# other kinds nothing.
+_VALID_MESSAGES = frozenset(
+    (direction, kind, payload)
+    for kind, direction in _KIND_DIRECTIONS.items()
+    for payload in ((0, 1) if kind == "X_RESULT" else (None,))
+)
 
-@dataclass(frozen=True)
-class Message:
+
+class _MessageFields(NamedTuple):
     round: int
     direction: str
     kind: str
     payload: int = None
 
-    def __post_init__(self):
-        if self.kind not in _KIND_DIRECTIONS:
-            raise ValueError(f"unknown message kind {self.kind!r}")
-        if self.direction != _KIND_DIRECTIONS[self.kind]:
-            raise ValueError(f"{self.kind} cannot flow {self.direction}")
-        if self.kind == "X_RESULT":
-            if self.payload not in (0, 1):
+
+class Message(_MessageFields):
+    """One protocol message, checked on construction: an immutable tuple of
+    (round, direction, kind, payload)."""
+
+    __slots__ = ()
+
+    def __new__(cls, round, direction, kind, payload=None):
+        try:
+            valid = (direction, kind, payload) in _VALID_MESSAGES
+        except TypeError:  # an unhashable payload
+            valid = False
+        if not valid:
+            if kind not in _KIND_DIRECTIONS:
+                raise ValueError(f"unknown message kind {kind!r}")
+            if direction != _KIND_DIRECTIONS[kind]:
+                raise ValueError(f"{kind} cannot flow {direction}")
+            if kind == "X_RESULT":
                 raise ValueError("X_RESULT carries exactly one bit")
-        elif self.payload is not None:
-            raise ValueError(f"{self.kind} carries no payload")
+            raise ValueError(f"{kind} carries no payload")
+        return tuple.__new__(cls, (round, direction, kind, payload))
 
 
 @dataclass(frozen=True)
@@ -317,12 +342,13 @@ class _Level:
     def apply(self, gate, labels):
         self.amps = qsim.apply_stack(self.amps, gate, [self.qubit(l) for l in labels])
 
-    def fork(self, measure, label, bras):
-        """Measure `label` on every node with `measure`; returns (parents,
-        outcomes, probs), one entry per branch, and keeps the branches'
-        stack. The caller builds the branches' nodes."""
+    def fork(self, pick, label, bras):
+        """Measure `label` on every node (qsim.measure_stack, which keeps
+        every branch if `pick` is None); returns (parents, outcomes, probs),
+        one entry per branch, and keeps the branches' stack. The caller
+        builds the branches' nodes."""
         qubit = self.qubit(label)
-        parents, outcomes, probs, self.amps = measure(self.amps, qubit, bras)
+        parents, outcomes, probs, self.amps = qsim.measure_stack(self.amps, qubit, bras, pick)
         del self.labels[qubit]
         return parents, outcomes, probs
 
@@ -353,34 +379,29 @@ def _bases(commands):
 
 
 def _measurement(rng, forced=None):
-    """The measure callback of a run, which follows one branch per node and
-    measurement: drawn with one rng.random() call, or named by the next of
-    the `forced` bits.
+    """The pick of a run, which follows one branch per node and measurement:
+    pick(p0) is the outcome whose outcome 0 has probability p0, drawn with
+    one rng.random() call against p0, or named by the next of the `forced`
+    bits.
 
-    A callback measure(stack, qubit, bras) returns what qsim.measure_stack
-    does; the exact walk (_walk) calls measure_stack itself, which keeps
-    every possible branch. With no register (stack None) a draw is a fair
-    coin (see _round).
+    The pick goes to qsim.branches, directly for the client's outcome of a
+    protocol-2 round and through qsim.measure_stack for every other
+    measurement. The exact walk (_walk) passes None in its place, which
+    keeps every possible branch. With no register a round's two draws are
+    pick(0.5), fair coins (see _round).
     """
     if forced is None:
-        def pick(p0):
-            return 0 if rng.random() < p0 else 1
-    else:
-        queue = iter(forced)
+        return lambda p0: 0 if rng.random() < p0 else 1
+    queue = iter(forced)
 
-        def pick(p0):
-            want = next(queue, None)
-            if want is None:
-                raise ValueError("fewer forced outcomes than measurements")
-            if want not in (0, 1):
-                raise DegenerateMeasurementError(f"forced outcome {want} is impossible")
-            return want
-
-    def measure(stack, qubit, bras):
-        if stack is None:
-            return [0], [pick(0.5)], [0.5], None
-        return qsim.measure_stack(stack, qubit, bras, pick)
-    return measure
+    def pick(p0):
+        want = next(queue, None)
+        if want is None:
+            raise ValueError("fewer forced outcomes than measurements")
+        if want not in (0, 1):
+            raise DegenerateMeasurementError(f"forced outcome {want} is impossible")
+        return want
+    return pick
 
 
 def _deliver(channel, rng_loss, rng_mask, transcript, round_index, device=None):
@@ -422,20 +443,22 @@ def _start(program: AngleProgram, input_state: StateVector) -> _Level:
     return _level(input_state, [("wire", w) for w in range(program.num_wires)], frames)
 
 
-def _step(level, event, measure, pair_source=None):
+def _step(level, event, pick, pairs=None):
     """The level that follows `level` through one event.
 
     Protocol 2 runs its program's events: round, bridge and extract. The
     chain protocols (_chain) run deliver, teleport, vertex and readout.
     Each gate and each measurement is one kernel call on the whole stack. An
     event without a measurement updates the nodes in place. One with
-    measurements gives each node a child per branch that `measure` follows,
-    node by node and outcome 0 first; each child owns its record and
-    multiplies its parent's probability by the event's branch probability.
+    measurements gives each node a child per branch, node by node and
+    outcome 0 first: the one `pick` names (a run), or every possible one
+    (`pick` None, the walk). Each child owns its record and multiplies its
+    parent's probability by the event's branch probability. `pairs` is the
+    pair table of a substituted pair (_pair_table), or None for Bell pairs.
     """
     kind, nodes = event[0], level.nodes
     if kind == "round":
-        return _round(level, event[1], measure, pair_source)
+        return _round(level, event[1], pick, pairs)
     if kind in ("deliver", "done"):
         return level  # classical only: the run loop sends the messages
     if kind == "bridge":
@@ -463,8 +486,8 @@ def _step(level, event, measure, pair_source=None):
         level.append(qsim.bell_pair().amplitudes, [keep, sent])
         level.apply(qsim.CNOT, [vertex, keep])
         level.apply(qsim.H, [vertex])
-        z_of, mz, pz = level.fork(measure, vertex, qsim.Z_BRAS)
-        x_of, mx, px = level.fork(measure, keep, qsim.Z_BRAS)
+        z_of, mz, pz = level.fork(pick, vertex, qsim.Z_BRAS)
+        x_of, mx, px = level.fork(pick, keep, qsim.Z_BRAS)
         level.relabel(sent, vertex)
         children = level.nodes = []
         for i, x_bit, p_x in zip(x_of, mx, px):
@@ -476,7 +499,7 @@ def _step(level, event, measure, pair_source=None):
         # The client reads out the last vertex in the Z basis; a teleported
         # particle's X^mx flips her bit, like the chain's frame.x.
         _, vertex, teleported = event
-        of, bits, probs = level.fork(measure, vertex, qsim.Z_BRAS)
+        of, bits, probs = level.fork(pick, vertex, qsim.Z_BRAS)
         children = level.nodes = []
         for i, b, p in zip(of, bits, probs):
             node = nodes[i]
@@ -493,7 +516,7 @@ def _step(level, event, measure, pair_source=None):
         shifts = [node.m_bits[-2:] if teleported else (0, 0) for node in nodes]
         commands = [-step.base_angle if node.frames[0].x ^ mx else step.base_angle
                     for node, (_, mx) in zip(nodes, shifts)]
-        of, outcomes, probs = level.fork(measure, step.vertex, _bases(commands))
+        of, outcomes, probs = level.fork(pick, step.vertex, _bases(commands))
         children = level.nodes = []
         for i, s, p in zip(of, outcomes, probs):
             frame = RoundPlan.frame_update(nodes[i].frames[0], 0, s ^ shifts[i][0])
@@ -501,44 +524,74 @@ def _step(level, event, measure, pair_source=None):
         return level
 
 
-_X_BRAS = qsim.ROTATED_BRAS[0]  # the server's X-basis read-out of the wire
+# The server's round on the wire w, as a map of his half s: the CZ's sign
+# (-1)^(s w), then the wire's X-basis read-out <x_m|w>, indexed [m, s, w].
+_CZ_THEN_X = np.array([[1, 1], [1, -1]])[None] * qsim.ROTATED_BRAS[0][:, None, :]
 
 
-def _round(level, plan, measure, pair_source):
+def _pair_table(amplitudes):
+    """The client's part of every round on one pair (server half qubit 0):
+    (p0, maps), where p0[k] is the probability that she reads a = 0 at
+    Angle(k), and maps[2k + a] the server's 2x2 maps, one per reported bit
+    m, M[m][s, w] = v[s] (-1)^(s w) <x_m|w>, with v the normalized state her
+    outcome leaves on his half. An impossible outcome's v is zero."""
+    halves = np.matmul(qsim.ROTATED_BRAS, amplitudes.reshape(2, 2))  # [k, a, s]
+    p0 = np.clip((abs(halves[:, 0]) ** 2).sum(axis=1), 0.0, 1.0)
+    probs = np.stack([p0, 1.0 - p0], axis=1)
+    scale = np.zeros_like(probs)
+    np.divide(1.0, np.sqrt(probs), out=scale, where=probs >= qsim.DEGENERATE_PROB)
+    maps = (halves * scale[..., None])[:, :, None, :, None] * _CZ_THEN_X
+    maps.setflags(write=False)
+    return tuple(p0.tolist()), maps.reshape(16, 2, 2, 2)
+
+
+@functools.cache
+def _bell_table():
+    """The honest pair's table, built on first use."""
+    return _pair_table(qsim.bell_pair().amplitudes)
+
+
+def _round(level, plan, pick, pairs):
     """One protocol-2 round on every node of `level`.
 
-    The fresh pair's halves (`pair_source`, or a Bell pair) join the
-    register; the client measures hers at the command angle (outcome a), the
-    server entangles his with the wire by CZ, measures the wire in the X
-    basis (reported bit m) and keeps his half as the new wire. The CZ acts on
-    the server's half and the wire and the client measures only her half, so
-    the two commute exactly: this is the protocol's no-signaling structure.
-    The CZ is therefore applied before her measurement, once.
+    The server hands the client one half of a fresh pair (a Bell pair, or
+    the one `pairs` tables). She measures it at the command angle (outcome
+    a); he entangles his half with the wire by CZ, measures the wire in the
+    X basis (reported bit m) and keeps his half as the new wire.
+
+    Her outcome depends on the pair alone, never on the register: this is
+    the protocol's no-signaling structure. So her part is the pair's table:
+    a is drawn against p0[k] with no kernel, and leaves his half in a known
+    state. His part is then one 2x2 map per m on the wire, one
+    qsim.measure_stack call whose blocks put his half on top of the
+    register, where the wire's label moves. The register holds only the
+    wires.
 
     With no register the pair is an honest Bell pair, and a and m are fair
     coins, drawn in that order: the client's half of a Bell pair is
     maximally mixed whatever the rest, and after the CZ the server's half has
     <Z> = 0, so the wire's X outcome is unbiased for any angle and state.
     """
-    nodes, w = level.nodes, plan.wire
-    commands = [plan.adapt_rule(node.m_bits, node.frames[w]) for node in nodes]
+    nodes, wire = level.nodes, ("wire", plan.wire)
+    commands = [plan.adapt_rule(node.m_bits, node.frames[plan.wire]) for node in nodes]
     if level.amps is None:
-        (a_of, a, pa, _), (m_of, m, pm, _) = measure(None, None, None), measure(None, None, None)
+        a_of = m_of = [0]
+        a, m, pa, pm = [pick(0.5)], [pick(0.5)], [0.5], [0.5]
     else:
-        server, client = ("half", plan.round_index), ("sent", plan.round_index)
-        wire = ("wire", w)
-        pair = qsim.bell_pair() if pair_source is None else pair_source
-        level.append(pair.amplitudes, [server, client])
-        qsim.cz_stack(level.amps, level.qubit(server), level.qubit(wire))
-        a_of, a, pa = level.fork(measure, client, _bases(commands))
-        m_of, m, pm = level.fork(measure, wire, _X_BRAS)
-        level.relabel(server, wire)
+        p0, maps = pairs or _bell_table()
+        ks = [c.k for c in commands]
+        a_of, a, pa = qsim.branches([p0[k] for k in ks], pick)
+        if len(a_of) > len(nodes):
+            level.amps = level.amps[a_of]
+        blocks = maps.take([2 * ks[i] + o for i, o in zip(a_of, a)], axis=0)
+        m_of, m, pm = level.fork(pick, wire, blocks)
+        level.labels.append(wire)
     children = level.nodes = []
     for i, m_bit, p_m in zip(m_of, m, pm):
         parent = a_of[i]
         node = nodes[parent]
         frames = list(node.frames)
-        frames[w] = RoundPlan.frame_update(frames[w], a[i], m_bit)
+        frames[plan.wire] = RoundPlan.frame_update(frames[plan.wire], a[i], m_bit)
         # pa * pm first: certificates print noise-level sums of these products.
         children.append(_Node(frames, node.m_bits + (m_bit,), node.prob * (pa[i] * p_m),
                               commands[parent]))
@@ -548,9 +601,9 @@ def _round(level, plan, measure, pair_source):
 _DONE = ("done",)
 
 
-def _run(level, events, measure, *, channel=None,
-         loss_masking=False, device=None, pair_source=None):
-    """Run `events` from a level of one node along the one branch `measure`
+def _run(level, events, pick, *, channel=None,
+         loss_masking=False, device=None, pairs=None):
+    """Run `events` from a level of one node along the one branch `pick`
     follows.
 
     The loop owns the messages: a delivery (with resends on a lossy channel)
@@ -575,7 +628,7 @@ def _run(level, events, measure, *, channel=None,
         elif kind == "done":
             transcript.append(Message(rnd, A2B, "DONE"))
         reported = len(level.nodes[0].m_bits)
-        level = _step(level, event, measure, pair_source)
+        level = _step(level, event, pick, pairs)
         (node,) = level.nodes
         if kind == "round" and device is not None:
             device.observe_angle(node.command.k)
@@ -585,6 +638,18 @@ def _run(level, events, measure, *, channel=None,
     return level, RunResult(transcript=transcript, final_frames=list(node.frames),
                            retransmission_count=resends, branch_probability=node.prob,
                            rounds_completed=rnd)
+
+
+# A walk holds a whole level in memory, a record and a register row per
+# node, so it refuses one whose next level could pass this many amplitudes
+# (nodes times 2^width), as qsim.CAPACITY does for one register. The largest
+# level the test suite, verify and the certify benchmark walk is 2^15 (tp's
+# "H 0; S 0; H 0" at its last teleport): the budget leaves room for one more
+# round or teleport, and a walk past it is refused within a second.
+WALK_AMPLITUDES = 1 << 17
+# The most one event multiplies a level's amplitudes by: a round or a
+# teleport forks each node four ways and keeps the register's width.
+_GROWTH = {"round": 4, "teleport": 4}
 
 
 def _walk(level, events):
@@ -597,10 +662,14 @@ def _walk(level, events):
     over the outcome bits, measurement by measurement. A level holds every
     node's register, so memory grows with the widest level (its nodes times
     the register's 2^n amplitudes): the walk is for exact checks of a few
-    rounds or vertices.
+    rounds or vertices, and raises CapacityError before an event that could
+    take a level past WALK_AMPLITUDES.
     """
     for event in events:
-        level = _step(level, event, qsim.measure_stack)
+        if _GROWTH.get(event[0], 1) * level.amps.size > WALK_AMPLITUDES:
+            raise CapacityError(
+                f"the walk's next level could exceed {WALK_AMPLITUDES} amplitudes")
+        level = _step(level, event, None)
     return level
 
 
@@ -628,9 +697,10 @@ def run_protocol2(
     `logical_output_state` is None: each round's a and m are fair coins
     (_round), one rng.random() each compared with exactly 1/2, in
     the register path's order. The register path compares the draw with a
-    computed p0 that misses 1/2 by rounding error (up to 42 * 2**-54 on
-    signal programs, about 1e-12 on random-input compiled circuits), so the
-    paths differ only for a draw in that gap. A substituted pair or forced
+    computed p0 that misses 1/2 by rounding error (a's, from the Bell pair's
+    table, by at most 4 * 2**-54; m's by up to about 50 * 2**-54 on signal
+    programs and 2e-13 on random-input compiled circuits), so the paths
+    differ only for a draw in that gap. A substituted pair or forced
     outcomes need a register.
     """
     level = _start(program, input_state)
@@ -640,7 +710,8 @@ def run_protocol2(
         forced_outcomes = [b for ab in forced_outcomes for b in ab]
     level, result = _run(
         level, [*program.events, _DONE], _measurement(rng, forced_outcomes),
-        channel=channel, loss_masking=loss_masking, device=device, pair_source=pair,
+        channel=channel, loss_masking=loss_masking, device=device,
+        pairs=None if pair is None else _pair_table(pair.amplitudes),
     )
     if level.amps is not None:
         result.logical_output_state = level.state(
@@ -693,8 +764,8 @@ def round2_step(register: StateVector, wire_qubit: int, theta: Angle,
     builder = _ProgramBuilder(register.num_qubits)
     builder.raw(wire_qubit, [theta.k])
     program = builder.program
-    measure = _measurement(rng, None if hasattr(rng, "random") else rng)
-    level, result = _run(_start(program, register), program.events, measure, channel=channel)
+    pick = _measurement(rng, None if hasattr(rng, "random") else rng)
+    level, result = _run(_start(program, register), program.events, pick, channel=channel)
     (node,) = level.nodes
     # From the identity frame a round leaves the frame (x, z) = (m, a).
     a = node.frames[wire_qubit].z

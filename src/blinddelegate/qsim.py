@@ -7,7 +7,9 @@ Conventions used everywhere in this package:
 * Two-qubit gate matrices are written in kron(U_high, U_low) order,
   i.e. the 4x4 index bit 0 belongs to the *first* target.
 * Measured qubits are removed from the register (the state shrinks by
-  one qubit; indices above the measured one shift down by one).
+  one qubit; indices above the measured one shift down by one). A
+  measurement by r x 2 blocks (measure_stack) puts the qubit the blocks
+  carry on top of the register instead.
 * State comparisons are insensitive to global phase.
 """
 
@@ -304,31 +306,16 @@ def expand_gate(gate: GateMatrix, targets, num_qubits: int) -> np.ndarray:
 DEGENERATE_PROB = 1e-12
 
 
-def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
-    """Measure `qubit` of every node of `stack` (one row of amplitudes per
-    node), node b in the basis whose bras (conjugated kets, outcome 0 first)
-    are bras[b]; `bras` is (nodes, 2, 2), or one (2, 2) basis such as Z_BRAS
-    for all.
+def branches(p0, pick=None):
+    """The branches of measurements whose outcome 0 has probability p0[b],
+    b = 0, 1, ...: (parents, outcomes, probs), one entry per branch.
 
     With `pick` None, every possible branch is kept: node by node, outcome 0
     first, impossible ones (prob < DEGENERATE_PROB) dropped. Otherwise each
     node keeps the one outcome pick(p0) names, in node order, and an
-    impossible one raises DegenerateMeasurementError.
-
-    Returns (parents, outcomes, probs, posts): the node, outcome and
-    probability of each branch (lists), and the stack of its normalized post
-    states with the qubit removed. The arithmetic is the same for every node
-    and branch: p0 is <b0|b0> of branch 0 = <bra_0|rows>, clamped to [0, 1],
-    outcome 1 has 1 - p0, and a read-out last qubit (one amplitude) has
-    p0 = |b0|^2.
+    impossible one raises DegenerateMeasurementError. Each p0 is clamped to
+    [0, 1] and outcome 1 has 1 - p0.
     """
-    count, bras = len(stack), np.asarray(bras)
-    rows = _rows(stack.reshape(count, -1, 2, 1 << qubit), (0, 2, 1, 3), 2)
-    branch0 = np.matmul(bras[..., 0:1, :], rows)
-    if rows.shape[2] == 1:
-        p0 = [float(abs(b) ** 2) for b in branch0[:, 0, 0]]
-    else:
-        p0 = np.matmul(branch0.conj(), branch0.transpose(0, 2, 1))[:, 0, 0].real.tolist()
     parents, outcomes, probs = [], [], []
     for b, q in enumerate(p0):
         q = min(max(q, 0.0), 1.0)
@@ -342,12 +329,47 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
                 raise DegenerateMeasurementError(
                     f"outcome {outcome} has probability {prob:.3e}"
                 )
+    return parents, outcomes, probs
+
+
+def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
+    """Measure `qubit` of every node of `stack` (one row of amplitudes per
+    node), node b in the basis whose bras (conjugated kets, outcome 0 first)
+    are bras[b]; `bras` is (nodes, 2, 2), or one (2, 2) basis such as Z_BRAS
+    for all.
+
+    Each outcome's bra may also be an r x 2 block, given per node as
+    (nodes, 2, r, 2): outcome o maps the qubit to r amplitudes, block row j
+    becoming bit j of a qubit put on top of the register (r = 2), where a
+    bra (r = 1) removes it. A block is a measurement followed by an
+    operation that keeps the qubit, such as the X read-out of a wire after
+    a CZ with a qubit whose state the block carries.
+
+    Branches are kept or picked by `branches`, with `pick` as there.
+
+    Returns (parents, outcomes, probs, posts): the node, outcome and
+    probability of each branch (lists), and the stack of its normalized post
+    states. The arithmetic is the same for every node and branch: p0 is
+    <b0|b0> of branch 0 = block_0 rows, clamped to [0, 1], outcome 1 has
+    1 - p0, and a read-out last qubit (one amplitude) has p0 = |b0|^2.
+    """
+    count, bras = len(stack), np.asarray(bras)
+    if bras.ndim < 4:
+        bras = bras[..., None, :]
+    rows = _rows(stack.reshape(count, -1, 2, 1 << qubit), (0, 2, 1, 3), 2)
+    branch0 = np.matmul(bras[..., 0, :, :], rows)
+    flat = branch0.reshape(count, 1, -1)
+    if flat.shape[2] == 1:
+        p0 = [float(abs(b) ** 2) for b in flat[:, 0, 0]]
+    else:
+        p0 = np.matmul(flat.conj(), flat.transpose(0, 2, 1))[:, 0, 0].real.tolist()
+    parents, outcomes, probs = branches(p0, pick)
     if len(parents) == count and outcomes.count(outcomes[0]) == count:
         # One branch per node, all of one outcome: every run's case.
-        posts = np.matmul(bras[..., 1:2, :], rows) if outcomes[0] else branch0
+        posts = np.matmul(bras[..., 1, :, :], rows) if outcomes[0] else branch0
         posts = posts.reshape(count, -1)
     else:
-        branch1 = np.matmul(bras[..., 1:2, :], rows)
+        branch1 = np.matmul(bras[..., 1, :, :], rows)
         posts = np.concatenate((branch0, branch1), axis=1).reshape(2 * count, -1)
         if len(parents) < 2 * count:
             posts = posts[[2 * b + o for b, o in zip(parents, outcomes)]]

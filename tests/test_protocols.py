@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.random import default_rng
 from blinddelegate import adversaries, graphs, protocols, qsim
 from blinddelegate.errors import (
     CalibrationError,
+    CapacityError,
     DegenerateMeasurementError,
     FormatError,
     RetryLimitError,
@@ -35,6 +37,18 @@ def test_message_payload_rules():
         Message(1, "B2A", "X_RESULT", 2)
     with pytest.raises(ValueError):
         Message(1, "A2B", "ARRIVED", 0)
+
+
+def test_message_is_an_immutable_record():
+    msg = Message(3, "B2A", "X_RESULT", 1)
+    assert (msg.round, msg.direction, msg.kind, msg.payload) == (3, "B2A", "X_RESULT", 1)
+    assert msg == Message(3, "B2A", "X_RESULT", 1) != Message(3, "B2A", "X_RESULT", 0)
+    assert Message(1, "A2B", "DONE").payload is None
+    assert repr(msg) == "Message(round=3, direction='B2A', kind='X_RESULT', payload=1)"
+    with pytest.raises(AttributeError):
+        msg.payload = 0
+    with pytest.raises(ValueError, match="exactly one bit"):
+        Message(1, "B2A", "X_RESULT", [1])
 
 
 def test_channel_validation_and_transmit():
@@ -130,6 +144,115 @@ def test_compile_padding():
         protocols.compile_circuit(gates, pad_to=3)
     with pytest.raises(ValueError):
         protocols.compile_circuit(gates, pad_to=7)
+
+
+# The one-map round and the sequence it replaced compute the same numbers
+# in a different order, so they agree to rounding, not bit for bit.
+ROUND_TOL = 1e-12
+
+ROUND_PAIRS = {
+    "bell": qsim.bell_pair(),
+    "zeros": qsim.basis_state(2, 0),
+    # Qubit 0 is the server's half, qubit 1 the client's: |+>_client |0>_server,
+    # so at k = 0 she never reads 1 and at k = 4 never 0.
+    "client-plus": qsim.StateVector(np.array([1, 0, 1, 0]) / np.sqrt(2)),
+    "random": qsim.random_state(2, default_rng(17)),
+}
+
+
+def _reference_round(psi, wire, k, pair):
+    """The round as a sequence: the pair joins the register (server half,
+    then client half, above the wires), CZ on the server half and the wire,
+    the client measures her half at Angle(k), the server reads the wire out
+    in X and his half takes the wire's place. {(a, m): (prob, wires in
+    order)} over every possible branch."""
+    n = psi.num_qubits
+    wires = [("wire", w) for w in range(n)]
+    level = protocols._level(psi, wires, [FRAME_I] * n)
+    level.append(pair.amplitudes, ["server", "client"])
+    qsim.cz_stack(level.amps, level.qubit("server"), level.qubit(wires[wire]))
+    a_of, a, pa = level.fork(None, "client", qsim.ROTATED_BRAS[k])
+    m_of, m, pm = level.fork(None, wires[wire], qsim.ROTATED_BRAS[0])
+    level.relabel("server", wires[wire])
+    out = {}
+    for j, (i, m_bit, p_m) in enumerate(zip(m_of, m, pm)):
+        row = protocols._Level(level.amps[j:j + 1], level.labels, [None])
+        out[a[i], m_bit] = (pa[i] * p_m, row.state(wires).amplitudes)
+    return out
+
+
+def _one_map_round(psi, wire, k, pair, forced=None):
+    """The runtime's round on a level of one node: every branch (forced
+    None, the walk), or the one the forced (a, m) names."""
+    n = psi.num_qubits
+    plan = protocols.RoundPlan(wire, 1, (qsim.Angle(k), qsim.Angle(k)))
+    level = protocols._start(protocols.AngleProgram(n), psi)
+    pick = None if forced is None else protocols._measurement(None, forced)
+    level = protocols._step(level, ("round", plan), pick, protocols._pair_table(pair.amplitudes))
+    assert len(level.labels) == n
+    out = {}
+    for j, node in enumerate(level.nodes):
+        frame = node.frames[wire]  # from the identity frame: (x, z) = (m, a)
+        assert node.m_bits == (frame.x,) and node.command.k == k
+        row = protocols._Level(level.amps[j:j + 1], level.labels, [None])
+        out[frame.z, frame.x] = (node.prob, row.state([("wire", w) for w in range(n)]).amplitudes)
+    return out
+
+
+@pytest.mark.parametrize("pair_name", list(ROUND_PAIRS))
+def test_one_map_round_equals_pair_cz_and_two_measurements(pair_name):
+    pair = ROUND_PAIRS[pair_name]
+    rng = default_rng([23, len(pair_name)])
+    impossible = 0
+    for n in (1, 2, 3):
+        psi = qsim.random_state(n, rng)
+        for wire, k in itertools.product(range(n), range(8)):
+            want = _reference_round(psi, wire, k, pair)
+            got = _one_map_round(psi, wire, k, pair)
+            assert list(got) == list(want), (n, wire, k)
+            impossible += 4 - len(want)
+            for key, (p, amps) in want.items():
+                forced = _one_map_round(psi, wire, k, pair, forced=list(key))
+                for branch in (got[key], forced[key]):
+                    assert abs(branch[0] - p) < ROUND_TOL, (n, wire, k, key)
+                    np.testing.assert_allclose(branch[1], amps, rtol=0, atol=ROUND_TOL)
+            for key in set(itertools.product((0, 1), repeat=2)) - set(want):
+                with pytest.raises(DegenerateMeasurementError):
+                    _one_map_round(psi, wire, k, pair, forced=list(key))
+    # Only the |+> client half has impossible outcomes: a at k = 0 and 4.
+    assert impossible == (2 * 2 * 6 if pair_name == "client-plus" else 0)
+
+
+def test_protocol2_register_holds_only_the_wires(monkeypatch):
+    """Every stack a protocol-2 run or walk measures, and every level after
+    a step, holds exactly the program's wires: the pair never joins it."""
+    widths = []
+    measure_stack, step = qsim.measure_stack, protocols._step
+
+    def recording_measure(stack, qubit, bras, pick=None):
+        widths.append(stack.shape[1])
+        return measure_stack(stack, qubit, bras, pick)
+
+    def recording_step(level, *args):
+        level = step(level, *args)
+        widths.append(level.amps.shape[1])
+        return level
+
+    monkeypatch.setattr(qsim, "measure_stack", recording_measure)
+    monkeypatch.setattr(protocols, "_step", recording_step)
+    for text in ("H 0\nCNOT 0 1\nT 1", "CZ 0 1"):
+        program = protocols.compile_circuit(protocols.parse_circuit(text))
+        psi = qsim.random_state(program.num_wires, default_rng(4))
+        for pair in (None, ROUND_PAIRS["random"]):
+            widths.clear()
+            protocols.run_protocol2(program, psi, ChannelModel(0.3), default_rng(5), pair=pair)
+            assert len(widths) > program.num_rounds
+            assert set(widths) == {2 ** program.num_wires}
+        if program.num_rounds <= 6:
+            widths.clear()
+            leaves = list(protocols.walk_protocol2(program, psi))
+            assert len(leaves) == 4 ** program.num_rounds
+            assert set(widths) == {2 ** program.num_wires}
 
 
 def test_round2_step_realizes_rotation_identity():
@@ -442,6 +565,20 @@ def test_enumerate_distribution_runs_no_protocol(monkeypatch):
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_walk_refuses_a_level_past_its_budget():
+    # tp on this chain has 2^21 leaves; walking them would hold millions of
+    # nodes. The walk refuses before it builds a level past its budget.
+    runner, args, num_bits = _chain_case("T 0\nTDG 0\nS 0\nH 0", True)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="amplitudes"):
+        protocols.enumerate_distribution(runner, *args, num_bits=num_bits)
+    assert time.perf_counter() - start < 1.0
+    # The largest walk in the suite stays inside the budget.
+    runner, args, num_bits = _chain_case("H 0\nS 0\nH 0", True)
+    dist = protocols.enumerate_distribution(runner, *args, num_bits=num_bits)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_enumerate_distribution_checks_num_bits():
     for teleported in (False, True):
         runner, args, num_bits = _chain_case("S 0", teleported)
@@ -642,8 +779,8 @@ def test_registerless_run_calls_no_qsim_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a registerless run reached the register")
 
-    for name in ("measure_stack", "apply_stack", "tensor_stack", "cz_stack", "measure",
-                 "measurement_branches", "apply_gate", "bell_pair"):
+    for name in ("measure_stack", "branches", "apply_stack", "tensor_stack", "cz_stack",
+                 "measure", "measurement_branches", "apply_gate", "bell_pair"):
         monkeypatch.setattr(qsim, name, refuse)
     monkeypatch.setattr(qsim.StateVector, "tensor", refuse)
     program = _p2_program("H 0\nCNOT 0 1\nT 1")
@@ -671,16 +808,20 @@ def test_registerless_run_refuses_what_a_coin_cannot_model():
 
 
 def _round_probabilities(monkeypatch, program, input_state, pair, seeds):
-    """The (p(a), p(m)) of every drawn protocol-2 round on the register path."""
+    """The p0 of a and of m, as passed to the run's pick, of every drawn
+    protocol-2 round on the register path."""
     probs = []
-    measure = qsim.measure_stack
+    measurement = protocols._measurement
 
-    def recording(stack, qubit, bras, pick=None):
-        branches = measure(stack, qubit, bras, pick)
-        probs.extend(branches[2])
-        return branches
+    def recording(rng, forced=None):
+        pick = measurement(rng, forced)
 
-    monkeypatch.setattr(qsim, "measure_stack", recording)
+        def record(p0):
+            probs.append(p0)
+            return pick(p0)
+        return record
+
+    monkeypatch.setattr(protocols, "_measurement", recording)
     for seed in seeds:
         protocols.run_protocol2(program, input_state, ChannelModel(0.0), default_rng(seed),
                                 pair=pair)

@@ -530,6 +530,26 @@ def test_measure_stack_picks_one_branch_per_node(count, width):
         qsim.measure_stack(eigen, qubit, qsim.Z_BRAS, lambda p0: impossible)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_measure_stack_blocks_put_the_qubit_on_top(width):
+    """2 x 2 blocks in place of bras keep the measured qubit: with block o =
+    |o><o| (a Z measurement that keeps its qubit) each branch is the
+    projected, normalized state with that qubit moved to the top."""
+    rng = np.random.default_rng([width, 3])
+    stack = np.array([qsim.random_state(width, rng).amplitudes for _ in range(3)])
+    keep_z = np.array([np.diag([1, 0]), np.diag([0, 1])], dtype=complex)
+    blocks = np.broadcast_to(keep_z, (3, 2, 2, 2))
+    for qubit in range(width):
+        parents, outcomes, probs, posts = qsim.measure_stack(stack, qubit, blocks)
+        assert parents == [0, 0, 1, 1, 2, 2] and outcomes == [0, 1] * 3
+        for b, o, p, post in zip(parents, outcomes, probs, posts):
+            psi = np.moveaxis(stack[b].reshape([2] * width, order="F"), qubit, -1).copy()
+            psi[..., 1 - o] = 0
+            assert p == pytest.approx(np.vdot(psi, psi).real, abs=1e-12)
+            want = psi.reshape(-1, order="F") / np.sqrt(p)
+            np.testing.assert_allclose(post, want, rtol=0, atol=1e-12)
+
+
 def _node_gate(amps, gate, targets):
     """`gate` on one node by np.dot of its rows, row index bit 0 = targets[0]."""
     width = amps.size.bit_length() - 1
