@@ -105,24 +105,34 @@ def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
     return BobView(marginal=DensityMatrix(total), transcript_dist={"": 1.0})
 
 
+def _pair_views(table) -> np.ndarray:
+    """views[k] = sum_a p_a v v^dagger: the server's half of the pair that
+    protocols._pair_table tables, once the client has measured at Angle(k),
+    summed over her outcome a. On a wire in |0> the CZ acts trivially, so
+    his map for either reported bit m leaves v / sqrt2 (the maps' column 0)."""
+    p0, maps = table
+    outs = maps[..., 0].reshape(8, 2, 2, 2)  # [k, a, m, s]
+    halves = np.einsum("kams,kamt->kast", outs, outs.conj())
+    p0 = np.array(p0)[:, None, None]
+    return p0 * halves[:, 0] + (1.0 - p0) * halves[:, 1]
+
+
 @functools.cache
-def _round_view(k: int) -> DensityMatrix:
-    """The round view at Angle(k), built and checked once per process (on
+def _round_views():
+    """The honest round's views, built and checked once per process (on
     first use: the check's eigvalsh pulls in LAPACK, which runs never take)."""
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    v = qsim.rotation(Angle(k)).entries @ plus
-    pure = np.outer(v, v.conj())
-    z = qsim.Z.entries
-    view = DensityMatrix(0.5 * pure + 0.5 * (z @ pure @ z))
-    view.entries.setflags(write=False)
-    return view
+    views = tuple(DensityMatrix(v) for v in _pair_views(protocols._bell_table()))
+    for view in views:
+        view.entries.setflags(write=False)
+    return views
 
 
 def bob_view_protocol2_round(theta: Angle) -> DensityMatrix:
     """The server-side pair half after the client's rotated measurement,
-    averaged over her (unsent) outcome; equals I/2 for every angle. The
+    averaged over her (unsent) outcome: _pair_views of the Bell pair's table
+    that every round runs. It is I/2 for every angle (no-signaling). The
     entries are read-only: every call at one angle returns the same view."""
-    return _round_view(theta.k if isinstance(theta, Angle) else Angle(theta).k)
+    return _round_views()[theta.k if isinstance(theta, Angle) else Angle(theta).k]
 
 
 # --------------------------------------------------------------------------
@@ -237,13 +247,8 @@ def certify_protocol1(secrets, joint=None, n_povms: int = 4,
     for i, j in itertools.combinations(range(len(secrets)), 2):
         report.add("p1-marginal", (i, j),
                    qsim.frobenius_distance(views[i].marginal, views[j].marginal))
-        report.add(
-            "p1-transcript", (i, j),
-            _max_abs(
-                [views[i].transcript_dist.get(k, 0.0) for k in ("",)],
-                [views[j].transcript_dist.get(k, 0.0) for k in ("",)],
-            ),
-        )
+        report.add("p1-transcript", (i, j), _max_abs(
+            *[[v.transcript_dist.get("", 0.0)] for v in (views[i], views[j])]))
         for p, dists in enumerate(outcomes):
             report.add("p1-povm", (i, j), _max_abs(dists[i], dists[j]), povm=p)
     return report
@@ -274,10 +279,8 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
     m_dists = [m_string_distribution(p, input_state) for p in programs]
     # The loss pattern of each delivery is channel randomness only; with the
     # padded round counts the whole classical loss view is one dist per round.
-    resends = [
-        (p.num_rounds, resend_distribution(loss_prob, cap=resend_cap))
-        for p in programs
-    ]
+    resends = [(p.num_rounds, resend_distribution(loss_prob, cap=resend_cap))
+               for p in programs]
     povms = [random_povm(2, 4, rng) for _ in range(n_povms)]
     # Each POVM's outcome vector, once per distinct view.
     outcomes = [{k: povm_distribution(v, povm) for k, v in views.items()} for povm in povms]
@@ -288,11 +291,11 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
         # A program of Pauli gates only has no rounds, hence no bits to bias.
         report.add("p2-m-bias", (i, i), max(biases, default=0.0))
     for i, j in itertools.combinations(range(len(secrets)), 2):
-        dev = 0.0
-        for r in range(rounds):
-            for ki in round_angles[i][r]:
-                for kj in round_angles[j][r]:
-                    dev = max(dev, qsim.frobenius_distance(views[ki], views[kj]))
+        # Every pair of angles the two secrets can send in one round.
+        compared = {(ki, kj) for per_i, per_j in zip(round_angles[i], round_angles[j])
+                    for ki in per_i for kj in per_j}
+        dev = max((qsim.frobenius_distance(views[ki], views[kj]) for ki, kj in compared),
+                  default=0.0)
         report.add("p2-round-view", (i, j), dev)
 
         keys = sorted(set(m_dists[i]) | set(m_dists[j]))
@@ -302,11 +305,7 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
         dev = max(dev, _max_abs(resends[i][1], resends[j][1]))
         report.add("p2-resend", (i, j), dev)
         for p, dists in enumerate(outcomes):
-            dev = 0.0
-            for r in range(rounds):
-                for ki in round_angles[i][r]:
-                    for kj in round_angles[j][r]:
-                        dev = max(dev, _max_abs(dists[ki], dists[kj]))
+            dev = max((_max_abs(dists[ki], dists[kj]) for ki, kj in compared), default=0.0)
             report.add("p2-povm", (i, j), dev, povm=p)
     return report
 

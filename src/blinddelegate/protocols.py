@@ -25,7 +25,6 @@ distributions come from one walk of the outcome tree (_walk), level by level.
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -872,19 +871,20 @@ def run_teleport_variant(resource, plan, channel: ChannelModel, rng=None,
     return _run_chain(resource, plan, True, rng, forced_outcomes, channel)
 
 
-def enumerate_distribution(runner, *args, num_bits, **kwargs):
-    """Exact outcome distribution of run_protocol1 or run_teleport_variant.
+def enumerate_distribution(runner, resource, plan, *args, num_bits):
+    """Exact outcome distribution of run_protocol1 or run_teleport_variant
+    on `resource` and `plan`.
 
     Sums the read-out bits over the leaves of one walk of the runner's
-    outcome tree; the runner itself never runs. `num_bits` must be the
-    number of measurements in a run: one per vertex, plus two per teleport.
-    Returns {outcome_bits tuple: probability}, summing to 1.
+    outcome tree; the runner itself never runs, so its other arguments (a
+    channel) change nothing. `num_bits` must be the number of measurements
+    in a run: one per vertex, plus two per teleport. Returns
+    {outcome_bits tuple: probability}, summing to 1.
     """
     if runner not in (run_protocol1, run_teleport_variant):
         raise ValueError("only the linear-cluster runners can be enumerated")
-    bound = inspect.signature(runner).bind(*args, **kwargs).arguments
-    resource, teleported = bound["resource"], runner is run_teleport_variant
-    start, events = _chain(resource, bound["plan"], teleported)
+    teleported = runner is run_teleport_variant
+    start, events = _chain(resource, plan, teleported)
     measured = resource.graph.num_vertices * (3 if teleported else 1)
     if num_bits != measured:
         raise ValueError(f"a run measures {measured} bits, not {num_bits}")

@@ -386,35 +386,16 @@ def measure(state: StateVector, qubit: int, bras, rand: float):
     """
     _, [outcome], [prob], posts = measure_stack(
         state.amplitudes[None], qubit, bras, lambda p0: 0 if rand < p0 else 1)
-    return outcome, _post_state(posts[0], outcome), prob
+    if posts.shape[1] == 1:
+        return outcome, basis_state(1, outcome), prob
+    return outcome, StateVector(posts[0], check=False), prob
 
 
-def measurement_branches(state: StateVector, qubit: int, bras):
-    """Both branches of measuring `qubit`, outcome 0 first, as
-    (outcome, post_state, prob) triples; impossible outcomes are left out."""
-    _, outcomes, probs, posts = measure_stack(state.amplitudes[None], qubit, bras)
-    return [(o, _post_state(post, o), p) for o, p, post in zip(outcomes, probs, posts)]
-
-
-def _post_state(amplitudes, outcome) -> StateVector:
-    if len(amplitudes) == 1:
-        return basis_state(1, outcome)
-    return StateVector(amplitudes, check=False)
-
-
-def _rotated_bras(theta: Angle):
-    """Bras (outcome 0 first) of the basis (|0> +- e^{-i theta}|1>)/sqrt2,
-    built once per grid angle."""
-    phase = np.exp(-1j * theta.radians)
-    bra0 = np.array([1.0, phase], dtype=complex) / np.sqrt(2)
-    bra1 = np.array([1.0, -phase], dtype=complex) / np.sqrt(2)
-    return bra0.conj(), bra1.conj()
-
-
-# ROTATED_BRAS[k][a]: the bra of outcome a when measuring at Angle(k); the
-# projector onto that outcome is np.outer(bra.conj(), bra). ROTATED_BRAS[ks]
-# gives a stack's per-node bases.
-ROTATED_BRAS = np.array([_rotated_bras(theta) for theta in ALL_ANGLES])
+# ROTATED_BRAS[k][a]: the bra of outcome a when measuring at Angle(k), in the
+# basis (|0> +- e^{-i theta}|1>)/sqrt2; the rows of H R_theta. The projector
+# onto that outcome is np.outer(bra.conj(), bra). ROTATED_BRAS[ks] gives a
+# stack's per-node bases.
+ROTATED_BRAS = np.array([H.entries @ rotation(theta).entries for theta in ALL_ANGLES])
 ROTATED_BRAS.setflags(write=False)
 Z_BRAS = np.eye(2, dtype=complex)
 Z_BRAS.setflags(write=False)
@@ -449,19 +430,12 @@ def partial_trace(obj, keep) -> DensityMatrix:
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = STATE_TOL) -> bool:
     """True iff a = phase * b for some unit phase, within `tol` in 2-norm."""
-    va, vb = a.amplitudes, b.amplitudes
-    if va.shape != vb.shape:
-        return False
-    idx = int(np.argmax(np.abs(va) * np.abs(vb)))
-    if abs(va[idx]) * abs(vb[idx]) == 0.0:
-        return bool(np.linalg.norm(va - vb) < tol)
-    phase = va[idx] / vb[idx]
-    phase /= abs(phase)
-    return bool(np.linalg.norm(va - phase * vb) < tol)
+    return matrices_equal_up_to_phase(a.amplitudes, b.amplitudes, tol)
 
 
 def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = STATE_TOL) -> bool:
-    """True iff a = phase * b as matrices (both assumed similar norm scale)."""
+    """True iff a = phase * b for some unit phase, within `tol` in the 2-norm
+    (Frobenius for matrices)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
@@ -469,10 +443,10 @@ def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = STATE_
     flat_a, flat_b = a.reshape(-1), b.reshape(-1)
     idx = int(np.argmax(np.abs(flat_a) * np.abs(flat_b)))
     if abs(flat_a[idx]) * abs(flat_b[idx]) == 0.0:
-        return bool(np.abs(a - b).max() < tol)
+        return bool(np.linalg.norm(flat_a - flat_b) < tol)
     phase = flat_a[idx] / flat_b[idx]
     phase /= abs(phase)
-    return bool(np.abs(a - phase * b).max() < tol)
+    return bool(np.linalg.norm(flat_a - phase * flat_b) < tol)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -117,6 +117,49 @@ def test_round_view_is_maximally_mixed_for_every_angle():
         np.testing.assert_allclose(view.entries, np.eye(2) / 2, atol=1e-12)
 
 
+def test_round_view_is_built_from_the_pair_table_that_runs(monkeypatch):
+    honest = [blindness.bob_view_protocol2_round(k).entries for k in range(8)]
+    table = protocols._bell_table()
+    assert np.array_equal(honest, blindness._pair_views(table))
+    # Swap the table a round runs on for a |00> pair's: the view follows it.
+    monkeypatch.setattr(protocols, "_bell_table",
+                        lambda: protocols._pair_table(qsim.basis_state(2, 0).amplitudes))
+    blindness._round_views.cache_clear()
+    try:
+        for k in range(8):
+            np.testing.assert_allclose(blindness.bob_view_protocol2_round(k).entries,
+                                       np.diag([1.0, 0.0]), atol=1e-12)
+    finally:
+        blindness._round_views.cache_clear()
+    monkeypatch.undo()
+    assert np.array_equal(blindness.bob_view_protocol2_round(3).entries, honest[3])
+
+
+def test_pair_table_does_not_signal():
+    """Summed over the client's outcome, the server's half of any pair is the
+    same at every angle: his reduced state of the pair (no-signaling)."""
+    rng = default_rng(61)
+    pairs = [qsim.bell_pair()] + [qsim.random_state(2, rng) for _ in range(50)]
+    for pair in pairs:
+        views = blindness._pair_views(protocols._pair_table(pair.amplitudes))
+        assert np.max(np.abs(views - views[0])) < 1e-12
+        reduced = qsim.partial_trace(pair, keep=[0]).entries
+        assert np.max(np.abs(views - reduced)) < 1e-12
+
+
+def test_announced_round_outcome_would_trip_the_round_view():
+    """Negative control: kept apart by the client's outcome a, as a client who
+    announced a would leave them, the Bell pair's halves depend on her angle."""
+    p0, maps = protocols._bell_table()
+    outs = maps[..., 0].reshape(8, 2, 2, 2)  # [k, a, m, s]: his map on |0>
+    per_a = np.einsum("kams,kamt->kast", outs, outs.conj())
+    per_a *= np.stack([p0, 1.0 - np.array(p0)], axis=1)[:, :, None, None]
+    dev = np.max(np.abs(per_a - per_a[0]))
+    assert dev == pytest.approx(0.5, abs=1e-12)
+    assert dev > blindness.BLINDNESS_TOL
+    assert np.max(np.abs(per_a.sum(axis=1) - per_a[0].sum(axis=0))) < 1e-12
+
+
 def test_resend_distribution():
     np.testing.assert_allclose(
         blindness.resend_distribution(0.0, cap=4), [1, 0, 0, 0, 0], atol=0

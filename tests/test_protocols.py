@@ -780,7 +780,7 @@ def test_registerless_run_calls_no_qsim_kernel(monkeypatch):
         raise AssertionError("a registerless run reached the register")
 
     for name in ("measure_stack", "branches", "apply_stack", "tensor_stack", "cz_stack",
-                 "measure", "measurement_branches", "apply_gate", "bell_pair"):
+                 "measure", "apply_gate", "bell_pair"):
         monkeypatch.setattr(qsim, name, refuse)
     monkeypatch.setattr(qsim.StateVector, "tensor", refuse)
     program = _p2_program("H 0\nCNOT 0 1\nT 1")

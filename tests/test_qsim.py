@@ -301,11 +301,13 @@ def test_measure_z_final_qubit_readout():
     # forcing the impossible branch must raise instead of misreporting
     with pytest.raises(DegenerateMeasurementError):
         qsim.measure(qsim.basis_state(1, 0), 0, qsim.Z_BRAS, rand=1.0)
-    # Both branches of a last-qubit readout, with p0 = |amp_0|^2 exactly.
+    # Both branches of a last-qubit readout, with p0 = |amp_0|^2 exactly; a
+    # forced read-out leaves |outcome> behind.
     psi = qsim.random_state(1, np.random.default_rng(8))
     p0 = float(abs(psi.amplitudes[0]) ** 2)
-    branches = qsim.measurement_branches(psi, 0, qsim.Z_BRAS)
-    assert [(b, p, post.amplitudes.tolist()) for b, post, p in branches] == [
+    _, outcomes, probs, _ = qsim.measure_stack(psi.amplitudes[None], 0, qsim.Z_BRAS)
+    posts = [qsim.measure(psi, 0, qsim.Z_BRAS, rand)[1] for rand in (-1.0, 1.0)]
+    assert [(b, p, post.amplitudes.tolist()) for b, p, post in zip(outcomes, probs, posts)] == [
         (0, p0, [1.0, 0.0]), (1, 1.0 - p0, [0.0, 1.0])
     ]
 
@@ -386,12 +388,19 @@ _ALL_BASES = [(f"R{k}", bras) for k, bras in enumerate(qsim.ROTATED_BRAS)] + [
 ]
 
 
+def _branches(psi, qubit, bras):
+    """Every branch measure_stack keeps (pick None) of one state, as
+    (outcome, post amplitudes, prob) triples."""
+    _, outcomes, probs, posts = qsim.measure_stack(psi.amplitudes[None], qubit, bras)
+    return list(zip(outcomes, posts, probs))
+
+
 @pytest.mark.parametrize("width", [2, 3, 4])
 def test_measurement_branches_equal_forced_measurements_bit_for_bit(width):
     psi = qsim.random_state(width, np.random.default_rng(40 + width))
     for qubit in range(width):
         for name, bras in _ALL_BASES:
-            branches = qsim.measurement_branches(psi, qubit, bras)
+            branches = _branches(psi, qubit, bras)
             assert [b[0] for b in branches] == [0, 1], (name, qubit)
             for (outcome, post, prob), rand in zip(branches, (-1.0, 1.0)):
                 want_outcome, want_post, want_prob = qsim.measure(
@@ -399,8 +408,8 @@ def test_measurement_branches_equal_forced_measurements_bit_for_bit(width):
                 )
                 assert outcome == want_outcome
                 assert prob == want_prob
-                assert np.array_equal(post.amplitudes, want_post.amplitudes)
-                assert post.num_qubits == width - 1
+                assert np.array_equal(post, want_post.amplitudes)
+                assert len(post) == 2 ** (width - 1)
 
 
 def test_measurement_branches_drop_impossible_outcomes():
@@ -408,25 +417,32 @@ def test_measurement_branches_drop_impossible_outcomes():
     # which is where a forced measurement of the other outcome raises.
     psi = qsim.plus_state(1).tensor(qsim.basis_state(1, 0))
     for k, possible in ((0, 0), (4, 1)):
-        [(outcome, post, prob)] = qsim.measurement_branches(
-            psi, 0, qsim.ROTATED_BRAS[k]
-        )
+        [(outcome, post, prob)] = _branches(psi, 0, qsim.ROTATED_BRAS[k])
         assert outcome == possible
         assert prob == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(post.amplitudes, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(post, [1.0, 0.0], atol=1e-12)
         rand = 1.0 if possible == 0 else -1.0
         with pytest.raises(DegenerateMeasurementError):
             qsim.measure(psi, 0, qsim.ROTATED_BRAS[k], rand)
-    [(outcome, _, prob)] = qsim.measurement_branches(qsim.basis_state(2, 0), 1, qsim.Z_BRAS)
+    [(outcome, _, prob)] = _branches(qsim.basis_state(2, 0), 1, qsim.Z_BRAS)
     assert (outcome, prob) == (0, 1.0)
 
 
 def test_measurement_branches_leave_input_untouched():
     psi = qsim.random_state(3, np.random.default_rng(7))
     before = psi.amplitudes.copy()
-    branches = qsim.measurement_branches(psi, 1, qsim.ROTATED_BRAS[3])
+    branches = _branches(psi, 1, qsim.ROTATED_BRAS[3])
     assert np.array_equal(psi.amplitudes, before)
     assert sum(prob for _, _, prob in branches) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rotated_bras_are_h_times_rotation_bit_for_bit():
+    # The reference: the bras of (|0> +- e^{-i theta}|1>)/sqrt2 from the
+    # formula, as ROTATED_BRAS was once built.
+    for k in range(8):
+        phase = np.exp(-1j * qsim.Angle(k).radians)
+        kets = np.array([[1.0, phase], [1.0, -phase]], dtype=complex) / np.sqrt(2)
+        assert np.array_equal(qsim.ROTATED_BRAS[k], kets.conj()), k
 
 
 # --------------------------------------------------------------------------
