@@ -90,7 +90,7 @@ def _resend_counts(transcript, round_indices, cap: int):
 
 
 def collect_attack_samples(n_trials: int, countermeasure: bool,
-                           loss_prob: float, seed: int = 0, cap: int = 8):
+                           loss_prob: float, seed: int = 0):
     """(secret digit, post-capture resend counts) pairs over fresh runs."""
     secret_rng = np.random.default_rng([seed, 3])
     samples = []
@@ -100,7 +100,7 @@ def collect_attack_samples(n_trials: int, countermeasure: bool,
         channel = protocols.ChannelModel(loss_prob, rng_seed=(seed << 24) + 7 + t)
         rng = np.random.default_rng([seed, 0, t])
         _, transcript, _ = run_with_evil_device(program, countermeasure, channel, rng)
-        stat = _resend_counts(transcript, range(2, program.num_rounds + 1), cap)
+        stat = _resend_counts(transcript, range(2, program.num_rounds + 1), cap=8)
         samples.append((k, stat))
     return samples
 

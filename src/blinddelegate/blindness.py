@@ -3,8 +3,9 @@
 The quantum side reduces to small density matrices: the server's share of a
 joint state after the client measures her share, or the fresh pair half left
 behind by one round. The classical side is the exact distribution of the
-message transcript, which factorizes into per-round resend counts and
-reported X-bits.
+reported X-bits, and the number of deliveries: resends are channel noise,
+drawn independently per delivery, so equal delivery counts give equal
+resend-count distributions.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ def _as_density(obj) -> np.ndarray:
 @dataclass
 class BobView:
     marginal: DensityMatrix
-    transcript_dist: dict = field(default_factory=lambda: {"": 1.0})
 
 
 class Povm:
@@ -102,7 +102,7 @@ def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
         for post, prob in protocols.walk_protocol1(psi, plan):
             v = post.amplitudes
             total = total + (weight * prob) * np.outer(v, v.conj())
-    return BobView(marginal=DensityMatrix(total), transcript_dist={"": 1.0})
+    return BobView(marginal=DensityMatrix(total))
 
 
 def _pair_views(table) -> np.ndarray:
@@ -138,14 +138,6 @@ def bob_view_protocol2_round(theta: Angle) -> DensityMatrix:
 # --------------------------------------------------------------------------
 # Exact classical view of the pair-per-round protocol
 # --------------------------------------------------------------------------
-
-
-def resend_distribution(loss_prob: float, cap: int = 8):
-    """P(resend count) per delivery, with the tail bucketed at `cap`."""
-    if loss_prob >= 1.0:
-        return [0.0] * cap + [1.0]
-    probs = [(1.0 - loss_prob) * loss_prob**r for r in range(cap)]
-    return probs + [1.0 - sum(probs)]
 
 
 def m_string_distribution(program, input_state) -> dict:
@@ -214,8 +206,8 @@ class BlindnessReport:
     def render(self) -> str:
         return "\n".join(line.render() for line in self.lines) + "\n"
 
-    def add(self, check, secrets, dev, povm=None, tol=BLINDNESS_TOL):
-        self.lines.append(ReportLine(check, secrets, povm, float(dev), bool(dev < tol)))
+    def add(self, check, secrets, dev, povm=None):
+        self.lines.append(ReportLine(check, secrets, povm, float(dev), bool(dev < BLINDNESS_TOL)))
 
 
 def _max_abs(a, b) -> float:
@@ -229,6 +221,10 @@ def certify_protocol1(secrets, joint=None, n_povms: int = 4,
     `secrets` are equal-length angle vectors for the measured vertices. The
     joint state is the honest linear cluster with one retained output vertex
     when `joint` is None; a cheating server supplies its own instead.
+
+    No outcome-dependent message reaches the server, so his classical view
+    is the number of deliveries, one per measured vertex: `p1-transcript`
+    compares those counts, which the equal-width check keeps equal.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     secrets = [[a if isinstance(a, Angle) else Angle(a) for a in s] for s in secrets]
@@ -247,20 +243,19 @@ def certify_protocol1(secrets, joint=None, n_povms: int = 4,
     for i, j in itertools.combinations(range(len(secrets)), 2):
         report.add("p1-marginal", (i, j),
                    qsim.frobenius_distance(views[i].marginal, views[j].marginal))
-        report.add("p1-transcript", (i, j), _max_abs(
-            *[[v.transcript_dist.get("", 0.0)] for v in (views[i], views[j])]))
+        report.add("p1-transcript", (i, j), float(len(secrets[i]) != len(secrets[j])))
         for p, dists in enumerate(outcomes):
             report.add("p1-povm", (i, j), _max_abs(dists[i], dists[j]), povm=p)
     return report
 
 
-def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
-                      rng=None, resend_cap: int = 8) -> BlindnessReport:
+def certify_protocol2(secrets, n_povms: int = 4, rng=None) -> BlindnessReport:
     """Compare everything the server obtains across secret circuits.
 
     Each secret is a gate list; programs are padded to a common round count so
-    the message pattern matches, then the per-round pair marginals, the exact
-    reported-bit distribution, and the resend-count distribution are compared.
+    the message pattern matches, then the per-round pair marginals and the
+    exact reported-bit distribution are compared. `p2-resend` compares the
+    delivery counts (one per round), which the padding keeps equal.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     programs = [protocols.compile_circuit(s) for s in secrets]
@@ -277,10 +272,6 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
     views = {k: bob_view_protocol2_round(k)
              for per_round in round_angles for ks in per_round for k in ks}
     m_dists = [m_string_distribution(p, input_state) for p in programs]
-    # The loss pattern of each delivery is channel randomness only; with the
-    # padded round counts the whole classical loss view is one dist per round.
-    resends = [(p.num_rounds, resend_distribution(loss_prob, cap=resend_cap))
-               for p in programs]
     povms = [random_povm(2, 4, rng) for _ in range(n_povms)]
     # Each POVM's outcome vector, once per distinct view.
     outcomes = [{k: povm_distribution(v, povm) for k, v in views.items()} for povm in povms]
@@ -301,20 +292,18 @@ def certify_protocol2(secrets, loss_prob: float = 0.0, n_povms: int = 4,
         keys = sorted(set(m_dists[i]) | set(m_dists[j]))
         dev = max(abs(m_dists[i].get(k, 0.0) - m_dists[j].get(k, 0.0)) for k in keys)
         report.add("p2-m-dist", (i, j), dev)
-        dev = 0.0 if resends[i][0] == resends[j][0] else 1.0
-        dev = max(dev, _max_abs(resends[i][1], resends[j][1]))
-        report.add("p2-resend", (i, j), dev)
+        report.add("p2-resend", (i, j),
+                   float(programs[i].num_rounds != programs[j].num_rounds))
         for p, dists in enumerate(outcomes):
             dev = max((_max_abs(dists[ki], dists[kj]) for ki, kj in compared), default=0.0)
             report.add("p2-povm", (i, j), dev, povm=p)
     return report
 
 
-def certify_B1_B2(protocol, secrets, joint=None, n_povms: int = 4,
-                  rng=None, loss_prob: float = 0.0) -> BlindnessReport:
+def certify_B1_B2(protocol, secrets, n_povms: int = 4, rng=None) -> BlindnessReport:
     """Render a pass/fail line per comparison; `protocol` selects the family."""
     if int(protocol) == 1:
-        return certify_protocol1(secrets, joint, n_povms, rng)
+        return certify_protocol1(secrets, n_povms=n_povms, rng=rng)
     if int(protocol) == 2:
-        return certify_protocol2(secrets, loss_prob, n_povms, rng)
+        return certify_protocol2(secrets, n_povms, rng)
     raise ValueError("protocol must be 1 or 2")

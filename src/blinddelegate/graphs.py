@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pauli, qsim
-from .errors import CalibrationError, CapacityError, FormatError
+from .errors import CalibrationError, CapacityError
 from .qsim import Angle, StateVector
 
 
@@ -28,9 +28,6 @@ from .qsim import Angle, StateVector
 class GraphSpec:
     num_vertices: int
     edges: frozenset  # of frozenset({u, v}) pairs
-    wire_assignment: dict  # vertex -> (wire, column)
-    inputs: frozenset = frozenset()
-    outputs: frozenset = frozenset()
 
     def __post_init__(self):
         for e in self.edges:
@@ -39,11 +36,6 @@ class GraphSpec:
             u, v = sorted(e)
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError("edge references unknown vertex")
-        for v in range(self.num_vertices):
-            if v not in self.wire_assignment:
-                raise ValueError(f"vertex {v} has no wire/column assignment")
-        if self.inputs & self.outputs:
-            raise ValueError("input and output sets overlap")
 
     def neighbors(self, v: int):
         return sorted(u for e in self.edges for u in e if v in e and u != v)
@@ -52,25 +44,13 @@ class GraphSpec:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
 
-def make_graph(num_vertices, edges, wire_assignment, inputs=(), outputs=()):
-    return GraphSpec(
-        num_vertices,
-        frozenset(frozenset(e) for e in edges),
-        dict(wire_assignment),
-        frozenset(inputs),
-        frozenset(outputs),
-    )
+def make_graph(num_vertices, edges):
+    return GraphSpec(num_vertices, frozenset(frozenset(e) for e in edges))
 
 
 def linear_cluster(n: int) -> GraphSpec:
-    """A 1-D chain: vertex i at (wire 0, column i); ends marked in/out."""
-    return make_graph(
-        n,
-        [(i, i + 1) for i in range(n - 1)],
-        {i: (0, i) for i in range(n)},
-        inputs=[0] if n else [],
-        outputs=[n - 1] if n else [],
-    )
+    """A 1-D chain: vertex i is joined to vertex i + 1."""
+    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 class ResourceState:
@@ -352,7 +332,6 @@ def tile(cells_wide: int, cells_deep: int) -> GraphSpec:
     def vid(w, c):
         return w * cols + c
 
-    assignment = {vid(w, c): (w, c) for w in range(wires) for c in range(cols)}
     edges = [
         (vid(w, c), vid(w, c + 1)) for w in range(wires) for c in range(cols - 1)
     ]
@@ -362,67 +341,9 @@ def tile(cells_wide: int, cells_deep: int) -> GraphSpec:
             if depth % 2 == row % 2:
                 base = ROUNDS_PER_CELL * depth
                 edges.append((vid(row, base + bi), vid(row + 1, base + bj)))
-    return make_graph(
-        wires * cols,
-        edges,
-        assignment,
-        inputs=[vid(w, 0) for w in range(wires)],
-        outputs=[vid(w, cols - 1) for w in range(wires)],
-    )
+    return make_graph(wires * cols, edges)
 
 
 def build_unit_cell() -> GraphSpec:
     """The calibrated two-wire cell: 4 columns per wire, bridged as found."""
     return tile(1, 1)
-
-
-# --------------------------------------------------------------------------
-# Graph file format
-# --------------------------------------------------------------------------
-
-_MARKS = ("in", "out", "mid")
-
-
-def write_graph(graph: GraphSpec) -> str:
-    lines = [f"graph {graph.num_vertices}"]
-    for u, v in graph.edge_list():
-        lines.append(f"e {u} {v}")
-    for v in range(graph.num_vertices):
-        wire, col = graph.wire_assignment[v]
-        mark = "in" if v in graph.inputs else "out" if v in graph.outputs else "mid"
-        lines.append(f"v {v} {wire} {col} {mark}")
-    return "\n".join(lines) + "\n"
-
-
-def read_graph(text: str) -> GraphSpec:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("graph "):
-        raise FormatError("graph file must start with `graph <num_vertices>`")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise FormatError("malformed graph header") from exc
-    edges, assignment, inputs, outputs = [], {}, [], []
-    for ln in lines[1:]:
-        fields = ln.split()
-        try:
-            if fields[0] == "e" and len(fields) == 3:
-                edges.append((int(fields[1]), int(fields[2])))
-            elif fields[0] == "v" and len(fields) in (4, 5):
-                v = int(fields[1])
-                assignment[v] = (int(fields[2]), int(fields[3]))
-                mark = fields[4] if len(fields) == 5 else "mid"
-                if mark not in _MARKS:
-                    raise FormatError(f"unknown vertex mark {mark!r}")
-                if mark == "in":
-                    inputs.append(v)
-                elif mark == "out":
-                    outputs.append(v)
-            else:
-                raise FormatError(f"unrecognized graph line: {ln!r}")
-        except ValueError as exc:
-            raise FormatError(f"malformed graph line: {ln!r}") from exc
-    try:
-        return make_graph(n, edges, assignment, inputs, outputs)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc

@@ -281,10 +281,10 @@ def compile_circuit(gates, num_wires: int = None, pad_to: int = None) -> AnglePr
     return program
 
 
-def make_raw_program(angle_indices, wire: int = 0) -> AngleProgram:
-    """Rounds with fixed command angles and no gate targets (diagnostics)."""
-    builder = _ProgramBuilder(wire + 1)
-    builder.raw(wire, angle_indices)
+def make_raw_program(angle_indices) -> AngleProgram:
+    """Rounds on wire 0 at fixed command angles, no gate targets (diagnostics)."""
+    builder = _ProgramBuilder(1)
+    builder.raw(0, angle_indices)
     return builder.program
 
 

@@ -160,16 +160,6 @@ def test_announced_round_outcome_would_trip_the_round_view():
     assert np.max(np.abs(per_a.sum(axis=1) - per_a[0].sum(axis=0))) < 1e-12
 
 
-def test_resend_distribution():
-    np.testing.assert_allclose(
-        blindness.resend_distribution(0.0, cap=4), [1, 0, 0, 0, 0], atol=0
-    )
-    dist = blindness.resend_distribution(0.5, cap=3)
-    np.testing.assert_allclose(dist, [0.5, 0.25, 0.125, 0.125], atol=1e-12)
-    assert sum(blindness.resend_distribution(0.37)) == pytest.approx(1.0, abs=1e-12)
-    assert blindness.resend_distribution(1.0, cap=3) == [0.0, 0.0, 0.0, 1.0]
-
-
 def test_m_string_distribution_is_uniform():
     program = protocols.compile_circuit(protocols.parse_circuit("H 0"))
     dist = blindness.m_string_distribution(program, qsim.basis_state(1, 0))

@@ -1,30 +1,21 @@
 import itertools
-import re
 
 import numpy as np
 import pytest
 
 from blinddelegate import graphs, pauli, protocols, qsim
-from blinddelegate.errors import CalibrationError, CapacityError, FormatError
+from blinddelegate.errors import CalibrationError, CapacityError
 
 
 def test_graph_spec_validation():
     with pytest.raises(ValueError, match="self-loop"):
-        graphs.make_graph(2, [(0, 0)], {0: (0, 0), 1: (0, 1)})
-    with pytest.raises(ValueError):
-        graphs.make_graph(2, [(0, 5)], {0: (0, 0), 1: (0, 1)})
-    with pytest.raises(ValueError):
-        graphs.make_graph(2, [(0, 1)], {0: (0, 0)})
-    with pytest.raises(ValueError):
-        graphs.make_graph(
-            2, [(0, 1)], {0: (0, 0), 1: (0, 1)}, inputs=[0], outputs=[0]
-        )
+        graphs.make_graph(2, [(0, 0)])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        graphs.make_graph(2, [(0, 5)])
 
 
 def test_neighbors_and_edge_list():
-    g = graphs.make_graph(
-        4, [(2, 1), (0, 1), (1, 3)], {i: (0, i) for i in range(4)}
-    )
+    g = graphs.make_graph(4, [(2, 1), (0, 1), (1, 3)])
     assert g.neighbors(1) == [0, 2, 3]
     assert g.neighbors(3) == [1]
     assert g.edge_list() == [(0, 1), (1, 2), (1, 3)]
@@ -34,8 +25,6 @@ def test_linear_cluster_shape():
     g = graphs.linear_cluster(5)
     assert g.num_vertices == 5
     assert g.edge_list() == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert g.inputs == frozenset({0}) and g.outputs == frozenset({4})
-    assert g.wire_assignment[3] == (0, 3)
 
 
 def test_graph_state_stabilizers_are_plus_one():
@@ -79,9 +68,7 @@ def _random_graphs(count, seed):
         n = int(rng.integers(1, 13))
         pairs = list(itertools.combinations(range(n), 2))
         keep = rng.random(len(pairs)) < rng.random()
-        yield graphs.make_graph(
-            n, [e for e, k in zip(pairs, keep) if k], {v: (0, v) for v in range(n)}
-        )
+        yield graphs.make_graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 def _named_graphs():
@@ -116,7 +103,7 @@ def test_resource_state_width_must_match_graph():
         with pytest.raises(ValueError, match="4-vertex graph"):
             graphs.ResourceState(g, qsim.plus_state(width), check=False)
     with pytest.raises(ValueError):
-        graphs.build_graph_state(graphs.make_graph(0, [], {}))
+        graphs.build_graph_state(graphs.make_graph(0, []))
 
 
 def test_tampered_state_is_rejected():
@@ -319,8 +306,6 @@ def test_cell_operator_without_bridge_factorizes():
 def test_tile_geometry():
     g = graphs.build_unit_cell()
     assert g.num_vertices == 8
-    assert g.wire_assignment[6] == (1, 2)
-    assert g.inputs == frozenset({0, 4}) and g.outputs == frozenset({3, 7})
     assert (0, 6) in g.edge_list()  # bridge anchored at columns (0, 2)
 
     g2 = graphs.tile(1, 2)
@@ -343,31 +328,3 @@ def test_tile_bridge_stagger():
     }
     bridges = set(g.edge_list()) - horizontal
     assert bridges == {(0, cols + 2), (cols + 3, 2 * cols + 5)}
-
-
-def test_graph_file_round_trip():
-    for g in (graphs.linear_cluster(4), graphs.tile(1, 2)):
-        text = graphs.write_graph(g)
-        back = graphs.read_graph(text)
-        assert back.num_vertices == g.num_vertices
-        assert back.edge_list() == g.edge_list()
-        assert back.wire_assignment == g.wire_assignment
-        assert back.inputs == g.inputs and back.outputs == g.outputs
-
-
-def test_graph_file_errors():
-    with pytest.raises(FormatError):
-        graphs.read_graph("e 0 1\n")
-    with pytest.raises(FormatError):
-        graphs.read_graph("graph x\n")
-    with pytest.raises(FormatError):
-        graphs.read_graph("graph 2\nv 0 0 0 weird\nv 1 0 1\n")
-    with pytest.raises(FormatError):
-        graphs.read_graph("graph 2\nodd line\n")
-    with pytest.raises(FormatError):
-        graphs.read_graph("graph 2\ne 0 5\nv 0 0 0\nv 1 0 1\n")
-    with pytest.raises(FormatError, match="self-loop"):
-        graphs.read_graph("graph 2\ne 1 1\nv 0 0 0\nv 1 0 1\n")
-    for line in ("e a b", "v 0 x 0"):
-        with pytest.raises(FormatError, match=re.escape(repr(line))):
-            graphs.read_graph(f"graph 2\n{line}\n")
