@@ -535,13 +535,15 @@ def _pair_table(amplitudes):
     m, M[m][s, w] = v[s] (-1)^(s w) <x_m|w>, with v the normalized state her
     outcome leaves on his half. An impossible outcome's v is zero."""
     halves = np.matmul(qsim.ROTATED_BRAS, amplitudes.reshape(2, 2))  # [k, a, s]
-    p0 = np.clip((abs(halves[:, 0]) ** 2).sum(axis=1), 0.0, 1.0)
-    probs = np.stack([p0, 1.0 - p0], axis=1)
-    scale = np.zeros_like(probs)
-    np.divide(1.0, np.sqrt(probs), out=scale, where=probs >= qsim.DEGENERATE_PROB)
+    # Each outcome's probability is its norm's share, so two equal norms give
+    # exactly 1/2; each v is its half divided by its own norm.
+    norms = (abs(halves) ** 2).sum(axis=2)  # [k, a]
+    probs = norms / norms.sum(axis=1, keepdims=True)
+    scale = np.zeros_like(norms)
+    np.divide(1.0, np.sqrt(norms), out=scale, where=probs >= qsim.DEGENERATE_PROB)
     maps = (halves * scale[..., None])[:, :, None, :, None] * _CZ_THEN_X
     maps.setflags(write=False)
-    return tuple(p0.tolist()), maps.reshape(16, 2, 2, 2)
+    return tuple(probs[:, 0].tolist()), maps.reshape(16, 2, 2, 2)
 
 
 @functools.cache
@@ -695,12 +697,10 @@ def run_protocol2(
     With `input_state` None the run holds no register and
     `logical_output_state` is None: each round's a and m are fair coins
     (_round), one rng.random() each compared with exactly 1/2, in
-    the register path's order. The register path compares the draw with a
-    computed p0 that misses 1/2 by rounding error (a's, from the Bell pair's
-    table, by at most 4 * 2**-54; m's by up to about 50 * 2**-54 on signal
-    programs and 2e-13 on random-input compiled circuits), so the paths
-    differ only for a draw in that gap. A substituted pair or forced
-    outcomes need a register.
+    the register path's order. There a's p0, from the Bell pair's table, is
+    exactly 1/2; m's is computed from the register and can miss 1/2 by
+    rounding error, so the paths differ only for a draw in that gap (see
+    README). A substituted pair or forced outcomes need a register.
     """
     level = _start(program, input_state)
     if input_state is None and (pair is not None or forced_outcomes is not None):

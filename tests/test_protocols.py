@@ -775,6 +775,27 @@ def test_registerless_run_equals_register_run(case, loss, masked, with_device):
         assert coins.logical_output_state is None
 
 
+def test_bell_table_draws_a_against_exactly_one_half():
+    assert protocols._bell_table()[0] == (0.5,) * 8
+
+
+class _DrawJustBelowHalf:
+    """An rng whose every draw is the largest double below 1/2."""
+
+    def random(self):
+        return 0.49999999999999994
+
+
+def test_draw_just_below_one_half_gives_the_same_a_with_and_without_register():
+    # A registerless round compares the draw with exactly 1/2, so a = 0.
+    for k in range(8):
+        program = protocols.make_raw_program([k])
+        for state in (qsim.basis_state(1, 0), None):
+            result = protocols.run_protocol2(program, state, ChannelModel(0.0),
+                                             _DrawJustBelowHalf())
+            assert result.final_frames[0].z == 0, (k, state is None)
+
+
 def test_registerless_run_calls_no_qsim_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a registerless run reached the register")
