@@ -305,5 +305,5 @@ def certify_B1_B2(protocol, secrets, n_povms: int = 4, rng=None) -> BlindnessRep
     if int(protocol) == 1:
         return certify_protocol1(secrets, n_povms=n_povms, rng=rng)
     if int(protocol) == 2:
-        return certify_protocol2(secrets, n_povms, rng)
+        return certify_protocol2(secrets, n_povms=n_povms, rng=rng)
     raise ValueError("protocol must be 1 or 2")
