@@ -37,41 +37,43 @@ class BobView:
 
 
 class Povm:
-    """A finite set of PSD elements summing to the identity."""
+    """A finite set of PSD elements summing to the identity, held as one
+    (n, d, d) array (a list of d x d elements is stacked). Completeness,
+    Hermiticity and positivity are each checked once over the whole stack."""
 
     def __init__(self, elements):
-        self.elements = [np.asarray(e, dtype=complex) for e in elements]
-        total = sum(self.elements)
-        dim = total.shape[0]
-        if not np.allclose(total, np.eye(dim), atol=1e-12):
+        self.elements = np.asarray(elements, dtype=complex)
+        dim = self.elements.shape[-1]
+        if not np.allclose(self.elements.sum(axis=0), np.eye(dim), atol=1e-12):
             raise ValueError("POVM elements must sum to the identity")
-        for e in self.elements:
-            if not np.allclose(e, e.conj().T, atol=1e-12):
-                raise ValueError("POVM elements must be Hermitian")
-            if np.linalg.eigvalsh(e).min() < -1e-10:
-                raise ValueError("POVM elements must be positive semidefinite")
+        if not np.allclose(self.elements, self.elements.conj().transpose(0, 2, 1), atol=1e-12):
+            raise ValueError("POVM elements must be Hermitian")
+        if np.linalg.eigvalsh(self.elements).min() < -1e-10:
+            raise ValueError("POVM elements must be positive semidefinite")
 
     def __len__(self):
         return len(self.elements)
 
 
 def random_povm(dim: int, n_elements: int, rng) -> Povm:
-    """Draw Wishart factors and normalize them into a complete POVM."""
-    raws = []
-    for _ in range(n_elements):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raws.append(g.conj().T @ g)
-    total = sum(raws)
-    vals, vecs = np.linalg.eigh(total)
+    """Draw Wishart factors and normalize them into a complete POVM.
+
+    One rng.normal call draws every factor's real and imaginary parts, in
+    the order of per-element draws, and every product is a stacked np.matmul
+    (each element gets its own np.dot's floats), so the elements equal
+    per-element draws bit for bit."""
+    g = rng.normal(size=(n_elements, 2, dim, dim))
+    g = g[:, 0] + 1j * g[:, 1]
+    raws = np.matmul(g.conj().transpose(0, 2, 1), g)
+    vals, vecs = np.linalg.eigh(raws.sum(axis=0))
     inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
-    elements = [inv_sqrt @ e @ inv_sqrt for e in raws]
-    elements = [(e + e.conj().T) / 2 for e in elements]
-    return Povm(elements)
+    elements = inv_sqrt @ raws @ inv_sqrt
+    return Povm((elements + elements.conj().transpose(0, 2, 1)) / 2)
 
 
 def povm_distribution(view, povm: Povm) -> np.ndarray:
     rho = _as_density(view.marginal if isinstance(view, BobView) else view)
-    return np.array([float(np.real(np.trace(e @ rho))) for e in povm.elements])
+    return np.matmul(povm.elements, rho).trace(axis1=1, axis2=2).real
 
 
 def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
@@ -97,12 +99,14 @@ def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
         raise ValueError("server must retain at least one qubit")
 
     plan = [protocols.PlanStep(q, a) for q, a in zip(alice_qubits, angles)]
-    total = 0.0
+    leaves = []
     for weight, psi in mixture:
-        for post, prob in protocols.walk_protocol1(psi, plan):
-            v = post.amplitudes
-            total = total + (weight * prob) * np.outer(v, v.conj())
-    return BobView(marginal=DensityMatrix(total))
+        posts, probs = protocols.walk_protocol1(psi, plan)
+        # (weight * prob) v v^dagger per leaf, np.outer's floats in one broadcast.
+        outers = posts[:, :, None] * posts.conj()[:, None, :]
+        leaves.append((weight * np.array(probs))[:, None, None] * outers)
+    # A sum over the leading axis adds the leaves left to right, in leaf order.
+    return BobView(marginal=DensityMatrix(np.concatenate(leaves).sum(axis=0)))
 
 
 def _pair_views(table) -> np.ndarray:
@@ -168,8 +172,8 @@ def m_bit_biases(program, input_state):
 def _round_angle_options(plan):
     """Every command angle the client can send in this round: each tabled
     want, with either frame-cancelling sign."""
-    ks = {k for want in plan.wants for k in (want.k, (-want).k)}
-    return [Angle(k) for k in sorted(ks)]
+    ks = {k for want in plan.wants for k in (want.k, -want.k % 8)}
+    return [qsim.ALL_ANGLES[k] for k in sorted(ks)]
 
 
 # --------------------------------------------------------------------------

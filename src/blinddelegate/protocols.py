@@ -135,8 +135,8 @@ class RoundPlan:
     @staticmethod
     def frame_update(frame: PauliFrame, a: int, m: int) -> PauliFrame:
         # Round byproduct: Z^a lands on the fresh qubit, X^m H shuffles the old
-        # frame; net effect (x, z) -> (m + z, a + x).
-        return pauli.frame((m + frame.z) % 2, (a + frame.x) % 2)
+        # frame; net effect (x, z) -> (m + z, a + x), as pauli.frame's lookup.
+        return pauli.ALL_FRAMES[(m ^ frame.z) | (a ^ frame.x) << 1]
 
 
 @dataclass(frozen=True)
@@ -472,8 +472,9 @@ def _step(level, event, pick, pairs=None):
     if kind == "extract":
         # The Pauli factors the group's word leaves on each branch.
         group = event[1]
+        positions = [r - 1 for r in group.rounds]
         for node in nodes:
-            folds = group.entry.frames[tuple(node.m_bits[r - 1] for r in group.rounds)]
+            folds = group.entry.frames[tuple(node.m_bits[p] for p in positions)]
             for w, f in zip(group.wires, folds):
                 node.frames[w] = node.frames[w].compose(f)
         return level
@@ -731,16 +732,16 @@ def walk_protocol2(program: AngleProgram, input_state: StateVector):
 
 
 def walk_protocol1(state: StateVector, plan):
-    """(server state, prob) for every leaf of the client measuring `state`'s
-    plan vertices in turn, as protocol 1's vertex step does (adaptive sign
-    included), in the order of itertools.product over her outcomes.
+    """(posts, probs) over the leaves of the client measuring `state`'s plan
+    vertices in turn, as protocol 1's vertex step does (adaptive sign
+    included), in the order of itertools.product over her outcomes: row i
+    of the array `posts` is leaf i's server state, probs[i] its probability.
 
-    The server state holds the qubits no step measured, in ascending order
+    A server state holds the qubits no step measured, in ascending order
     (measuring only removes labels from the ascending register)."""
     start = _level(state, range(state.num_qubits), [FRAME_I])
     leaves = _walk(start, [("vertex", step, False) for step in plan])
-    return ((StateVector(amps, check=False), leaf.prob)
-            for amps, leaf in zip(leaves.amps, leaves.nodes))
+    return leaves.amps, [leaf.prob for leaf in leaves.nodes]
 
 
 def correct_output(result: RunResult) -> StateVector:

@@ -42,7 +42,7 @@ class Angle:
         return self.k * np.pi / 4.0
 
     def __neg__(self) -> "Angle":
-        return Angle(-self.k % 8)
+        return ALL_ANGLES[-self.k % 8]
 
     def __add__(self, other: "Angle") -> "Angle":
         return Angle((self.k + other.k) % 8)
@@ -162,11 +162,6 @@ _BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 def bell_pair() -> StateVector:
     """(|00> + |11>)/sqrt(2) on a fresh 2-qubit register."""
     return StateVector(_BELL.copy(), check=False)
-
-
-def _as_tensor(state: StateVector) -> np.ndarray:
-    # Fortran order makes tensor axis j correspond to qubit j.
-    return state.amplitudes.reshape([2] * state.num_qubits, order="F")
 
 
 def _check_targets(targets, num_qubits: int, gate: GateMatrix) -> list:
@@ -399,33 +394,6 @@ ROTATED_BRAS = np.array([H.entries @ rotation(theta).entries for theta in ALL_AN
 ROTATED_BRAS.setflags(write=False)
 Z_BRAS = np.eye(2, dtype=complex)
 Z_BRAS.setflags(write=False)
-
-
-def partial_trace(obj, keep) -> DensityMatrix:
-    """Reduced density matrix on the qubits in `keep` (ascending index order)."""
-    keep = sorted(set(int(q) for q in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    n = obj.num_qubits
-    for q in keep:
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range")
-    rest = [q for q in range(n) if q not in keep]
-    k, r = len(keep), len(rest)
-    if isinstance(obj, StateVector):
-        psi = _as_tensor(obj)
-        # Fortran reshape keeps keep[0] as the least-significant output bit.
-        a = np.transpose(psi, axes=keep + rest).reshape(2**k, 2**r, order="F")
-        rho = a @ a.conj().T
-    else:
-        rho_t = obj.entries.reshape([2] * (2 * n), order="F")
-        # Row axes are 0..n-1, column axes n..2n-1 under Fortran reshape.
-        perm = keep + rest + [n + q for q in keep] + [n + q for q in rest]
-        rho_t = np.transpose(rho_t, axes=perm).reshape(
-            2**k, 2**r, 2**k, 2**r, order="F"
-        )
-        rho = np.einsum("arbr->ab", rho_t)
-    return DensityMatrix(rho, check=False)
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = STATE_TOL) -> bool:

@@ -1,0 +1,38 @@
+"""Reference implementations that only the tests use.
+
+An oracle computes a quantity the direct way, with no shared code path, so
+a test can check the package's faster route against it.
+"""
+
+import numpy as np
+
+from blinddelegate.qsim import DensityMatrix, StateVector
+
+
+def partial_trace(obj, keep) -> DensityMatrix:
+    """Reduced density matrix of a StateVector or DensityMatrix on the qubits
+    in `keep` (ascending index order)."""
+    keep = sorted(set(int(q) for q in keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    n = obj.num_qubits
+    for q in keep:
+        if not 0 <= q < n:
+            raise IndexError(f"qubit {q} out of range")
+    rest = [q for q in range(n) if q not in keep]
+    k, r = len(keep), len(rest)
+    if isinstance(obj, StateVector):
+        # Fortran order makes tensor axis j correspond to qubit j, and the
+        # Fortran reshape keeps keep[0] as the least-significant output bit.
+        psi = obj.amplitudes.reshape([2] * n, order="F")
+        a = np.transpose(psi, axes=keep + rest).reshape(2**k, 2**r, order="F")
+        rho = a @ a.conj().T
+    else:
+        rho_t = obj.entries.reshape([2] * (2 * n), order="F")
+        # Row axes are 0..n-1, column axes n..2n-1 under Fortran reshape.
+        perm = keep + rest + [n + q for q in keep] + [n + q for q in rest]
+        rho_t = np.transpose(rho_t, axes=perm).reshape(
+            2**k, 2**r, 2**k, 2**r, order="F"
+        )
+        rho = np.einsum("arbr->ab", rho_t)
+    return DensityMatrix(rho, check=False)

