@@ -7,29 +7,14 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import adversaries, blindness, graphs, pauli, protocols, qsim
-from .errors import BlindDelegateError, ConfigError, FormatError, RetryLimitError
+from .errors import BlindDelegateError, ConfigError, RetryLimitError
 
 ENV_SEED = "BLINDDELEGATE_SEED"
 DEFAULT_CHECKS = ("identities", "unitcell", "stabilizers", "blindness")
-
-
-@dataclass
-class ScenarioConfig:
-    command: str
-    protocol: str = "2"
-    circuit: str = None
-    loss: float = 0.0
-    seed: int = 0
-    adversary: str = "honest"
-    countermeasure: bool = False
-    checks: tuple = DEFAULT_CHECKS
-    outdir: str = "."
-    trials: int = 2000
 
 
 @functools.cache
@@ -68,15 +53,12 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv) -> ScenarioConfig:
-    args = _parser().parse_args(argv)
-    config = ScenarioConfig(command=args.command)
-    for name in ("protocol", "circuit", "loss", "seed", "adversary",
-                 "countermeasure", "outdir", "trials"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "checks"):
-        config.checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+def parse_config(argv) -> argparse.Namespace:
+    """The parser's namespace for `argv`, with `checks` as a tuple and the
+    seed taken from BLINDDELEGATE_SEED when that is set."""
+    config = _parser().parse_args(argv)
+    if config.command == "verify":
+        config.checks = tuple(c.strip() for c in config.checks.split(",") if c.strip())
         if not config.checks:
             raise ConfigError("--checks names no check")
         unknown = set(config.checks) - set(DEFAULT_CHECKS)
@@ -87,17 +69,13 @@ def parse_config(argv) -> ScenarioConfig:
             config.seed = int(os.environ[ENV_SEED])
         except ValueError as exc:
             raise ConfigError(f"{ENV_SEED} must be an integer") from exc
-    if not 0.0 <= config.loss <= 1.0:
+    if config.command in ("run", "attack") and not 0.0 <= config.loss <= 1.0:
         raise ConfigError("loss must lie in [0, 1]")
-    if config.protocol != "2" and (config.adversary != "honest" or config.countermeasure):
+    if config.command == "run" and config.protocol != "2" and (
+            config.adversary != "honest" or config.countermeasure):
         # Only protocol 2's deliveries consult a measuring device.
         raise ConfigError("--adversary and --countermeasure apply to protocol 2 only")
     return config
-
-
-def _frame_label(frame) -> str:
-    text = ("X" if frame.x else "") + ("Z" if frame.z else "")
-    return text or "I"
 
 
 def _write(outdir, name, text):
@@ -131,7 +109,7 @@ def _run(config) -> int:
         lines.append(f"rounds={result.rounds_completed} "
                      f"retransmissions={result.retransmission_count}")
         lines.append("frames=" + ",".join(
-            f"w{w}:{_frame_label(f)}" for w, f in enumerate(result.final_frames)))
+            f"w{w}:{f!r}" for w, f in enumerate(result.final_frames)))
         lines.append(f"output_match={'true' if match else 'false'}")
         ok = bool(match)
     else:
@@ -144,7 +122,7 @@ def _run(config) -> int:
         lines.append(f"rounds={result.rounds_completed} "
                      f"retransmissions={result.retransmission_count}")
         lines.append(f"outcome={result.outcome_bits[0]}")
-        lines.append("frames=w0:" + _frame_label(result.final_frames[0]))
+        lines.append(f"frames=w0:{result.final_frames[0]!r}")
         ok = True
 
     transcript_text = protocols.format_transcript(
@@ -252,7 +230,7 @@ def _attack(config) -> int:
     return 0
 
 
-def run_scenario(config: ScenarioConfig) -> int:
+def run_scenario(config: argparse.Namespace) -> int:
     handlers = {"run": _run, "verify": _verify, "calibrate": _calibrate,
                 "attack": _attack}
     return handlers[config.command](config)

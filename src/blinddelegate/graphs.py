@@ -21,7 +21,7 @@ import numpy as np
 
 from . import pauli, qsim
 from .errors import CalibrationError, CapacityError
-from .qsim import Angle, StateVector
+from .qsim import StateVector
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,8 @@ class UnitCellCalibration:
 
 # The gain R_k H that one round puts on its wire, indexed by the signed angle
 # k in -7..7: R_{-k} = R_{8-k}, so a negative index reads the right entry.
-ROUND_GAINS = tuple(qsim.rotation(Angle(k)).entries @ qsim.H.entries for k in range(8))
+# R_k H = (H R_k)^T, the transpose of the round's bras, bit for bit.
+ROUND_GAINS = tuple(bras.T.copy() for bras in qsim.ROTATED_BRAS)
 
 
 def _wire_word(schedule: WireSchedule, m_bits, rounds=None) -> np.ndarray:

@@ -17,15 +17,7 @@ import numpy as np
 
 from . import qsim
 
-LETTER_MATRICES = {
-    "H": qsim.H.entries,
-    "S": qsim.S.entries,
-    "SDG": qsim.SDG.entries,
-    "T": qsim.T.entries,
-    "TDG": qsim.TDG.entries,
-    "X": qsim.X.entries,
-    "Z": qsim.Z.entries,
-}
+LETTER_MATRICES = {name: g.entries for name, g in qsim.GATES.items() if g.num_qubits == 1}
 
 
 @dataclass(frozen=True)

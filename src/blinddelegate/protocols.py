@@ -161,10 +161,7 @@ class AngleProgram:
         return len(self.rounds)
 
 
-GATE_ARITY = {
-    "H": 1, "S": 1, "SDG": 1, "T": 1, "TDG": 1, "X": 1, "Z": 1,
-    "CZ": 2, "CNOT": 2,
-}
+GATE_ARITY = {name: gate.num_qubits for name, gate in qsim.GATES.items()}
 
 
 @dataclass(frozen=True)
@@ -207,11 +204,8 @@ def circuit_unitary(gates, num_wires: int) -> np.ndarray:
     """Dense reference unitary of a parsed circuit."""
     dim = 2**num_wires
     u = np.eye(dim, dtype=complex)
-    single = {"H": qsim.H, "S": qsim.S, "SDG": qsim.SDG, "T": qsim.T,
-              "TDG": qsim.TDG, "X": qsim.X, "Z": qsim.Z}
     for gate in gates:
-        g = single[gate.name] if gate.name in single else (qsim.CZ if gate.name == "CZ" else qsim.CNOT)
-        u = qsim.expand_gate(g, list(gate.wires), num_wires) @ u
+        u = qsim.expand_gate(qsim.GATES[gate.name], list(gate.wires), num_wires) @ u
     return u
 
 
@@ -816,7 +810,7 @@ def circuit_to_chain(gates):
 def chain_unitary(plan) -> np.ndarray:
     u = np.eye(2, dtype=complex)
     for step in plan:
-        u = qsim.H.entries @ qsim.rotation(step.base_angle).entries @ u
+        u = qsim.ROTATED_BRAS[step.base_angle.k] @ u
     return u
 
 

@@ -93,6 +93,9 @@ CNOT = GateMatrix(
     np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=float),
     "CNOT",
 )
+# The circuit gate set, name -> matrix; the other gate tables derive from it.
+GATES = {"H": H, "S": S, "SDG": SDG, "T": T, "TDG": TDG, "X": X, "Z": Z,
+         "CZ": CZ, "CNOT": CNOT}
 
 
 class StateVector:

@@ -57,6 +57,12 @@ def test_parse_config_calls_share_no_state(capsys):
     assert cli.parse_config(["calibrate"]).command == "calibrate"
 
 
+def test_parse_config_gives_the_parser_defaults():
+    config = cli.parse_config(["run", "--protocol", "2", "--circuit", "c.txt"])
+    assert (config.seed, config.loss, config.adversary, config.outdir) == (0, 0.0, "honest", ".")
+    assert cli.parse_config(["attack"]).trials == 2000
+
+
 def test_env_seed_overrides_flag(monkeypatch):
     monkeypatch.setenv(cli.ENV_SEED, "77")
     config = cli.parse_config(["verify", "--seed", "5"])
@@ -72,6 +78,16 @@ def test_loss_out_of_range_is_config_error(tmp_path):
          "--loss", "1.5", "--outdir", str(tmp_path)]
     )
     assert code == 2
+
+
+def test_attack_loss_out_of_range_is_config_error(tmp_path, capsys):
+    assert cli.main(["attack", "--loss", "1.5", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: loss must lie in [0, 1]\n"
+
+
+def test_bad_env_seed_fails_calibrate_too(monkeypatch, tmp_path):
+    monkeypatch.setenv(cli.ENV_SEED, "x")
+    assert cli.main(["calibrate", "--outdir", str(tmp_path)]) == 2
 
 
 def test_unknown_checks_rejected(tmp_path):

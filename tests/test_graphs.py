@@ -294,6 +294,16 @@ def test_group_entry_raises_when_the_search_finds_nothing(monkeypatch, catalog, 
     assert name not in graphs._ENTRIES
 
 
+def test_round_gains_are_the_transposed_rotated_bras_bit_for_bit():
+    for k in range(8):
+        gain = graphs.ROUND_GAINS[k]
+        ref = qsim.rotation(qsim.Angle(k)).entries @ qsim.H.entries
+        assert np.array_equal(gain, ref), k
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(gain)), np.signbit(part(ref))), k
+        assert gain.flags.c_contiguous
+
+
 def test_cell_operator_without_bridge_factorizes():
     cal = graphs.calibrate_unit_cell()
     sh = cal.entries["SHxI"]

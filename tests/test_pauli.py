@@ -25,6 +25,19 @@ def test_frame_matrices():
     )
 
 
+def test_letters_are_the_one_qubit_gates():
+    for name, gate in qsim.GATES.items():
+        if gate.num_qubits == 1:
+            assert np.array_equal(pauli.word_matrix(name), gate.entries), name
+    for name in ("CZ", "CNOT"):
+        with pytest.raises(ValueError, match="unknown letter"):
+            pauli.word_matrix(name)
+
+
+def test_frames_are_named_by_their_repr():
+    assert [repr(f) for f in pauli.ALL_FRAMES] == ["I", "X", "Z", "XZ"]
+
+
 def test_word_parsing_and_concat():
     m = pauli.word_matrix("S H")
     np.testing.assert_allclose(m, qsim.S.entries @ qsim.H.entries)

@@ -98,6 +98,20 @@ def test_circuit_unitary_matches_expanded_gates():
     np.testing.assert_allclose(u, ref, atol=1e-12)
 
 
+def test_gate_set_is_the_one_gate_table():
+    assert list(protocols.GATE_ARITY) == ["H", "S", "SDG", "T", "TDG", "X", "Z", "CZ", "CNOT"]
+    for name, arity in protocols.GATE_ARITY.items():
+        assert arity == qsim.GATES[name].num_qubits
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_circuit_unitary_of_one_gate_is_its_expanded_matrix(n):
+    for name, gate in qsim.GATES.items():
+        for wires in itertools.permutations(range(n), gate.num_qubits):
+            u = protocols.circuit_unitary([Gate(name, wires)], n)
+            assert np.array_equal(u, qsim.expand_gate(gate, list(wires), n)), (name, wires)
+
+
 def _groups(program):
     return [event[1] for event in program.events if event[0] == "extract"]
 
@@ -416,6 +430,13 @@ def test_chain_compiler():
         protocols.circuit_to_chain([])
 
 
+def test_chain_unitary_reads_the_rotation_table_bit_for_bit():
+    for k in range(8):
+        u = protocols.chain_unitary([protocols.PlanStep(0, qsim.Angle(k))])
+        ref = qsim.H.entries @ qsim.rotation(qsim.Angle(k)).entries
+        assert u.tobytes() == ref.tobytes(), k
+
+
 def test_chain_runner_rejects_wrong_resource():
     cell = graphs.build_graph_state(graphs.build_unit_cell())
     plan = protocols.circuit_to_chain(protocols.parse_circuit("H 0"))
@@ -506,6 +527,15 @@ def test_forced_impossible_protocol2_branch_raises():
             program, qsim.plus_state(1), ChannelModel(0.0), pair=substitute,
             forced_outcomes=[(1, 1)],
         )
+
+
+def test_forced_outcome_other_than_a_bit_raises():
+    program = protocols.make_raw_program([0, 0])
+    with pytest.raises(DegenerateMeasurementError, match="forced outcome 2"):
+        protocols.run_protocol2(program, qsim.plus_state(1), ChannelModel(0.0),
+                                forced_outcomes=[(0, 2), (0, 0)])
+    with pytest.raises(DegenerateMeasurementError, match="forced outcome 2"):
+        protocols.round2_step(qsim.plus_state(1), 0, qsim.Angle(0), ChannelModel(0.0), [0, 2])
 
 
 def test_forced_outcomes_must_cover_every_measurement():
