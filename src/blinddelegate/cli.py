@@ -83,16 +83,13 @@ def _write(outdir, name, text):
     path = os.path.join(outdir, name)
     with open(path, "w") as fh:
         fh.write(text)
-    return path
 
 
-def _run(config) -> int:
+def _run(config):
     with open(config.circuit) as fh:
         gates = protocols.parse_circuit(fh.read())
     channel = protocols.ChannelModel(config.loss, rng_seed=config.seed)
     rng = np.random.default_rng([config.seed, 0])
-    lines = [f"run protocol={config.protocol} seed={config.seed} "
-             f"loss={protocols.format_loss(config.loss)}"]
 
     if config.protocol == "2":
         program = protocols.compile_circuit(gates)
@@ -105,13 +102,9 @@ def _run(config) -> int:
         corrected = protocols.correct_output(result)
         reference = protocols.circuit_unitary(gates, program.num_wires)
         expected = qsim.StateVector(reference @ input_state.amplitudes, check=False)
-        match = qsim.equal_up_to_global_phase(corrected, expected)
-        lines.append(f"rounds={result.rounds_completed} "
-                     f"retransmissions={result.retransmission_count}")
-        lines.append("frames=" + ",".join(
-            f"w{w}:{f!r}" for w, f in enumerate(result.final_frames)))
-        lines.append(f"output_match={'true' if match else 'false'}")
-        ok = bool(match)
+        ok = bool(qsim.equal_up_to_global_phase(corrected, expected))
+        frames = ",".join(f"w{w}:{f!r}" for w, f in enumerate(result.final_frames))
+        tail = [f"frames={frames}", f"output_match={'true' if ok else 'false'}"]
     else:
         plan = protocols.circuit_to_chain(gates)
         resource = graphs.build_graph_state(graphs.linear_cluster(len(plan) + 1))
@@ -119,23 +112,19 @@ def _run(config) -> int:
             result = protocols.run_protocol1(resource, plan, rng=rng)
         else:
             result = protocols.run_teleport_variant(resource, plan, channel, rng=rng)
-        lines.append(f"rounds={result.rounds_completed} "
-                     f"retransmissions={result.retransmission_count}")
-        lines.append(f"outcome={result.outcome_bits[0]}")
-        lines.append(f"frames=w0:{result.final_frames[0]!r}")
-        ok = True
+        ok, tail = True, [f"outcome={result.outcome_bits[0]}",
+                          f"frames=w0:{result.final_frames[0]!r}"]
 
-    transcript_text = protocols.format_transcript(
-        config.protocol, config.seed, config.loss, result.transcript
-    )
-    _write(config.outdir, "transcript.txt", transcript_text)
-    report_text = "\n".join(lines) + "\n"
-    _write(config.outdir, "report.txt", report_text)
-    sys.stdout.write(report_text)
-    return 0 if ok else 1
+    _write(config.outdir, "transcript.txt", protocols.format_transcript(
+        config.protocol, config.seed, config.loss, result.transcript))
+    lines = [f"run protocol={config.protocol} seed={config.seed} "
+             f"loss={protocols.format_loss(config.loss)}",
+             f"rounds={result.rounds_completed} "
+             f"retransmissions={result.retransmission_count}", *tail]
+    return "report.txt", lines, ok
 
 
-def _verify(config) -> int:
+def _verify(config):
     lines = []
     if "identities" in config.checks:
         for name, ok in pauli.verify_all_identities():
@@ -176,11 +165,7 @@ def _verify(config) -> int:
         )
         lines.extend(report2.render().splitlines())
 
-    text = "\n".join(lines) + "\n"
-    _write(config.outdir, "report.txt", text)
-    sys.stdout.write(text)
-    ok = all("pass=false" not in ln for ln in lines)
-    return 0 if ok else 1
+    return "report.txt", lines, all("pass=false" not in ln for ln in lines)
 
 
 def _format_schedule(schedule) -> str:
@@ -190,7 +175,7 @@ def _format_schedule(schedule) -> str:
     return base
 
 
-def _calibrate(config) -> int:
+def _calibrate(config):
     cal = graphs.calibrate_unit_cell()
     lines = [f"calibration bridge={cal.bridge[0]},{cal.bridge[1]}"]
     for name in sorted(cal.entries):
@@ -201,13 +186,10 @@ def _calibrate(config) -> int:
         if entry.bridge is not None:
             parts.append(f"bridge={entry.bridge[0]},{entry.bridge[1]}")
         lines.append(" ".join(parts))
-    text = "\n".join(lines) + "\n"
-    _write(config.outdir, "calibration.txt", text)
-    sys.stdout.write(text)
-    return 0
+    return "calibration.txt", lines, True
 
 
-def _attack(config) -> int:
+def _attack(config):
     lines = []
     for k in range(8):
         program = adversaries.make_signal_program(k)
@@ -224,22 +206,21 @@ def _attack(config) -> int:
             config.trials, masked, config.loss, config.seed
         )
         lines.append(f"mi countermeasure={label} bits={bits:.12g}")
-    text = "\n".join(lines) + "\n"
-    _write(config.outdir, "attack.txt", text)
-    sys.stdout.write(text)
-    return 0
-
-
-def run_scenario(config: argparse.Namespace) -> int:
-    handlers = {"run": _run, "verify": _verify, "calibrate": _calibrate,
-                "attack": _attack}
-    return handlers[config.command](config)
+    return "attack.txt", lines, True
 
 
 def main(argv=None) -> int:
+    # Each handler returns (artifact name, lines, ok); the artifact is written
+    # and printed here, and a false ok exits 1.
+    handlers = {"run": _run, "verify": _verify, "calibrate": _calibrate,
+                "attack": _attack}
     try:
         config = parse_config(argv)
-        return run_scenario(config)
+        name, lines, ok = handlers[config.command](config)
+        text = "\n".join(lines) + "\n"
+        _write(config.outdir, name, text)
+        sys.stdout.write(text)
+        return 0 if ok else 1
     except RetryLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -364,13 +364,6 @@ def _level(state, labels, frames) -> _Level:
     return _Level(state.amplitudes[None].copy(), list(labels), [_Node(frames)])
 
 
-def _bases(commands):
-    """The bras of each node's command angle: one shared basis when every
-    node has the same angle (as a run's level of one does), else a stack."""
-    ks = [c.k for c in commands]
-    return qsim.ROTATED_BRAS[ks[0] if ks.count(ks[0]) == len(ks) else ks]
-
-
 def _measurement(rng, forced=None):
     """The pick of a run, which follows one branch per node and measurement:
     pick(p0) is the outcome whose outcome 0 has probability p0, drawn with
@@ -457,7 +450,7 @@ def _step(level, event, pick, pairs=None):
     if kind == "bridge":
         _, (wa, wb) = event
         if level.amps is not None:
-            qsim.cz_stack(level.amps, level.qubit(("wire", wa)), level.qubit(("wire", wb)))
+            level.apply(qsim.CZ, [("wire", wa), ("wire", wb)])
         for node in nodes:
             fa, fb = node.frames[wa], node.frames[wb]
             node.frames[wa] = pauli.frame(fa.x, fa.z ^ fb.x)
@@ -510,7 +503,8 @@ def _step(level, event, pick, pairs=None):
         shifts = [node.m_bits[-2:] if teleported else (0, 0) for node in nodes]
         commands = [-step.base_angle if node.frames[0].x ^ mx else step.base_angle
                     for node, (_, mx) in zip(nodes, shifts)]
-        of, outcomes, probs = level.fork(pick, step.vertex, _bases(commands))
+        of, outcomes, probs = level.fork(pick, step.vertex,
+                                          qsim.ROTATED_BRAS[[c.k for c in commands]])
         children = level.nodes = []
         for i, s, p in zip(of, outcomes, probs):
             frame = RoundPlan.frame_update(nodes[i].frames[0], 0, s ^ shifts[i][0])

@@ -227,17 +227,6 @@ def apply_stack(stack: np.ndarray, gate: GateMatrix, targets) -> np.ndarray:
     return out.reshape(count, -1)
 
 
-def cz_stack(stack: np.ndarray, q0: int, q1: int) -> None:
-    """CZ on qubits q0 and q1 of every node of a C-contiguous `stack`, in
-    place: the quarter where both bits are set is negated. Negating rounds
-    nothing, so every amplitude equals apply_stack(stack, CZ, [q0, q1])'s
-    (a zero may differ in sign only)."""
-    low, high = min(q0, q1), max(q0, q1)
-    view = stack.reshape(len(stack), -1, 2, 1 << (high - low - 1), 2, 1 << low)
-    quarter = view[:, :, 1, :, 1, :]
-    np.negative(quarter, out=quarter)
-
-
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     """Return gate applied to the given target qubits (no in-place mutation)."""
     return StateVector(apply_stack(state.amplitudes[None], gate, targets)[0], check=False)

@@ -185,7 +185,7 @@ def _reference_round(psi, wire, k, pair):
     wires = [("wire", w) for w in range(n)]
     level = protocols._level(psi, wires, [FRAME_I] * n)
     level.append(pair.amplitudes, ["server", "client"])
-    qsim.cz_stack(level.amps, level.qubit("server"), level.qubit(wires[wire]))
+    level.apply(qsim.CZ, ["server", wires[wire]])
     a_of, a, pa = level.fork(None, "client", qsim.ROTATED_BRAS[k])
     m_of, m, pm = level.fork(None, wires[wire], qsim.ROTATED_BRAS[0])
     level.relabel("server", wires[wire])
@@ -883,8 +883,8 @@ def test_registerless_run_calls_no_qsim_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a registerless run reached the register")
 
-    for name in ("measure_stack", "branches", "apply_stack", "tensor_stack", "cz_stack",
-                 "measure", "apply_gate", "bell_pair"):
+    for name in ("measure_stack", "branches", "apply_stack", "tensor_stack", "measure",
+                 "apply_gate", "bell_pair"):
         monkeypatch.setattr(qsim, name, refuse)
     monkeypatch.setattr(qsim.StateVector, "tensor", refuse)
     program = _p2_program("H 0\nCNOT 0 1\nT 1")
