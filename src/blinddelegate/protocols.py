@@ -603,10 +603,14 @@ def _run(level, events, pick, *, channel=None,
     Returns the final level and a RunResult of the classical record.
     """
     # Each stream exists only where it can change an outcome: at loss 0 no
-    # draw of rng_loss loses a particle.
+    # draw of rng_loss loses a particle. The loss stream is a spawned child of
+    # rng_seed because callers seed their outcome stream with [seed, 0] and
+    # pass the same seed as rng_seed: one shared stream would let a lost
+    # particle decide the reported bit drawn just before it.
     rng_loss = rng_mask = None
     if channel is not None and channel.loss_prob > 0.0:
-        rng_loss = np.random.default_rng([channel.rng_seed, 0])
+        child = np.random.SeedSequence(channel.rng_seed, spawn_key=(0,))
+        rng_loss = np.random.default_rng(child)
     if channel is not None and loss_masking:
         rng_mask = np.random.default_rng([channel.rng_seed, 1])
     transcript, resends, rnd = [], 0, 0

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from blinddelegate import cli
+from blinddelegate import cli, protocols
 from blinddelegate.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -173,6 +173,24 @@ def test_run_chain_protocols(tmp_path):
         assert code == 0
         report = (outdir / "report.txt").read_text()
         assert "outcome=" in report and "frames=w0:" in report
+
+
+def test_lost_delivery_does_not_reveal_the_previous_reported_bit(tmp_path):
+    # The loss coins and the outcome draws are separate streams, so whether
+    # round 2's first particle is lost says nothing about round 1's m.
+    circuit = _circuit(tmp_path, "H 0\nS 0\nH 0\n")
+    m1_bits = []
+    for seed in range(300):
+        argv = ["run", "--protocol", "2", "--circuit", circuit, "--loss", "0.3",
+                "--seed", str(seed), "--outdir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        _, messages = protocols.parse_transcript((tmp_path / "transcript.txt").read_text())
+        kinds = {r: [m.kind for m in messages if m.round == r] for r in (1, 2)}
+        if "LOST_RESEND" not in kinds[1] and kinds[2][1] == "LOST_RESEND":
+            [m1] = [m.payload for m in messages if m.round == 1 and m.kind == "X_RESULT"]
+            m1_bits.append(m1)
+    assert len(m1_bits) > 40
+    assert 0.3 <= m1_bits.count(0) / len(m1_bits) <= 0.7
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):
