@@ -33,17 +33,17 @@ CASES = {
 
 GOLDEN = {
     ("p2-1wire", 0.0): "4b251e3001ac018cf7e61d1a6629fa54e5ff4fe1b81cdd33ac8157256290cbbf",
-    ("p2-1wire", 0.3): "0239d5776f558c9657789523a343c79b4991739db5d1a4f34db3999fdf10ae87",
+    ("p2-1wire", 0.3): "a5da56130f3f7263aacf2616d194db6cb4c1d84e15d9878dcf25c873744c5d27",
     ("p2-cnot", 0.0): "c85e1d7fd7d02fe9512cf001cd844f7018b7f237c2c6e2589195570c4bbf2ed0",
-    ("p2-cnot", 0.3): "a0544d37384f246aeee1fe01821be4a1c480387d6b6a9819e676c9d93bd92f25",
+    ("p2-cnot", 0.3): "5c34b126bee3fa2091e1e78ee9df2e7d8e17a0152cf40e0de01399c06d73f432",
     ("p2-cz", 0.0): "67846ff5a4410042f939c6af4a17ab7ba8c6736768b4965d9cbe819140149d92",
-    ("p2-cz", 0.3): "7c5cc72d124dff91d7a6fbb88f942456c563ed262823cb8c067f63f1765debf4",
+    ("p2-cz", 0.3): "181c2e495fa1f4efee7e3f6c7be0224234af82a9aa240d118236fbe8aff3bc7f",
     ("p2-3wire", 0.0): "88644f842623e352f1d07e58a58e043c7148dc37f67fd99d057bdd00b9ab7f51",
-    ("p2-3wire", 0.3): "a915fb7732232f41c1899e33e42c72adfa83940bb7b7398fc8202a111673a5f1",
+    ("p2-3wire", 0.3): "dd6c796e3db1e7610f711c8199ca4c344d373d18113e4277b4f79c2334585661",
     ("p1-chain", 0.0): "e437f5f9d75b91c5c7bb02e4214601f0dd9135d2dbe28ec2d57cdecaae6519fb",
     ("p1-chain", 0.3): "60e48026b6b317f0b4af4af436f9b3f32907add4fa502cda7a2f1904cd1e8d0c",
     ("tp-chain", 0.0): "431f3a3d60c10b219a531c24d11e2ac2bf2f5c8cf04e63bc341896e4058835cc",
-    ("tp-chain", 0.3): "03f1fc587d5e169c8fb1caefa4d7741a486ffa0689ad73932d3c5d555697cd8d",
+    ("tp-chain", 0.3): "f3c7719b5a593b849be11eb266e8f842ee565dab7686de5caeb7d91ee857a64a",
 }
 
 
@@ -52,7 +52,7 @@ CALIBRATE = "e15b4dcfd16f1928b6cf492fea9656b01b3c972293ca122b7ef142ffa2f8b38d"
 ATTACK_SEEDS = range(3)
 ATTACK = {
     0.0: "d05275e8e6898d79c81e3dc0963f6f4e4248859b55812aefe09d27eabd952247",
-    0.3: "7e3a9313aad281a44fbd24d4fcd38e18f5fcd7c6ac694ff3af3080a68af2eda7",
+    0.3: "6ddb415141ccf0c8dd628155fd4ea5ac2be7d248c621e213fa8913badf074c04",
 }
 
 VERIFY_SEEDS = range(3)
@@ -63,17 +63,17 @@ VERIFY = "7ed0fd8ece1139b434c25fdf0b2278e54f37c9be19b4ebdbe55e36bc423be584"
 ATTACK_RUN_SEEDS = range(4)
 ATTACKED_RUNS = {
     (False, 0.0): "28b6ae13c5895937c312a453ad508f759e46b877e95dee574570573b77e203df",
-    (False, 0.3): "c51439ab67f95b2d62e14e723b031a832f9914f073441c394fc76b300562d455",
-    (False, 0.5): "b5fcf95fd630f2661b08a51d3bfbdd9f6cf50125fd5ae7e3919ca9837abeeeed",
+    (False, 0.3): "7b9cd2e6acffa94e2a2b0dfd0e24e54c7e16ab55694f93f4f25d86a91096c253",
+    (False, 0.5): "ba3e669b176aed89d299582e7ff3d5eae1ccffa6235c91c8eb4636fff1133f96",
     (True, 0.0): "dd3abae02e0384b3867d534edb576d73a34c5a61dfd16f076e07ef3f2263048b",
-    (True, 0.3): "6b07508a4e47216f1481fde653e51ffee657e3f5af2f8917ba8f03414bb31630",
-    (True, 0.5): "9e121f078069e446256b1d0b32385dc707ab1fa052b37a09427071255c42ca46",
+    (True, 0.3): "47fbab4587f2e3fa49c5306d190bd996b15a253634ce523520dcb173bda86091",
+    (True, 0.5): "dd170028128978da84ce08e5f878eda2d06f2ae79899dfc88410402e8c9c6235",
 }
 
 # repr of countermeasure_overhead(60, loss, seed=2): (masked, unmasked).
 OVERHEAD = {
     0.0: "(1.8916666666666666, 1.0)",
-    0.3: "(2.8333333333333335, 1.5)",
+    0.3: "(2.8, 1.3916666666666666)",
 }
 
 
