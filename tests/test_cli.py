@@ -137,13 +137,23 @@ def test_total_loss_exhausts_retries(tmp_path):
     assert code == 3
 
 
-def test_run_protocol2_wire_limit(tmp_path):
-    # 6 wires is the largest dense reference the output check builds.
-    argv = ["run", "--protocol", "2", "--seed", "1", "--outdir", str(tmp_path)]
-    six = _circuit(tmp_path, "H 0\nCNOT 0 5\n")
-    assert cli.main(argv + ["--circuit", six]) == 0
-    seven = _circuit(tmp_path, "H 0\nCNOT 0 6\n")
-    assert cli.main(argv + ["--circuit", seven]) == 2
+def test_run_protocol2_wire_limit(tmp_path, capsys):
+    # The output check applies the circuit gate by gate, so the register's
+    # capacity (qsim.CAPACITY wires) is the only limit.
+    for wires in (7, 14):
+        outdir = tmp_path / str(wires)
+        circuit = _circuit(tmp_path, f"H 0\nCNOT 0 {wires - 1}\n")
+        argv = ["run", "--protocol", "2", "--seed", "1", "--circuit", circuit,
+                "--outdir", str(outdir)]
+        assert cli.main(argv) == 0
+        assert "output_match=true" in (outdir / "report.txt").read_text()
+    capsys.readouterr()
+    outdir = tmp_path / "15"
+    argv = ["run", "--protocol", "2", "--seed", "1", "--outdir", str(outdir),
+            "--circuit", _circuit(tmp_path, "H 0\nCNOT 0 14\n")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: 15 qubits exceeds capacity 14\n"
+    assert not outdir.exists()
 
 
 def test_run_protocol2_writes_outputs(tmp_path, capsys):
