@@ -102,7 +102,7 @@ def _run(config):
         expected = input_state
         for gate in gates:
             expected = qsim.apply_gate(expected, qsim.GATES[gate.name], gate.wires)
-        ok = bool(qsim.equal_up_to_global_phase(protocols.correct_output(result), expected))
+        ok = qsim.equal_up_to_global_phase(protocols.correct_output(result), expected)
         frames = ",".join(f"w{w}:{f!r}" for w, f in enumerate(result.final_frames))
         tail = [f"frames={frames}", f"output_match={'true' if ok else 'false'}"]
     else:

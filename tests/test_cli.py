@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from blinddelegate import cli, protocols
+from blinddelegate import blindness, cli, protocols
 from blinddelegate.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -267,6 +267,27 @@ def test_attack_report(tmp_path):
             mi[fields["countermeasure"]] = float(fields["bits"])
     assert mi["off"] > 2.0
     assert mi["on"] < 0.3
+
+
+@pytest.mark.parametrize("argv,artifact", [
+    (["run", "--protocol", "2", "--loss", "0.3"], "report.txt"),
+    (["verify"], "report.txt"),
+    (["calibrate"], "calibration.txt"),
+    (["attack", "--trials", "100"], "attack.txt"),
+])
+def test_stdout_mirrors_the_artifact(tmp_path, capsys, argv, artifact):
+    if argv[0] == "run":
+        argv = [*argv, "--circuit", _circuit(tmp_path)]
+    assert cli.main([*argv, "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (tmp_path / artifact).read_text()
+
+
+def test_failing_verify_exits_1_and_still_writes_its_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(blindness, "BLINDNESS_TOL", 0.0)
+    assert cli.main(["verify", "--checks", "blindness", "--outdir", str(tmp_path)]) == 1
+    report = (tmp_path / "report.txt").read_text()
+    assert "pass=false" in report
+    assert capsys.readouterr().out == report
 
 
 def _declared_entry_point():
