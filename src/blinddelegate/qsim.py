@@ -236,17 +236,28 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
 _INDEX = np.arange(1 << CAPACITY)
 _INDEX.setflags(write=False)
 
+# _SIGNS[a, b] = (-1)^popcount(a & b) for 6-bit a and b (Sylvester's Hadamard
+# matrix). The outer product of two rows is the sign row of 2^12 doubles that
+# apply_pauli tiles over the Z qubits below _ROW_QUBITS.
+_SIGNS = np.ones((1, 1))
+for _ in range(6):
+    _SIGNS = np.block([[_SIGNS, _SIGNS], [_SIGNS, -_SIGNS]])
+_ROW_QUBITS = 11
+
 
 def apply_pauli(state: StateVector, x_mask: int, z_qubits) -> StateVector:
     """Return X^x Z^z |psi> (Z on each of `z_qubits`, then X on each bit of
     `x_mask`) as a new state.
 
     Amplitude i is amplitude i ^ x_mask of the input, negated when the
-    `z_qubits` bits of i ^ x_mask have odd parity: one index gather, then one
-    in-place negation per Z qubit. Moving and negating round nothing, so the
-    result equals the dense apply_gate chain entry for entry. IndexError for
-    a qubit or mask bit outside the register. Needs numpy >= 1.24 only (no
-    np.bitwise_count).
+    `z_qubits` bits of i ^ x_mask have odd parity. One index gather moves the
+    amplitudes; the signs go onto the float64 view, where double 2i is the real
+    part of amplitude i and 2i + 1 its imaginary part. Z qubits below
+    _ROW_QUBITS multiply every run of 2^12 doubles by one +-1 row; each higher
+    one negates the half of the doubles it selects, in runs of 2^12 or more.
+    Negating a double and multiplying it by +-1.0 are both exact, so the
+    result equals the dense apply_gate chain bit for bit, signed zeros
+    included. IndexError for a qubit or mask bit outside the register.
     """
     n = state.num_qubits
     z_qubits = [int(q) for q in z_qubits]
@@ -256,11 +267,24 @@ def apply_pauli(state: StateVector, x_mask: int, z_qubits) -> StateVector:
     if x_mask < 0 or x_mask >> n:
         raise IndexError(f"X mask {x_mask:#x} out of range for {n} qubits")
     out = state.amplitudes[_INDEX[: 1 << n] ^ x_mask]
+    doubles = out.view(np.float64)
+    row_bits = 0  # bit q + 1 for each low Z qubit q: the bits of a double's index
     for q in z_qubits:
-        # (hi, 2, lo) view: axis 1 is bit q of i, so bit q of i ^ x_mask is set
-        # in the slice at 1 ^ (bit q of x_mask).
-        half = out.reshape(-1, 2, 1 << q)[:, 1 ^ ((x_mask >> q) & 1), :]
-        np.negative(half, out=half)
+        if q < _ROW_QUBITS:
+            row_bits ^= 2 << q
+        else:
+            # (hi, 2, lo) view: axis 1 is bit q of i, so bit q of i ^ x_mask is
+            # set in the slice at 1 ^ (bit q of x_mask).
+            half = doubles.reshape(-1, 2, 2 << q)[:, 1 ^ ((x_mask >> q) & 1), :]
+            np.negative(half, out=half)
+    if row_bits:
+        width = min(doubles.size, 2 << _ROW_QUBITS)
+        high = _SIGNS[row_bits >> 6, : max(width >> 6, 1)]
+        if bin(x_mask & (row_bits >> 1)).count("1") % 2:
+            high = -high
+        row = np.multiply.outer(high, _SIGNS[row_bits & 63, : min(width, 64)])
+        runs = doubles.reshape(-1, width)
+        np.multiply(runs, row.reshape(-1), out=runs)
     return StateVector(out, check=False)
 
 
