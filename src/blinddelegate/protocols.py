@@ -902,22 +902,3 @@ def format_transcript(protocol: str, seed: int, loss: float, transcript) -> str:
         payload = "-" if m.payload is None else str(m.payload)
         lines.append(f"r={m.round} d={m.direction} k={m.kind} p={payload}")
     return "\n".join(lines) + "\n"
-
-
-def parse_transcript(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("run "):
-        raise FormatError("transcript must start with a `run ...` header")
-    header = {}
-    for fieldtext in lines[0][4:].split():
-        key, _, value = fieldtext.partition("=")
-        header[key] = value
-    messages = []
-    for ln in lines[1:]:
-        try:
-            fields = dict(f.split("=", 1) for f in ln.split())
-            payload = None if fields["p"] == "-" else int(fields["p"])
-            messages.append(Message(int(fields["r"]), fields["d"], fields["k"], payload))
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"malformed transcript line: {ln!r}") from exc
-    return header, messages

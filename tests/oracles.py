@@ -6,6 +6,8 @@ a test can check the package's faster route against it.
 
 import numpy as np
 
+from blinddelegate.errors import FormatError
+from blinddelegate.protocols import Message
 from blinddelegate.qsim import DensityMatrix, StateVector
 
 
@@ -36,3 +38,38 @@ def partial_trace(obj, keep) -> DensityMatrix:
         )
         rho = np.einsum("arbr->ab", rho_t)
     return DensityMatrix(rho, check=False)
+
+
+def signed_permutation(amplitudes, x_mask, z_qubits) -> np.ndarray:
+    """X^x Z^z applied one element at a time: out[i] = +-amplitudes[i ^ x_mask],
+    negated when the `z_qubits` bits of i ^ x_mask (each listed qubit once per
+    listing) have odd parity. Python complex negation flips both signs, zeros
+    included."""
+    values = np.asarray(amplitudes, dtype=complex).tolist()
+    out = []
+    for i in range(len(values)):
+        j = i ^ x_mask
+        odd = sum((j >> q) & 1 for q in z_qubits) % 2
+        out.append(-values[j] if odd else values[j])
+    return np.array(out, dtype=complex)
+
+
+def parse_transcript(text: str):
+    """(header fields, messages) of a protocols.format_transcript text;
+    FormatError without the `run ...` header or on a malformed line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("run "):
+        raise FormatError("transcript must start with a `run ...` header")
+    header = {}
+    for fieldtext in lines[0][4:].split():
+        key, _, value = fieldtext.partition("=")
+        header[key] = value
+    messages = []
+    for ln in lines[1:]:
+        try:
+            fields = dict(f.split("=", 1) for f in ln.split())
+            payload = None if fields["p"] == "-" else int(fields["p"])
+            messages.append(Message(int(fields["r"]), fields["d"], fields["k"], payload))
+        except (KeyError, ValueError) as exc:
+            raise FormatError(f"malformed transcript line: {ln!r}") from exc
+    return header, messages

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from blinddelegate import blindness, cli, protocols
+from blinddelegate import blindness, cli
 from blinddelegate.errors import ConfigError
+from oracles import parse_transcript
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,7 +195,7 @@ def test_lost_delivery_does_not_reveal_the_previous_reported_bit(tmp_path):
         argv = ["run", "--protocol", "2", "--circuit", circuit, "--loss", "0.3",
                 "--seed", str(seed), "--outdir", str(tmp_path)]
         assert cli.main(argv) == 0
-        _, messages = protocols.parse_transcript((tmp_path / "transcript.txt").read_text())
+        _, messages = parse_transcript((tmp_path / "transcript.txt").read_text())
         kinds = {r: [m.kind for m in messages if m.round == r] for r in (1, 2)}
         if "LOST_RESEND" not in kinds[1] and kinds[2][1] == "LOST_RESEND":
             [m1] = [m.payload for m in messages if m.round == 1 and m.kind == "X_RESULT"]

@@ -82,6 +82,28 @@ def test_graph_state_equals_dense_cz_reference():
         assert np.array_equal(got, _dense_graph_state(g).amplitudes), g.edge_list()
 
 
+def test_graph_state_equals_dense_cz_reference_edge_free_and_at_full_width():
+    rng = np.random.default_rng(34)
+    wide = []
+    for n in (13, 14, 13, 14):
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.5)
+        wide.append(graphs.make_graph(n, [e for e, k in zip(pairs, keep) if k]))
+    for g in [*(graphs.make_graph(n, []) for n in (1, 2, 3)), *wide]:
+        got = graphs.build_graph_state(g).state.amplitudes
+        assert np.array_equal(got, _dense_graph_state(g).amplitudes), g.edge_list()
+
+
+def test_neighbors_match_the_edge_scan():
+    for g in [*_named_graphs(), *_random_graphs(10, 35), graphs.make_graph(3, [])]:
+        for v in range(g.num_vertices):
+            scan = sorted(u for e in g.edges for u in e if v in e and u != v)
+            assert g.neighbors(v) == scan
+            g.neighbors(v).append(-1)  # each call returns a fresh list
+            assert g.neighbors(v) == scan
+        assert g.neighbors(g.num_vertices) == []
+
+
 def test_stabilizer_expectation_equals_dense_reference():
     rng = np.random.default_rng(32)
     for g in [*_named_graphs(), *_random_graphs(10, 33)]:

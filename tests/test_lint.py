@@ -8,6 +8,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blinddelegate"
 # __init__.py imports names to re-export them, not to use them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# The package's standing size limit: `wc -l src/blinddelegate/*.py` total.
+SOURCE_LINE_LIMIT = 2704
 
 
 def unused_imports(source: str) -> list:
@@ -39,3 +41,8 @@ def test_unused_imports_detects_what_it_should():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_source_stays_within_its_line_limit():
+    lines = {p.name: p.read_text().count("\n") for p in PACKAGE.glob("*.py")}
+    assert sum(lines.values()) <= SOURCE_LINE_LIMIT, lines

