@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -82,11 +82,15 @@ class ResourceState:
                 raise ValueError(f"state is not the graph state (vertices {bad})")
 
 
-# _INDEX_BITS[b, i] is bit b of amplitude index i, one uint8 plane per qubit.
-_INDEX_BITS = np.zeros((qsim.CAPACITY, 1 << qsim.CAPACITY), dtype=np.uint8)
-for _b in range(qsim.CAPACITY):
-    _INDEX_BITS[_b].reshape(-1, 2, 1 << _b)[:, 1, :] = 1
-_INDEX_BITS.setflags(write=False)
+@cache
+def _index_bits() -> np.ndarray:
+    """[b, i] is bit b of amplitude index i: one uint8 plane per qubit,
+    filled by slice assignment on first use."""
+    bits = np.zeros((qsim.CAPACITY, 1 << qsim.CAPACITY), dtype=np.uint8)
+    for b in range(qsim.CAPACITY):
+        bits[b].reshape(-1, 2, 1 << b)[:, 1, :] = 1
+    bits.setflags(write=False)
+    return bits
 
 
 def build_graph_state(graph: GraphSpec) -> ResourceState:
@@ -101,7 +105,7 @@ def build_graph_state(graph: GraphSpec) -> ResourceState:
     n = graph.num_vertices
     if n > qsim.CAPACITY:
         raise CapacityError(f"{n} vertices exceeds capacity {qsim.CAPACITY}")
-    planes = _INDEX_BITS[:, : 1 << n]
+    planes = _index_bits()[:, : 1 << n]
     parity = np.zeros(1 << n, dtype=np.uint8)  # e(i) mod 2
     for u, v in graph.edge_list():
         parity ^= planes[u] & planes[v]
