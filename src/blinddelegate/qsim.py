@@ -282,9 +282,9 @@ def apply_pauli(state: StateVector, x_mask: int, z_qubits) -> StateVector:
         high = _SIGNS[row_bits >> 6, : max(width >> 6, 1)]
         if bin(x_mask & (row_bits >> 1)).count("1") % 2:
             high = -high
-        row = np.multiply.outer(high, _SIGNS[row_bits & 63, : min(width, 64)])
-        runs = doubles.reshape(-1, width)
-        np.multiply(runs, row.reshape(-1), out=runs)
+        row = np.multiply.outer(high, _SIGNS[row_bits & 63, : min(width, 64)]).reshape(-1)
+        for run in doubles.reshape(-1, width):  # 1-D runs skip numpy's broadcast path
+            run *= row
     return StateVector(out, check=False)
 
 
