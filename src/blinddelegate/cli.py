@@ -78,11 +78,22 @@ def parse_config(argv) -> argparse.Namespace:
     return config
 
 
-def _write(outdir, name, text):
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
+def _write(path, text):
+    """Write `text` to `path` as `open(path, "w")` would (same inode, the
+    same mode for a new file, nothing fsynced), except that an existing file
+    is rewritten in place and then cut to the new length. It is never
+    truncated to zero: on ext4 (auto_da_alloc, the default) a file truncated
+    to zero starts its writeback on close, tens of microseconds per small
+    artifact. The trade-off: a crash mid-write can leave old bytes after the
+    new ones, where "w" would leave it empty or short. Artifacts are
+    regenerable from their seed."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.write(text)
+        fh.truncate()
+
+
+def _text(lines):
+    return "\n".join(lines) + "\n"
 
 
 def _run(config):
@@ -115,13 +126,13 @@ def _run(config):
         ok, tail = True, [f"outcome={result.outcome_bits[0]}",
                           f"frames=w0:{result.final_frames[0]!r}"]
 
-    _write(config.outdir, "transcript.txt", protocols.format_transcript(
-        config.protocol, config.seed, config.loss, result.transcript))
+    transcript = protocols.format_transcript(
+        config.protocol, config.seed, config.loss, result.transcript)
     lines = [f"run protocol={config.protocol} seed={config.seed} "
              f"loss={protocols.format_loss(config.loss)}",
              f"rounds={result.rounds_completed} "
              f"retransmissions={result.retransmission_count}", *tail]
-    return "report.txt", lines, ok
+    return [("transcript.txt", transcript), ("report.txt", _text(lines))], ok
 
 
 def _verify(config):
@@ -165,7 +176,7 @@ def _verify(config):
         )
         lines.extend(report2.render().splitlines())
 
-    return "report.txt", lines, all("pass=false" not in ln for ln in lines)
+    return [("report.txt", _text(lines))], all("pass=false" not in ln for ln in lines)
 
 
 def _format_schedule(schedule) -> str:
@@ -186,7 +197,7 @@ def _calibrate(config):
         if entry.bridge is not None:
             parts.append(f"bridge={entry.bridge[0]},{entry.bridge[1]}")
         lines.append(" ".join(parts))
-    return "calibration.txt", lines, True
+    return [("calibration.txt", _text(lines))], True
 
 
 def _attack(config):
@@ -206,20 +217,22 @@ def _attack(config):
             config.trials, masked, config.loss, config.seed
         )
         lines.append(f"mi countermeasure={label} bits={bits:.12g}")
-    return "attack.txt", lines, True
+    return [("attack.txt", _text(lines))], True
 
 
 def main(argv=None) -> int:
-    # Each handler returns (artifact name, lines, ok); the artifact is written
-    # and printed here, and a false ok exits 1.
+    # Each handler returns ([(artifact name, text), ...], ok) in write order,
+    # the report last; the artifacts are written here, the report is also
+    # printed, and a false ok exits 1.
     handlers = {"run": _run, "verify": _verify, "calibrate": _calibrate,
                 "attack": _attack}
     try:
         config = parse_config(argv)
-        name, lines, ok = handlers[config.command](config)
-        text = "\n".join(lines) + "\n"
-        _write(config.outdir, name, text)
-        sys.stdout.write(text)
+        artifacts, ok = handlers[config.command](config)
+        os.makedirs(config.outdir, exist_ok=True)
+        for name, text in artifacts:
+            _write(os.path.join(config.outdir, name), text)
+        sys.stdout.write(artifacts[-1][1])
         return 0 if ok else 1
     except RetryLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

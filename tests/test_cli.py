@@ -128,6 +128,7 @@ def test_missing_circuit_file(tmp_path):
          "--outdir", str(tmp_path)]
     )
     assert code == 2
+    _assert_no_run_artifacts(tmp_path)
 
 
 def test_total_loss_exhausts_retries(tmp_path):
@@ -136,6 +137,24 @@ def test_total_loss_exhausts_retries(tmp_path):
          "--loss", "1.0", "--outdir", str(tmp_path)]
     )
     assert code == 3
+    _assert_no_run_artifacts(tmp_path)
+
+
+def _assert_no_run_artifacts(outdir):
+    for name in ("transcript.txt", "report.txt"):
+        assert not (outdir / name).exists()
+
+
+def test_outdir_naming_a_file_exits_2_with_one_error_line(tmp_path, capsys):
+    outdir = tmp_path / "taken"
+    outdir.write_text("not a directory\n")
+    argv = ["calibrate", "--outdir", str(outdir)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert outdir.read_text() == "not a directory\n"
 
 
 def test_run_protocol2_wire_limit(tmp_path, capsys):
@@ -281,6 +300,59 @@ def test_stdout_mirrors_the_artifact(tmp_path, capsys, argv, artifact):
         argv = [*argv, "--circuit", _circuit(tmp_path)]
     assert cli.main([*argv, "--outdir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == (tmp_path / artifact).read_text()
+
+
+ARTIFACTS = ("transcript.txt", "report.txt", "calibration.txt", "attack.txt")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--protocol", "2", "--loss", "0.3", "--seed", "4"],
+    ["run", "--protocol", "tp", "--loss", "0.3", "--seed", "4"],
+    ["verify", "--seed", "2"],
+    ["calibrate"],
+    ["attack", "--trials", "100", "--seed", "1"],
+], ids=["run-2", "run-tp", "verify", "calibrate", "attack"])
+def test_rewriting_longer_stale_artifacts_matches_a_fresh_run(tmp_path, capsys, argv):
+    if argv[0] == "run":
+        argv = [*argv, "--circuit", _circuit(tmp_path, "H 0\nT 0\n")]
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    stale.mkdir()
+    for name in ARTIFACTS:
+        (stale / name).write_text("x" * 10_000)
+    outputs = []
+    for outdir in (fresh, stale):
+        assert cli.main([*argv, "--outdir", str(outdir)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    written = sorted(p.name for p in fresh.iterdir())
+    assert written and set(written) <= set(ARTIFACTS)
+    for name in written:
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_run_writes_the_transcript_before_the_report(tmp_path, monkeypatch):
+    # A reader that waits for report.txt then finds a complete transcript.
+    written = []
+    write = cli._write
+
+    def recording_write(path, text):
+        written.append(os.path.basename(path))
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_write", recording_write)
+    argv = ["run", "--protocol", "2", "--circuit", _circuit(tmp_path), "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert written == ["transcript.txt", "report.txt"]
+
+
+def test_hard_link_to_the_report_sees_the_rewrite(tmp_path, capsys):
+    (tmp_path / "report.txt").write_text("x" * 10_000)
+    os.link(tmp_path / "report.txt", tmp_path / "linked.txt")
+    assert cli.main(["verify", "--checks", "identities", "--outdir", str(tmp_path)]) == 0
+    report = capsys.readouterr().out
+    assert (tmp_path / "report.txt").read_text() == report
+    assert (tmp_path / "linked.txt").read_text() == report
+    assert (tmp_path / "linked.txt").samefile(tmp_path / "report.txt")
 
 
 def test_failing_verify_exits_1_and_still_writes_its_report(tmp_path, capsys, monkeypatch):

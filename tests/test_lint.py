@@ -43,6 +43,54 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def open_calls(source: str) -> list:
+    """(innermost enclosing function, callee) for each `open(...)` or
+    `os.open(...)` call, outer call first; "<module>" at top level."""
+    calls = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                calls.append((where, "open"))
+            elif (isinstance(func, ast.Attribute) and func.attr == "open"
+                  and isinstance(func.value, ast.Name) and func.value.id == "os"):
+                calls.append((where, "os.open"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return calls
+
+
+def test_open_calls_detects_what_it_should():
+    source = (
+        "import os\n"
+        "LOG = open('log.txt', 'a')\n"
+        "def save(path, text):\n"
+        "    with open(os.open(path, os.O_WRONLY), 'w') as fh:\n"
+        "        fh.write(text)\n"
+        "class Sink:\n"
+        "    def flush(self):\n"
+        "        def inner():\n"
+        "            return open(self.path)\n"
+        "        return inner, self.fh.open(), os.fdopen(3)\n"
+    )
+    assert open_calls(source) == [
+        ("<module>", "open"), ("save", "open"), ("save", "os.open"), ("inner", "open"),
+    ]
+
+
+def test_cli_write_is_the_one_place_that_opens_a_file():
+    # `cli.main` writes every artifact through `cli._write`; the one other
+    # open is `_run` reading its circuit file.
+    found = {path.stem: open_calls(path.read_text()) for path in PACKAGE.glob("*.py")}
+    found = {module: calls for module, calls in found.items() if calls}
+    assert found == {"cli": [("_write", "open"), ("_write", "os.open"), ("_run", "open")]}
+
+
 def test_package_source_stays_within_its_line_limit():
     lines = {p.name: p.read_text().count("\n") for p in PACKAGE.glob("*.py")}
     assert sum(lines.values()) <= SOURCE_LINE_LIMIT, lines
