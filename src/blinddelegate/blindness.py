@@ -22,15 +22,6 @@ from .qsim import Angle, DensityMatrix, StateVector
 BLINDNESS_TOL = 1e-9
 
 
-def _as_density(obj) -> np.ndarray:
-    if isinstance(obj, StateVector):
-        v = obj.amplitudes
-        return np.outer(v, v.conj())
-    if isinstance(obj, DensityMatrix):
-        return obj.entries
-    return np.asarray(obj, dtype=complex)
-
-
 @dataclass
 class BobView:
     marginal: DensityMatrix
@@ -51,9 +42,6 @@ class Povm:
         if np.linalg.eigvalsh(self.elements).min() < -1e-10:
             raise ValueError("POVM elements must be positive semidefinite")
 
-    def __len__(self):
-        return len(self.elements)
-
 
 def random_povm(dim: int, n_elements: int, rng) -> Povm:
     """Draw Wishart factors and normalize them into a complete POVM.
@@ -71,16 +59,16 @@ def random_povm(dim: int, n_elements: int, rng) -> Povm:
     return Povm((elements + elements.conj().transpose(0, 2, 1)) / 2)
 
 
-def povm_distribution(view, povm: Povm) -> np.ndarray:
-    rho = _as_density(view.marginal if isinstance(view, BobView) else view)
-    return np.matmul(povm.elements, rho).trace(axis1=1, axis2=2).real
+def povm_distribution(rho: DensityMatrix, povm: Povm) -> np.ndarray:
+    """The outcome probabilities tr(E_i rho) of each element of `povm`."""
+    return np.matmul(povm.elements, rho.entries).trace(axis1=1, axis2=2).real
 
 
 def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
     """Sum the server's conditional states over the client's outcome strings.
 
-    The client holds `alice_qubits` of the joint state and measures them in
-    turn at the matching angles, through protocol 1's own vertex step
+    The client holds `alice_qubits` of the joint state (a StateVector or a
+    DensityMatrix) and measures them in turn at the matching angles, through protocol 1's own vertex step
     (protocols.walk_protocol1). No outcome-dependent message ever reaches the
     server, so the classical view is constant. A mixed joint state
     sum_i l_i |v_i><v_i| has the view sum_i l_i view(v_i).
@@ -92,7 +80,7 @@ def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
     if isinstance(joint, StateVector):
         mixture = [(1.0, joint)]
     else:
-        weights, vectors = np.linalg.eigh(_as_density(joint))
+        weights, vectors = np.linalg.eigh(joint.entries)
         mixture = [(w, StateVector(v, check=False)) for w, v in zip(weights, vectors.T)]
     n = mixture[0][1].num_qubits
     if not set(range(n)) - set(alice_qubits):
@@ -242,7 +230,7 @@ def certify_protocol1(secrets, joint=None, n_povms: int = 4,
     bob_dim = views[0].marginal.entries.shape[0]
     povms = [random_povm(bob_dim, 4, rng) for _ in range(n_povms)]
     # Each POVM's outcome vector, once per view.
-    outcomes = [[povm_distribution(v, povm) for v in views] for povm in povms]
+    outcomes = [[povm_distribution(v.marginal, povm) for v in views] for povm in povms]
     report = BlindnessReport()
     for i, j in itertools.combinations(range(len(secrets)), 2):
         report.add("p1-marginal", (i, j),

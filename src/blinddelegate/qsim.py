@@ -44,9 +44,6 @@ class Angle:
     def __neg__(self) -> "Angle":
         return ALL_ANGLES[-self.k % 8]
 
-    def __add__(self, other: "Angle") -> "Angle":
-        return Angle((self.k + other.k) % 8)
-
     def __repr__(self):
         return f"Angle({self.k})"
 
@@ -110,10 +107,6 @@ class StateVector:
             raise ValueError("state vector is not normalized")
         self.num_qubits = n
         self.amplitudes = amps
-
-    def tensor(self, other: "StateVector") -> "StateVector":
-        """Append `other`'s qubits above this register's (they get the high indices)."""
-        return StateVector(tensor_stack(self.amplitudes[None], other.amplitudes)[0], check=False)
 
     def __repr__(self):
         return f"StateVector(n={self.num_qubits})"
@@ -385,21 +378,6 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
         if len(parents) < 2 * count:
             posts = posts[[2 * b + o for b, o in zip(parents, outcomes)]]
     return parents, outcomes, probs, posts / np.sqrt(probs)[:, None]
-
-
-def measure(state: StateVector, qubit: int, bras, rand: float):
-    """Measure `qubit` in the basis `bras` (such as ROTATED_BRAS[k] or Z_BRAS)
-    and keep the branch `rand` in [0, 1) draws against p0.
-
-    Returns (outcome, post_state, prob) with the measured qubit removed; a
-    read-out last qubit leaves the one-qubit state |outcome> behind. Raises
-    DegenerateMeasurementError if the drawn outcome is impossible.
-    """
-    _, [outcome], [prob], posts = measure_stack(
-        state.amplitudes[None], qubit, bras, lambda p0: 0 if rand < p0 else 1)
-    if posts.shape[1] == 1:
-        return outcome, basis_state(1, outcome), prob
-    return outcome, StateVector(posts[0], check=False), prob
 
 
 # ROTATED_BRAS[k][a]: the bra of outcome a when measuring at Angle(k), in the

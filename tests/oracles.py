@@ -40,6 +40,14 @@ def partial_trace(obj, keep) -> DensityMatrix:
     return DensityMatrix(rho, check=False)
 
 
+def measured_branch(amps, qubit, vec) -> np.ndarray:
+    """Amplitudes of <vec|_qubit psi (not normalised), indexed with the qubit
+    removed: the ket `vec` conjugated against each pair of amplitudes."""
+    idx = np.arange(len(amps) // 2)
+    at0 = ((idx >> qubit) << (qubit + 1)) | (idx & ((1 << qubit) - 1))
+    return np.conj(vec[0]) * amps[at0] + np.conj(vec[1]) * amps[at0 | (1 << qubit)]
+
+
 def signed_permutation(amplitudes, x_mask, z_qubits) -> np.ndarray:
     """X^x Z^z applied one element at a time: out[i] = +-amplitudes[i ^ x_mask],
     negated when the `z_qubits` bits of i ^ x_mask (each listed qubit once per

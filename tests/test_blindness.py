@@ -7,7 +7,7 @@ from numpy.random import default_rng
 from blinddelegate import adversaries, blindness, graphs, protocols, qsim
 from blinddelegate.blindness import BlindnessReport, Povm, ReportLine
 from blinddelegate.errors import DegenerateMeasurementError
-from oracles import partial_trace
+from oracles import measured_branch, partial_trace
 
 
 def test_povm_must_sum_to_identity():
@@ -27,20 +27,25 @@ def test_povm_must_be_positive():
         Povm([a, np.eye(2) - a])
 
 
+def _pure(psi):
+    """|psi><psi| as a DensityMatrix."""
+    return qsim.DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
 def test_random_povm_is_complete():
     rng = default_rng(8)
     povm = blindness.random_povm(4, 5, rng)
-    assert len(povm) == 5
+    assert povm.elements.shape == (5, 4, 4)
     total = sum(povm.elements)
     np.testing.assert_allclose(total, np.eye(4), atol=1e-10)
-    dist = blindness.povm_distribution(qsim.random_state(2, rng), povm)
+    dist = blindness.povm_distribution(_pure(qsim.random_state(2, rng)), povm)
     assert dist.sum() == pytest.approx(1.0, abs=1e-10)
     assert (dist >= -1e-12).all()
 
 
 def test_povm_distribution_projective():
     povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    dist = blindness.povm_distribution(qsim.plus_state(1), povm)
+    dist = blindness.povm_distribution(_pure(qsim.plus_state(1)), povm)
     np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-12)
 
 
@@ -69,8 +74,8 @@ def test_povm_distribution_equals_per_element_traces():
     rng = default_rng(21)
     for dim in (2, 4):
         povm = blindness.random_povm(dim, 4, rng)
-        rho = blindness._as_density(qsim.random_state(dim.bit_length() - 1, rng))
-        expected = [np.trace(e @ rho).real for e in povm.elements]
+        rho = _pure(qsim.random_state(dim.bit_length() - 1, rng))
+        expected = [np.trace(e @ rho.entries).real for e in povm.elements]
         assert np.array_equal(blindness.povm_distribution(rho, povm), expected)
 
 
@@ -79,7 +84,7 @@ def _per_leaf_view(joint, alice_qubits, angles):
     if isinstance(joint, qsim.StateVector):
         mixture = [(1.0, joint)]
     else:
-        weights, vectors = np.linalg.eigh(blindness._as_density(joint))
+        weights, vectors = np.linalg.eigh(joint.entries)
         mixture = [(w, qsim.StateVector(v, check=False)) for w, v in zip(weights, vectors.T)]
     plan = [protocols.PlanStep(q, qsim.Angle(k)) for q, k in zip(alice_qubits, angles)]
     total = 0.0
@@ -157,7 +162,7 @@ def test_povm_work_is_one_call_per_stack(monkeypatch):
     eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     allclose = _count_calls(monkeypatch, np, "allclose")
     povm = blindness.random_povm(4, 5, rng)
-    assert len(povm) == 5
+    assert povm.elements.shape == (5, 4, 4)
     assert (rng.normal_calls, len(eigvalsh), len(allclose)) == (1, 1, 2)
     Povm(povm.elements)
     assert (len(eigvalsh), len(allclose)) == (2, 4)
@@ -178,17 +183,24 @@ def test_bob_view_equals_partial_trace():
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("outcome", [0, 1])
 def test_walk_protocol1_leaf_equals_measure_rotated_basis(k, outcome):
-    """Each leaf of the walk is qsim.measure's post-state and probability in
-    the ROTATED_BRAS basis at +theta, bit for bit."""
+    """Each leaf of the walk is the post-state and probability of a
+    measurement in the ROTATED_BRAS basis at +theta: bit for bit those of
+    measure_stack forced to that outcome, and within 1e-12 those of the
+    projector oracle on the ket (|0> + (-1)^outcome e^{-i theta}|1>)/sqrt2."""
     joint = graphs.build_graph_state(graphs.linear_cluster(2)).state
     leaves = list(zip(*protocols.walk_protocol1(joint, [protocols.PlanStep(0, qsim.Angle(k))])))
     assert len(leaves) == 2
     post, p = leaves[outcome]
-    # rand -1.0 always draws outcome 0, rand 1.0 always draws outcome 1.
-    drawn, ref, ref_p = qsim.measure(joint, 0, qsim.ROTATED_BRAS[k], [-1.0, 1.0][outcome])
+    _, [drawn], [ref_p], refs = qsim.measure_stack(
+        joint.amplitudes[None], 0, qsim.ROTATED_BRAS[k], lambda p0: outcome)
     assert drawn == outcome
-    assert np.array_equal(post, ref.amplitudes)
+    assert np.array_equal(post, refs[0])
     assert p == ref_p
+    vec = np.array([1.0, (-1) ** outcome * np.exp(-1j * k * np.pi / 4)]) / np.sqrt(2)
+    branch = measured_branch(joint.amplitudes, 0, vec)
+    prob = float(np.vdot(branch, branch).real)
+    assert p == pytest.approx(prob, abs=1e-12)
+    np.testing.assert_allclose(post, branch / np.sqrt(prob), atol=1e-12)
 
 
 def test_announced_outcomes_would_reveal_the_secret():
@@ -219,7 +231,7 @@ def test_bob_view_accepts_density_input():
     g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    view = blindness.bob_view_protocol1(rho, [0, 1], [3, 6])
+    view = blindness.bob_view_protocol1(qsim.DensityMatrix(rho), [0, 1], [3, 6])
     assert view.marginal.entries.shape == (2, 2)
     assert np.trace(view.marginal.entries).real == pytest.approx(1.0, abs=1e-10)
 
@@ -325,7 +337,7 @@ def test_certify_protocol1_substituted_joint_is_invariant():
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     report = blindness.certify_protocol1(
-        [(0, 1), (6, 3)], joint=rho, n_povms=1, rng=rng
+        [(0, 1), (6, 3)], joint=qsim.DensityMatrix(rho), n_povms=1, rng=rng
     )
     assert report.passed
 

@@ -884,10 +884,9 @@ def test_registerless_run_calls_no_qsim_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a registerless run reached the register")
 
-    for name in ("measure_stack", "branches", "apply_stack", "tensor_stack", "measure",
-                 "apply_gate", "bell_pair"):
+    for name in ("measure_stack", "branches", "apply_stack", "tensor_stack", "apply_gate",
+                 "bell_pair"):
         monkeypatch.setattr(qsim, name, refuse)
-    monkeypatch.setattr(qsim.StateVector, "tensor", refuse)
     program = _p2_program("H 0\nCNOT 0 1\nT 1")
     with pytest.raises(AssertionError):
         _attacked_run(program, qsim.basis_state(2, 0), 0.3, True, True, 0)

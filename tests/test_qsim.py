@@ -5,14 +5,13 @@ import pytest
 
 from blinddelegate import qsim
 from blinddelegate.errors import CapacityError, DegenerateMeasurementError
-from oracles import partial_trace, signed_permutation
+from oracles import measured_branch, partial_trace, signed_permutation
 
 
 def test_angle_wraps_mod_8():
     assert qsim.Angle(9).k == 1
     assert qsim.Angle(-1).k == 7
     assert (-qsim.Angle(2)).k == 6
-    assert (qsim.Angle(3) + qsim.Angle(7)).k == 2
     assert qsim.Angle(2).radians == pytest.approx(np.pi / 2)
 
 
@@ -47,8 +46,9 @@ def test_state_vector_validation():
 
 def test_tensor_appends_high_indices():
     # |1> tensored after |0> puts the new qubit at index 1
-    joined = qsim.basis_state(1, 0).tensor(qsim.basis_state(1, 1))
-    np.testing.assert_allclose(joined.amplitudes, [0, 0, 1, 0], atol=1e-15)
+    joined = qsim.tensor_stack(qsim.basis_state(1, 0).amplitudes[None],
+                               qsim.basis_state(1, 1).amplitudes)
+    np.testing.assert_allclose(joined, [[0, 0, 1, 0]], atol=1e-15)
 
 
 def test_density_matrix_validation():
@@ -133,11 +133,12 @@ def test_two_qubit_kernel_every_ordered_pair(n):
             _check_kernel(psi, gate, [t0, t1])
 
 
-def _measure_oracle(amps, qubit, vec):
-    """Amplitudes of <vec|_qubit psi, indexed with the qubit removed."""
-    idx = np.arange(len(amps) // 2)
-    at0 = ((idx >> qubit) << (qubit + 1)) | (idx & ((1 << qubit) - 1))
-    return np.conj(vec[0]) * amps[at0] + np.conj(vec[1]) * amps[at0 | (1 << qubit)]
+def _forced(psi, qubit, bras, outcome):
+    """measure_stack on one state, keeping `outcome` through its pick:
+    (outcome, post amplitudes, prob)."""
+    _, [got], [prob], posts = qsim.measure_stack(
+        psi.amplitudes[None], qubit, bras, lambda p0: outcome)
+    return got, posts[0], prob
 
 
 @pytest.mark.parametrize("n", [w for w in KERNEL_WIDTHS if w >= 2])
@@ -147,15 +148,15 @@ def test_measurements_match_projector_reference(n):
     before = psi.amplitudes.copy()
     for q in range(n):
         for k in [*range(8), None]:
-            for outcome, rand in ((0, -1.0), (1, 2.0)):
+            for outcome in (0, 1):
                 if k is None:
                     vec = np.eye(2)[outcome]
-                    got, post, p = qsim.measure(psi, q, qsim.Z_BRAS, rand)
+                    got, post, p = _forced(psi, q, qsim.Z_BRAS, outcome)
                 else:
                     phase = (-1) ** outcome * np.exp(-1j * k * np.pi / 4)
                     vec = np.array([1.0, phase]) / np.sqrt(2)
-                    got, post, p = qsim.measure(psi, q, qsim.ROTATED_BRAS[k], rand)
-                branch = _measure_oracle(before, q, vec)
+                    got, post, p = _forced(psi, q, qsim.ROTATED_BRAS[k], outcome)
+                branch = measured_branch(before, q, vec)
                 prob = float(np.vdot(branch, branch).real)
                 if n <= 6:
                     proj = np.kron(np.kron(np.eye(2 ** (n - 1 - q)), np.outer(vec, vec.conj())),
@@ -164,17 +165,17 @@ def test_measurements_match_projector_reference(n):
                 np.testing.assert_array_equal(psi.amplitudes, before)
                 assert got == outcome
                 assert p == pytest.approx(prob, abs=1e-12)
-                assert post.num_qubits == n - 1
-                np.testing.assert_allclose(post.amplitudes, branch / np.sqrt(prob), atol=1e-12)
+                assert len(post) == 2 ** (n - 1)
+                np.testing.assert_allclose(post, branch / np.sqrt(prob), atol=1e-12)
 
 
 def test_tensor_matches_kron():
     rng = np.random.default_rng(12)
     a, b = qsim.random_state(3, rng), qsim.random_state(2, rng)
     before = a.amplitudes.copy(), b.amplitudes.copy()
-    joined = a.tensor(b)
-    assert joined.num_qubits == 5
-    np.testing.assert_array_equal(joined.amplitudes, np.kron(b.amplitudes, a.amplitudes))
+    joined = qsim.tensor_stack(a.amplitudes[None], b.amplitudes)
+    assert joined.shape == (1, 2**5)
+    np.testing.assert_array_equal(joined[0], np.kron(b.amplitudes, a.amplitudes))
     np.testing.assert_array_equal(a.amplitudes, before[0])
     np.testing.assert_array_equal(b.amplitudes, before[1])
 
@@ -299,52 +300,58 @@ def test_apply_gate_input_checks():
         qsim.apply_gate(psi, qsim.CZ, [0])
 
 
+# |+> on qubit 0 and |0> on qubit 1.
+_PLUS_ON_QUBIT_0 = qsim.StateVector(np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2))
+
+
 def test_rotated_measurement_probability_on_plus():
     # <v0|+> gives p0 = cos^2(theta/2) for every grid angle
     for k in range(8):
         theta = qsim.Angle(k)
-        psi = qsim.plus_state(1).tensor(qsim.basis_state(1, 0))
+        psi = _PLUS_ON_QUBIT_0
         expected = np.cos(theta.radians / 2) ** 2
         if k == 4:
             # theta = pi makes the 0 branch impossible on |+>
             with pytest.raises(DegenerateMeasurementError):
-                qsim.measure(psi, 0, qsim.ROTATED_BRAS[k], rand=-1.0)
+                _forced(psi, 0, qsim.ROTATED_BRAS[k], 0)
             continue
-        outcome, post, prob = qsim.measure(psi, 0, qsim.ROTATED_BRAS[k], rand=-1.0)
+        outcome, post, prob = _forced(psi, 0, qsim.ROTATED_BRAS[k], 0)
         assert outcome == 0
         assert prob == pytest.approx(expected, abs=1e-12)
-        assert post.num_qubits == 1
+        assert len(post) == 2
 
 
 def test_measurement_removes_qubit_and_projects():
     bell = qsim.bell_pair()
-    outcome, post, prob = qsim.measure(bell, 0, qsim.ROTATED_BRAS[0], rand=-1.0)
+    outcome, post, prob = _forced(bell, 0, qsim.ROTATED_BRAS[0], 0)
     assert outcome == 0 and prob == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(post.amplitudes, qsim.plus_state(1).amplitudes, atol=1e-12)
+    np.testing.assert_allclose(post, qsim.plus_state(1).amplitudes, atol=1e-12)
 
 
 def test_degenerate_branch_raises():
     psi = qsim.basis_state(2, 0)
     with pytest.raises(DegenerateMeasurementError):
-        qsim.measure(psi, 0, qsim.Z_BRAS, rand=1.0)  # outcome 1 has probability 0
+        _forced(psi, 0, qsim.Z_BRAS, 1)  # outcome 1 has probability 0
 
 
 def test_measure_z_final_qubit_readout():
-    outcome, post, prob = qsim.measure(qsim.basis_state(1, 1), 0, qsim.Z_BRAS, rand=0.5)
+    outcome, post, prob = _forced(qsim.basis_state(1, 1), 0, qsim.Z_BRAS, 1)
     assert outcome == 1
     assert prob == pytest.approx(1.0)
     # forcing the impossible branch must raise instead of misreporting
     with pytest.raises(DegenerateMeasurementError):
-        qsim.measure(qsim.basis_state(1, 0), 0, qsim.Z_BRAS, rand=1.0)
-    # Both branches of a last-qubit readout, with p0 = |amp_0|^2 exactly; a
-    # forced read-out leaves |outcome> behind.
+        _forced(qsim.basis_state(1, 0), 0, qsim.Z_BRAS, 1)
+    # Both branches of a last-qubit readout, with p0 = |amp_0|^2 exactly; the
+    # read-out removes the qubit and leaves one unit-modulus amplitude, the
+    # same bits whether the branch is forced or kept.
     psi = qsim.random_state(1, np.random.default_rng(8))
     p0 = float(abs(psi.amplitudes[0]) ** 2)
-    _, outcomes, probs, _ = qsim.measure_stack(psi.amplitudes[None], 0, qsim.Z_BRAS)
-    posts = [qsim.measure(psi, 0, qsim.Z_BRAS, rand)[1] for rand in (-1.0, 1.0)]
-    assert [(b, p, post.amplitudes.tolist()) for b, p, post in zip(outcomes, probs, posts)] == [
-        (0, p0, [1.0, 0.0]), (1, 1.0 - p0, [0.0, 1.0])
-    ]
+    _, outcomes, probs, posts = qsim.measure_stack(psi.amplitudes[None], 0, qsim.Z_BRAS)
+    assert list(zip(outcomes, probs)) == [(0, p0), (1, 1.0 - p0)]
+    assert posts.shape == (2, 1)
+    np.testing.assert_allclose(np.abs(posts), 1.0, atol=1e-12)
+    for b in outcomes:
+        assert np.array_equal(_forced(psi, 0, qsim.Z_BRAS, b)[1], posts[b])
 
 
 def test_partial_trace_bell_is_maximally_mixed():
@@ -380,7 +387,8 @@ def test_partial_trace_density_input_and_keep_order():
 def test_partial_trace_of_product_state():
     a = qsim.basis_state(1, 1)
     b = qsim.plus_state(1)
-    joint = a.tensor(b)  # qubit 0 = |1>, qubit 1 = |+>
+    # qubit 0 = |1>, qubit 1 = |+>
+    joint = qsim.StateVector(np.kron(b.amplitudes, a.amplitudes))
     np.testing.assert_allclose(
         partial_trace(joint, keep=[0]).entries, np.diag([0.0, 1.0]), atol=1e-12
     )
@@ -437,28 +445,25 @@ def test_measurement_branches_equal_forced_measurements_bit_for_bit(width):
         for name, bras in _ALL_BASES:
             branches = _branches(psi, qubit, bras)
             assert [b[0] for b in branches] == [0, 1], (name, qubit)
-            for (outcome, post, prob), rand in zip(branches, (-1.0, 1.0)):
-                want_outcome, want_post, want_prob = qsim.measure(
-                    psi, qubit, bras, rand
-                )
+            for outcome, post, prob in branches:
+                want_outcome, want_post, want_prob = _forced(psi, qubit, bras, outcome)
                 assert outcome == want_outcome
                 assert prob == want_prob
-                assert np.array_equal(post, want_post.amplitudes)
+                assert np.array_equal(post, want_post)
                 assert len(post) == 2 ** (width - 1)
 
 
 def test_measurement_branches_drop_impossible_outcomes():
     # |+> on qubit 0: angle 0 can only give outcome 0, angle pi only outcome 1,
     # which is where a forced measurement of the other outcome raises.
-    psi = qsim.plus_state(1).tensor(qsim.basis_state(1, 0))
+    psi = _PLUS_ON_QUBIT_0
     for k, possible in ((0, 0), (4, 1)):
         [(outcome, post, prob)] = _branches(psi, 0, qsim.ROTATED_BRAS[k])
         assert outcome == possible
         assert prob == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(post, [1.0, 0.0], atol=1e-12)
-        rand = 1.0 if possible == 0 else -1.0
         with pytest.raises(DegenerateMeasurementError):
-            qsim.measure(psi, 0, qsim.ROTATED_BRAS[k], rand)
+            _forced(psi, 0, qsim.ROTATED_BRAS[k], 1 - possible)
     [(outcome, _, prob)] = _branches(qsim.basis_state(2, 0), 1, qsim.Z_BRAS)
     assert (outcome, prob) == (0, 1.0)
 
