@@ -75,6 +75,9 @@ def parse_config(argv) -> argparse.Namespace:
             config.adversary != "honest" or config.countermeasure):
         # Only protocol 2's deliveries consult a measuring device.
         raise ConfigError("--adversary and --countermeasure apply to protocol 2 only")
+    if config.command == "run" and config.protocol == "1" and config.loss:
+        # Protocol 1's deliveries are modelled lossless; tp is its lossy form.
+        raise ConfigError("--loss applies to protocols 2 and tp only")
     return config
 
 

@@ -41,7 +41,6 @@ GOLDEN = {
     ("p2-3wire", 0.0): "88644f842623e352f1d07e58a58e043c7148dc37f67fd99d057bdd00b9ab7f51",
     ("p2-3wire", 0.3): "dd6c796e3db1e7610f711c8199ca4c344d373d18113e4277b4f79c2334585661",
     ("p1-chain", 0.0): "e437f5f9d75b91c5c7bb02e4214601f0dd9135d2dbe28ec2d57cdecaae6519fb",
-    ("p1-chain", 0.3): "60e48026b6b317f0b4af4af436f9b3f32907add4fa502cda7a2f1904cd1e8d0c",
     ("tp-chain", 0.0): "431f3a3d60c10b219a531c24d11e2ac2bf2f5c8cf04e63bc341896e4058835cc",
     ("tp-chain", 0.3): "f3c7719b5a593b849be11eb266e8f842ee565dab7686de5caeb7d91ee857a64a",
 }
@@ -143,6 +142,20 @@ def _clean_env(monkeypatch):
 def test_seed_sweep_is_byte_identical(tmp_path, case, loss):
     protocol, text = CASES[case]
     assert sweep_digest(tmp_path, protocol, text, loss) == GOLDEN[case, loss]
+
+
+def test_protocol1_rejects_a_lossy_channel(tmp_path, capsys):
+    # Protocol 1 applies no loss, so a lossy run has no sweep to pin: it exits
+    # 2 with one error line and writes no artifact.
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text(CASES["p1-chain"][1])
+    outdir = tmp_path / "out"
+    argv = ["run", "--protocol", "1", "--circuit", str(circuit), "--loss", "0.3",
+            "--outdir", str(outdir)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --loss applies to protocols 2 and tp only"]
+    assert not outdir.exists()
 
 
 def test_calibrate_is_byte_identical(tmp_path):
