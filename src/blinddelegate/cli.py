@@ -146,10 +146,12 @@ def _verify(config):
     if "unitcell" in config.checks:
         cal = graphs.calibrate_unit_cell()
         for name in sorted(cal.entries):
-            entry = cal.entries[name]
-            i, j = entry.bridge if entry.bridge is not None else ("-", "-")
+            e = cal.entries[name]
+            i, j = e.bridge if e.bridge is not None else ("-", "-")
+            # The entry's fold table, re-derived from its schedules and target.
+            ok = graphs.branch_frames(e.wire0, e.wire1, e.bridge, e.target) == e.frames
             lines.append(
-                f"check=unitcell op={name} bridge={i},{j} pass=true"
+                f"check=unitcell op={name} bridge={i},{j} pass={'true' if ok else 'false'}"
             )
     if "stabilizers" in config.checks:
         for label, graph in (

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from blinddelegate import blindness, cli
+from blinddelegate import blindness, cli, graphs, pauli
 from blinddelegate.errors import ConfigError
 from oracles import parse_transcript
 
@@ -262,6 +263,20 @@ def test_verify_check_subset(tmp_path):
     report = (tmp_path / "report.txt").read_text()
     assert "check=identities" in report
     assert "check=unitcell" not in report
+
+
+def test_verify_unitcell_fails_on_a_flipped_fold(tmp_path, capsys, monkeypatch):
+    # Negative control: an entry whose table disagrees with its schedules on
+    # one branch (wire 0's fold there gains an X) fails its unit-cell line.
+    entry = graphs.group_entry("HxI")
+    bits, folds = next(iter(entry.frames.items()))
+    flipped = {**entry.frames, bits: (folds[0].compose(pauli.PauliFrame(1, 0)), *folds[1:])}
+    monkeypatch.setitem(graphs._ENTRIES, "HxI", dataclasses.replace(entry, frames=flipped))
+    assert cli.main(["verify", "--checks", "unitcell", "--outdir", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert [ln for ln in lines if "pass=false" in ln] == [
+        "check=unitcell op=HxI bridge=-,- pass=false"]
 
 
 def test_calibrate_output(tmp_path):
