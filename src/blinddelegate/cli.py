@@ -131,8 +131,8 @@ def _run(config):
 
     transcript = protocols.format_transcript(
         config.protocol, config.seed, config.loss, result.transcript)
-    lines = [f"run protocol={config.protocol} seed={config.seed} "
-             f"loss={protocols.format_loss(config.loss)}",
+    # The report opens with the transcript's `run ...` header line.
+    lines = [transcript.partition("\n")[0],
              f"rounds={result.rounds_completed} "
              f"retransmissions={result.retransmission_count}", *tail]
     return [("transcript.txt", transcript), ("report.txt", _text(lines))], ok

@@ -123,6 +123,16 @@ def test_chain_protocols_reject_protocol2_attack_flags(tmp_path, capsys, protoco
     assert not (tmp_path / "report.txt").exists()
 
 
+@pytest.mark.parametrize("protocol,loss", [("1", "0"), ("2", "0.3"), ("tp", "0.3")])
+def test_report_header_is_the_transcript_header(tmp_path, protocol, loss):
+    argv = ["run", "--protocol", protocol, "--circuit", _circuit(tmp_path, "H 0\nT 0\n"),
+            "--loss", loss, "--seed", "5", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    transcript = (tmp_path / "transcript.txt").read_text().splitlines()
+    assert report[0] == transcript[0] == f"run protocol={protocol} seed=5 loss={loss}"
+
+
 def test_missing_circuit_file(tmp_path):
     code = cli.main(
         ["run", "--protocol", "2", "--circuit", str(tmp_path / "nope.txt"),
