@@ -8,6 +8,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blinddelegate"
 # __init__.py imports names to re-export them, not to use them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Code outside the unit tests: the benchmark, the acceptance criteria and the
+# golden pins.
+READERS = [*sorted(PACKAGE.parents[1].glob("bench/*.py")),
+           *(PACKAGE.parents[1] / "tests" / name for name in ("test_acceptance.py",
+                                                            "test_golden.py"))]
 # The package's standing size limit: `wc -l src/blinddelegate/*.py` total.
 SOURCE_LINE_LIMIT = 2704
 
@@ -94,3 +99,60 @@ def test_cli_write_is_the_one_place_that_opens_a_file():
 def test_package_source_stays_within_its_line_limit():
     lines = {p.name: p.read_text().count("\n") for p in PACKAGE.glob("*.py")}
     assert sum(lines.values()) <= SOURCE_LINE_LIMIT, lines
+
+
+def read_names(source: str, bare: bool) -> set:
+    """Names `source` reads: each attribute `x.name`, each `from ... import
+    name` and, with `bare`, each bare name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(getattr(node, "ctx", None), ast.Load):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif bare and isinstance(node, ast.Name):
+                names.add(node.id)
+    return names
+
+
+def unread_definitions(package: dict, others: list) -> list:
+    """`module.name` for each public module-level function or class of
+    `package` (module name -> source) that no package module reads in any
+    form and no source in `others` reads as an attribute or an import. Bare
+    names elsewhere do not count: they may be local definitions."""
+    read = set().union(*(read_names(src, True) for src in package.values()),
+                       *(read_names(src, False) for src in others))
+    return sorted(
+        f"{module}.{node.name}" for module, src in package.items()
+        for node in ast.parse(src).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read
+    )
+
+
+def test_unread_definitions_detects_what_it_should():
+    package = {
+        "core": (
+            "def called(): pass\n"
+            "def by_attribute(): pass\n"
+            "def by_import(): pass\n"
+            "def bare_elsewhere(): pass\n"
+            "class Imported: pass\n"
+            "class Stored: pass\n"
+            "def _private(): pass\n"
+        ),
+        "user": "from .core import Imported\ndef run():\n    return called(), Imported\n",
+    }
+    others = [
+        "import core\ncore.by_attribute()\nbare_elsewhere()\ncore.Stored = None\n",
+        "from core import by_import\n",
+    ]
+    assert unread_definitions(package, others) == [
+        "core.Stored", "core.bare_elsewhere", "user.run"]
+
+
+def test_every_public_definition_is_read_outside_the_unit_tests():
+    # __init__.py only re-exports; a re-export is not a read.
+    package = {path.stem: path.read_text() for path in MODULES}
+    assert unread_definitions(package, [path.read_text() for path in READERS]) == []
