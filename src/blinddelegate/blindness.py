@@ -68,10 +68,11 @@ def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
     """Sum the server's conditional states over the client's outcome strings.
 
     The client holds `alice_qubits` of the joint state (a StateVector or a
-    DensityMatrix) and measures them in turn at the matching angles, through protocol 1's own vertex step
-    (protocols.walk_protocol1). No outcome-dependent message ever reaches the
-    server, so the classical view is constant. A mixed joint state
-    sum_i l_i |v_i><v_i| has the view sum_i l_i view(v_i).
+    DensityMatrix) and measures them in turn at the matching angles, through
+    protocol 1's own vertex step (protocols.walk_protocol1). No
+    outcome-dependent message ever reaches the server, so the classical view
+    is constant. A mixed joint state sum_i l_i |v_i><v_i| has the view
+    sum_i l_i view(v_i).
     """
     alice_qubits = list(alice_qubits)
     angles = [a if isinstance(a, Angle) else Angle(a) for a in alice_angles]

@@ -131,7 +131,6 @@ def _run(config):
 
     transcript = protocols.format_transcript(
         config.protocol, config.seed, config.loss, result.transcript)
-    # The report opens with the transcript's `run ...` header line.
     lines = [transcript.partition("\n")[0],
              f"rounds={result.rounds_completed} "
              f"retransmissions={result.retransmission_count}", *tail]
@@ -146,10 +145,10 @@ def _verify(config):
     if "unitcell" in config.checks:
         cal = graphs.calibrate_unit_cell()
         for name in sorted(cal.entries):
-            e = cal.entries[name]
-            i, j = e.bridge if e.bridge is not None else ("-", "-")
-            # The entry's fold table, re-derived from its schedules and target.
-            ok = graphs.branch_frames(e.wire0, e.wire1, e.bridge, e.target) == e.frames
+            entry = cal.entries[name]
+            i, j = entry.bridge if entry.bridge is not None else ("-", "-")
+            ok = graphs.branch_frames(entry.wire0, entry.wire1, entry.bridge,
+                                      entry.target) == entry.frames
             lines.append(
                 f"check=unitcell op={name} bridge={i},{j} pass={'true' if ok else 'false'}"
             )
