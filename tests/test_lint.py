@@ -10,9 +10,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blinddelegate"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # Code outside the unit tests: the benchmark, the acceptance criteria and the
 # golden pins.
-READERS = [*sorted(PACKAGE.parents[1].glob("bench/*.py")),
-           *(PACKAGE.parents[1] / "tests" / name for name in ("test_acceptance.py",
-                                                            "test_golden.py"))]
+TESTS = Path(__file__).resolve().parent
+READERS = [*sorted(TESTS.parent.glob("bench/*.py")),
+           TESTS / "test_acceptance.py", TESTS / "test_golden.py"]
 # The package's standing size limit: `wc -l src/blinddelegate/*.py` total.
 SOURCE_LINE_LIMIT = 2704
 
