@@ -16,6 +16,7 @@ are fair coins (protocols.run_protocol2 with no input state).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 
@@ -55,8 +56,11 @@ def random_mixed_state(num_qubits: int, rng) -> DensityMatrix:
     return DensityMatrix(rho / np.trace(rho).real)
 
 
+@functools.cache
 def make_signal_program(first_digit: int, extra_rounds: int = 1):
-    """A round sequence whose first command digit is the secret under attack."""
+    """A round sequence whose first command digit is the secret under attack,
+    built once per argument: a run only reads its program, so callers share
+    it and must not change it."""
     return protocols.make_raw_program([first_digit % 8] + [0] * extra_rounds)
 
 
@@ -83,9 +87,10 @@ def run_with_evil_device(program, countermeasure: bool,
 
 
 def _resend_counts(transcript, round_indices, cap: int):
-    counts = Counter(
-        m.round for m in transcript if m.kind == "LOST_RESEND"
-    )
+    counts = {}
+    for m in transcript:
+        if m.kind == "LOST_RESEND":
+            counts[m.round] = counts.get(m.round, 0) + 1
     return tuple(min(counts.get(r, 0), cap) for r in round_indices)
 
 

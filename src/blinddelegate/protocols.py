@@ -25,6 +25,7 @@ distributions come from one walk of the outcome tree (_walk), level by level.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -50,10 +51,11 @@ _KIND_DIRECTIONS = {
     "DONE": A2B,
 }
 
-# Every valid (direction, kind, payload): X_RESULT carries one bit, the
-# other kinds nothing.
+# Every valid (direction, kind, payload type, payload): X_RESULT carries one
+# bit, the int 0 or 1 (True and 1.0 compare equal to 1 but are not bits),
+# the other kinds nothing.
 _VALID_MESSAGES = frozenset(
-    (direction, kind, payload)
+    (direction, kind, type(payload), payload)
     for kind, direction in _KIND_DIRECTIONS.items()
     for payload in ((0, 1) if kind == "X_RESULT" else (None,))
 )
@@ -74,7 +76,7 @@ class Message(_MessageFields):
 
     def __new__(cls, round, direction, kind, payload=None):
         try:
-            valid = (direction, kind, payload) in _VALID_MESSAGES
+            valid = (direction, kind, type(payload), payload) in _VALID_MESSAGES
         except TypeError:  # an unhashable payload
             valid = False
         if not valid:
@@ -86,6 +88,11 @@ class Message(_MessageFields):
                 raise ValueError("X_RESULT carries exactly one bit")
             raise ValueError(f"{kind} carries no payload")
         return tuple.__new__(cls, (round, direction, kind, payload))
+
+
+# The run loop's messages: each distinct value (types included) passes
+# Message's check once, and a value that recurs is the same immutable tuple.
+_message = functools.lru_cache(maxsize=4096, typed=True)(Message)
 
 
 @dataclass(frozen=True)
@@ -384,9 +391,13 @@ def _measurement(rng, forced=None):
         want = next(queue, None)
         if want is None:
             raise ValueError("fewer forced outcomes than measurements")
-        if want not in (0, 1):
-            raise DegenerateMeasurementError(f"forced outcome {want} is impossible")
-        return want
+        try:
+            bit = operator.index(want)  # True and np.int64 become an int
+        except TypeError:
+            bit = None
+        if bit not in (0, 1):
+            raise DegenerateMeasurementError(f"forced outcome {want!r} is impossible")
+        return bit
     return pick
 
 
@@ -399,7 +410,7 @@ def _deliver(channel, rng_loss, rng_mask, transcript, round_index, device=None):
     """
     resends = 0
     for _ in range(RETRY_CAP):
-        transcript.append(Message(round_index, B2A, "QUBIT_SENT"))
+        transcript.append(_message(round_index, B2A, "QUBIT_SENT"))
         arrived = rng_loss is None or transmit(channel, rng_loss) == ARRIVED
         if rng_mask is not None:
             # The coin replaces the device: claim_no_click is never called, so
@@ -410,9 +421,9 @@ def _deliver(channel, rng_loss, rng_mask, transcript, round_index, device=None):
             faked = bool(arrived and device is not None and device.claim_no_click())
             accepted = arrived and not faked
         if accepted:
-            transcript.append(Message(round_index, A2B, "ARRIVED"))
+            transcript.append(_message(round_index, A2B, "ARRIVED"))
             return resends
-        transcript.append(Message(round_index, A2B, "LOST_RESEND"))
+        transcript.append(_message(round_index, A2B, "LOST_RESEND"))
         resends += 1
     raise RetryLimitError(
         f"round {round_index}: no accepted delivery in {RETRY_CAP} attempts"
@@ -620,14 +631,14 @@ def _run(level, events, pick, *, channel=None,
             rnd = event[1].round_index if kind == "round" else event[1]
             resends += _deliver(channel, rng_loss, rng_mask, transcript, rnd, device)
         elif kind == "done":
-            transcript.append(Message(rnd, A2B, "DONE"))
+            transcript.append(_message(rnd, A2B, "DONE"))
         reported = len(level.nodes[0].m_bits)
         level = _step(level, event, pick, pairs)
         (node,) = level.nodes
         if kind == "round" and device is not None:
             device.observe_angle(node.command.k)
         for m in node.m_bits[reported:]:
-            transcript.append(Message(rnd, B2A, "X_RESULT", m))
+            transcript.append(_message(rnd, B2A, "X_RESULT", m))
     (node,) = level.nodes
     return level, RunResult(transcript=transcript, final_frames=list(node.frames),
                            retransmission_count=resends, branch_probability=node.prob,

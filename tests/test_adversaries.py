@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -118,3 +120,53 @@ def test_countermeasure_overhead_at_zero_loss():
     masked, unmasked = adversaries.countermeasure_overhead(n_trials=60, seed=2)
     assert unmasked == pytest.approx(1.0, abs=1e-12)
     assert masked == pytest.approx(2.0, abs=0.25)
+
+
+def _attacked_pass():
+    """16 attacked runs: every digit, masking off and on."""
+    for k in range(8):
+        for masked in (False, True):
+            adversaries.run_with_evil_device(
+                adversaries.make_signal_program(k), masked,
+                protocols.ChannelModel(0.0, rng_seed=k), default_rng([int(masked), k]),
+            )
+
+
+def test_repeated_attacked_runs_check_no_message_and_build_no_program(monkeypatch):
+    # A second pass meets only message values and programs the first made.
+    _attacked_pass()
+    calls = Counter()
+    new, add_round = protocols.Message.__new__, protocols._ProgramBuilder._add_round
+
+    def counting_new(cls, *args):
+        calls["Message.__new__"] += 1
+        return new(cls, *args)
+
+    def counting_add_round(self, *args):
+        calls["_add_round"] += 1
+        return add_round(self, *args)
+
+    monkeypatch.setattr(protocols.Message, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(protocols._ProgramBuilder, "_add_round", counting_add_round)
+    _attacked_pass()
+    assert calls == {}
+    # The counters see what they count.
+    protocols.Message(1, "A2B", "DONE")
+    protocols.make_raw_program([0])
+    assert calls == {"Message.__new__": 1, "_add_round": 1}
+
+
+def test_shared_signal_programs_stay_unchanged_by_runs():
+    for k in range(8):
+        for masked in (False, True):
+            adversaries.run_with_evil_device(
+                adversaries.make_signal_program(k), masked,
+                protocols.ChannelModel(0.3, rng_seed=k), default_rng([2, k]),
+            )
+    adversaries.countermeasure_overhead(20, 0.3)
+    for masked in (False, True):
+        adversaries.attack_mutual_information(100, masked, seed=1)
+    for k in range(8):
+        cached, fresh = adversaries.make_signal_program(k), protocols.make_raw_program([k, 0])
+        assert cached is adversaries.make_signal_program(k)
+        assert cached.rounds == fresh.rounds and cached.events == fresh.events

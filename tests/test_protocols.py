@@ -37,6 +37,10 @@ def test_message_payload_rules():
         Message(1, "B2A", "X_RESULT")
     with pytest.raises(ValueError):
         Message(1, "B2A", "X_RESULT", 2)
+    # Each equals 1, but an X_RESULT carries the int bit.
+    for payload in (True, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="exactly one bit"):
+            Message(1, "B2A", "X_RESULT", payload)
     with pytest.raises(ValueError):
         Message(1, "A2B", "ARRIVED", 0)
 
@@ -537,6 +541,28 @@ def test_forced_outcome_other_than_a_bit_raises():
                                 forced_outcomes=[(0, 2), (0, 0)])
     with pytest.raises(DegenerateMeasurementError, match="forced outcome 2"):
         protocols.round2_step(qsim.plus_state(1), 0, qsim.Angle(0), ChannelModel(0.0), [0, 2])
+    # 0.0 equals the bit 0 but is not one.
+    with pytest.raises(DegenerateMeasurementError, match="forced outcome 0.0"):
+        protocols.run_protocol2(program, qsim.plus_state(1), ChannelModel(0.0),
+                                forced_outcomes=[(0, 0.0), (0, 0)])
+    plan = protocols.circuit_to_chain(protocols.parse_circuit("H 0"))
+    resource = graphs.build_graph_state(graphs.linear_cluster(2))
+    with pytest.raises(DegenerateMeasurementError, match="forced outcome 0.0"):
+        protocols.run_protocol1(resource, plan, forced_outcomes=[0, 0.0])
+
+
+@pytest.mark.parametrize("bit", [bool, np.int64])
+def test_forced_integer_bits_write_the_transcript_of_int_bits(bit):
+    program = protocols.compile_circuit(protocols.parse_circuit("H 0\nT 0"))
+    draws = default_rng(4).integers(2, size=(program.num_rounds, 2)).tolist()
+
+    def transcript(forced):
+        result = protocols.run_protocol2(program, qsim.plus_state(1),
+                                         ChannelModel(0.3, rng_seed=2), forced_outcomes=forced)
+        return protocols.format_transcript("2", 2, 0.3, result.transcript)
+
+    converted = [(bit(a), bit(m)) for a, m in draws]
+    assert transcript(converted) == transcript(draws)
 
 
 def test_forced_outcomes_must_cover_every_measurement():
@@ -857,6 +883,29 @@ def test_registerless_run_equals_register_run(case, loss, masked, with_device):
         assert coins.retransmission_count == quantum.retransmission_count
         assert coins.rounds_completed == quantum.rounds_completed
         assert coins.logical_output_state is None
+
+
+def test_transcript_entries_are_checked_messages():
+    # The run loop shares one tuple per distinct message: every entry is
+    # still exactly a Message that its own check accepts.
+    program = _p2_program("H 0\nCNOT 0 1\nT 1")
+    transcripts = []
+    for loss, masked, with_device, seed in itertools.product(
+            (0.0, 0.3), (False, True), (False, True), range(3)):
+        psi = qsim.random_state(program.num_wires, default_rng([seed, 1]))
+        for state in (psi, None):
+            run = _attacked_run(program, state, loss, masked, with_device, seed)
+            transcripts.append(run.transcript)
+    plan = protocols.circuit_to_chain(protocols.parse_circuit("H 0\nT 0"))
+    resource = graphs.build_graph_state(graphs.linear_cluster(len(plan) + 1))
+    for seed in range(3):
+        transcripts.append(protocols.run_teleport_variant(
+            resource, plan, ChannelModel(0.3, rng_seed=seed), default_rng(seed)).transcript)
+    entries = [entry for transcript in transcripts for entry in transcript]
+    assert {kind for _, _, kind, _ in entries} == set(protocols._KIND_DIRECTIONS)
+    for entry in entries:
+        assert type(entry) is Message and entry == Message(*entry)
+    assert len({id(entry) for entry in entries}) == len(set(entries))
 
 
 def test_bell_table_draws_a_against_exactly_one_half():
