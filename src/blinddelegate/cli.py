@@ -129,9 +129,15 @@ def _run(config):
         ok, tail = True, [f"outcome={result.outcome_bits[0]}",
                           f"frames=w0:{result.final_frames[0]!r}"]
 
-    transcript = protocols.format_transcript(
-        config.protocol, config.seed, config.loss, result.transcript)
-    lines = [transcript.partition("\n")[0],
+    header, _, body = protocols.format_transcript(
+        config.protocol, config.seed, config.loss, result.transcript).partition("\n")
+    # The header names each attack option that is set; a default run's is plain.
+    if config.adversary != "honest":
+        header += f" adversary={config.adversary}"
+    if config.countermeasure:
+        header += " countermeasure=on"
+    transcript = f"{header}\n{body}"
+    lines = [header,
              f"rounds={result.rounds_completed} "
              f"retransmissions={result.retransmission_count}", *tail]
     return [("transcript.txt", transcript), ("report.txt", _text(lines))], ok

@@ -1,10 +1,11 @@
 """Graph-state builders, stabilizer checks, and the gate-group entries.
 
 The unit cell is two wires of three measured columns plus one output column.
-Its bridge placement and per-operation angle schedules are not hardcoded from
-a drawing: `group_entry` finds each catalog cell by deterministic exhaustive
-search, and builds each one-wire block from its BLOCK_TABLE row, once per
-process and only when first asked; `calibrate_unit_cell` views the catalog.
+Its bridge placement and per-operation angle schedules are data: one row per
+catalog cell in `_CATALOG` and per one-wire block in BLOCK_TABLE. `group_entry`
+builds an entry from its row, once per process and only when first asked, and
+checks it on every outcome branch as it builds it; a test derives each catalog
+row by exhaustive search. `calibrate_unit_cell` views the catalog.
 
 `branch_frames` is the one model of a gate group's word: it multiplies out
 the group's rounds on every outcome branch, checks each word is Pauli * target
@@ -129,9 +130,6 @@ def stabilizer_expectation(resource: ResourceState, vertex: int) -> float:
 # Gate-group entries: one-wire blocks and calibrated unit cells
 # --------------------------------------------------------------------------
 
-# Angle grids the searches scan (indices k with theta = k*pi/4).
-SEARCH_ANGLES = (0, 2, 7, 1)
-CLIFFORD_ANGLES = (0, 2)
 ROUNDS_PER_CELL = 3
 
 
@@ -235,44 +233,6 @@ def make_entry(name, w0, w1, bridge, target) -> CellEntry:
     return CellEntry(name, w0, w1, bridge, target, frames)
 
 
-def _constant_schedules(grid):
-    for base in itertools.product(grid, repeat=ROUNDS_PER_CELL):
-        yield WireSchedule(base)
-
-
-def _adaptive_schedules(grid):
-    for k1, k2 in itertools.product(grid, repeat=2):
-        for c0, c1 in itertools.product(grid, repeat=2):
-            if c0 != c1:
-                yield WireSchedule((k1, k2, c0), adapt3=(c0, c1))
-
-
-def _search_single_wire(name, target2: np.ndarray):
-    """The entry of the first wire-0 schedule whose every branch word is
-    Pauli * target2, with wire 1 idle on IxI's schedule, or None."""
-    candidates = itertools.chain(
-        _constant_schedules(SEARCH_ANGLES), _adaptive_schedules(SEARCH_ANGLES)
-    )
-    for sched in candidates:
-        if branch_frames(sched, None, None, target2) is not None:
-            idle = sched if name == "IxI" else group_entry("IxI").wire0
-            return make_entry(name, sched, idle, None, qsim.kron(_I2, target2))
-    return None
-
-
-def _search_entangling(name, target4: np.ndarray):
-    """The entry of the first (bridge, w0, w1) realizing target4 on every
-    branch, or None. The two Clifford angles suffice for both entangling
-    entries: no cross-wire adaptation is needed for branch determinism."""
-    schedules = list(_constant_schedules(CLIFFORD_ANGLES))
-    for bridge in itertools.product(range(ROUNDS_PER_CELL + 1), repeat=2):
-        for w0, w1 in itertools.product(schedules, repeat=2):
-            frames = branch_frames(w0, w1, bridge, target4)
-            if frames is not None:
-                return CellEntry(name, w0, w1, bridge, target4, frames)
-    return None
-
-
 _I2 = np.eye(2, dtype=complex)
 _H2 = qsim.H.entries
 
@@ -291,17 +251,22 @@ BLOCK_TABLE = {
     "Z": ((), None, qsim.Z.entries),
 }
 
-# Catalog references; "A x I" means A acts on wire 0 (the 4x4 low index bit).
-_CATALOG_SINGLE = {
-    "IxI": _I2,
-    "SHxI": qsim.S.entries @ _H2,
-    "STHxI": qsim.S.entries @ qsim.T.entries @ _H2,
-    "STDGHxI": qsim.S.entries @ qsim.TDG.entries @ _H2,
-    "HxI": _H2,
-}
-_CATALOG_ENTANGLING = {
-    "CZCNOT": _CZ4 @ qsim.CNOT.entries,  # the CNOT's control is wire 0
-    "CZ": _CZ4,
+# The unit-cell catalog, each row in make_entry's argument order: wire-0 and
+# wire-1 schedules, bridge anchors and target. "A x I" means A acts on wire 0
+# (the 4x4 low index bit), as does CZCNOT's control; a one-wire cell idles
+# wire 1 on IxI's schedule. Each row is the first hit of a fixed search that
+# a test re-runs, and group_entry checks it on every branch when it builds it.
+_IDLE = WireSchedule((2, 2, 2))
+_CATALOG = {
+    "IxI": (_IDLE, _IDLE, None, qsim.kron(_I2, _I2)),
+    "SHxI": (WireSchedule((0, 0, 2)), _IDLE, None, qsim.kron(_I2, qsim.S.entries @ _H2)),
+    "STHxI": (WireSchedule((7, 0, 2), (2, 0)), _IDLE, None,
+              qsim.kron(_I2, qsim.S.entries @ qsim.T.entries @ _H2)),
+    "STDGHxI": (WireSchedule((7, 0, 0), (0, 2)), _IDLE, None,
+                qsim.kron(_I2, qsim.S.entries @ qsim.TDG.entries @ _H2)),
+    "HxI": (WireSchedule((0, 0, 0)), _IDLE, None, qsim.kron(_I2, _H2)),
+    "CZCNOT": (WireSchedule((2, 2, 0)), _IDLE, (0, 2), _CZ4 @ qsim.CNOT.entries),
+    "CZ": (_IDLE, _IDLE, (0, 0), _CZ4),
 }
 
 _ENTRIES = {}  # name -> CellEntry, each built by group_entry on first use
@@ -309,27 +274,23 @@ _ENTRIES = {}  # name -> CellEntry, each built by group_entry on first use
 
 def group_entry(name) -> CellEntry:
     """The gate group `name` with its branch-frame table: a BLOCK_TABLE
-    block, or a catalog cell found by search. Built once, on first use;
-    CalibrationError if a block misses its gate or a search finds nothing."""
+    block or a _CATALOG cell. Built once, on first use; CalibrationError if
+    some branch misses the row's target."""
     entry = _ENTRIES.get(name)
     if entry is None:
         if name in BLOCK_TABLE:
             base, adapt3, target = BLOCK_TABLE[name]
             entry = make_entry(name, WireSchedule(base, adapt3), None, None, target)
-        elif name in _CATALOG_SINGLE:
-            entry = _search_single_wire(name, _CATALOG_SINGLE[name])
         else:
-            entry = _search_entangling(name, _CATALOG_ENTANGLING[name])
-        if entry is None:
-            raise CalibrationError(f"no schedule realizes {name}")
+            entry = make_entry(name, *_CATALOG[name])
         _ENTRIES[name] = entry
     return entry
 
 
 def calibrate_unit_cell() -> UnitCellCalibration:
-    """Every catalog entry (from group_entry, so each is searched at most
-    once per process) and the entangling cell's bridge placement."""
-    entries = {name: group_entry(name) for name in (*_CATALOG_SINGLE, *_CATALOG_ENTANGLING)}
+    """Every catalog entry (from group_entry, so each is built and checked
+    at most once per process) and the entangling cell's bridge placement."""
+    entries = {name: group_entry(name) for name in _CATALOG}
     return UnitCellCalibration(bridge=entries["CZCNOT"].bridge, entries=entries)
 
 

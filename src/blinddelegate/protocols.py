@@ -70,11 +70,13 @@ class _MessageFields(NamedTuple):
 
 class Message(_MessageFields):
     """One protocol message, checked on construction: an immutable tuple of
-    (round, direction, kind, payload)."""
+    (round, direction, kind, payload); the round is an int >= 0."""
 
     __slots__ = ()
 
     def __new__(cls, round, direction, kind, payload=None):
+        if type(round) is not int or round < 0:
+            raise ValueError(f"message round must be an int >= 0, not {round!r}")
         try:
             valid = (direction, kind, type(payload), payload) in _VALID_MESSAGES
         except TypeError:  # an unhashable payload

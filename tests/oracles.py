@@ -4,8 +4,12 @@ An oracle computes a quantity the direct way, with no shared code path, so
 a test can check the package's faster route against it.
 """
 
+import functools
+import itertools
+
 import numpy as np
 
+from blinddelegate import graphs, qsim
 from blinddelegate.errors import FormatError
 from blinddelegate.protocols import Message
 from blinddelegate.qsim import DensityMatrix, StateVector
@@ -81,3 +85,72 @@ def parse_transcript(text: str):
         except (KeyError, ValueError) as exc:
             raise FormatError(f"malformed transcript line: {ln!r}") from exc
     return header, messages
+
+
+# The unit-cell catalog's gates in catalog order: a 2x2 gate acts on wire 0
+# of a one-wire cell, a 4x4 one (wire 0 the low index bit) on both wires.
+_H, _S = qsim.H.entries, qsim.S.entries
+_CATALOG_GATES = {
+    "IxI": np.eye(2, dtype=complex),
+    "SHxI": _S @ _H,
+    "STHxI": _S @ qsim.T.entries @ _H,
+    "STDGHxI": _S @ qsim.TDG.entries @ _H,
+    "HxI": _H,
+    "CZCNOT": qsim.CZ.entries @ qsim.CNOT.entries,  # the CNOT's control is wire 0
+    "CZ": qsim.CZ.entries,
+}
+# Angle grids of the search (indices k with theta = k*pi/4): one for the
+# one-wire cells, and the two Clifford angles for the entangling cells, which
+# need no cross-wire adaptation to be the same gate on every branch.
+_SEARCH_ANGLES = (0, 2, 7, 1)
+_CLIFFORD_ANGLES = (0, 2)
+
+
+def _constant_schedules(grid):
+    for base in itertools.product(grid, repeat=graphs.ROUNDS_PER_CELL):
+        yield graphs.WireSchedule(base)
+
+
+def _adaptive_schedules(grid):
+    for k1, k2 in itertools.product(grid, repeat=2):
+        for c0, c1 in itertools.product(grid, repeat=2):
+            if c0 != c1:
+                yield graphs.WireSchedule((k1, k2, c0), adapt3=(c0, c1))
+
+
+def _search_single_wire(gate):
+    """The first wire-0 schedule, constant ones before adaptive ones, whose
+    every branch word is Pauli * gate, or None."""
+    for sched in itertools.chain(
+            _constant_schedules(_SEARCH_ANGLES), _adaptive_schedules(_SEARCH_ANGLES)):
+        if graphs.branch_frames(sched, None, None, gate) is not None:
+            return sched
+    return None
+
+
+def _search_entangling(gate):
+    """(wire 0, wire 1, bridge) of the first bridge, then schedule pair, whose
+    every branch word is Pauli * gate, over constant schedules on the two
+    Clifford angles; three Nones if there is none."""
+    schedules = list(_constant_schedules(_CLIFFORD_ANGLES))
+    for bridge in itertools.product(range(graphs.ROUNDS_PER_CELL + 1), repeat=2):
+        for w0, w1 in itertools.product(schedules, repeat=2):
+            if graphs.branch_frames(w0, w1, bridge, gate) is not None:
+                return w0, w1, bridge
+    return None, None, None
+
+
+@functools.cache
+def searched_catalog() -> dict:
+    """{name: (wire 0, wire 1, bridge, target)} for each catalog cell, in
+    catalog order: make_entry's arguments for the search's first hit. A
+    one-wire cell idles wire 1 on IxI's schedule, IxI on its own."""
+    rows = {}
+    for name, gate in _CATALOG_GATES.items():
+        if gate.shape == (2, 2):
+            w0 = _search_single_wire(gate)
+            idle = w0 if name == "IxI" else rows["IxI"][0]
+            rows[name] = (w0, idle, None, np.kron(np.eye(2), gate))
+        else:
+            rows[name] = (*_search_entangling(gate), gate)
+    return rows

@@ -133,6 +133,33 @@ def test_report_header_is_the_transcript_header(tmp_path, protocol, loss):
     assert report[0] == transcript[0] == f"run protocol={protocol} seed=5 loss={loss}"
 
 
+def test_run_header_names_the_adversary_and_countermeasure_only_when_set(tmp_path):
+    # On this circuit at loss 0.3 the loss device's run delivers exactly as the
+    # honest one, so only the header can tell the two runs apart.
+    circuit = _circuit(tmp_path, "H 0\nCNOT 0 1\nT 1\n")
+    device = ["--adversary", "loss-device"]
+    runs = {"honest": [], "device": device, "masked": ["--countermeasure"],
+            "both": [*device, "--countermeasure"]}
+    texts = {}
+    for name, flags in runs.items():
+        argv = ["run", "--protocol", "2", "--circuit", circuit, "--loss", "0.3",
+                "--seed", "0", "--outdir", str(tmp_path / name), *flags]
+        assert cli.main(argv) == 0
+        texts[name] = (tmp_path / name / "transcript.txt").read_text()
+        report = (tmp_path / name / "report.txt").read_text()
+        assert report.partition("\n")[0] == texts[name].partition("\n")[0]
+    headers = {name: parse_transcript(text)[0] for name, text in texts.items()}
+    honest = {"protocol": "2", "seed": "0", "loss": "0.3"}
+    assert headers == {
+        "honest": honest,
+        "device": {**honest, "adversary": "loss-device"},
+        "masked": {**honest, "countermeasure": "on"},
+        "both": {**honest, "adversary": "loss-device", "countermeasure": "on"},
+    }
+    assert texts["honest"] != texts["device"]
+    assert texts["honest"].partition("\n")[2] == texts["device"].partition("\n")[2]
+
+
 def test_missing_circuit_file(tmp_path):
     code = cli.main(
         ["run", "--protocol", "2", "--circuit", str(tmp_path / "nope.txt"),

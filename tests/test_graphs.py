@@ -5,6 +5,7 @@ import pytest
 
 from blinddelegate import graphs, pauli, protocols, qsim
 from blinddelegate.errors import CalibrationError, CapacityError
+from oracles import searched_catalog
 
 
 def test_graph_spec_validation():
@@ -141,38 +142,27 @@ def test_tampered_state_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Calibration: the searched schedules are frozen here as an oracle. Any change
-# to the search order or the cell conventions must be deliberate.
+# Calibration: the catalog is a literal table, and each row must be the first
+# hit of the exhaustive search in oracles.searched_catalog. Any change to the
+# rows, the search order or the cell conventions must be deliberate.
 # ---------------------------------------------------------------------------
 
-FROZEN_SINGLE = {
-    "IxI": ((2, 2, 2), None),
-    "HxI": ((0, 0, 0), None),
-    "SHxI": ((0, 0, 2), None),
-    "STHxI": ((7, 0, 2), (2, 0)),
-    "STDGHxI": ((7, 0, 0), (0, 2)),
-}
 
-FROZEN_ENTANGLING = {
-    "CZ": ((0, 0), (2, 2, 2), (2, 2, 2)),
-    "CZCNOT": ((0, 2), (2, 2, 0), (2, 2, 2)),
-}
+def test_catalog_rows_are_the_search_first_hits():
+    searched = searched_catalog()
+    assert list(graphs._CATALOG) == list(searched)
+    for name, (w0, w1, bridge, target) in graphs._CATALOG.items():
+        assert (w0, w1, bridge) == searched[name][:3], name
+        assert np.array_equal(target, searched[name][3]), name
 
 
 def test_calibration_frozen_values():
     cal = graphs.calibrate_unit_cell()
     assert cal.bridge == (0, 2)
-    for name, (base, adapt3) in FROZEN_SINGLE.items():
+    assert list(cal.entries) == list(searched_catalog())
+    for name, (w0, w1, bridge, _) in searched_catalog().items():
         entry = cal.entries[name]
-        assert entry.wire0.base == base, name
-        assert entry.wire0.adapt3 == adapt3, name
-        assert entry.wire1.base == (2, 2, 2) and entry.wire1.adapt3 is None
-        assert entry.bridge is None
-    for name, (bridge, base0, base1) in FROZEN_ENTANGLING.items():
-        entry = cal.entries[name]
-        assert entry.bridge == bridge, name
-        assert entry.wire0.base == base0 and entry.wire0.adapt3 is None
-        assert entry.wire1.base == base1 and entry.wire1.adapt3 is None
+        assert (entry.wire0, entry.wire1, entry.bridge) == (w0, w1, bridge), name
 
 
 def test_calibration_targets_match_catalog():
@@ -280,17 +270,11 @@ def test_every_entry_is_branch_deterministic():
 
 
 def test_group_entries_are_built_only_where_used(monkeypatch):
-    """Blocks never search; a CNOT searches its two cells and no other; a
-    tiling builds only the entangling cell; calibration reuses built entries."""
+    """A one-wire program builds only its blocks; a CNOT adds its two cells
+    and no other; a tiling builds only the entangling cell; calibration
+    reuses built entries."""
     monkeypatch.setattr(graphs, "_ENTRIES", {})
-
-    def refuse(*args):
-        raise AssertionError("a one-wire program searched the catalog")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(graphs, "_search_single_wire", refuse)
-        patch.setattr(graphs, "_search_entangling", refuse)
-        protocols.compile_circuit(protocols.parse_circuit("H 0\nT 0\nS 0"))
+    protocols.compile_circuit(protocols.parse_circuit("H 0\nT 0\nS 0"))
     assert set(graphs._ENTRIES) == {"H", "TH", "S"}
     protocols.compile_circuit(protocols.parse_circuit("CNOT 0 1"))
     assert set(graphs._ENTRIES) == {"H", "TH", "S", "CZCNOT", "CZ"}
@@ -304,14 +288,16 @@ def test_group_entries_are_built_only_where_used(monkeypatch):
     assert set(graphs._ENTRIES) == {"CZCNOT"}
 
 
-@pytest.mark.parametrize("catalog,name,target", [
-    ("_CATALOG_SINGLE", "HxI", qsim.T.entries),
-    ("_CATALOG_ENTANGLING", "CZ", np.eye(4, dtype=complex)[[0, 2, 1, 3]]),  # SWAP
-])
-def test_group_entry_raises_when_the_search_finds_nothing(monkeypatch, catalog, name, target):
+@pytest.mark.parametrize("name,target", [
+    ("HxI", np.kron(np.eye(2), qsim.T.entries)),
+    ("CZ", np.eye(4, dtype=complex)[[0, 2, 1, 3]]),  # SWAP
+], ids=["HxI-T", "CZ-SWAP"])
+def test_group_entry_raises_on_a_catalog_row_off_target(monkeypatch, name, target):
+    """A catalog row whose schedules miss its target on some branch is
+    refused where the cell is built, and no entry is kept for it."""
     monkeypatch.setattr(graphs, "_ENTRIES", {})
-    monkeypatch.setitem(getattr(graphs, catalog), name, target)
-    with pytest.raises(CalibrationError, match=f"no schedule realizes {name}$"):
+    monkeypatch.setitem(graphs._CATALOG, name, (*graphs._CATALOG[name][:3], target))
+    with pytest.raises(CalibrationError, match="is not Pauli \\* target on every branch"):
         graphs.group_entry(name)
     assert name not in graphs._ENTRIES
 

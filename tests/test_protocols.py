@@ -45,6 +45,15 @@ def test_message_payload_rules():
         Message(1, "A2B", "ARRIVED", 0)
 
 
+@pytest.mark.parametrize("round_", [1.5, -3, "x", True, None])
+def test_message_round_is_an_int_at_least_zero(round_):
+    # True equals 1, but a round is the int; the cached form checks the same.
+    for make in (Message, protocols._message):
+        with pytest.raises(ValueError, match="round must be an int >= 0"):
+            make(round_, "B2A", "QUBIT_SENT")
+    assert Message(0, "A2B", "DONE").round == 0  # a zero-round program's one message
+
+
 def test_message_is_an_immutable_record():
     msg = Message(3, "B2A", "X_RESULT", 1)
     assert (msg.round, msg.direction, msg.kind, msg.payload) == (3, "B2A", "X_RESULT", 1)
