@@ -27,17 +27,22 @@ class BobView:
     marginal: DensityMatrix
 
 
+def _close(a, b) -> bool:
+    """np.allclose(a, b, atol=1e-12)'s test on finite entries; NaN fails."""
+    return bool((abs(a - b) <= 1e-12 + 1e-5 * abs(b)).all())
+
+
 class Povm:
     """A finite set of PSD elements summing to the identity, held as one
-    (n, d, d) array (a list of d x d elements is stacked). Completeness,
-    Hermiticity and positivity are each checked once over the whole stack."""
+    (n, d, d) array (a list of d x d elements is stacked). Completeness and
+    Hermiticity are each one _close test over the stack, |a - b| <= 1e-12 +
+    1e-5 |b| entry by entry; positivity is one eigvalsh, none below -1e-10."""
 
     def __init__(self, elements):
         self.elements = np.asarray(elements, dtype=complex)
-        dim = self.elements.shape[-1]
-        if not np.allclose(self.elements.sum(axis=0), np.eye(dim), atol=1e-12):
+        if not _close(self.elements.sum(axis=0), np.eye(self.elements.shape[-1])):
             raise ValueError("POVM elements must sum to the identity")
-        if not np.allclose(self.elements, self.elements.conj().transpose(0, 2, 1), atol=1e-12):
+        if not _close(self.elements, self.elements.conj().transpose(0, 2, 1)):
             raise ValueError("POVM elements must be Hermitian")
         if np.linalg.eigvalsh(self.elements).min() < -1e-10:
             raise ValueError("POVM elements must be positive semidefinite")
@@ -120,6 +125,12 @@ def _round_views():
     return views
 
 
+@functools.cache
+def _round_view_distances(views):
+    """[ki][kj]: the Frobenius distance of `views` (_round_views()) at ki, kj."""
+    return tuple(tuple(qsim.frobenius_distance(a, b) for b in views) for a in views)
+
+
 def bob_view_protocol2_round(theta: Angle) -> DensityMatrix:
     """The server-side pair half after the client's rotated measurement,
     averaged over her (unsent) outcome: _pair_views of the Bell pair's table
@@ -138,9 +149,8 @@ def m_string_distribution(program, input_state) -> dict:
     walk of the outcome tree (protocols.walk_protocol2), summed by string."""
     dist = {}
     for m_bits, prob in protocols.walk_protocol2(program, input_state):
-        key = "".join(map(str, m_bits))
-        dist[key] = dist.get(key, 0.0) + prob
-    return dist
+        dist[m_bits] = dist.get(m_bits, 0.0) + prob
+    return {"".join(map(str, m_bits)): prob for m_bits, prob in dist.items()}
 
 
 def biases_from_distribution(dist: dict, num_rounds: int):
@@ -221,6 +231,8 @@ def certify_protocol1(secrets, joint=None, n_povms: int = 4,
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     secrets = [[a if isinstance(a, Angle) else Angle(a) for a in s] for s in secrets]
+    if len(secrets) < 2:  # a certificate that compares nothing could not fail
+        raise ValueError(f"certification needs two or more secrets, got {len(secrets)}")
     width = len(secrets[0])
     if any(len(s) != width for s in secrets):
         raise ValueError("all secrets must measure the same number of qubits")
@@ -251,6 +263,8 @@ def certify_protocol2(secrets, n_povms: int = 4, rng=None) -> BlindnessReport:
     delivery counts (one per round), which the padding keeps equal.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
+    if len(secrets) < 2:
+        raise ValueError(f"certification needs two or more secrets, got {len(secrets)}")
     programs = [protocols.compile_circuit(s) for s in secrets]
     wires = max(p.num_wires for p in programs)
     rounds = max(p.num_rounds for p in programs)
@@ -264,6 +278,7 @@ def certify_protocol2(secrets, n_povms: int = 4, rng=None) -> BlindnessReport:
                     for prog in programs]
     views = {k: bob_view_protocol2_round(k)
              for per_round in round_angles for ks in per_round for k in ks}
+    distances = _round_view_distances(_round_views())
     m_dists = [m_string_distribution(p, input_state) for p in programs]
     povms = [random_povm(2, 4, rng) for _ in range(n_povms)]
     # Each POVM's outcome vector, once per distinct view.
@@ -278,8 +293,7 @@ def certify_protocol2(secrets, n_povms: int = 4, rng=None) -> BlindnessReport:
         # Every pair of angles the two secrets can send in one round.
         compared = {(ki, kj) for per_i, per_j in zip(round_angles[i], round_angles[j])
                     for ki in per_i for kj in per_j}
-        dev = max((qsim.frobenius_distance(views[ki], views[kj]) for ki, kj in compared),
-                  default=0.0)
+        dev = max((distances[ki][kj] for ki, kj in compared), default=0.0)
         report.add("p2-round-view", (i, j), dev)
 
         keys = sorted(set(m_dists[i]) | set(m_dists[j]))

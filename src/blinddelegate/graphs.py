@@ -121,7 +121,8 @@ def stabilizer_expectation(resource: ResourceState, vertex: int) -> float:
     amplitudes exactly, so the value equals the vdot of the dense X/Z chain."""
     if not 0 <= vertex < resource.graph.num_vertices:
         raise IndexError(f"vertex {vertex} out of range")
-    moved = qsim.apply_pauli(resource.state, 1 << vertex, resource.graph.neighbors(vertex))
+    neighbors = resource.graph._adjacency.get(vertex, ())  # read, not copied
+    moved = qsim.apply_pauli(resource.state, 1 << vertex, neighbors)
     value = np.vdot(resource.state.amplitudes, moved.amplitudes)
     return float(value.real)
 

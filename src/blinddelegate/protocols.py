@@ -474,9 +474,10 @@ def _step(level, event, pick, pairs=None):
         group = event[1]
         positions = [r - 1 for r in group.rounds]
         for node in nodes:
-            folds = group.entry.frames[tuple(node.m_bits[p] for p in positions)]
+            folds = group.entry.frames[tuple([node.m_bits[p] for p in positions])]
             for w, f in zip(group.wires, folds):
-                node.frames[w] = node.frames[w].compose(f)
+                g = node.frames[w]  # composed: the XOR of the two frames' bits
+                node.frames[w] = pauli.ALL_FRAMES[(g.x ^ f.x) | (g.z ^ f.z) << 1]
         return level
     if kind == "teleport":
         # The server teleports the vertex to the client through a fresh pair
@@ -593,8 +594,8 @@ def _round(level, plan, pick, pairs):
     for i, m_bit, p_m in zip(m_of, m, pm):
         parent = a_of[i]
         node = nodes[parent]
-        frames = list(node.frames)
-        frames[plan.wire] = RoundPlan.frame_update(frames[plan.wire], a[i], m_bit)
+        frames, f = list(node.frames), node.frames[plan.wire]  # updated as RoundPlan.frame_update
+        frames[plan.wire] = pauli.ALL_FRAMES[(m_bit ^ f.z) | (a[i] ^ f.x) << 1]
         # pa * pm first: certificates print noise-level sums of these products.
         children.append(_Node(frames, node.m_bits + (m_bit,), node.prob * (pa[i] * p_m),
                               commands[parent]))

@@ -15,6 +15,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,10 @@ class Angle:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", self.k % 8)
+        try:  # True and np.int64 become an int
+            object.__setattr__(self, "k", operator.index(self.k) % 8)
+        except TypeError:
+            raise TypeError(f"angle index {self.k!r} is not an integer") from None
 
     @property
     def radians(self) -> float:
@@ -115,8 +119,8 @@ class StateVector:
 class DensityMatrix:
     def __init__(self, entries, check: bool = True):
         m = np.asarray(entries, dtype=complex)
-        n = int(np.log2(m.shape[0]))
-        if m.shape != (2**n, 2**n):
+        n = (m.shape[0] if m.ndim == 2 else 0).bit_length() - 1
+        if n < 0 or m.shape != (2**n, 2**n):
             raise ValueError("density matrix must be square with power-of-two size")
         if check:
             if np.abs(m - m.conj().T).max() > MATRIX_TOL:
@@ -236,6 +240,7 @@ _SIGNS = np.ones((1, 1))
 for _ in range(6):
     _SIGNS = np.block([[_SIGNS, _SIGNS], [_SIGNS, -_SIGNS]])
 _ROW_QUBITS = 11
+_BLOCK_X_QUBITS = 5
 
 
 def apply_pauli(state: StateVector, x_mask: int, z_qubits) -> StateVector:
@@ -244,12 +249,13 @@ def apply_pauli(state: StateVector, x_mask: int, z_qubits) -> StateVector:
 
     Amplitude i is amplitude i ^ x_mask of the input, negated when the
     `z_qubits` bits of i ^ x_mask have odd parity. One index gather moves the
-    amplitudes; the signs go onto the float64 view, where double 2i is the real
-    part of amplitude i and 2i + 1 its imaginary part. Z qubits below
-    _ROW_QUBITS multiply every run of 2^12 doubles by one +-1 row; each higher
-    one negates the half of the doubles it selects, in runs of 2^12 or more.
-    Negating a double and multiplying it by +-1.0 are both exact, so the
-    result equals the dense apply_gate chain bit for bit, signed zeros
+    amplitudes, or for one X bit at qubit _BLOCK_X_QUBITS or up, where it is
+    cheaper, one block copy. The signs go onto the float64 view, where double
+    2i is the real part of amplitude i and 2i + 1 its imaginary part. Z qubits
+    below _ROW_QUBITS multiply every run of 2^12 doubles by one +-1 row; each
+    higher one negates the half of the doubles it selects, in runs of 2^12 or
+    more. Moving, negating a double and multiplying it by +-1.0 are exact, so
+    the result equals the dense apply_gate chain bit for bit, signed zeros
     included. IndexError for a qubit or mask bit outside the register.
     """
     n = state.num_qubits
@@ -259,7 +265,10 @@ def apply_pauli(state: StateVector, x_mask: int, z_qubits) -> StateVector:
             raise IndexError(f"Z qubit {q} out of range for {n} qubits")
     if x_mask < 0 or x_mask >> n:
         raise IndexError(f"X mask {x_mask:#x} out of range for {n} qubits")
-    out = state.amplitudes[_INDEX[: 1 << n] ^ x_mask]
+    if x_mask >> _BLOCK_X_QUBITS and not x_mask & (x_mask - 1):
+        out = state.amplitudes.reshape(-1, 2, x_mask)[:, ::-1].copy().reshape(-1)
+    else:
+        out = state.amplitudes[_INDEX[: 1 << n] ^ x_mask]
     doubles = out.view(np.float64)
     row_bits = 0  # bit q + 1 for each low Z qubit q: the bits of a double's index
     for q in z_qubits:

@@ -27,6 +27,41 @@ def test_povm_must_be_positive():
         Povm([a, np.eye(2) - a])
 
 
+def _povm_with(error_at, error):
+    """A 2x2 three-element POVM, complete and Hermitian, with `error` added at
+    `error_at` of its first element; "sum" keeps the elements Hermitian and
+    moves their sum, "hermitian" moves one off-diagonal entry and takes it
+    back out of the second element, so the sum stays exactly I."""
+    first, second = np.diag([0.5, 0.25]).astype(complex), np.diag([0.25, 0.5]).astype(complex)
+    if error_at == "sum":
+        first[0, 0] += error
+    else:
+        first[0, 1] += error
+        second[0, 1] -= error
+    return np.array([first, second, np.eye(2) / 4])
+
+
+# Off-diagonal errors face atol = 1e-12 alone; a diagonal one of the sum also
+# faces rtol * 1 = 1e-5. A NaN anywhere reaches the sum.
+@pytest.mark.parametrize("error_at, error, rejected_by", [
+    ("hermitian", 0.9e-12, None), ("hermitian", 1.1e-12, "Hermitian"),
+    ("sum", (1e-5 + 1e-12) * (1 - 1e-6), None),
+    ("sum", (1e-5 + 1e-12) * (1 + 1e-6), "identity"),
+    ("sum", np.nan, "identity"), ("hermitian", np.nan, "identity"),
+])
+def test_povm_accepts_exactly_where_allclose_does(error_at, error, rejected_by):
+    elements = _povm_with(error_at, error)
+    pairs = [(elements.sum(axis=0), np.eye(2)), (elements, elements.conj().transpose(0, 2, 1))]
+    for a, b in pairs:
+        assert blindness._close(a, b) == np.allclose(a, b, atol=1e-12)
+    assert all(np.allclose(a, b, atol=1e-12) for a, b in pairs) == (rejected_by is None)
+    if rejected_by is None:
+        Povm(elements)
+    else:
+        with pytest.raises(ValueError, match=rejected_by):
+            Povm(elements)
+
+
 def _pure(psi):
     """|psi><psi| as a DensityMatrix."""
     return qsim.DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
@@ -160,12 +195,12 @@ def _count_calls(monkeypatch, owner, name):
 def test_povm_work_is_one_call_per_stack(monkeypatch):
     rng = _CountingRng(24)
     eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
-    allclose = _count_calls(monkeypatch, np, "allclose")
+    close = _count_calls(monkeypatch, blindness, "_close")
     povm = blindness.random_povm(4, 5, rng)
     assert povm.elements.shape == (5, 4, 4)
-    assert (rng.normal_calls, len(eigvalsh), len(allclose)) == (1, 1, 2)
+    assert (rng.normal_calls, len(eigvalsh), len(close)) == (1, 1, 2)
     Povm(povm.elements)
-    assert (len(eigvalsh), len(allclose)) == (2, 4)
+    assert (len(eigvalsh), len(close)) == (2, 4)
 
 
 def test_bob_view_equals_partial_trace():
@@ -328,6 +363,22 @@ def test_certify_protocol1_honest_passes():
     assert checks == {"p1-marginal", "p1-transcript", "p1-povm"}
     # 3 pairs x (1 marginal + 1 transcript + 2 povms)
     assert len(report.lines) == 12
+
+
+@pytest.mark.parametrize("certify, secrets", [
+    (blindness.certify_protocol1, [(0, 2)]), (blindness.certify_protocol1, []),
+    (blindness.certify_protocol2, [[protocols.Gate("H", (0,))]]),
+    (blindness.certify_protocol2, []),
+], ids=["p1-one", "p1-none", "p2-one", "p2-none"])
+def test_certificate_needs_two_secrets_to_compare(certify, secrets):
+    # With one secret there is no pair to compare, so no line could fail.
+    with pytest.raises(ValueError, match="two or more secrets"):
+        certify(secrets, n_povms=1, rng=default_rng(4))
+
+
+def test_certify_protocol1_rejects_an_angle_off_the_grid():
+    with pytest.raises(TypeError, match="1.5"):
+        blindness.certify_protocol1([(0, 1.5), (0, 2)], n_povms=1, rng=default_rng(4))
 
 
 def test_certify_protocol1_substituted_joint_is_invariant():

@@ -96,6 +96,39 @@ def test_cli_write_is_the_one_place_that_opens_a_file():
     assert found == {"cli": [("_write", "open"), ("_write", "os.open"), ("_run", "open")]}
 
 
+def close_calls(source: str) -> list:
+    """(line, name) for each call of `allclose` or `isclose`, bare or as an
+    attribute such as `np.allclose`, in source order."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("allclose", "isclose"):
+                calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+def test_close_calls_detects_what_it_should():
+    source = (
+        "import numpy as np\n"
+        "from numpy import isclose\n"
+        "ok = np.allclose(a, b, atol=1e-12)\n"
+        "def f(a, b):\n"
+        "    return isclose(a, b).all() and numpy.testing.assert_allclose(a, b)\n"
+        "close = np.abs(a - b) <= 1e-12  # allclose's test, spelled out\n"
+    )
+    assert close_calls(source) == [(3, "allclose"), (5, "isclose")]
+
+
+def test_package_calls_no_generic_closeness_helper():
+    # np.allclose and np.isclose check argument types and broadcast shapes on
+    # every call; a certification path states its tolerance test instead
+    # (blindness._close). Tests keep using them.
+    found = {path.name: close_calls(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 def test_package_source_stays_within_its_line_limit():
     lines = {p.name: p.read_text().count("\n") for p in PACKAGE.glob("*.py")}
     assert sum(lines.values()) <= SOURCE_LINE_LIMIT, lines

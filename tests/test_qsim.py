@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,16 @@ def test_angle_wraps_mod_8():
     assert qsim.Angle(-1).k == 7
     assert (-qsim.Angle(2)).k == 6
     assert qsim.Angle(2).radians == pytest.approx(np.pi / 2)
+
+
+def test_angle_takes_only_integer_indices():
+    for k in (1.5, 2.0, "3", None):
+        with pytest.raises(TypeError, match=repr(k)):
+            qsim.Angle(k)
+    # Anything with __index__ is an integer: it is stored as a plain int.
+    for k, want in ((np.int64(9), 1), (True, 1), (False, 0), (np.uint8(7), 7)):
+        assert type(qsim.Angle(k).k) is int and qsim.Angle(k).k == want
+        assert -qsim.Angle(k) is qsim.ALL_ANGLES[-want % 8]
 
 
 def test_negated_angle_is_the_tabled_instance():
@@ -58,6 +69,16 @@ def test_density_matrix_validation():
         qsim.DensityMatrix(np.eye(2))  # trace 2
     good = qsim.DensityMatrix(np.eye(2) / 2)
     assert good.num_qubits == 1
+
+
+@pytest.mark.parametrize("entries", [np.zeros((0, 0)), np.array(1.0), np.ones(4) / 4,
+                                     np.eye(3) / 3, np.zeros((2, 4)), np.zeros((2, 2, 2))],
+                         ids=["0x0", "scalar", "1-D", "3x3", "2x4", "3-D"])
+def test_density_matrix_rejects_a_malformed_shape(entries):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no log2 warning on the way
+        with pytest.raises(ValueError, match="square with power-of-two size"):
+            qsim.DensityMatrix(entries)
 
 
 def test_apply_gate_matches_expanded_matrix():
@@ -258,6 +279,24 @@ def test_apply_pauli_equals_the_per_element_oracle_bit_for_bit(n):
             assert np.array_equal(
                 np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
             ), (x_mask, z_qubits, part)
+
+
+@pytest.mark.parametrize("n", range(1, qsim.CAPACITY + 1))
+def test_apply_pauli_moves_every_single_x_bit_bit_for_bit(n):
+    # Below qubit _BLOCK_X_QUBITS the X bit moves by the index gather, from it
+    # up by the block copy; either way each output double must carry the
+    # oracle's bits (signed zeros included) and the input must not change.
+    rng = np.random.default_rng(900 + n)
+    psi = _with_signed_zeros(n, rng)
+    before = psi.amplitudes.copy()
+    low = [q for q in range(n) if q < qsim._ROW_QUBITS]
+    high = [q for q in range(n) if q >= qsim._ROW_QUBITS]
+    for v in range(n):
+        for z_qubits in ([], low[v % 2::2], low[::3] + high, [v]):
+            got = qsim.apply_pauli(psi, 1 << v, z_qubits).amplitudes
+            want = signed_permutation(psi.amplitudes, 1 << v, z_qubits)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (v, z_qubits)
+    assert np.array_equal(psi.amplitudes.view(np.uint64), before.view(np.uint64))
 
 
 def test_apply_pauli_rejects_bits_outside_the_register():
