@@ -69,6 +69,8 @@ def parse_config(argv) -> argparse.Namespace:
             config.seed = int(os.environ[ENV_SEED])
         except ValueError as exc:
             raise ConfigError(f"{ENV_SEED} must be an integer") from exc
+    if getattr(config, "seed", 0) < 0:
+        raise ConfigError(f"{ENV_SEED if os.environ.get(ENV_SEED) else '--seed'} must be >= 0")
     if config.command in ("run", "attack") and not 0.0 <= config.loss <= 1.0:
         raise ConfigError("loss must lie in [0, 1]")
     if config.command == "run" and config.protocol != "2" and (

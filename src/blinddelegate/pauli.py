@@ -31,9 +31,6 @@ class PauliFrame:
         object.__setattr__(self, "x", int(self.x) % 2)
         object.__setattr__(self, "z", int(self.z) % 2)
 
-    def compose(self, other: "PauliFrame") -> "PauliFrame":
-        return frame(self.x ^ other.x, self.z ^ other.z)
-
     @property
     def matrix(self) -> np.ndarray:
         m = np.eye(2, dtype=complex)

@@ -141,12 +141,6 @@ class RoundPlan:
         want = self.want_angle(m_bits)
         return -want if frame.z else want
 
-    @staticmethod
-    def frame_update(frame: PauliFrame, a: int, m: int) -> PauliFrame:
-        # Round byproduct: Z^a lands on the fresh qubit, X^m H shuffles the old
-        # frame; net effect (x, z) -> (m + z, a + x), as pauli.frame's lookup.
-        return pauli.ALL_FRAMES[(m ^ frame.z) | (a ^ frame.x) << 1]
-
 
 @dataclass(frozen=True)
 class Group:
@@ -373,11 +367,11 @@ def _level(state, labels, frames) -> _Level:
     return _Level(state.amplitudes[None].copy(), list(labels), [_Node(frames)])
 
 
-def _measurement(rng, forced=None):
+def _measurement(rng, forced, count):
     """The pick of a run, which follows one branch per node and measurement:
     pick(p0) is the outcome whose outcome 0 has probability p0, drawn with
     one rng.random() call against p0, or named by the next of the `forced`
-    bits.
+    bits, which must number the run's `count` measurements (ValueError).
 
     The pick goes to qsim.branches, directly for the client's outcome of a
     protocol-2 round and through qsim.measure_stack for every other
@@ -387,12 +381,14 @@ def _measurement(rng, forced=None):
     """
     if forced is None:
         return lambda p0: 0 if rng.random() < p0 else 1
+    forced = list(forced)
+    if len(forced) != count:
+        more = "more" if len(forced) > count else "fewer"
+        raise ValueError(f"{more} forced outcomes than measurements: {len(forced)} for {count}")
     queue = iter(forced)
 
     def pick(p0):
-        want = next(queue, None)
-        if want is None:
-            raise ValueError("fewer forced outcomes than measurements")
+        want = next(queue)
         try:
             bit = operator.index(want)  # True and np.int64 become an int
         except TypeError:
@@ -521,7 +517,8 @@ def _step(level, event, pick, pairs=None):
                                           qsim.ROTATED_BRAS[[c.k for c in commands]])
         children = level.nodes = []
         for i, s, p in zip(of, outcomes, probs):
-            frame = RoundPlan.frame_update(nodes[i].frames[0], 0, s ^ shifts[i][0])
+            f = nodes[i].frames[0]  # (x, z) -> (s ^ mz ^ z, x), as a round with a = 0
+            frame = pauli.ALL_FRAMES[(s ^ shifts[i][0] ^ f.z) | f.x << 1]
             children.append(_Node([frame], nodes[i].m_bits, nodes[i].prob * p, commands[i]))
         return level
 
@@ -587,14 +584,16 @@ def _round(level, plan, pick, pairs):
         a_of, a, pa = qsim.branches([p0[k] for k in ks], pick)
         if len(a_of) > len(nodes):
             level.amps = level.amps[a_of]
-        blocks = maps.take([2 * ks[i] + o for i, o in zip(a_of, a)], axis=0)
+        index = [2 * ks[i] + o for i, o in zip(a_of, a)]
+        blocks = maps[index[0], None] if len(index) == 1 else maps.take(index, axis=0)
         m_of, m, pm = level.fork(pick, wire, blocks)
         level.labels.append(wire)
     children = level.nodes = []
     for i, m_bit, p_m in zip(m_of, m, pm):
         parent = a_of[i]
         node = nodes[parent]
-        frames, f = list(node.frames), node.frames[plan.wire]  # updated as RoundPlan.frame_update
+        # Byproduct: Z^a on the fresh qubit, X^m H on the old frame: (x, z) -> (m ^ z, a ^ x).
+        frames, f = list(node.frames), node.frames[plan.wire]
         frames[plan.wire] = pauli.ALL_FRAMES[(m_bit ^ f.z) | (a[i] ^ f.x) << 1]
         # pa * pm first: certificates print noise-level sums of these products.
         children.append(_Node(frames, node.m_bits + (m_bit,), node.prob * (pa[i] * p_m),
@@ -713,9 +712,13 @@ def run_protocol2(
     if input_state is None and (pair is not None or forced_outcomes is not None):
         raise ValueError("a substituted pair or forced outcomes need a register")
     if forced_outcomes is not None:
-        forced_outcomes = [b for ab in forced_outcomes for b in ab]
+        try:
+            forced_outcomes = [b for a, m in forced_outcomes for b in (a, m)]
+        except (TypeError, ValueError):
+            raise ValueError("forced outcomes must be (a, m) pairs, one per round") from None
     level, result = _run(
-        level, [*program.events, _DONE], _measurement(rng, forced_outcomes),
+        level, [*program.events, _DONE],
+        _measurement(rng, forced_outcomes, 2 * program.num_rounds),
         channel=channel, loss_masking=loss_masking, device=device,
         pairs=None if pair is None else _pair_table(pair.amplitudes),
     )
@@ -770,7 +773,7 @@ def round2_step(register: StateVector, wire_qubit: int, theta: Angle,
     builder = _ProgramBuilder(register.num_qubits)
     builder.raw(wire_qubit, [theta.k])
     program = builder.program
-    pick = _measurement(rng, None if hasattr(rng, "random") else rng)
+    pick = _measurement(rng, None if hasattr(rng, "random") else rng, 2)
     level, result = _run(_start(program, register), program.events, pick, channel=channel)
     (node,) = level.nodes
     # From the identity frame a round leaves the frame (x, z) = (m, a).
@@ -827,7 +830,8 @@ def chain_unitary(plan) -> np.ndarray:
 
 
 def _chain(resource, plan, teleported: bool):
-    """Protocol 1 (or, teleported, tp) as a start node and events.
+    """Protocol 1 (or, teleported, tp) as a start node, events and the number
+    of measurements in a run: one per vertex, plus two per teleport.
 
     Vertex v is delivered in round v + 1; in tp it reaches the client through
     a fresh pair. She measures vertices 0..n-2 at the plan's angles and reads
@@ -849,12 +853,13 @@ def _chain(resource, plan, teleported: bool):
             events.append(("vertex", plan[vertex], teleported))
         else:
             events.append(("readout", vertex, teleported))
-    return _level(resource.state, range(n), [FRAME_I]), events + [_DONE]
+    start = _level(resource.state, range(n), [FRAME_I])
+    return start, events + [_DONE], n * (3 if teleported else 1)
 
 
 def _run_chain(resource, plan, teleported, rng, forced_outcomes, channel=None):
-    start, events = _chain(resource, plan, teleported)
-    level, result = _run(start, events, _measurement(rng, forced_outcomes), channel=channel)
+    start, events, count = _chain(resource, plan, teleported)
+    level, result = _run(start, events, _measurement(rng, forced_outcomes, count), channel=channel)
     result.outcome_bits = list(level.nodes[0].out)
     return result
 
@@ -891,8 +896,7 @@ def enumerate_distribution(runner, resource, plan, *args, num_bits):
     if runner not in (run_protocol1, run_teleport_variant):
         raise ValueError("only the linear-cluster runners can be enumerated")
     teleported = runner is run_teleport_variant
-    start, events = _chain(resource, plan, teleported)
-    measured = resource.graph.num_vertices * (3 if teleported else 1)
+    start, events, measured = _chain(resource, plan, teleported)
     if num_bits != measured:
         raise ValueError(f"a run measures {measured} bits, not {num_bits}")
     dist = {}

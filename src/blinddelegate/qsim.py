@@ -15,6 +15,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -183,13 +184,19 @@ def _rows(view: np.ndarray, axes, count: int) -> np.ndarray:
     Every kernel contracts each node's rows in one BLAS product rather than
     with elementwise slice arithmetic: BLAS fuses multiply-adds, so a
     different formula would move the last bits of seeded results, including
-    the noise-level deviations that certificate reports print. Nodes keep a
-    leading axis and go through np.matmul, which gives each node exactly the
-    floats of its own np.dot; they are never folded into the columns of one
-    product, whose one-column rows take a different BLAS path and round
-    differently (tests/test_qsim.py pins this).
+    the noise-level deviations that certificate reports print. One node (a
+    run's level) goes through np.dot, and its norm through np.vdot; a stack
+    keeps a leading node axis and goes through np.matmul, which gives each
+    node exactly the floats of its own np.dot. Nodes are never folded into
+    the columns of one product, whose one-column rows take a different BLAS
+    path and round differently (tests/test_qsim.py pins this).
     """
     return np.ascontiguousarray(view.transpose(axes)).reshape(len(view), count, -1)
+
+
+def _product(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """matrix @ rows of each node: one node by np.dot, a stack by np.matmul."""
+    return np.dot(matrix, rows[0])[None] if len(rows) == 1 else np.matmul(matrix, rows)
 
 
 def tensor_stack(stack: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -206,7 +213,7 @@ def apply_stack(stack: np.ndarray, gate: GateMatrix, targets) -> np.ndarray:
     if len(targets) == 1:
         # (node, hi, 2, lo) view: axis 2 is the target bit.
         view = stack.reshape(count, -1, 2, 1 << targets[0])
-        out = np.matmul(gate.entries, _rows(view, (0, 2, 1, 3), 2))
+        out = _product(gate.entries, _rows(view, (0, 2, 1, 3), 2))
         out = out.reshape(count, 2, view.shape[1], view.shape[3]).transpose(0, 2, 1, 3)
     else:
         t0, t1 = targets
@@ -219,7 +226,7 @@ def apply_stack(stack: np.ndarray, gate: GateMatrix, targets) -> np.ndarray:
             axes, back = (0, 2, 4, 1, 3, 5), (0, 3, 1, 4, 2, 5)
         else:
             axes, back = (0, 4, 2, 1, 3, 5), (0, 3, 2, 4, 1, 5)
-        out = np.matmul(gate.entries, _rows(view, axes, 4))
+        out = _product(gate.entries, _rows(view, axes, 4))
         out = out.reshape(count, 2, 2, *view.shape[1::2]).transpose(back)
     return out.reshape(count, -1)
 
@@ -364,11 +371,16 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
     probability of each branch (lists), and the stack of its normalized post
     states. The arithmetic is the same for every node and branch: p0 is
     <b0|b0> of branch 0 = block_0 rows, clamped to [0, 1], outcome 1 has
-    1 - p0, and a read-out last qubit (one amplitude) has p0 = |b0|^2.
+    1 - p0, a read-out last qubit (one amplitude) has p0 = |b0|^2, and a
+    branch's post is its rows divided by sqrt(prob). One node (a run's level)
+    takes its products with np.dot and p0 with np.vdot; a stack takes them
+    with np.matmul over the node axis, the same floats node by node.
     """
     count, bras = len(stack), np.asarray(bras)
     if bras.ndim < 4:
         bras = bras[..., None, :]
+    if count == 1:
+        return _measure_node(stack[0], qubit, bras if bras.ndim == 3 else bras[0], pick)
     rows = _rows(stack.reshape(count, -1, 2, 1 << qubit), (0, 2, 1, 3), 2)
     branch0 = np.matmul(bras[..., 0, :, :], rows)
     flat = branch0.reshape(count, 1, -1)
@@ -377,15 +389,25 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
     else:
         p0 = np.matmul(flat.conj(), flat.transpose(0, 2, 1))[:, 0, 0].real.tolist()
     parents, outcomes, probs = branches(p0, pick)
-    if len(parents) == count and outcomes.count(outcomes[0]) == count:
-        # One branch per node, all of one outcome: every run's case.
-        posts = np.matmul(bras[..., 1, :, :], rows) if outcomes[0] else branch0
-        posts = posts.reshape(count, -1)
-    else:
-        branch1 = np.matmul(bras[..., 1, :, :], rows)
-        posts = np.concatenate((branch0, branch1), axis=1).reshape(2 * count, -1)
-        if len(parents) < 2 * count:
-            posts = posts[[2 * b + o for b, o in zip(parents, outcomes)]]
+    branch1 = np.matmul(bras[..., 1, :, :], rows)
+    posts = np.concatenate((branch0, branch1), axis=1).reshape(2 * count, -1)
+    if len(parents) < 2 * count:
+        posts = posts[[2 * b + o for b, o in zip(parents, outcomes)]]
+    return parents, outcomes, probs, posts / np.sqrt(probs)[:, None]
+
+
+def _measure_node(amps, qubit, bras, pick):
+    """measure_stack on the one node whose amplitudes are `amps`, with its
+    (2, r, 2) bras: np.dot on contiguous rows (a strided view rounds apart)
+    and an np.vdot norm, exactly the floats np.matmul gives a stack's node."""
+    rows = np.ascontiguousarray(amps.reshape(-1, 2, 1 << qubit).swapaxes(0, 1)).reshape(2, -1)
+    branch0 = np.dot(bras[0], rows)
+    p0 = abs(branch0[0, 0]) ** 2 if branch0.size == 1 else np.vdot(branch0, branch0).real
+    parents, outcomes, probs = branches([float(p0)], pick)
+    if len(probs) == 1:  # a run's pick, or the one possible outcome
+        post = np.dot(bras[1], rows) if outcomes[0] else branch0
+        return parents, outcomes, probs, (post / math.sqrt(probs[0])).reshape(1, -1)
+    posts = np.array([branch0, np.dot(bras[1], rows)]).reshape(2, -1)
     return parents, outcomes, probs, posts / np.sqrt(probs)[:, None]
 
 

@@ -87,6 +87,22 @@ def test_attack_loss_out_of_range_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: loss must lie in [0, 1]\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--protocol", "2", "--circuit", "c.txt"], ["verify"], ["attack"]])
+def test_negative_seed_is_a_config_error(monkeypatch, tmp_path, capsys, command):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    argv = [*command, "--outdir", str(tmp_path)]
+    assert cli.main([*argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+    monkeypatch.setenv(cli.ENV_SEED, "-5")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {cli.ENV_SEED} must be >= 0\n"
+    # The variable overrides the flag, so a valid one wins over --seed -1.
+    monkeypatch.setenv(cli.ENV_SEED, "0")
+    assert cli.parse_config([*argv, "--seed", "-1"]).seed == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_env_seed_fails_calibrate_too(monkeypatch, tmp_path):
     monkeypatch.setenv(cli.ENV_SEED, "x")
     assert cli.main(["calibrate", "--outdir", str(tmp_path)]) == 2
@@ -307,7 +323,7 @@ def test_verify_unitcell_fails_on_a_flipped_fold(tmp_path, capsys, monkeypatch):
     # one branch (wire 0's fold there gains an X) fails its unit-cell line.
     entry = graphs.group_entry("HxI")
     bits, folds = next(iter(entry.frames.items()))
-    flipped = {**entry.frames, bits: (folds[0].compose(pauli.PauliFrame(1, 0)), *folds[1:])}
+    flipped = {**entry.frames, bits: (pauli.frame(folds[0].x ^ 1, folds[0].z), *folds[1:])}
     monkeypatch.setitem(graphs._ENTRIES, "HxI", dataclasses.replace(entry, frames=flipped))
     assert cli.main(["verify", "--checks", "unitcell", "--outdir", str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()

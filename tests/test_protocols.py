@@ -15,7 +15,7 @@ from blinddelegate.errors import (
     FormatError,
     RetryLimitError,
 )
-from blinddelegate.pauli import FRAME_I, PauliFrame, match_frames
+from blinddelegate.pauli import FRAME_I, match_frames
 from blinddelegate.protocols import ChannelModel, Gate, Message
 from oracles import parse_transcript
 
@@ -216,7 +216,7 @@ def _one_map_round(psi, wire, k, pair, forced=None):
     n = psi.num_qubits
     plan = protocols.RoundPlan(wire, 1, (qsim.Angle(k), qsim.Angle(k)))
     level = protocols._start(protocols.AngleProgram(n), psi)
-    pick = None if forced is None else protocols._measurement(None, forced)
+    pick = None if forced is None else protocols._measurement(None, forced, 2)
     level = protocols._step(level, ("round", plan), pick, protocols._pair_table(pair.amplitudes))
     assert len(level.labels) == n
     out = {}
@@ -583,6 +583,33 @@ def test_forced_outcomes_must_cover_every_measurement():
         protocols.round2_step(qsim.plus_state(1), 0, qsim.Angle(0), ChannelModel(0.0), [0])
 
 
+def test_forced_outcomes_must_be_exactly_the_run_measurements():
+    program = protocols.compile_circuit(protocols.parse_circuit("H 0"))
+    psi, channel = qsim.plus_state(1), ChannelModel(0.0)
+    pairs = [(0, 0)] * program.num_rounds
+    protocols.run_protocol2(program, psi, channel, forced_outcomes=pairs)
+    # Each round takes one (a, m) pair, and no bit may be left over.
+    for bad in ([(0, 0, 1)] * program.num_rounds, [(0, 0, 1)] * 3, [0] * program.num_rounds,
+                [*pairs[:-1], (0,)]):
+        with pytest.raises(ValueError, match=r"\(a, m\) pairs"):
+            protocols.run_protocol2(program, psi, channel, forced_outcomes=bad)
+    with pytest.raises(ValueError, match="more forced outcomes than measurements"):
+        protocols.run_protocol2(program, psi, channel, forced_outcomes=[(0, 0)] * 10)
+    plan = protocols.circuit_to_chain(protocols.parse_circuit("H 0"))
+    resource = graphs.build_graph_state(graphs.linear_cluster(2))
+    assert protocols.run_protocol1(resource, plan, forced_outcomes=[0, 0]).outcome_bits == [0]
+    with pytest.raises(ValueError, match="more forced outcomes than measurements: 5 for 2"):
+        protocols.run_protocol1(resource, plan, forced_outcomes=[0, 0, 1, 1, 1])
+    protocols.run_teleport_variant(resource, plan, channel, forced_outcomes=[0] * 6)
+    with pytest.raises(ValueError, match="more forced outcomes than measurements: 20 for 6"):
+        protocols.run_teleport_variant(resource, plan, channel, forced_outcomes=[0] * 20)
+    # round2_step takes its forced [a, m] as the list of a run's two bits.
+    a, m, _, _ = protocols.round2_step(psi, 0, qsim.Angle(0), channel, [1, 0])
+    assert (a, m) == (1, 0)
+    with pytest.raises(ValueError, match="more forced outcomes"):
+        protocols.round2_step(psi, 0, qsim.Angle(0), channel, [1, 0, 0])
+
+
 def _leaf_rerun_distribution(runner, *args, num_bits, **kwargs):
     """Reference enumeration: one full forced run per outcome bit string."""
     dist = {}
@@ -741,15 +768,15 @@ def _reference_frames(program, bits):
         if event[0] == "round":
             plan = event[1]
             r = plan.round_index - 1
-            frames[plan.wire] = protocols.RoundPlan.frame_update(
-                frames[plan.wire], bits[2 * r], m_bits[r])
+            f = frames[plan.wire]  # Z^a on the fresh qubit, X^m H on the old frame
+            frames[plan.wire] = pauli.frame(m_bits[r] ^ f.z, bits[2 * r] ^ f.x)
             k = plan.want_angle(m_bits).k
             open_ops.append((plan.wire, gains[-k if m_bits[r] else k]))
         elif event[0] == "bridge":
             wa, wb = event[1]
             fa, fb = frames[wa], frames[wb]
-            frames[wa] = PauliFrame(fa.x, fa.z ^ fb.x)
-            frames[wb] = PauliFrame(fb.x, fb.z ^ fa.x)
+            frames[wa] = pauli.frame(fa.x, fa.z ^ fb.x)
+            frames[wb] = pauli.frame(fb.x, fb.z ^ fa.x)
             open_ops.append((None, qsim.CZ.entries))
         else:
             group = event[1]
@@ -762,7 +789,7 @@ def _reference_frames(program, bits):
             folds = match_frames(word, group.entry.target)
             assert folds is not None, group.entry.name
             for w, f in zip(group.wires, folds):
-                frames[w] = frames[w].compose(f)
+                frames[w] = pauli.frame(frames[w].x ^ f.x, frames[w].z ^ f.z)
             open_ops = []
     return frames
 
@@ -788,12 +815,6 @@ def test_table_frames_equal_word_accumulation_on_every_leaf(case):
     for leaf, bits in zip(leaves, strings, strict=True):
         assert leaf.m_bits == bits[1::2]
         assert leaf.frames == _reference_frames(program, bits)
-
-
-def test_frame_update_is_the_frame_lookup():
-    for f, a, m in itertools.product(pauli.ALL_FRAMES, (0, 1), (0, 1)):
-        expected = pauli.frame((m + f.z) % 2, (a + f.x) % 2)
-        assert protocols.RoundPlan.frame_update(f, a, m) == expected
 
 
 # One program per gate group, and sha256 prefixes of its walk's leaves (m bits
@@ -975,8 +996,8 @@ def _round_probabilities(monkeypatch, program, input_state, pair, seeds):
     probs = []
     measurement = protocols._measurement
 
-    def recording(rng, forced=None):
-        pick = measurement(rng, forced)
+    def recording(rng, forced, count):
+        pick = measurement(rng, forced, count)
 
         def record(p0):
             probs.append(p0)
@@ -989,6 +1010,40 @@ def _round_probabilities(monkeypatch, program, input_state, pair, seeds):
                                 pair=pair)
     assert len(probs) == 2 * program.num_rounds * len(seeds)
     return probs[0::2], probs[1::2]
+
+
+def _kernel_calls(monkeypatch):
+    """Counts, from here on, of the np.matmul, np.dot and np.vdot calls."""
+    calls = dict.fromkeys(("matmul", "dot", "vdot"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+def test_protocol2_run_takes_the_one_node_kernels(monkeypatch):
+    """A run's level holds one node, so its kernels take np.dot products and
+    one np.vdot norm per register measurement (each round's m; a is drawn
+    from the pair's table), never a stacked np.matmul. A walk's levels of
+    several nodes still go through np.matmul."""
+    program = protocols.compile_circuit(protocols.parse_circuit("H 0\nCNOT 0 1\nT 1"))
+    psi = qsim.random_state(2, default_rng(31))
+    bridges = sum(event[0] == "bridge" for event in program.events)
+    protocols._bell_table()  # built once per process, by np.matmul over the angles
+    for seed in range(4):
+        calls = _kernel_calls(monkeypatch)
+        result = protocols.run_protocol2(program, psi, ChannelModel(0.0), default_rng(seed))
+        m_ones = sum(m.payload for m in result.transcript if m.kind == "X_RESULT")
+        # One product per round, one more for each m = 1, one per bridge's CZ.
+        assert calls == {"matmul": 0, "dot": program.num_rounds + m_ones + bridges,
+                         "vdot": program.num_rounds}
+        monkeypatch.undo()
+    calls = _kernel_calls(monkeypatch)
+    protocols.walk_protocol2(protocols.compile_circuit(protocols.parse_circuit("T 0")),
+                             qsim.random_state(1, default_rng(32)))
+    assert calls["matmul"] > 0
 
 
 @pytest.mark.parametrize("case", ["T 0", "H 0\nCNOT 0 1\nT 1", "CZ 0 1\nTDG 0"])

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blinddelegate import qsim
+from blinddelegate import protocols, qsim
 from blinddelegate.errors import CapacityError, DegenerateMeasurementError
 from oracles import measured_branch, partial_trace, signed_permutation
 
@@ -542,7 +542,7 @@ def _node_branches(amps, qubit, bras):
     rows and np.vdot probabilities."""
     _, rows = _node_rows(amps, [amps.size.bit_length() - 2 - qubit])
     branch0 = np.dot(bras[0], rows)
-    if rows.shape[1] == 1:
+    if branch0.size == 1:
         p0 = float(abs(branch0[0]) ** 2)
     else:
         p0 = float(np.vdot(branch0, branch0).real)
@@ -599,6 +599,67 @@ def test_measure_stack_equals_per_node_arithmetic(count, width):
         shared = qsim.measure_stack(stack, qubit, bras[0])
         ref = qsim.measure_stack(stack, qubit, np.repeat(bras[:1], count, axis=0))
         assert shared[:3] == ref[:3] and np.array_equal(shared[3], ref[3])
+
+
+def _round_tables():
+    """The (16, 2, 2, 2) block tables a protocol-2 round measures with, block
+    2k + a for angle k and client outcome a: the Bell pair's, and a random
+    substituted pair's; and a |00> pair's, whose impossible outcomes leave
+    zero blocks."""
+    pair = qsim.random_state(2, np.random.default_rng(29)).amplitudes
+    return [protocols._bell_table()[1], protocols._pair_table(pair)[1],
+            protocols._pair_table(qsim.basis_state(2, 0).amplitudes)[1]]
+
+
+@pytest.mark.parametrize("count", [1, 3, 64])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_measure_stack_round_blocks_equal_per_node_arithmetic(count, width):
+    """A round's 2-row blocks, per node, carry exactly the floats of np.dot
+    of the node's block and rows and np.vdot of its branch 0, as bras do."""
+    rng = np.random.default_rng([count, width, 4])
+    for maps in _round_tables():
+        for qubit in range(width):
+            blocks = maps[rng.integers(16, size=count)]
+            stack = _random_stack(rng, count, width, qubit, [None] * count)
+            want = [(b, outcome, prob, post.reshape(-1)) for b in range(count)
+                    for outcome, prob, post in _node_branches(stack[b], qubit, blocks[b])]
+            before = stack.copy()
+            parents, outcomes, probs, posts = qsim.measure_stack(stack, qubit, blocks)
+            assert np.array_equal(stack, before)
+            assert parents == [w[0] for w in want]
+            assert outcomes == [w[1] for w in want]
+            assert probs == [w[2] for w in want]
+            assert posts.shape == (len(want), 2**width)
+            for post, w in zip(posts, want):
+                assert np.array_equal(post, w[3])
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_measure_stack_forced_outcomes_equal_per_node_arithmetic(width):
+    """At count 1, a run's level, a pick of each possible outcome keeps
+    exactly the per-node oracle's branch, for bras and for a round's blocks,
+    and a pick of an impossible one raises."""
+    rng = np.random.default_rng([width, 5])
+    blocks = [maps[j] for maps in _round_tables() for j in range(16)]
+    impossible = 0
+    for qubit in range(width):
+        cases = [(bras, eigen) for bras in [qsim.Z_BRAS, *qsim.ROTATED_BRAS]
+                 for eigen in (None, bras)] + [(block, None) for block in blocks]
+        for bras, eigen in cases:
+            stack = _random_stack(rng, 1, width, qubit, [eigen])
+            possible = {o: (p, post) for o, p, post in _node_branches(stack[0], qubit, bras)}
+            for outcome in (0, 1):
+                if outcome not in possible:
+                    with pytest.raises(DegenerateMeasurementError):
+                        qsim.measure_stack(stack, qubit, bras[None], lambda p0: outcome)
+                    impossible += 1
+                    continue
+                prob, post = possible[outcome]
+                got = qsim.measure_stack(stack, qubit, bras[None], lambda p0: outcome)
+                assert got[:3] == ([0], [outcome], [prob])
+                assert got[3].shape == (1, post.size)
+                assert np.array_equal(got[3][0], post.reshape(-1))
+    assert impossible >= 9 * width  # at least every eigenstate case
 
 
 @pytest.mark.parametrize("count", [1, 3, 64])
