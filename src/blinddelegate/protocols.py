@@ -132,13 +132,9 @@ class RoundPlan:
     wants: tuple              # (Angle if the driver's m is 0, Angle if it is 1)
     driver: int = None
 
-    def want_angle(self, m_bits) -> Angle:
-        """The logical angle for this round (before frame-cancelling sign)."""
-        return self.wants[0 if self.driver is None else m_bits[self.driver - 1]]
-
     def adapt_rule(self, m_bits, frame: PauliFrame) -> Angle:
         """Command angle: the wanted angle, sign-flipped to cancel frame.z."""
-        want = self.want_angle(m_bits)
+        want = self.wants[0 if self.driver is None else m_bits[self.driver - 1]]
         return -want if frame.z else want
 
 
@@ -339,10 +335,9 @@ class _Level:
         self.amps = qsim.apply_stack(self.amps, gate, [self.qubit(l) for l in labels])
 
     def fork(self, pick, label, bras):
-        """Measure `label` on every node (qsim.measure_stack, which keeps
-        every branch if `pick` is None); returns (parents, outcomes, probs),
-        one entry per branch, and keeps the branches' stack. The caller
-        builds the branches' nodes."""
+        """Measure `label` on every node by qsim.measure_stack, `pick` as
+        there: returns (parents, outcomes, probs), one entry per branch, and
+        keeps the branches' stack. The caller builds the branches' nodes."""
         qubit = self.qubit(label)
         parents, outcomes, probs, self.amps = qsim.measure_stack(self.amps, qubit, bras, pick)
         del self.labels[qubit]
@@ -368,17 +363,15 @@ def _level(state, labels, frames) -> _Level:
 
 
 def _measurement(rng, forced, count):
-    """The pick of a run, which follows one branch per node and measurement:
-    pick(p0) is the outcome whose outcome 0 has probability p0, drawn with
-    one rng.random() call against p0, or named by the next of the `forced`
-    bits, which must number the run's `count` measurements (ValueError).
-
-    The pick goes to qsim.branches, directly for the client's outcome of a
-    protocol-2 round and through qsim.measure_stack for every other
-    measurement. The exact walk (_walk) passes None in its place, which
-    keeps every possible branch. With no register a round's two draws are
-    pick(0.5), fair coins (see _round).
+    """The pick of a run, which follows one branch per measurement: pick(p0)
+    is the outcome of one whose outcome 0 has probability p0, drawn with one
+    rng.random() call against p0, or the next of the `forced` bits, which
+    must number the run's `count` measurements; a run that measures needs
+    one or the other (ValueError). qsim.draw calls it; the walk passes None.
+    With no register a round's two draws are pick(0.5), fair coins (_round).
     """
+    if forced is None and rng is None and count:
+        raise ValueError(f"no rng: a run of {count} measurements needs an rng or forced outcomes")
     if forced is None:
         return lambda p0: 0 if rng.random() < p0 else 1
     forced = list(forced)
@@ -552,6 +545,15 @@ def _bell_table():
     return _pair_table(qsim.bell_pair().amplitudes)
 
 
+def _child(node, w, command, a, m, pa, pm) -> _Node:
+    """`node`'s child on a round's branch (a, m) on wire w: byproducts Z^a on
+    the fresh qubit and X^m H on the old frame, (x, z) -> (m ^ z, a ^ x), and
+    prob times pa * pm (first: certificates print noise-level sums of them)."""
+    frames, f = list(node.frames), node.frames[w]
+    frames[w] = pauli.ALL_FRAMES[(m ^ f.z) | (a ^ f.x) << 1]
+    return _Node(frames, node.m_bits + (m,), node.prob * (pa * pm), command)
+
+
 def _round(level, plan, pick, pairs):
     """One protocol-2 round on every node of `level`.
 
@@ -560,44 +562,41 @@ def _round(level, plan, pick, pairs):
     a); he entangles his half with the wire by CZ, measures the wire in the
     X basis (reported bit m) and keeps his half as the new wire.
 
-    Her outcome depends on the pair alone, never on the register: this is
-    the protocol's no-signaling structure. So her part is the pair's table:
-    a is drawn against p0[k] with no kernel, and leaves his half in a known
-    state. His part is then one 2x2 map per m on the wire, one
-    qsim.measure_stack call whose blocks put his half on top of the
-    register, where the wire's label moves. The register holds only the
-    wires.
+    Her outcome depends on the pair alone (no-signaling), never on the
+    register, so her part is the pair's table: a's p0[k] and the state a
+    leaves on his half. His part is one 2x2 map per m on the wire, a block
+    putting his half on top of the register, where the wire's label moves.
+    A run (`pick`, one node) draws a by qsim.draw and m by qsim.measure_node;
+    the walk keeps every branch by qsim.branches and qsim.measure_stack.
 
-    With no register the pair is an honest Bell pair, and a and m are fair
-    coins, drawn in that order: the client's half of a Bell pair is
-    maximally mixed whatever the rest, and after the CZ the server's half has
-    <Z> = 0, so the wire's X outcome is unbiased for any angle and state.
+    With no register (a run) the pair is an honest Bell pair, and a and m
+    are fair coins, drawn in that order: the client's half of a Bell pair is
+    maximally mixed whatever the rest, and after the CZ the server's half
+    has <Z> = 0, so the wire's X outcome is unbiased for any angle and state.
     """
     nodes, wire = level.nodes, ("wire", plan.wire)
     commands = [plan.adapt_rule(node.m_bits, node.frames[plan.wire]) for node in nodes]
-    if level.amps is None:
-        a_of = m_of = [0]
-        a, m, pa, pm = [pick(0.5)], [pick(0.5)], [0.5], [0.5]
-    else:
-        p0, maps = pairs or _bell_table()
-        ks = [c.k for c in commands]
-        a_of, a, pa = qsim.branches([p0[k] for k in ks], pick)
-        if len(a_of) > len(nodes):
-            level.amps = level.amps[a_of]
-        index = [2 * ks[i] + o for i, o in zip(a_of, a)]
-        blocks = maps[index[0], None] if len(index) == 1 else maps.take(index, axis=0)
-        m_of, m, pm = level.fork(pick, wire, blocks)
-        level.labels.append(wire)
-    children = level.nodes = []
-    for i, m_bit, p_m in zip(m_of, m, pm):
-        parent = a_of[i]
-        node = nodes[parent]
-        # Byproduct: Z^a on the fresh qubit, X^m H on the old frame: (x, z) -> (m ^ z, a ^ x).
-        frames, f = list(node.frames), node.frames[plan.wire]
-        frames[plan.wire] = pauli.ALL_FRAMES[(m_bit ^ f.z) | (a[i] ^ f.x) << 1]
-        # pa * pm first: certificates print noise-level sums of these products.
-        children.append(_Node(frames, node.m_bits + (m_bit,), node.prob * (pa[i] * p_m),
-                              commands[parent]))
+    if level.amps is None:  # a run: walks hold a register
+        (node,), (command,) = nodes, commands
+        level.nodes = [_child(node, plan.wire, command, pick(0.5), pick(0.5), 0.5, 0.5)]
+        return level
+    p0, maps = pairs or _bell_table()
+    if pick is not None:
+        (node,), (command,) = nodes, commands
+        a, pa = qsim.draw(p0[command.k], pick)
+        qubit = level.qubit(wire)
+        m, pm, post = qsim.measure_node(level.amps[0], qubit, maps[2 * command.k + a], pick)
+        level.amps = post[None]
+        level.labels.append(level.labels.pop(qubit))
+        level.nodes = [_child(node, plan.wire, command, a, m, pa, pm)]
+        return level
+    a_of, a, pa = qsim.branches([p0[c.k] for c in commands])
+    level.amps = level.amps[a_of]
+    index = [2 * commands[i].k + o for i, o in zip(a_of, a)]
+    m_of, m, pm = level.fork(None, wire, maps.take(index, axis=0))
+    level.labels.append(wire)
+    level.nodes = [_child(nodes[a_of[i]], plan.wire, commands[a_of[i]], a[i], m_bit, pa[i], p_m)
+                   for i, m_bit, p_m in zip(m_of, m, pm)]
     return level
 
 
@@ -697,13 +696,13 @@ def run_protocol2(
     A cheating server may hand out `pair` (a two-qubit state, server half
     first) in place of each fresh Bell pair, or control the client's
     measuring `device`, which sees each round's command angle and is asked
-    for clicks. `forced_outcomes` lists an (a, m) pair per round in place
-    of draws.
+    for clicks. A run that has rounds needs `rng` to draw its outcomes, or
+    `forced_outcomes`, an (a, m) pair per round in place of draws.
 
     With `input_state` None the run holds no register and
     `logical_output_state` is None: each round's a and m are fair coins
-    (_round), one rng.random() each compared with exactly 1/2, in
-    the register path's order. There a's p0, from the Bell pair's table, is
+    (_round), one rng.random() each compared with exactly 1/2, in the
+    register path's order. There a's p0, from the Bell pair's table, is
     exactly 1/2; m's is computed from the register and can miss 1/2 by
     rounding error, so the paths differ only for a draw in that gap (see
     README). A substituted pair or forced outcomes need a register.

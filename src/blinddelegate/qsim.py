@@ -326,29 +326,31 @@ def expand_gate(gate: GateMatrix, targets, num_qubits: int) -> np.ndarray:
 DEGENERATE_PROB = 1e-12
 
 
-def branches(p0, pick=None):
-    """The branches of measurements whose outcome 0 has probability p0[b],
-    b = 0, 1, ...: (parents, outcomes, probs), one entry per branch.
+def draw(p0, pick):
+    """(outcome, prob) of the one outcome pick(p0) names of a measurement
+    whose outcome 0 has probability p0, clamped to [0, 1]; outcome 1 has
+    1 - p0, and an impossible one raises DegenerateMeasurementError."""
+    p0 = min(max(p0, 0.0), 1.0)
+    outcome = pick(p0)
+    prob = p0 if outcome == 0 else 1.0 - p0
+    if prob < DEGENERATE_PROB:
+        raise DegenerateMeasurementError(f"outcome {outcome} has probability {prob:.3e}")
+    return outcome, prob
 
-    With `pick` None, every possible branch is kept: node by node, outcome 0
-    first, impossible ones (prob < DEGENERATE_PROB) dropped. Otherwise each
-    node keeps the one outcome pick(p0) names, in node order, and an
-    impossible one raises DegenerateMeasurementError. Each p0 is clamped to
-    [0, 1] and outcome 1 has 1 - p0.
-    """
+
+def branches(p0):
+    """Every possible branch of measurements whose outcome 0 has probability
+    p0[b], b = 0, 1, ...: (parents, outcomes, probs), one entry per branch,
+    node by node and outcome 0 first, impossible ones dropped. Each p0 is
+    clamped to [0, 1] and outcome 1 has 1 - p0."""
     parents, outcomes, probs = [], [], []
     for b, q in enumerate(p0):
         q = min(max(q, 0.0), 1.0)
-        for outcome in (0, 1) if pick is None else (pick(q),):
-            prob = q if outcome == 0 else 1.0 - q
+        for outcome, prob in ((0, q), (1, 1.0 - q)):
             if prob >= DEGENERATE_PROB:
                 parents.append(b)
                 outcomes.append(outcome)
                 probs.append(prob)
-            elif pick is not None:
-                raise DegenerateMeasurementError(
-                    f"outcome {outcome} has probability {prob:.3e}"
-                )
     return parents, outcomes, probs
 
 
@@ -365,22 +367,24 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
     operation that keeps the qubit, such as the X read-out of a wire after
     a CZ with a qubit whose state the block carries.
 
-    Branches are kept or picked by `branches`, with `pick` as there.
+    A pick (a run's) needs a stack of one node and keeps the branch it
+    names (measure_node); None (the walk's) keeps every one (branches).
 
     Returns (parents, outcomes, probs, posts): the node, outcome and
     probability of each branch (lists), and the stack of its normalized post
     states. The arithmetic is the same for every node and branch: p0 is
     <b0|b0> of branch 0 = block_0 rows, clamped to [0, 1], outcome 1 has
     1 - p0, a read-out last qubit (one amplitude) has p0 = |b0|^2, and a
-    branch's post is its rows divided by sqrt(prob). One node (a run's level)
-    takes its products with np.dot and p0 with np.vdot; a stack takes them
-    with np.matmul over the node axis, the same floats node by node.
+    branch's post is its rows divided by sqrt(prob). A stack takes its
+    products with np.matmul, node by node measure_node's floats.
     """
     count, bras = len(stack), np.asarray(bras)
     if bras.ndim < 4:
         bras = bras[..., None, :]
-    if count == 1:
-        return _measure_node(stack[0], qubit, bras if bras.ndim == 3 else bras[0], pick)
+    if pick is not None:
+        (amps,) = stack
+        outcome, prob, post = measure_node(amps, qubit, bras if bras.ndim == 3 else bras[0], pick)
+        return [0], [outcome], [prob], post[None]
     rows = _rows(stack.reshape(count, -1, 2, 1 << qubit), (0, 2, 1, 3), 2)
     branch0 = np.matmul(bras[..., 0, :, :], rows)
     flat = branch0.reshape(count, 1, -1)
@@ -388,7 +392,7 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
         p0 = [float(abs(b) ** 2) for b in flat[:, 0, 0]]
     else:
         p0 = np.matmul(flat.conj(), flat.transpose(0, 2, 1))[:, 0, 0].real.tolist()
-    parents, outcomes, probs = branches(p0, pick)
+    parents, outcomes, probs = branches(p0)
     branch1 = np.matmul(bras[..., 1, :, :], rows)
     posts = np.concatenate((branch0, branch1), axis=1).reshape(2 * count, -1)
     if len(parents) < 2 * count:
@@ -396,19 +400,16 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
     return parents, outcomes, probs, posts / np.sqrt(probs)[:, None]
 
 
-def _measure_node(amps, qubit, bras, pick):
-    """measure_stack on the one node whose amplitudes are `amps`, with its
-    (2, r, 2) bras: np.dot on contiguous rows (a strided view rounds apart)
-    and an np.vdot norm, exactly the floats np.matmul gives a stack's node."""
+def measure_node(amps, qubit, bras, pick):
+    """(outcome, prob, post) of the branch pick names (by draw) of measure_stack
+    on one register `amps` with (2, r, 2) bras: np.dot on contiguous rows (a
+    strided view rounds apart) and an np.vdot norm, a stack node's floats."""
     rows = np.ascontiguousarray(amps.reshape(-1, 2, 1 << qubit).swapaxes(0, 1)).reshape(2, -1)
     branch0 = np.dot(bras[0], rows)
     p0 = abs(branch0[0, 0]) ** 2 if branch0.size == 1 else np.vdot(branch0, branch0).real
-    parents, outcomes, probs = branches([float(p0)], pick)
-    if len(probs) == 1:  # a run's pick, or the one possible outcome
-        post = np.dot(bras[1], rows) if outcomes[0] else branch0
-        return parents, outcomes, probs, (post / math.sqrt(probs[0])).reshape(1, -1)
-    posts = np.array([branch0, np.dot(bras[1], rows)]).reshape(2, -1)
-    return parents, outcomes, probs, posts / np.sqrt(probs)[:, None]
+    outcome, prob = draw(float(p0), pick)
+    post = np.dot(bras[1], rows) if outcome else branch0
+    return outcome, prob, (post / math.sqrt(prob)).reshape(-1)
 
 
 # ROTATED_BRAS[k][a]: the bra of outcome a when measuring at Angle(k), in the

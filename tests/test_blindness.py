@@ -450,6 +450,8 @@ def _leaf_rerun_distribution(program, input_state):
     ("S 0\nX 0", qsim.random_state(1, default_rng(12))),
     ("CZ 0 1", qsim.basis_state(2, 0)),  # 6 rounds
     ("H 0\nS 0", qsim.random_state(1, default_rng(13))),  # 6 rounds, one wire
+    # Rounds on wire 0 while wire 1 sits above it: a run's rows are a copy.
+    ("H 0\nX 1", qsim.random_state(2, default_rng(14))),
 ])
 def test_m_string_walk_equals_leaf_reruns_exactly(text, input_state):
     program = protocols.compile_circuit(protocols.parse_circuit(text))

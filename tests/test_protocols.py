@@ -610,6 +610,28 @@ def test_forced_outcomes_must_be_exactly_the_run_measurements():
         protocols.round2_step(psi, 0, qsim.Angle(0), channel, [1, 0, 0])
 
 
+def test_a_run_with_draws_to_make_needs_an_rng():
+    """With neither an rng nor forced outcomes, every runner raises
+    ValueError before it starts, unless the run makes no draw."""
+    program = protocols.compile_circuit(protocols.parse_circuit("H 0"))
+    plan = protocols.circuit_to_chain(protocols.parse_circuit("H 0"))
+    resource = graphs.build_graph_state(graphs.linear_cluster(2))
+    psi, channel = qsim.plus_state(1), ChannelModel(0.3)
+    runs = [lambda: protocols.run_protocol2(program, psi, channel),
+            lambda: protocols.run_protocol2(program, None, channel),
+            lambda: protocols.run_protocol1(resource, plan),
+            lambda: protocols.run_teleport_variant(resource, plan, channel),
+            lambda: protocols.round2_step(psi, 0, qsim.Angle(0), channel, None)]
+    for run in runs:
+        with pytest.raises(ValueError, match="no rng: a run of [0-9]+ measurements"):
+            run()
+    empty = protocols.compile_circuit(protocols.parse_circuit("X 0"))
+    assert empty.num_rounds == 0
+    for state in (psi, None):
+        result = protocols.run_protocol2(empty, state, channel)
+        assert [m.kind for m in result.transcript] == ["DONE"]
+
+
 def _leaf_rerun_distribution(runner, *args, num_bits, **kwargs):
     """Reference enumeration: one full forced run per outcome bit string."""
     dist = {}
@@ -770,7 +792,7 @@ def _reference_frames(program, bits):
             r = plan.round_index - 1
             f = frames[plan.wire]  # Z^a on the fresh qubit, X^m H on the old frame
             frames[plan.wire] = pauli.frame(m_bits[r] ^ f.z, bits[2 * r] ^ f.x)
-            k = plan.want_angle(m_bits).k
+            k = plan.wants[0 if plan.driver is None else m_bits[plan.driver - 1]].k
             open_ops.append((plan.wire, gains[-k if m_bits[r] else k]))
         elif event[0] == "bridge":
             wa, wb = event[1]
@@ -1044,6 +1066,39 @@ def test_protocol2_run_takes_the_one_node_kernels(monkeypatch):
     protocols.walk_protocol2(protocols.compile_circuit(protocols.parse_circuit("T 0")),
                              qsim.random_state(1, default_rng(32)))
     assert calls["matmul"] > 0
+
+
+def _measurement_calls(monkeypatch):
+    """Counts, from here on, of the calls of qsim's measurement functions."""
+    calls = dict.fromkeys(("branches", "measure_stack", "measure_node", "draw"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(qsim, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(qsim, name, counted)
+    return calls
+
+
+def test_a_run_draws_one_branch_and_a_walk_enumerates_them(monkeypatch):
+    """A run's round draws a by qsim.draw and measures its wire by
+    qsim.measure_node, which draws m: for the 21 rounds of H 0; CNOT 0 1;
+    T 1 that is 21 node measurements and 42 draws, and no qsim.branches or
+    qsim.measure_stack call. A walk enumerates: for the 6 rounds of T 0, two
+    qsim.branches calls and one qsim.measure_stack call per round, even on
+    its first level of one node, and no draw."""
+    program = protocols.compile_circuit(protocols.parse_circuit("H 0\nCNOT 0 1\nT 1"))
+    assert program.num_rounds == 21
+    psi = qsim.random_state(2, default_rng(33))
+    for seed in range(3):
+        calls = _measurement_calls(monkeypatch)
+        protocols.run_protocol2(program, psi, ChannelModel(0.3), default_rng(seed))
+        assert calls == {"branches": 0, "measure_stack": 0, "measure_node": 21, "draw": 42}
+        monkeypatch.undo()
+    program = protocols.compile_circuit(protocols.parse_circuit("T 0"))
+    calls = _measurement_calls(monkeypatch)
+    leaves = list(protocols.walk_protocol2(program, qsim.random_state(1, default_rng(34))))
+    assert program.num_rounds == 6 and len(leaves) == 4**6
+    assert calls == {"branches": 12, "measure_stack": 6, "measure_node": 0, "draw": 0}
 
 
 @pytest.mark.parametrize("case", ["T 0", "H 0\nCNOT 0 1\nT 1", "CZ 0 1\nTDG 0"])

@@ -665,8 +665,9 @@ def test_measure_stack_forced_outcomes_equal_per_node_arithmetic(width):
 @pytest.mark.parametrize("count", [1, 3, 64])
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
 def test_measure_stack_picks_one_branch_per_node(count, width):
-    """A pick keeps, per node, the outcome it names with the walk's floats,
-    and raises on an impossible one."""
+    """A pick keeps, on a stack of one node (a run's level), the outcome it
+    names with the walk's floats, and raises on an impossible one. A pick on
+    a stack of several nodes raises ValueError: a run has one node."""
     rng = np.random.default_rng([count, width, 1])
     qubit = width - 1
     stack = _random_stack(rng, count, width, qubit, [None] * count)
@@ -674,6 +675,10 @@ def test_measure_stack_picks_one_branch_per_node(count, width):
     every = qsim.measure_stack(stack, qubit, bras)
     wanted = [int(o) for o in rng.integers(2, size=count)]
     picked = iter(wanted)
+    if count > 1:
+        with pytest.raises(ValueError):
+            qsim.measure_stack(stack, qubit, bras, lambda p0: next(picked))
+        return
     parents, outcomes, probs, posts = qsim.measure_stack(
         stack, qubit, bras, lambda p0: next(picked))
     assert parents == list(range(count)) and outcomes == wanted
