@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graphs, protocols, qsim
-from .qsim import Angle, DensityMatrix, StateVector
+from .qsim import Angle, DensityMatrix
 
 BLINDNESS_TOL = 1e-9
 
@@ -70,37 +70,38 @@ def povm_distribution(rho: DensityMatrix, povm: Povm) -> np.ndarray:
 
 
 def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
-    """Sum the server's conditional states over the client's outcome strings.
+    """The server's view of one secret: protocol1_views' for [alice_angles]."""
+    return protocol1_views(joint, alice_qubits, [alice_angles])[0]
 
-    The client holds `alice_qubits` of the joint state (a StateVector or a
-    DensityMatrix) and measures them in turn at the matching angles, through
-    protocol 1's own vertex step (protocols.walk_protocol1). No
-    outcome-dependent message ever reaches the server, so the classical view
-    is constant. A mixed joint state sum_i l_i |v_i><v_i| has the view
-    sum_i l_i view(v_i).
-    """
+
+def protocol1_views(joint, alice_qubits, secrets) -> list:
+    """The server's view of each secret (an angle per client qubit): his
+    conditional states summed over the outcomes of the client, who measures
+    `alice_qubits` of the joint state (a StateVector or a DensityMatrix) in
+    turn by protocol 1's vertex step. A mixed joint state sum_i l_i
+    |v_i><v_i| has the view sum_i l_i view(v_i): one protocols.walk_protocol1
+    has a root per (secret, eigenvector). No outcome-dependent message ever
+    reaches the server, so the classical view is constant."""
     alice_qubits = list(alice_qubits)
-    angles = [a if isinstance(a, Angle) else Angle(a) for a in alice_angles]
-    if len(alice_qubits) != len(angles):
+    secrets = [[a if isinstance(a, Angle) else Angle(a) for a in s] for s in secrets]
+    if any(len(alice_qubits) != len(s) for s in secrets):
         raise ValueError("one angle per client qubit")
-    if isinstance(joint, StateVector):
-        mixture = [(1.0, joint)]
-    else:
-        weights, vectors = np.linalg.eigh(joint.entries)
-        mixture = [(w, StateVector(v, check=False)) for w, v in zip(weights, vectors.T)]
-    n = mixture[0][1].num_qubits
-    if not set(range(n)) - set(alice_qubits):
+    weights, vectors = (np.linalg.eigh(joint.entries) if isinstance(joint, DensityMatrix)
+                        else (np.ones(1), joint.amplitudes[:, None]))
+    if not set(range(joint.num_qubits)) - set(alice_qubits):
         raise ValueError("server must retain at least one qubit")
 
-    plan = [protocols.PlanStep(q, a) for q, a in zip(alice_qubits, angles)]
-    leaves = []
-    for weight, psi in mixture:
-        posts, probs = protocols.walk_protocol1(psi, plan)
-        # (weight * prob) v v^dagger per leaf, np.outer's floats in one broadcast.
-        outers = posts[:, :, None] * posts.conj()[:, None, :]
-        leaves.append((weight * np.array(probs))[:, None, None] * outers)
-    # A sum over the leading axis adds the leaves left to right, in leaf order.
-    return BobView(marginal=DensityMatrix(np.concatenate(leaves).sum(axis=0)))
+    plans = [[protocols.PlanStep(q, a) for q, a in zip(alice_qubits, s)] for s in secrets]
+    count = len(weights)  # roots per secret: root r has weight weights[r % count]
+    posts, probs, roots = protocols.walk_protocol1(
+        np.concatenate([vectors.T] * len(secrets)), [plan for plan in plans for _ in weights])
+    # (weight * prob) v v^dagger per leaf, np.outer's floats in one broadcast.
+    outers = posts[:, :, None] * posts.conj()[:, None, :]
+    leaves = (weights[roots % count] * probs)[:, None, None] * outers
+    # Each secret's leaves are contiguous: a sum over the leading axis adds
+    # them left to right, in the order of a walk of that secret alone.
+    ends = [0, *np.searchsorted(roots, np.arange(1, len(secrets) + 1) * count).tolist()]
+    return [BobView(DensityMatrix(leaves[a:b].sum(axis=0))) for a, b in zip(ends, ends[1:])]
 
 
 def _pair_views(table) -> np.ndarray:
@@ -239,7 +240,7 @@ def certify_protocol1(secrets, joint=None, n_povms: int = 4,
     if joint is None:
         joint = graphs.build_graph_state(graphs.linear_cluster(width + 1)).state
 
-    views = [bob_view_protocol1(joint, range(width), s) for s in secrets]
+    views = protocol1_views(joint, range(width), secrets)
     bob_dim = views[0].marginal.entries.shape[0]
     povms = [random_povm(bob_dim, 4, rng) for _ in range(n_povms)]
     # Each POVM's outcome vector, once per view.

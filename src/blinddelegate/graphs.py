@@ -159,6 +159,14 @@ class CellEntry:
     target: np.ndarray  # 2x2, or 4x4 as qsim.kron(wire1_factor, wire0_factor)
     frames: dict  # branch_frames(wire0, wire1, bridge, target)
 
+    @cached_property
+    def fold_bits(self) -> np.ndarray:
+        """`frames` as uint8 rows (x of each wire, then z), row i for the bits
+        i spells in binary."""
+        keys = itertools.product((0, 1), repeat=len(next(iter(self.frames))))
+        return np.array([[f.x for f in self.frames[bits]] + [f.z for f in self.frames[bits]]
+                         for bits in keys], np.uint8)
+
 
 @dataclass(frozen=True)
 class UnitCellCalibration:

@@ -9,13 +9,9 @@ per reported bit on the wire, and the register holds only the wires.
 
 Byproducts stay classical: each wire carries an (x, z) Pauli frame, the
 client's command angle cancels the frame's z bit, and each gate group is
-closed by looking up, by the bits its rounds reported, the Pauli folds that
-graphs.branch_frames found for that branch when graphs.group_entry built the
-group's table: no round multiplies a matrix.
-
-The compiler tables each round's wanted angle once, from
-graphs.WireSchedule.angle_index, the one place the adaptation rule lives:
-the runtime, the blindness certificate and the attacks all read that table.
+closed by looking up, by the bits its rounds reported, the Pauli folds of
+its graphs.CellEntry table: no round multiplies a matrix. The compiler
+tables each round's wanted angle once, from graphs.WireSchedule.angle_index.
 
 Protocol 2 and the linear-cluster protocols 1 and tp are event lists over one
 step (_step). Runs go through one loop (_run), which owns the messages; exact
@@ -120,12 +116,8 @@ def transmit(channel: ChannelModel, rng) -> str:
 @dataclass
 class RoundPlan:
     """One round: its wire, its 1-based position in the program, and the angle
-    the client wants, one per value of the bit that drives the choice.
-
-    `driver` is the round whose reported bit picks from `wants`, or None when
-    both entries agree. The compiler fills both from the group's
-    graphs.WireSchedule, so no run re-derives the adaptation rule.
-    """
+    the client wants, one per value of the reported bit of round `driver`
+    (None when both agree), as the compiler tabled them."""
 
     wire: int
     round_index: int
@@ -299,9 +291,8 @@ class RunResult:
 
 @dataclass(slots=True)
 class _Node:
-    """The client's record at one point of a run: wire frames, the bits the
-    server reported, the branch probability, the last round's command angle
-    and a chain's read-out bit. A node is owned by one branch."""
+    """A run's record, updated in place: wire frames, reported bits, branch
+    probability, the last round's command angle and a chain's read-out bit."""
 
     frames: list
     m_bits: tuple = ()
@@ -311,18 +302,41 @@ class _Node:
 
 
 @dataclass(slots=True)
-class _Level:
-    """The nodes at one depth of the outcome tree, and their registers.
+class _Columns:
+    """A walk level's records, row b for node b: frame bits x and z (nodes x
+    wires) and reported bits m, column blocks of one uint8 matrix `bits`
+    that a child copies in one gather; the probabilities; the root (start
+    node) each descends from; after a chain's readout, the read-out bit."""
 
-    Labels follow the events and not the outcomes, so every node's register
-    holds the same `labels` (qubit i is labels[i]) and `amps` stacks them, row
-    b for nodes[b]. A registerless run has no `amps` and no labels. A level
-    is consumed by _step.
-    """
+    bits: np.ndarray
+    wires: int
+    prob: np.ndarray
+    root: np.ndarray
+    out: np.ndarray = None
+
+    x = property(lambda self: self.bits[:, :self.wires])
+    z = property(lambda self: self.bits[:, self.wires:2 * self.wires])
+    m = property(lambda self: self.bits[:, 2 * self.wires:])
+
+    def children(self, parents, probs, *bits):
+        """The records of branches of the nodes `parents`: each its parent's,
+        prob times `probs`, and `bits` (one column each) appended to m."""
+        new = np.array(bits, np.uint8).reshape(len(bits), len(parents)).T
+        return _Columns(np.concatenate((self.bits[parents], new), axis=1), self.wires,
+                        self.prob[parents] * probs, self.root[parents])
+
+
+@dataclass(slots=True)
+class _Level:
+    """The nodes at one depth of the outcome tree and their registers: a
+    run's one _Node in a list, or a walk's _Columns. Labels follow the events,
+    not the outcomes, so every node's register holds the same `labels` (qubit
+    i is labels[i]) and `amps` stacks them, row b for node b (None with no
+    register). A level is consumed by _step."""
 
     amps: np.ndarray | None
     labels: list
-    nodes: list
+    nodes: list | _Columns
 
     def qubit(self, label) -> int:
         return self.labels.index(label)
@@ -335,20 +349,22 @@ class _Level:
         self.amps = qsim.apply_stack(self.amps, gate, [self.qubit(l) for l in labels])
 
     def fork(self, pick, label, bras):
-        """Measure `label` on every node by qsim.measure_stack, `pick` as
-        there: returns (parents, outcomes, probs), one entry per branch, and
-        keeps the branches' stack. The caller builds the branches' nodes."""
+        """Measure `label` on every node by qsim.measure_stack, `pick` as there:
+        (parents, outcomes, probs) per branch, lists in a run, arrays in a walk."""
         qubit = self.qubit(label)
         parents, outcomes, probs, self.amps = qsim.measure_stack(self.amps, qubit, bras, pick)
         del self.labels[qubit]
+        if pick is None:
+            n = len(parents)
+            return (np.fromiter(parents, np.intp, n), np.fromiter(outcomes, np.intp, n),
+                    np.fromiter(probs, float, n))
         return parents, outcomes, probs
 
     def relabel(self, old, new):
         self.labels[self.qubit(old)] = new
 
     def state(self, ordered_labels) -> StateVector:
-        """A run's register (its one node's) with `ordered_labels` as qubits
-        0, 1, ..."""
+        """A run's register (its one node's), `ordered_labels` as qubits 0, 1..."""
         perm = [self.qubit(l) for l in ordered_labels]
         (amps,) = self.amps
         psi = amps.reshape([2] * len(self.labels), order="F")
@@ -364,12 +380,10 @@ def _level(state, labels, frames) -> _Level:
 
 def _measurement(rng, forced, count):
     """The pick of a run, which follows one branch per measurement: pick(p0)
-    is the outcome of one whose outcome 0 has probability p0, drawn with one
-    rng.random() call against p0, or the next of the `forced` bits, which
-    must number the run's `count` measurements; a run that measures needs
-    one or the other (ValueError). qsim.draw calls it; the walk passes None.
-    With no register a round's two draws are pick(0.5), fair coins (_round).
-    """
+    is the outcome of one whose outcome 0 has probability p0, by one
+    rng.random() against p0, or the next of the `forced` bits, which must
+    number the run's `count` measurements (ValueError if neither is given).
+    qsim.draw calls it; the walk passes None."""
     if forced is None and rng is None and count:
         raise ValueError(f"no rng: a run of {count} measurements needs an rng or forced outcomes")
     if forced is None:
@@ -393,12 +407,9 @@ def _measurement(rng, forced, count):
 
 
 def _deliver(channel, rng_loss, rng_mask, transcript, round_index, device=None):
-    """Run the send/ack loop until the client accepts a particle.
-
-    A particle is lost when `rng_loss` (None on a lossless channel) draws it.
-    Under masking (`rng_mask` set) the client accepts an arrived particle on
-    a fair coin alone.
-    """
+    """Run the send/ack loop until the client accepts a particle. A particle
+    is lost when `rng_loss` (None on a lossless channel) draws it; under
+    masking (`rng_mask` set) the client accepts an arrived one on a fair coin."""
     resends = 0
     for _ in range(RETRY_CAP):
         transcript.append(_message(round_index, B2A, "QUBIT_SENT"))
@@ -432,18 +443,14 @@ def _start(program: AngleProgram, input_state: StateVector) -> _Level:
 
 
 def _step(level, event, pick, pairs=None):
-    """The level that follows `level` through one event.
-
-    Protocol 2 runs its program's events: round, bridge and extract. The
-    chain protocols (_chain) run deliver, teleport, vertex and readout.
-    Each gate and each measurement is one kernel call on the whole stack. An
-    event without a measurement updates the nodes in place. One with
-    measurements gives each node a child per branch, node by node and
-    outcome 0 first: the one `pick` names (a run), or every possible one
-    (`pick` None, the walk). Each child owns its record and multiplies its
-    parent's probability by the event's branch probability. `pairs` is the
-    pair table of a substituted pair (_pair_table), or None for Bell pairs.
-    """
+    """The level that follows `level` through one event: protocol 2's round,
+    bridge or extract, or a chain's (_chain) deliver, teleport, vertex or
+    readout. Each gate and measurement is one kernel call on the whole stack.
+    A run (`pick` set) updates its _Node along the branch `pick` names; a
+    walk (`pick` None) gives each node a child per possible branch, node by
+    node and outcome 0 first, by array operations on its _Columns. A child's
+    probability is its parent's times the branch's. `pairs` is a substituted
+    pair's table (_pair_table), or None for Bell pairs."""
     kind, nodes = event[0], level.nodes
     if kind == "round":
         return _round(level, event[1], pick, pairs)
@@ -453,20 +460,25 @@ def _step(level, event, pick, pairs=None):
         _, (wa, wb) = event
         if level.amps is not None:
             level.apply(qsim.CZ, [("wire", wa), ("wire", wb)])
-        for node in nodes:
-            fa, fb = node.frames[wa], node.frames[wb]
-            node.frames[wa] = pauli.frame(fa.x, fa.z ^ fb.x)
-            node.frames[wb] = pauli.frame(fb.x, fb.z ^ fa.x)
+        if pick is None:  # each wire's z takes the other's x
+            nodes.z[:, [wa, wb]] ^= nodes.x[:, [wb, wa]]
+        else:
+            f, fa, fb = nodes[0].frames, nodes[0].frames[wa], nodes[0].frames[wb]
+            f[wa], f[wb] = pauli.frame(fa.x, fa.z ^ fb.x), pauli.frame(fb.x, fb.z ^ fa.x)
         return level
     if kind == "extract":
         # The Pauli factors the group's word leaves on each branch.
         group = event[1]
         positions = [r - 1 for r in group.rounds]
-        for node in nodes:
-            folds = group.entry.frames[tuple([node.m_bits[p] for p in positions])]
-            for w, f in zip(group.wires, folds):
-                g = node.frames[w]  # composed: the XOR of the two frames' bits
-                node.frames[w] = pauli.ALL_FRAMES[(g.x ^ f.x) | (g.z ^ f.z) << 1]
+        if pick is None:  # the fold table's row: the group's bits as a binary number
+            row = nodes.m[:, positions] @ _BINARY[:len(positions)][::-1]
+            columns = [*group.wires, *(nodes.wires + w for w in group.wires)]  # x's, z's
+            nodes.bits[:, columns] ^= group.entry.fold_bits[row.astype(np.intp)]
+            return level
+        node = nodes[0]
+        folds = group.entry.frames[tuple([node.m_bits[p] for p in positions])]
+        for w, f in zip(group.wires, folds):  # composed: the XOR of the frames' bits
+            node.frames[w] = pauli.frame(node.frames[w].x ^ f.x, node.frames[w].z ^ f.z)
         return level
     if kind == "teleport":
         # The server teleports the vertex to the client through a fresh pair
@@ -479,42 +491,49 @@ def _step(level, event, pick, pairs=None):
         z_of, mz, pz = level.fork(pick, vertex, qsim.Z_BRAS)
         x_of, mx, px = level.fork(pick, keep, qsim.Z_BRAS)
         level.relabel(sent, vertex)
-        children = level.nodes = []
-        for i, x_bit, p_x in zip(x_of, mx, px):
-            node = nodes[z_of[i]]
-            children.append(_Node(list(node.frames), node.m_bits + (mz[i], x_bit),
-                                  node.prob * (pz[i] * p_x)))
+        if pick is None:
+            level.nodes = nodes.children(z_of[x_of], pz[x_of] * px, mz[x_of], mx)
+        else:
+            nodes[0].m_bits += (mz[0], mx[0])
+            nodes[0].prob *= pz[0] * px[0]
         return level
     if kind == "readout":
-        # The client reads out the last vertex in the Z basis; a teleported
-        # particle's X^mx flips her bit, like the chain's frame.x.
+        # The client reads the last vertex in Z; X^mx and frame.x flip her bit.
         _, vertex, teleported = event
         of, bits, probs = level.fork(pick, vertex, qsim.Z_BRAS)
-        children = level.nodes = []
-        for i, b, p in zip(of, bits, probs):
-            node = nodes[i]
-            mx = node.m_bits[-1] if teleported else 0
-            frame = node.frames[0]
-            children.append(_Node([frame], node.m_bits, node.prob * p,
-                                  out=(b ^ mx ^ frame.x,)))
+        if pick is None:
+            nodes = level.nodes = nodes.children(of, probs)
+            nodes.out = bits ^ (nodes.m[:, -1] if teleported else 0) ^ nodes.x[:, 0]
+        else:
+            node = nodes[0]
+            node.prob *= probs[0]
+            node.out = (bits[0] ^ (node.m_bits[-1] if teleported else 0) ^ node.frames[0].x,)
         return level
     if kind == "vertex":
-        # The client measures a delivered vertex at its plan step's angle. A
-        # teleported particle carries X^mx Z^mz from the last two reported
-        # bits; X^mx flips the sign of her command, and Z^mz her outcome s.
-        _, step, teleported = event
-        shifts = [node.m_bits[-2:] if teleported else (0, 0) for node in nodes]
-        commands = [-step.base_angle if node.frames[0].x ^ mx else step.base_angle
-                    for node, (_, mx) in zip(nodes, shifts)]
-        of, outcomes, probs = level.fork(pick, step.vertex,
-                                          qsim.ROTATED_BRAS[[c.k for c in commands]])
-        children = level.nodes = []
-        for i, s, p in zip(of, outcomes, probs):
-            f = nodes[i].frames[0]  # (x, z) -> (s ^ mz ^ z, x), as a round with a = 0
-            frame = pauli.ALL_FRAMES[(s ^ shifts[i][0] ^ f.z) | f.x << 1]
-            children.append(_Node([frame], nodes[i].m_bits, nodes[i].prob * p, commands[i]))
+        # The client measures a delivered vertex at commands[sign][root]: the
+        # base angle, negated for sign frame.x ^ mx. A teleported particle
+        # carries X^mx Z^mz from the last two reported bits, and Z^mz flips
+        # her outcome s: (x, z) -> (s ^ mz ^ z, x), a round's with a = 0.
+        _, vertex, commands, teleported = event
+        if pick is None:
+            mx = nodes.m[:, -1] if teleported else 0
+            ks = np.asarray(commands)[nodes.x[:, 0] ^ mx, nodes.root]
+            of, s, probs = level.fork(None, vertex, qsim.ROTATED_BRAS[ks])
+            nodes = level.nodes = nodes.children(of, probs)
+            x = s ^ (nodes.m[:, -2] if teleported else 0) ^ nodes.z[:, 0]
+            nodes.z[:, 0] = nodes.x[:, 0]
+            nodes.x[:, 0] = x
+            return level
+        node = nodes[0]
+        mz, mx = node.m_bits[-2:] if teleported else (0, 0)
+        f = node.frames[0]
+        _, (s,), (p,) = level.fork(pick, vertex, qsim.ROTATED_BRAS[commands[f.x ^ mx][0]])
+        node.frames[0] = pauli.ALL_FRAMES[(s ^ mz ^ f.z) | f.x << 1]
+        node.prob *= p
         return level
 
+
+_BINARY = 2.0 ** np.arange(64)  # place values: n bits times _BINARY[:n][::-1] spell a number
 
 # The server's round on the wire w, as a map of his half s: the CZ's sign
 # (-1)^(s w), then the wire's X-basis read-out <x_m|w>, indexed [m, s, w].
@@ -523,10 +542,10 @@ _CZ_THEN_X = np.array([[1, 1], [1, -1]])[None] * qsim.ROTATED_BRAS[0][:, None, :
 
 def _pair_table(amplitudes):
     """The client's part of every round on one pair (server half qubit 0):
-    (p0, maps), where p0[k] is the probability that she reads a = 0 at
-    Angle(k), and maps[2k + a] the server's 2x2 maps, one per reported bit
-    m, M[m][s, w] = v[s] (-1)^(s w) <x_m|w>, with v the normalized state her
-    outcome leaves on his half. An impossible outcome's v is zero."""
+    (p0, maps), p0[k] the probability that she reads a = 0 at Angle(k) and
+    maps[2k + a] the server's 2x2 maps, one per reported bit m, M[m][s, w] =
+    v[s] (-1)^(s w) <x_m|w>, v the normalized state (or zero, if impossible)
+    her outcome leaves on his half."""
     halves = np.matmul(qsim.ROTATED_BRAS, amplitudes.reshape(2, 2))  # [k, a, s]
     # Each outcome's probability is its norm's share, so two equal norms give
     # exactly 1/2; each v is its half divided by its own norm.
@@ -545,58 +564,52 @@ def _bell_table():
     return _pair_table(qsim.bell_pair().amplitudes)
 
 
-def _child(node, w, command, a, m, pa, pm) -> _Node:
-    """`node`'s child on a round's branch (a, m) on wire w: byproducts Z^a on
-    the fresh qubit and X^m H on the old frame, (x, z) -> (m ^ z, a ^ x), and
-    prob times pa * pm (first: certificates print noise-level sums of them)."""
-    frames, f = list(node.frames), node.frames[w]
-    frames[w] = pauli.ALL_FRAMES[(m ^ f.z) | (a ^ f.x) << 1]
-    return _Node(frames, node.m_bits + (m,), node.prob * (pa * pm), command)
-
-
 def _round(level, plan, pick, pairs):
     """One protocol-2 round on every node of `level`.
 
     The server hands the client one half of a fresh pair (a Bell pair, or
-    the one `pairs` tables). She measures it at the command angle (outcome
-    a); he entangles his half with the wire by CZ, measures the wire in the
-    X basis (reported bit m) and keeps his half as the new wire.
+    the one `pairs` tables); she measures it at the command angle (outcome
+    a), he entangles his half with the wire by CZ, measures the wire in X
+    (reported bit m) and keeps his half as the new wire. Branch (a, m) leaves
+    Z^a on the fresh qubit and X^m H on the old frame, (x, z) -> (m ^ z,
+    a ^ x), and multiplies the probability by pa * pm (first: certificates
+    print noise-level sums of these products). Her outcome depends on the
+    pair alone (no-signaling), so her part is the pair's table: a's p0[k]
+    and the state a leaves on his half. His is one 2x2 block per m that puts
+    his half on top of the register, where the wire's label moves. A run
+    draws a by qsim.draw and m by qsim.measure_node; the walk keeps every
+    branch by qsim.branches and qsim.measure_stack.
 
-    Her outcome depends on the pair alone (no-signaling), never on the
-    register, so her part is the pair's table: a's p0[k] and the state a
-    leaves on his half. His part is one 2x2 map per m on the wire, a block
-    putting his half on top of the register, where the wire's label moves.
-    A run (`pick`, one node) draws a by qsim.draw and m by qsim.measure_node;
-    the walk keeps every branch by qsim.branches and qsim.measure_stack.
-
-    With no register (a run) the pair is an honest Bell pair, and a and m
-    are fair coins, drawn in that order: the client's half of a Bell pair is
-    maximally mixed whatever the rest, and after the CZ the server's half
-    has <Z> = 0, so the wire's X outcome is unbiased for any angle and state.
-    """
-    nodes, wire = level.nodes, ("wire", plan.wire)
-    commands = [plan.adapt_rule(node.m_bits, node.frames[plan.wire]) for node in nodes]
-    if level.amps is None:  # a run: walks hold a register
-        (node,), (command,) = nodes, commands
-        level.nodes = [_child(node, plan.wire, command, pick(0.5), pick(0.5), 0.5, 0.5)]
+    With no register (a run) a and m are fair coins, drawn in that order: a
+    Bell pair's client half is maximally mixed, and after the CZ the server's
+    half has <Z> = 0, so m is unbiased for any angle and state."""
+    nodes, wire, w = level.nodes, ("wire", plan.wire), plan.wire
+    if pick is None:
+        p0, maps = pairs or _bell_table()
+        # adapt_rule as a table: [the driver's m, frame.z] -> command angle.
+        table = np.array([[want.k, -want.k % 8] for want in plan.wants])
+        ks = table[0 if plan.driver is None else nodes.m[:, plan.driver - 1], nodes.z[:, w]]
+        a_of, a, pa = qsim.branches(np.array(p0)[ks])
+        level.amps = level.amps[a_of]
+        m_of, m, pm = level.fork(None, wire, maps[2 * ks[a_of] + a])
+        level.labels.append(wire)
+        nodes = level.nodes = nodes.children(a_of[m_of], pa[m_of] * pm, m)
+        nodes.x[:, w], nodes.z[:, w] = m ^ nodes.z[:, w], a[m_of] ^ nodes.x[:, w]
         return level
-    p0, maps = pairs or _bell_table()
-    if pick is not None:
-        (node,), (command,) = nodes, commands
+    (node,) = nodes
+    command = plan.adapt_rule(node.m_bits, node.frames[w])
+    if level.amps is None:  # no register: two fair coins
+        a, pa, m, pm = pick(0.5), 0.5, pick(0.5), 0.5
+    else:
+        p0, maps = pairs or _bell_table()
         a, pa = qsim.draw(p0[command.k], pick)
         qubit = level.qubit(wire)
         m, pm, post = qsim.measure_node(level.amps[0], qubit, maps[2 * command.k + a], pick)
         level.amps = post[None]
         level.labels.append(level.labels.pop(qubit))
-        level.nodes = [_child(node, plan.wire, command, a, m, pa, pm)]
-        return level
-    a_of, a, pa = qsim.branches([p0[c.k] for c in commands])
-    level.amps = level.amps[a_of]
-    index = [2 * commands[i].k + o for i, o in zip(a_of, a)]
-    m_of, m, pm = level.fork(None, wire, maps.take(index, axis=0))
-    level.labels.append(wire)
-    level.nodes = [_child(nodes[a_of[i]], plan.wire, commands[a_of[i]], a[i], m_bit, pa[i], p_m)
-                   for i, m_bit, p_m in zip(m_of, m, pm)]
+    f = node.frames[w]
+    node.frames[w] = pauli.ALL_FRAMES[(m ^ f.z) | (a ^ f.x) << 1]
+    node.m_bits, node.prob, node.command = node.m_bits + (m,), node.prob * (pa * pm), command
     return level
 
 
@@ -606,19 +619,13 @@ _DONE = ("done",)
 def _run(level, events, pick, *, channel=None,
          loss_masking=False, device=None, pairs=None):
     """Run `events` from a level of one node along the one branch `pick`
-    follows.
-
-    The loop owns the messages: a delivery (with resends on a lossy channel)
-    before each round and each "deliver" event, one X_RESULT per bit the
-    server reports, in the round of the last delivery, and DONE at the "done"
-    event. After each round a device sees the command angle.
-    Returns the final level and a RunResult of the classical record.
-    """
-    # Each stream exists only where it can change an outcome: at loss 0 no
-    # draw of rng_loss loses a particle. The loss stream is a spawned child of
-    # rng_seed because callers seed their outcome stream with [seed, 0] and
-    # pass the same seed as rng_seed: one shared stream would let a lost
-    # particle decide the reported bit drawn just before it.
+    follows: returns the final level and a RunResult. The loop owns the
+    messages: a delivery (with resends on a lossy channel) before each round
+    and "deliver" event, one X_RESULT per reported bit, in the round of the
+    last delivery, and DONE at "done". A device sees each command angle."""
+    # Each stream exists only where it can change an outcome. The loss stream
+    # is a spawned child of rng_seed: callers seed their outcome stream with
+    # [seed, 0], and one shared stream would let a loss decide the last bit.
     rng_loss = rng_mask = None
     if channel is not None and channel.loss_prob > 0.0:
         child = np.random.SeedSequence(channel.rng_seed, spawn_key=(0,))
@@ -647,11 +654,10 @@ def _run(level, events, pick, *, channel=None,
 
 
 # A walk holds a whole level in memory, a record and a register row per
-# node, so it refuses one whose next level could pass this many amplitudes
-# (nodes times 2^width), as qsim.CAPACITY does for one register. The largest
-# level the test suite, verify and the certify benchmark walk is 2^15 (tp's
-# "H 0; S 0; H 0" at its last teleport): the budget leaves room for one more
-# round or teleport, and a walk past it is refused within a second.
+# node, so it refuses one whose next level could pass this many amplitudes,
+# as qsim.CAPACITY does for one register. The largest level the tests, verify
+# and the certify benchmark walk is 2^15 (tp's "H 0; S 0; H 0" at its last
+# teleport): the budget leaves room for one more round or teleport.
 WALK_AMPLITUDES = 1 << 17
 # The most one event multiplies a level's amplitudes by: a round or a
 # teleport forks each node four ways and keeps the register's width.
@@ -662,15 +668,15 @@ def _walk(level, events):
     """The leaves of a lossless, honest run's outcome tree, exactly: the last
     level of a walk that advances the whole frontier one event at a time.
 
-    Level by level, each measurement forks every node on its possible
-    outcomes (0 before 1, impossible ones dropped), and children keep their
-    parents' order, so the leaves come in the order of itertools.product
-    over the outcome bits, measurement by measurement. A level holds every
-    node's register, so memory grows with the widest level (its nodes times
-    the register's 2^n amplitudes): the walk is for exact checks of a few
-    rounds or vertices, and raises CapacityError before an event that could
-    take a level past WALK_AMPLITUDES.
-    """
+    Each row of `level`'s stack is a root at the identity frames of its one
+    record. Measurements fork every node on its possible outcomes (0 first)
+    and children keep their parents' order, so each root's leaves are
+    contiguous, in the order of itertools.product over the outcome bits.
+    Before an event that could take a level (nodes times 2^n amplitudes, all
+    roots) past WALK_AMPLITUDES, it raises CapacityError."""
+    count, wires = len(level.amps), len(level.nodes[0].frames)
+    level.nodes = _Columns(np.zeros((count, 2 * wires), np.uint8), wires, np.ones(count),
+                           np.arange(count))
     for event in events:
         if _GROWTH.get(event[0], 1) * level.amps.size > WALK_AMPLITUDES:
             raise CapacityError(
@@ -697,15 +703,11 @@ def run_protocol2(
     first) in place of each fresh Bell pair, or control the client's
     measuring `device`, which sees each round's command angle and is asked
     for clicks. A run that has rounds needs `rng` to draw its outcomes, or
-    `forced_outcomes`, an (a, m) pair per round in place of draws.
-
-    With `input_state` None the run holds no register and
-    `logical_output_state` is None: each round's a and m are fair coins
-    (_round), one rng.random() each compared with exactly 1/2, in the
-    register path's order. There a's p0, from the Bell pair's table, is
-    exactly 1/2; m's is computed from the register and can miss 1/2 by
-    rounding error, so the paths differ only for a draw in that gap (see
-    README). A substituted pair or forced outcomes need a register.
+    `forced_outcomes`, an (a, m) pair per round in place of draws. With
+    `input_state` None the run holds no register and each round's a and m
+    are fair coins (_round); m's p0 on the register path can miss 1/2 by
+    rounding error, so the two paths differ only for a draw in that gap
+    (see README). A substituted pair or forced outcomes need a register.
     """
     level = _start(program, input_state)
     if input_state is None and (pair is not None or forced_outcomes is not None):
@@ -729,27 +731,31 @@ def run_protocol2(
 
 def walk_protocol2(program: AngleProgram, input_state: StateVector):
     """(m_bits, prob) for every leaf of a lossless, honest protocol-2 run, in
-    the order of itertools.product over the per-round (a, m) bits.
-
-    The walk measures the real register, so it needs an input state: with
-    fair coins in its place a certificate would assume what it certifies."""
+    the order of itertools.product over the per-round (a, m) bits. It needs
+    an input state: on fair coins a certificate would assume what it checks."""
     if input_state is None:
         raise ValueError("the walk needs an input state")
     leaves = _walk(_start(program, input_state), program.events).nodes
-    return ((leaf.m_bits, leaf.prob) for leaf in leaves)
+    bits = zip(*leaves.m.T.tolist()) if program.num_rounds else [()] * len(leaves.prob)
+    return zip(bits, leaves.prob.tolist())
 
 
-def walk_protocol1(state: StateVector, plan):
-    """(posts, probs) over the leaves of the client measuring `state`'s plan
-    vertices in turn, as protocol 1's vertex step does (adaptive sign
-    included), in the order of itertools.product over her outcomes: row i
-    of the array `posts` is leaf i's server state, probs[i] its probability.
-
-    A server state holds the qubits no step measured, in ascending order
-    (measuring only removes labels from the ascending register)."""
-    start = _level(state, range(state.num_qubits), [FRAME_I])
-    leaves = _walk(start, [("vertex", step, False) for step in plan])
-    return leaves.amps, [leaf.prob for leaf in leaves.nodes]
+def walk_protocol1(states, plans):
+    """(posts, probs, roots) over the leaves of one walk of protocol 1's vertex
+    step (adaptive sign included): root r is register states[r] under
+    plans[r], all measuring the same vertices. Leaf i has the server state
+    posts[i] (the unmeasured qubits, ascending), probs[i] and roots[i]; each
+    root's leaves are contiguous, in the order of itertools.product over her
+    outcomes, and equal bit for bit those of a walk of that root alone."""
+    vertices = [step.vertex for step in plans[0]]
+    if any([step.vertex for step in plan] != vertices for plan in plans):
+        raise ValueError("every plan must measure the same vertices")
+    ks = np.array([[step.base_angle.k for step in plan] for plan in plans]).reshape(len(plans), -1)
+    events = [("vertex", v, np.array((k, -k % 8)), False) for v, k in zip(vertices, ks.T)]
+    states = np.asarray(states, complex)
+    start = _Level(states, list(range(states.shape[1].bit_length() - 1)), [_Node([FRAME_I])])
+    leaves = _walk(start, events)
+    return leaves.amps, leaves.nodes.prob, leaves.nodes.root
 
 
 def correct_output(result: RunResult) -> StateVector:
@@ -830,12 +836,10 @@ def chain_unitary(plan) -> np.ndarray:
 
 def _chain(resource, plan, teleported: bool):
     """Protocol 1 (or, teleported, tp) as a start node, events and the number
-    of measurements in a run: one per vertex, plus two per teleport.
-
-    Vertex v is delivered in round v + 1; in tp it reaches the client through
-    a fresh pair. She measures vertices 0..n-2 at the plan's angles and reads
-    out vertex n-1 in the computational basis.
-    """
+    of measurements in a run: one per vertex, plus two per teleport. Vertex
+    v is delivered in round v + 1 (in tp through a fresh pair); the client
+    measures vertices 0..n-2 at the plan's angles and reads out vertex n-1
+    in the computational basis."""
     graph = resource.graph
     n = graph.num_vertices
     expected = {frozenset((i, i + 1)) for i in range(n - 1)}
@@ -849,7 +853,8 @@ def _chain(resource, plan, teleported: bool):
         if teleported:
             events.append(("teleport", vertex))
         if vertex < n - 1:
-            events.append(("vertex", plan[vertex], teleported))
+            k = plan[vertex].base_angle.k
+            events.append(("vertex", vertex, ((k,), (-k % 8,)), teleported))
         else:
             events.append(("readout", vertex, teleported))
     start = _level(resource.state, range(n), [FRAME_I])
@@ -883,24 +888,20 @@ def run_teleport_variant(resource, plan, channel: ChannelModel, rng=None,
 
 
 def enumerate_distribution(runner, resource, plan, *args, num_bits):
-    """Exact outcome distribution of run_protocol1 or run_teleport_variant
-    on `resource` and `plan`.
-
-    Sums the read-out bits over the leaves of one walk of the runner's
-    outcome tree; the runner itself never runs, so its other arguments (a
-    channel) change nothing. `num_bits` must be the number of measurements
-    in a run: one per vertex, plus two per teleport. Returns
-    {outcome_bits tuple: probability}, summing to 1.
-    """
+    """Exact outcome distribution {outcome_bits tuple: probability} of
+    run_protocol1 or run_teleport_variant on `resource` and `plan`: the
+    read-out bits summed over the leaves of one walk (the runner never runs,
+    so its other arguments change nothing). `num_bits` must be the number
+    of measurements in a run: one per vertex, plus two per teleport."""
     if runner not in (run_protocol1, run_teleport_variant):
         raise ValueError("only the linear-cluster runners can be enumerated")
     teleported = runner is run_teleport_variant
     start, events, measured = _chain(resource, plan, teleported)
     if num_bits != measured:
         raise ValueError(f"a run measures {measured} bits, not {num_bits}")
-    dist = {}
-    for leaf in _walk(start, events).nodes:
-        dist[leaf.out] = dist.get(leaf.out, 0.0) + leaf.prob
+    dist, leaves = {}, _walk(start, events).nodes
+    for out, prob in zip(leaves.out.tolist(), leaves.prob.tolist()):
+        dist[out,] = dist.get((out,), 0.0) + prob
     return dist
 
 

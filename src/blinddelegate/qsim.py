@@ -181,15 +181,13 @@ def _rows(view: np.ndarray, axes, count: int) -> np.ndarray:
     """Contiguous copy of the stacked `view` (node axis first) with `axes`
     moved to the front, as `count` rows per node: shape (nodes, count, rest).
 
-    Every kernel contracts each node's rows in one BLAS product rather than
-    with elementwise slice arithmetic: BLAS fuses multiply-adds, so a
-    different formula would move the last bits of seeded results, including
-    the noise-level deviations that certificate reports print. One node (a
-    run's level) goes through np.dot, and its norm through np.vdot; a stack
-    keeps a leading node axis and goes through np.matmul, which gives each
-    node exactly the floats of its own np.dot. Nodes are never folded into
-    the columns of one product, whose one-column rows take a different BLAS
-    path and round differently (tests/test_qsim.py pins this).
+    Every kernel contracts each node's rows in one BLAS product, never by
+    elementwise slice arithmetic, whose different rounding would move the
+    last bits of seeded results and of the deviations certificates print.
+    One node goes through np.dot (its norm through np.vdot); a stack keeps a
+    leading node axis through np.matmul, which gives each node its own
+    np.dot's floats. Nodes are never folded into the columns of one product,
+    which rounds differently (tests/test_qsim.py pins this).
     """
     return np.ascontiguousarray(view.transpose(axes)).reshape(len(view), count, -1)
 
@@ -340,48 +338,40 @@ def draw(p0, pick):
 
 def branches(p0):
     """Every possible branch of measurements whose outcome 0 has probability
-    p0[b], b = 0, 1, ...: (parents, outcomes, probs), one entry per branch,
-    node by node and outcome 0 first, impossible ones dropped. Each p0 is
-    clamped to [0, 1] and outcome 1 has 1 - p0."""
-    parents, outcomes, probs = [], [], []
-    for b, q in enumerate(p0):
-        q = min(max(q, 0.0), 1.0)
-        for outcome, prob in ((0, q), (1, 1.0 - q)):
-            if prob >= DEGENERATE_PROB:
-                parents.append(b)
-                outcomes.append(outcome)
-                probs.append(prob)
-    return parents, outcomes, probs
+    p0[b], b = 0, 1, ...: arrays (parents, outcomes, probs), one entry per
+    branch, node by node and outcome 0 first, impossible ones dropped. Each
+    p0 is clamped to [0, 1] and outcome 1 has 1 - p0."""
+    p0 = np.minimum(np.maximum(p0, 0.0), 1.0)
+    probs = np.array((p0, 1.0 - p0)).T  # [node, outcome]
+    parents, outcomes = (probs >= DEGENERATE_PROB).nonzero()
+    return parents, outcomes, probs[parents, outcomes]
 
 
 def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
     """Measure `qubit` of every node of `stack` (one row of amplitudes per
     node), node b in the basis whose bras (conjugated kets, outcome 0 first)
-    are bras[b]; `bras` is (nodes, 2, 2), or one (2, 2) basis such as Z_BRAS
-    for all.
+    are bras[b]; `bras` is (nodes, 2, 2), or one (2, 2) basis for all.
 
     Each outcome's bra may also be an r x 2 block, given per node as
     (nodes, 2, r, 2): outcome o maps the qubit to r amplitudes, block row j
     becoming bit j of a qubit put on top of the register (r = 2), where a
-    bra (r = 1) removes it. A block is a measurement followed by an
-    operation that keeps the qubit, such as the X read-out of a wire after
-    a CZ with a qubit whose state the block carries.
+    bra (r = 1) removes it; such as the X read-out of a wire after a CZ with
+    a qubit whose state the block carries.
 
-    A pick (a run's) needs a stack of one node and keeps the branch it
-    names (measure_node); None (the walk's) keeps every one (branches).
-
-    Returns (parents, outcomes, probs, posts): the node, outcome and
-    probability of each branch (lists), and the stack of its normalized post
-    states. The arithmetic is the same for every node and branch: p0 is
-    <b0|b0> of branch 0 = block_0 rows, clamped to [0, 1], outcome 1 has
-    1 - p0, a read-out last qubit (one amplitude) has p0 = |b0|^2, and a
-    branch's post is its rows divided by sqrt(prob). A stack takes its
-    products with np.matmul, node by node measure_node's floats.
+    A pick (a run's) needs a stack of one node (ValueError otherwise) and
+    keeps the branch it names (measure_node); None (the walk's) keeps every
+    one (branches). Returns (parents, outcomes, probs, posts): the node,
+    outcome and probability of each branch (lists), and the stack of its
+    normalized post states. p0 is <b0|b0> of branch 0 = block_0 rows (|b0|^2
+    for one amplitude), clamped to [0, 1], outcome 1 has 1 - p0, and a post
+    is its rows divided by sqrt(prob), by np.matmul: measure_node's floats.
     """
     count, bras = len(stack), np.asarray(bras)
     if bras.ndim < 4:
         bras = bras[..., None, :]
     if pick is not None:
+        if count != 1:
+            raise ValueError(f"a pick keeps one branch of one node, not of a stack of {count}")
         (amps,) = stack
         outcome, prob, post = measure_node(amps, qubit, bras if bras.ndim == 3 else bras[0], pick)
         return [0], [outcome], [prob], post[None]
@@ -391,13 +381,13 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
     if flat.shape[2] == 1:
         p0 = [float(abs(b) ** 2) for b in flat[:, 0, 0]]
     else:
-        p0 = np.matmul(flat.conj(), flat.transpose(0, 2, 1))[:, 0, 0].real.tolist()
+        p0 = np.matmul(flat.conj(), flat.transpose(0, 2, 1))[:, 0, 0].real
     parents, outcomes, probs = branches(p0)
     branch1 = np.matmul(bras[..., 1, :, :], rows)
     posts = np.concatenate((branch0, branch1), axis=1).reshape(2 * count, -1)
     if len(parents) < 2 * count:
-        posts = posts[[2 * b + o for b, o in zip(parents, outcomes)]]
-    return parents, outcomes, probs, posts / np.sqrt(probs)[:, None]
+        posts = posts[2 * parents + outcomes]
+    return parents.tolist(), outcomes.tolist(), probs.tolist(), posts / np.sqrt(probs)[:, None]
 
 
 def measure_node(amps, qubit, bras, pick):

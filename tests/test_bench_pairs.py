@@ -59,3 +59,31 @@ def test_flags_name_failed_runs_and_digest_mismatches():
            "change": [_result(2, 1, digest="d1"), _result(2, 1)]}
     assert bench_pairs.flags(bad) == ["base pair 1: correct=False failed=2",
                                       "digest mismatch: d0, d1"]
+
+
+@pytest.mark.parametrize("change, status", [
+    ({}, 0),
+    ({"digest": "d1"}, 1),
+    ({"correct": False}, 1),
+    ({"failed": 3}, 1),
+], ids=["clean", "digest-mismatch", "incorrect", "failed-ops"])
+def test_exit_status_is_1_exactly_when_a_flag_is_printed(monkeypatch, capsys, change, status):
+    """main() on canned runs (nothing is extracted or benchmarked): the
+    working tree's runs carry `change`, and the exit status is 1 whenever the
+    output holds a FLAG line."""
+    names = [m["name"] for m in json.loads(
+        (Path(bench_pairs.ROOT) / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def fake_bench(root, args):
+        result = {**_result(100.0, 1.0), "metrics": {n: {"value": 1.0} for n in names}}
+        return {**result, **change} if root == bench_pairs.ROOT else result
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--base", "HEAD", "--workload",
+                                     "certify", "--pairs", "2", "--seconds", "1"])
+    assert bench_pairs.main() == status
+    out = capsys.readouterr().out
+    assert ("\nFLAG " in out) == bool(status)
+    runs = {"base": [_result(1, 1)], "change": [{**_result(1, 1), **change}]}
+    assert bench_pairs.report(runs, METRICS, "header") == status

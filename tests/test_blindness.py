@@ -6,7 +6,7 @@ from numpy.random import default_rng
 
 from blinddelegate import adversaries, blindness, graphs, protocols, qsim
 from blinddelegate.blindness import BlindnessReport, Povm, ReportLine
-from blinddelegate.errors import DegenerateMeasurementError
+from blinddelegate.errors import CapacityError, DegenerateMeasurementError
 from oracles import measured_branch, partial_trace
 
 
@@ -114,6 +114,13 @@ def test_povm_distribution_equals_per_element_traces():
         assert np.array_equal(blindness.povm_distribution(rho, povm), expected)
 
 
+def _walk_protocol1(psi, plan):
+    """(posts, probs) of protocols.walk_protocol1 from the one root psi."""
+    posts, probs, roots = protocols.walk_protocol1(psi.amplitudes[None], [plan])
+    assert not roots.any()
+    return posts, probs
+
+
 def _per_leaf_view(joint, alice_qubits, angles):
     """bob_view_protocol1 as a loop over leaves: total + (w p) |v><v|."""
     if isinstance(joint, qsim.StateVector):
@@ -124,7 +131,7 @@ def _per_leaf_view(joint, alice_qubits, angles):
     plan = [protocols.PlanStep(q, qsim.Angle(k)) for q, k in zip(alice_qubits, angles)]
     total = 0.0
     for weight, psi in mixture:
-        for v, prob in zip(*protocols.walk_protocol1(psi, plan)):
+        for v, prob in zip(*_walk_protocol1(psi, plan)):
             total = total + (weight * prob) * np.outer(v, v.conj())
     return total
 
@@ -139,6 +146,49 @@ def test_bob_view_equals_per_leaf_sum():
     for secret in ((0, 1), (6, 3)):
         view = blindness.bob_view_protocol1(rho, [0, 1], secret)
         assert np.array_equal(view.marginal.entries, _per_leaf_view(rho, [0, 1], secret))
+
+
+def test_stacked_views_equal_a_per_secret_loop_bit_for_bit():
+    """protocol1_views walks every secret and eigenvector in one stack; each
+    view equals the loop over that secret's eigenvectors and leaves bit for
+    bit: on the honest cluster, on a mixed joint state, and on a joint state
+    whose measured qubit is |+>, where angles 0 and 4 each drop a branch, so
+    the secrets' leaves differ in number."""
+    cluster = graphs.build_graph_state(graphs.linear_cluster(5)).state
+    rho = adversaries.random_mixed_state(3, default_rng(37))
+    plus = qsim.StateVector(np.kron(qsim.random_state(1, default_rng(38)).amplitudes,
+                                    qsim.plus_state(1).amplitudes))
+    cases = [(cluster, range(4), [(0, 2, 7, 1), (1, 4, 2, 3), (7, 7, 0, 5)]),
+             (rho, [0, 1], [(0, 1), (6, 3), (2, 2), (5, 7)]),
+             (plus, [0], [(0,), (2,), (4,), (1,)])]
+    for joint, qubits, secrets in cases:
+        views = blindness.protocol1_views(joint, qubits, secrets)
+        assert len(views) == len(secrets)
+        for view, secret in zip(views, secrets):
+            want = _per_leaf_view(joint, qubits, secret)
+            assert np.array_equal(view.marginal.entries, want), secret
+            alone = blindness.bob_view_protocol1(joint, qubits, secret)
+            assert np.array_equal(alone.marginal.entries, want), secret
+    posts, probs, roots = protocols.walk_protocol1(
+        np.array([plus.amplitudes] * 4),
+        [[protocols.PlanStep(0, qsim.Angle(k))] for k in (0, 2, 4, 1)])
+    assert roots.tolist() == [0, 1, 1, 2, 3, 3]
+    with pytest.raises(ValueError, match="same vertices"):
+        protocols.walk_protocol1(np.array([plus.amplitudes] * 2),
+                                 [[protocols.PlanStep(v, qsim.Angle(0))] for v in (0, 1)])
+
+
+def test_a_stacked_walk_counts_every_root_against_its_budget():
+    """The walk's budget covers the whole stack: 33 secrets on a 12-qubit
+    joint state start at 33 * 2^12 amplitudes, past WALK_AMPLITUDES, and are
+    refused before any step, though each secret alone (2^12) walks."""
+    assert 32 * 2**12 <= protocols.WALK_AMPLITUDES < 33 * 2**12
+    joint = qsim.random_state(12, default_rng(39))
+    secrets = [[(k + j) % 8 for j in range(11)] for k in range(33)]
+    view = blindness.bob_view_protocol1(joint, range(11), secrets[0])
+    assert view.marginal.entries.shape == (2, 2)
+    with pytest.raises(CapacityError, match="could exceed"):
+        blindness.protocol1_views(joint, range(11), secrets)
 
 
 _EYE = np.eye(2)
@@ -223,7 +273,7 @@ def test_walk_protocol1_leaf_equals_measure_rotated_basis(k, outcome):
     measure_stack forced to that outcome, and within 1e-12 those of the
     projector oracle on the ket (|0> + (-1)^outcome e^{-i theta}|1>)/sqrt2."""
     joint = graphs.build_graph_state(graphs.linear_cluster(2)).state
-    leaves = list(zip(*protocols.walk_protocol1(joint, [protocols.PlanStep(0, qsim.Angle(k))])))
+    leaves = list(zip(*_walk_protocol1(joint, [protocols.PlanStep(0, qsim.Angle(k))])))
     assert len(leaves) == 2
     post, p = leaves[outcome]
     _, [drawn], [ref_p], refs = qsim.measure_stack(
@@ -244,7 +294,7 @@ def test_announced_outcomes_would_reveal_the_secret():
     angles. Only their sum, what the server holds, is angle-independent."""
     joint = graphs.build_graph_state(graphs.linear_cluster(4)).state
     leaves = [
-        list(zip(*protocols.walk_protocol1(
+        list(zip(*_walk_protocol1(
             joint, [protocols.PlanStep(v, qsim.Angle(k)) for v, k in enumerate(secret)])))
         for secret in ((0, 2, 7), (1, 4, 2))
     ]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from blinddelegate import adversaries, graphs, pauli, protocols, qsim
+from blinddelegate import adversaries, blindness, graphs, pauli, protocols, qsim
 from blinddelegate.errors import (
     CalibrationError,
     CapacityError,
@@ -215,16 +215,26 @@ def _one_map_round(psi, wire, k, pair, forced=None):
     None, the walk), or the one the forced (a, m) names."""
     n = psi.num_qubits
     plan = protocols.RoundPlan(wire, 1, (qsim.Angle(k), qsim.Angle(k)))
+    pairs = protocols._pair_table(pair.amplitudes)
     level = protocols._start(protocols.AngleProgram(n), psi)
-    pick = None if forced is None else protocols._measurement(None, forced, 2)
-    level = protocols._step(level, ("round", plan), pick, protocols._pair_table(pair.amplitudes))
+    if forced is None:  # the walk's records: a row of columns per node
+        level = protocols._step(protocols._walk(level, []), ("round", plan), None, pairs)
+        c = level.nodes
+        records = zip(c.x[:, wire].tolist(), c.z[:, wire].tolist(), map(tuple, c.m.tolist()),
+                      c.prob.tolist())
+    else:
+        pick = protocols._measurement(None, forced, 2)
+        level = protocols._step(level, ("round", plan), pick, pairs)
+        (node,) = level.nodes
+        assert node.command.k == k
+        frame = node.frames[wire]
+        records = [(frame.x, frame.z, node.m_bits, node.prob)]
     assert len(level.labels) == n
     out = {}
-    for j, node in enumerate(level.nodes):
-        frame = node.frames[wire]  # from the identity frame: (x, z) = (m, a)
-        assert node.m_bits == (frame.x,) and node.command.k == k
+    for j, (x, z, m_bits, prob) in enumerate(records):
+        assert m_bits == (x,)  # from the identity frame: (x, z) = (m, a)
         row = protocols._Level(level.amps[j:j + 1], level.labels, [None])
-        out[frame.z, frame.x] = (node.prob, row.state([("wire", w) for w in range(n)]).amplitudes)
+        out[z, x] = (prob, row.state([("wire", w) for w in range(n)]).amplitudes)
     return out
 
 
@@ -834,9 +844,10 @@ def test_table_frames_equal_word_accumulation_on_every_leaf(case):
     start = protocols._start(program, psi)
     leaves = protocols._walk(start, program.events).nodes
     strings = itertools.product((0, 1), repeat=2 * program.num_rounds)
-    for leaf, bits in zip(leaves, strings, strict=True):
-        assert leaf.m_bits == bits[1::2]
-        assert leaf.frames == _reference_frames(program, bits)
+    for m_bits, xs, zs, bits in zip(leaves.m.tolist(), leaves.x.tolist(), leaves.z.tolist(),
+                                    strings, strict=True):
+        assert tuple(m_bits) == bits[1::2]
+        assert [pauli.frame(x, z) for x, z in zip(xs, zs)] == _reference_frames(program, bits)
 
 
 # One program per gate group, and sha256 prefixes of its walk's leaves (m bits
@@ -1099,6 +1110,40 @@ def test_a_run_draws_one_branch_and_a_walk_enumerates_them(monkeypatch):
     leaves = list(protocols.walk_protocol2(program, qsim.random_state(1, default_rng(34))))
     assert program.num_rounds == 6 and len(leaves) == 4**6
     assert calls == {"branches": 12, "measure_stack": 6, "measure_node": 0, "draw": 0}
+
+
+def _walk_counts(monkeypatch):
+    """Counts, from here on, of the _Node records built, the walks and the
+    qsim.measure_stack calls."""
+    calls = dict.fromkeys(("_Node", "_walk", "measure_stack"), 0)
+    for owner, name in ((protocols, "_Node"), (protocols, "_walk"), (qsim, "measure_stack")):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_walk_keeps_its_records_in_columns(monkeypatch):
+    """Counts, no timer. A walk of T 0 or CZ 0 1 (6 rounds, 4,096 leaves)
+    keeps its nodes' records as rows of columns: the one _Node it builds is
+    the start record that _start builds for runs and walks alike, the
+    per-child _child helper is gone, and it measures once per round. The
+    protocol-1 certificate on 3 secrets of 4 vertices is one walk of all
+    three, with one qsim.measure_stack call per vertex."""
+    assert not hasattr(protocols, "_child")
+    for text in ("T 0", "CZ 0 1"):
+        program = protocols.compile_circuit(protocols.parse_circuit(text))
+        psi = qsim.random_state(program.num_wires, default_rng(35))
+        calls = _walk_counts(monkeypatch)
+        leaves = list(protocols.walk_protocol2(program, psi))
+        assert program.num_rounds == 6 and len(leaves) == 4**6
+        assert calls == {"_Node": 1, "_walk": 1, "measure_stack": 6}
+        monkeypatch.undo()
+    calls = _walk_counts(monkeypatch)
+    secrets = [(0, 2, 7, 1), (1, 4, 2, 3), (7, 7, 0, 5)]
+    assert blindness.certify_protocol1(secrets, n_povms=1, rng=default_rng(36)).passed
+    assert calls == {"_Node": 1, "_walk": 1, "measure_stack": 4}
 
 
 @pytest.mark.parametrize("case", ["T 0", "H 0\nCNOT 0 1\nT 1", "CZ 0 1\nTDG 0"])

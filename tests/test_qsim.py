@@ -676,7 +676,7 @@ def test_measure_stack_picks_one_branch_per_node(count, width):
     wanted = [int(o) for o in rng.integers(2, size=count)]
     picked = iter(wanted)
     if count > 1:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"pick .* one node, not of a stack of {count}$"):
             qsim.measure_stack(stack, qubit, bras, lambda p0: next(picked))
         return
     parents, outcomes, probs, posts = qsim.measure_stack(

@@ -13,7 +13,8 @@ Prints one line per run, then, for each end-to-end metric that
 BENCHMARK.json lists, both sides' median and quartiles, the change of the
 median, and in how many pairs the working tree did better (ties count for
 neither side). A digest that differs between any two runs, or a run that is
-not correct, is flagged. The temporary directory is deleted at the end.
+not correct or has failed operations, is flagged, and then the exit status
+is 1. The temporary directory is deleted at the end.
 """
 
 from __future__ import annotations
@@ -101,6 +102,21 @@ def bench(root: str, args) -> dict:
     return parse_run(done.stdout)
 
 
+def report(runs: dict, metrics: list, header: str) -> int:
+    """Print `header`, a summary row per metric and a FLAG line per flag;
+    returns the exit status: 1 if anything was flagged, else 0."""
+    print(header)
+    for row in summarize(runs, metrics):
+        (b1, b2, b3), (c1, c2, c3) = row["base"], row["change"]
+        print(f"{row['metric']:>15} base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
+              f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  {row['relative']:+.1%}  "
+              f"won {row['wins']}/{row['pairs']}")
+    messages = flags(runs)
+    for message in messages:
+        print("FLAG " + message)
+    return 1 if messages else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -123,17 +139,11 @@ def main():
             print(f"pair {i} {side}: digest {run['digest'][:8]} {values}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    print(f"workload={args.workload} seed={args.seed} seconds={args.seconds} "
-          f"base={args.base}: median [q1, q3] per side, change of the median, "
-          "pairs the working tree won")
-    for row in summarize(runs, metrics):
-        (b1, b2, b3), (c1, c2, c3) = row["base"], row["change"]
-        print(f"{row['metric']:>15} base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
-              f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  {row['relative']:+.1%}  "
-              f"won {row['wins']}/{row['pairs']}")
-    for message in flags(runs):
-        print("FLAG " + message)
+    return report(runs, metrics,
+                  f"workload={args.workload} seed={args.seed} seconds={args.seconds} "
+                  f"base={args.base}: median [q1, q3] per side, change of the median, "
+                  "pairs the working tree won")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
