@@ -18,9 +18,9 @@ DEFAULT_CHECKS = ("identities", "unitcell", "stabilizers", "blindness")
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every call
-    (parse_args keeps no state between calls)."""
+def _parser() -> tuple:
+    """(parser, its subcommand map), built on first use and shared by every
+    call (parsing keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="blinddelegate",
         description="Delegated-computation runner and verifier.",
@@ -50,19 +50,23 @@ def _parser() -> argparse.ArgumentParser:
     attack_p.add_argument("--loss", type=float, default=0.0)
     attack_p.add_argument("--seed", type=int, default=0)
     attack_p.add_argument("--outdir", default=".")
-    return parser
+    return parser, sub.choices
 
 
 def parse_config(argv) -> argparse.Namespace:
-    """The parser's namespace for `argv`, with `checks` as a tuple and the
-    seed taken from BLINDDELEGATE_SEED when that is set."""
-    config = _parser().parse_args(argv)
+    """The namespace of one parse of `argv`, by argv[0]'s own parser when it
+    names a command; `checks` a tuple, the seed from BLINDDELEGATE_SEED if set."""
+    parser, commands = _parser()
+    sub = commands.get(argv[0]) if argv else None
+    config, rest = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                    if sub else parser.parse_known_args(argv))
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     if config.command == "verify":
         config.checks = tuple(c.strip() for c in config.checks.split(",") if c.strip())
         if not config.checks:
             raise ConfigError("--checks names no check")
-        unknown = set(config.checks) - set(DEFAULT_CHECKS)
-        if unknown:
+        if unknown := set(config.checks) - set(DEFAULT_CHECKS):
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
     if os.environ.get(ENV_SEED):
         try:
@@ -84,16 +88,15 @@ def parse_config(argv) -> argparse.Namespace:
 
 
 def _write(path, text):
-    """Write `text` to `path` as `open(path, "w")` would (same inode, the
-    same mode for a new file, nothing fsynced), except that an existing file
-    is rewritten in place and then cut to the new length. It is never
-    truncated to zero: on ext4 (auto_da_alloc, the default) a file truncated
-    to zero starts its writeback on close, tens of microseconds per small
-    artifact. The trade-off: a crash mid-write can leave old bytes after the
-    new ones, where "w" would leave it empty or short. Artifacts are
-    regenerable from their seed."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        fh.write(text)
+    """Write `text.encode()` to `path` through a buffered binary file: the
+    bytes, inode and new-file mode of `open(path, "w")` in a UTF-8 locale,
+    nothing fsynced. An existing file is rewritten in place and cut to the new
+    length, never truncated to zero: on ext4 (auto_da_alloc, the default) that
+    starts writeback on close, tens of microseconds per small artifact. A crash
+    mid-write can leave old bytes after the new ones, where "w" would leave it
+    empty or short. Artifacts are regenerable from their seed."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
         fh.truncate()
 
 
@@ -239,9 +242,10 @@ def main(argv=None) -> int:
     handlers = {"run": _run, "verify": _verify, "calibrate": _calibrate,
                 "attack": _attack}
     try:
-        config = parse_config(argv)
+        config = parse_config(sys.argv[1:] if argv is None else argv)
         artifacts, ok = handlers[config.command](config)
-        os.makedirs(config.outdir, exist_ok=True)
+        if not os.path.isdir(config.outdir):
+            os.makedirs(config.outdir, exist_ok=True)
         for name, text in artifacts:
             _write(os.path.join(config.outdir, name), text)
         sys.stdout.write(artifacts[-1][1])

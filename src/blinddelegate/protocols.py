@@ -354,10 +354,6 @@ class _Level:
         qubit = self.qubit(label)
         parents, outcomes, probs, self.amps = qsim.measure_stack(self.amps, qubit, bras, pick)
         del self.labels[qubit]
-        if pick is None:
-            n = len(parents)
-            return (np.fromiter(parents, np.intp, n), np.fromiter(outcomes, np.intp, n),
-                    np.fromiter(probs, float, n))
         return parents, outcomes, probs
 
     def relabel(self, old, new):

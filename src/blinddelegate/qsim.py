@@ -358,13 +358,13 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
     bra (r = 1) removes it; such as the X read-out of a wire after a CZ with
     a qubit whose state the block carries.
 
-    A pick (a run's) needs a stack of one node (ValueError otherwise) and
-    keeps the branch it names (measure_node); None (the walk's) keeps every
-    one (branches). Returns (parents, outcomes, probs, posts): the node,
-    outcome and probability of each branch (lists), and the stack of its
+    A pick (a run's) needs a stack of one node (ValueError otherwise) and keeps
+    the branch it names (measure_node); None (the walk's) keeps every one
+    (branches). Returns (parents, outcomes, probs, posts): each branch's node,
+    outcome and probability (arrays, a pick's lists), and the stack of its
     normalized post states. p0 is <b0|b0> of branch 0 = block_0 rows (|b0|^2
-    for one amplitude), clamped to [0, 1], outcome 1 has 1 - p0, and a post
-    is its rows divided by sqrt(prob), by np.matmul: measure_node's floats.
+    for one amplitude), clamped to [0, 1], outcome 1 has 1 - p0, and a post is
+    its rows divided by sqrt(prob), by np.matmul: measure_node's floats.
     """
     count, bras = len(stack), np.asarray(bras)
     if bras.ndim < 4:
@@ -387,7 +387,7 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
     posts = np.concatenate((branch0, branch1), axis=1).reshape(2 * count, -1)
     if len(parents) < 2 * count:
         posts = posts[2 * parents + outcomes]
-    return parents.tolist(), outcomes.tolist(), probs.tolist(), posts / np.sqrt(probs)[:, None]
+    return parents, outcomes, probs, posts / np.sqrt(probs)[:, None]
 
 
 def measure_node(amps, qubit, bras, pick):

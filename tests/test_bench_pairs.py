@@ -32,8 +32,10 @@ def test_runs_alternate_which_side_goes_first():
 
 def test_parse_run_reads_the_digest_and_the_last_line():
     result = _result(1000.0, 0.5, digest="ab" * 32)
-    stdout = "info {}\ndigest " + "ab" * 32 + "\n" + json.dumps(result) + "\n"
-    assert bench_pairs.parse_run(stdout) == result
+    stamp = {"workload": "delegate", "seed": 1, "python": "3.11.7"}
+    stdout = ("info " + json.dumps(stamp) + "\ndigest " + "ab" * 32 + "\n"
+              + json.dumps(result) + "\n")
+    assert bench_pairs.parse_run(stdout) == {**result, "info": stamp}
 
 
 def test_summary_takes_medians_quartiles_and_wins():
@@ -87,3 +89,70 @@ def test_exit_status_is_1_exactly_when_a_flag_is_printed(monkeypatch, capsys, ch
     assert ("\nFLAG " in out) == bool(status)
     runs = {"base": [_result(1, 1)], "change": [{**_result(1, 1), **change}]}
     assert bench_pairs.report(runs, METRICS, "header") == status
+
+
+def _canned_main(monkeypatch, argv, digest="d0"):
+    """main() with `argv` on canned runs: nothing is extracted or
+    benchmarked. Returns (status, the runs it was given)."""
+    names = [m["name"] for m in json.loads(
+        (Path(bench_pairs.ROOT) / "BENCHMARK.json").read_text())["end_to_end"]]
+    given = {"base": [], "change": []}
+
+    def fake_bench(root, args):
+        side = "change" if root == bench_pairs.ROOT else "base"
+        value = 100.0 + len(given[side]) + (side == "change")
+        run = {**_result(value, 1.0, digest=digest), "info": {"seed": args.seed},
+               "metrics": {n: {"value": value, "unit": "x"} for n in names}}
+        given[side].append(run)
+        return run
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", *argv])
+    return bench_pairs.main(), given
+
+
+def test_out_adds_one_comparison_per_call_and_round_trips(monkeypatch, capsys, tmp_path):
+    """--out keeps a JSON list: each call adds its command line, arguments,
+    every run (metrics, digest, info stamp) per side and pair, the summary
+    rows and the flags, exactly as record() builds them from those runs."""
+    out = tmp_path / "BENCH.json"
+    metrics = json.loads((Path(bench_pairs.ROOT) / "BENCHMARK.json").read_text())["end_to_end"]
+    calls = [(["--base", "HEAD", "--workload", "delegate", "--pairs", "3", "--seed", "2"], "d0"),
+             (["--base", "HEAD~1", "--workload", "certify", "--pairs", "1"], "d1")]
+    for argv, digest in calls:
+        status, runs = _canned_main(monkeypatch, [*argv, "--out", str(out)], digest)
+        assert status == 0
+    capsys.readouterr()
+    entries = json.loads(out.read_text())
+    assert len(entries) == 2
+    for entry, (argv, digest) in zip(entries, calls):
+        assert set(entry) == {"command", "args", "runs", "summary", "flags"}
+        assert entry["command"] == ["bench_pairs.py", *argv, "--out", str(out)]
+        assert entry["args"]["base"] == argv[1] and entry["args"]["out"] == str(out)
+        pairs = entry["args"]["pairs"]
+        for side in bench_pairs.SIDES:
+            assert len(entry["runs"][side]) == pairs
+            for run in entry["runs"][side]:
+                assert run["digest"] == digest
+                assert run["info"] == {"seed": entry["args"]["seed"]}
+                assert set(run["metrics"]) == {m["name"] for m in metrics}
+        assert entry["flags"] == []
+        rows = bench_pairs.summarize(entry["runs"], metrics)
+        assert entry["summary"] == json.loads(json.dumps(rows))
+    # The last call's record, rebuilt from its runs, is what the file holds.
+    assert entries[-1]["runs"] == runs
+
+
+def test_pairs_below_one_exits_2_before_extracting(monkeypatch, capsys):
+    def no_extract(rev, into):
+        raise AssertionError("extracted")
+
+    monkeypatch.setattr(bench_pairs, "extract", no_extract)
+    for pairs in ("0", "-3"):
+        monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--base", "HEAD", "--workload",
+                                         "delegate", "--pairs", pairs])
+        assert bench_pairs.main() == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --pairs must be at least 1\n"

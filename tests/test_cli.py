@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import shutil
@@ -63,6 +64,116 @@ def test_parse_config_gives_the_parser_defaults():
     config = cli.parse_config(["run", "--protocol", "2", "--circuit", "c.txt"])
     assert (config.seed, config.loss, config.adversary, config.outdir) == (0, 0.0, "honest", ".")
     assert cli.parse_config(["attack"]).trials == 2000
+
+
+# argv values for which parse_config's one parse by the command's own parser
+# must agree with the top-level parser's nested parse.
+_PARSE_CASES = {
+    "run-spaced": ["run", "--protocol", "2", "--circuit", "c.txt", "--loss", "0.3",
+                   "--seed", "4", "--adversary", "loss-device", "--countermeasure",
+                   "--outdir", "out"],
+    "run-equals": ["run", "--protocol=tp", "--circuit=c.txt", "--loss=0.5", "--seed=2",
+                   "--outdir=o"],
+    "run-abbreviated": ["run", "--prot", "1", "--circ", "c.txt", "--se", "3"],
+    "run-ambiguous-abbreviation": ["run", "--protocol", "2", "--c", "c.txt"],
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "run-help": ["run", "-h"],
+    "attack-help": ["attack", "--help"],
+    "empty": [],
+    "unknown-command": ["nope"],
+    "option-before-command": ["--seed", "3", "run"],
+    "bad-choice": ["run", "--protocol", "9", "--circuit", "c.txt"],
+    "bad-int": ["run", "--protocol", "2", "--circuit", "c.txt", "--seed", "x"],
+    "bad-float": ["run", "--protocol", "2", "--circuit", "c.txt", "--loss", "x"],
+    "missing-required": ["run", "--circuit", "c.txt"],
+    "trailing-word": ["run", "--protocol", "2", "--circuit", "c.txt", "extra"],
+    "unknown-option": ["run", "--protocol", "2", "--circuit", "c.txt", "--nope", "v"],
+    "flag-with-value": ["run", "--protocol", "2", "--circuit", "c.txt",
+                        "--countermeasure=1"],
+    "double-dash-last": ["run", "--protocol", "2", "--circuit", "c.txt", "--"],
+    "double-dash-then-word": ["run", "--protocol", "2", "--circuit", "c.txt", "--", "x"],
+    "double-dash-first": ["run", "--", "--protocol", "2"],
+    "protocol1-loss": ["run", "--protocol", "1", "--circuit", "c.txt", "--loss", "0.2"],
+    "verify": ["verify"],
+    "verify-checks": ["verify", "--checks", "identities, unitcell", "--seed", "3"],
+    "verify-empty-checks": ["verify", "--checks", ","],
+    "verify-unknown-check": ["verify", "--checks", "nope"],
+    "verify-unknown-option": ["verify", "--nope"],
+    "calibrate": ["calibrate", "--outdir", "d"],
+    "calibrate-extra": ["calibrate", "x", "y"],
+    "attack": ["attack", "--trials", "10", "--loss=0.2", "--seed", "5"],
+    "attack-bad-int": ["attack", "--trials", "1.5"],
+    "attack-negative-seed": ["attack", "--seed", "-1"],
+}
+
+
+def _parse_outcome(argv, capsysbinary):
+    """What parse_config does with argv: the namespace's items in vars order,
+    or the SystemExit code or ConfigError message, and the bytes it printed."""
+    try:
+        outcome = ("namespace", list(vars(cli.parse_config(argv)).items()))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    except ConfigError as exc:
+        outcome = ("config-error", str(exc))
+    return outcome, capsysbinary.readouterr()
+
+
+@pytest.mark.parametrize("argv", list(_PARSE_CASES.values()), ids=list(_PARSE_CASES))
+def test_one_parse_equals_the_top_level_parse(argv, monkeypatch, capsysbinary):
+    """An argv led by a command is parsed by that command's parser alone; it
+    must give what the top-level parser gives, forced here by emptying the
+    command map: the same namespace in the same order, or the same exit code,
+    message or error, with the same stdout and stderr bytes."""
+    one = _parse_outcome(argv, capsysbinary)
+    parser, _ = cli._parser()
+    monkeypatch.setattr(cli, "_parser", lambda: (parser, {}))
+    assert _parse_outcome(argv, capsysbinary) == one
+
+
+def _count_run_calls(tmp_path, monkeypatch, outdir):
+    """Calls one `run` through cli.main makes: ArgumentParser.parse_known_args,
+    text-mode and binary opens, and os.mkdir."""
+    calls = dict.fromkeys(("parse_known_args", "text_open", "binary_open", "mkdir"), 0)
+    parse_known_args, mkdir = argparse.ArgumentParser.parse_known_args, os.mkdir
+
+    def counting_parse(self, *args, **kwargs):
+        calls["parse_known_args"] += 1
+        return parse_known_args(self, *args, **kwargs)
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        calls["binary_open" if "b" in mode else "text_open"] += 1
+        return open(file, mode, *args, **kwargs)
+
+    def counting_mkdir(*args, **kwargs):
+        calls["mkdir"] += 1
+        return mkdir(*args, **kwargs)
+
+    argv = ["run", "--protocol", "2", "--circuit", _circuit(tmp_path), "--outdir", str(outdir)]
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(os, "mkdir", counting_mkdir)
+    assert cli.main(argv) == 0
+    return calls
+
+
+def test_run_parses_its_argv_once(tmp_path, monkeypatch):
+    # argparse's nested parse calls parse_known_args twice: top level, then run's.
+    assert _count_run_calls(tmp_path, monkeypatch, tmp_path)["parse_known_args"] == 1
+
+
+def test_run_writes_its_artifacts_in_binary_mode(tmp_path, monkeypatch):
+    # The circuit read is the one text-mode open; both artifacts are byte writes.
+    calls = _count_run_calls(tmp_path, monkeypatch, tmp_path)
+    assert (calls["text_open"], calls["binary_open"]) == (1, 2)
+
+
+def test_run_makes_no_directory_call_for_an_existing_outdir(tmp_path, monkeypatch):
+    assert _count_run_calls(tmp_path, monkeypatch, tmp_path)["mkdir"] == 0
+    # A missing outdir is still made, parents and all.
+    assert _count_run_calls(tmp_path, monkeypatch, tmp_path / "a" / "b")["mkdir"] == 2
+    assert (tmp_path / "a" / "b" / "report.txt").is_file()
 
 
 def test_env_seed_overrides_flag(monkeypatch):

@@ -589,16 +589,17 @@ def test_measure_stack_equals_per_node_arithmetic(count, width):
         before = stack.copy()
         parents, outcomes, probs, posts = qsim.measure_stack(stack, qubit, bras)
         assert np.array_equal(stack, before)
-        assert parents == [w[0] for w in want]
-        assert outcomes == [w[1] for w in want]
-        assert probs == [w[2] for w in want]
+        assert parents.tolist() == [w[0] for w in want]
+        assert outcomes.tolist() == [w[1] for w in want]
+        assert probs.tolist() == [w[2] for w in want]
         assert posts.shape == (len(want), 2 ** (width - 1))
         for post, w in zip(posts, want):
             assert np.array_equal(post, w[3])
         # One shared basis broadcasts to every node with the same floats.
         shared = qsim.measure_stack(stack, qubit, bras[0])
         ref = qsim.measure_stack(stack, qubit, np.repeat(bras[:1], count, axis=0))
-        assert shared[:3] == ref[:3] and np.array_equal(shared[3], ref[3])
+        assert [a.tolist() for a in shared[:3]] == [a.tolist() for a in ref[:3]]
+        assert np.array_equal(shared[3], ref[3])
 
 
 def _round_tables():
@@ -626,9 +627,9 @@ def test_measure_stack_round_blocks_equal_per_node_arithmetic(count, width):
             before = stack.copy()
             parents, outcomes, probs, posts = qsim.measure_stack(stack, qubit, blocks)
             assert np.array_equal(stack, before)
-            assert parents == [w[0] for w in want]
-            assert outcomes == [w[1] for w in want]
-            assert probs == [w[2] for w in want]
+            assert parents.tolist() == [w[0] for w in want]
+            assert outcomes.tolist() == [w[1] for w in want]
+            assert probs.tolist() == [w[2] for w in want]
             assert posts.shape == (len(want), 2**width)
             for post, w in zip(posts, want):
                 assert np.array_equal(post, w[3])
@@ -682,11 +683,11 @@ def test_measure_stack_picks_one_branch_per_node(count, width):
     parents, outcomes, probs, posts = qsim.measure_stack(
         stack, qubit, bras, lambda p0: next(picked))
     assert parents == list(range(count)) and outcomes == wanted
-    rows = [every[0].index(b) + o for b, o in enumerate(wanted)]
-    assert probs == [every[2][r] for r in rows]
+    rows = [every[0].tolist().index(b) + o for b, o in enumerate(wanted)]
+    assert probs == [every[2].tolist()[r] for r in rows]
     assert np.array_equal(posts, every[3][rows])
     eigen = _random_stack(rng, 1, width, qubit, [qsim.Z_BRAS])
-    impossible = 1 - qsim.measure_stack(eigen, qubit, qsim.Z_BRAS)[1][0]
+    impossible = 1 - qsim.measure_stack(eigen, qubit, qsim.Z_BRAS)[1].tolist()[0]
     with pytest.raises(DegenerateMeasurementError):
         qsim.measure_stack(eigen, qubit, qsim.Z_BRAS, lambda p0: impossible)
 
@@ -702,7 +703,7 @@ def test_measure_stack_blocks_put_the_qubit_on_top(width):
     blocks = np.broadcast_to(keep_z, (3, 2, 2, 2))
     for qubit in range(width):
         parents, outcomes, probs, posts = qsim.measure_stack(stack, qubit, blocks)
-        assert parents == [0, 0, 1, 1, 2, 2] and outcomes == [0, 1] * 3
+        assert parents.tolist() == [0, 0, 1, 1, 2, 2] and outcomes.tolist() == [0, 1] * 3
         for b, o, p, post in zip(parents, outcomes, probs, posts):
             psi = np.moveaxis(stack[b].reshape([2] * width, order="F"), qubit, -1).copy()
             psi[..., 1 - o] = 0

@@ -1,7 +1,7 @@
 """Paired benchmark runs: a base revision against the working tree.
 
     python3 tools/bench_pairs.py --base REV --workload W --pairs N \\
-        --seconds S --seed K
+        --seconds S --seed K [--out BENCH_<PR>.json]
 
 Extracts REV with `git archive` into a temporary directory (nothing is
 fetched) and runs `bench/run.py --trace 0` from there and from the working
@@ -15,6 +15,10 @@ median, and in how many pairs the working tree did better (ties count for
 neither side). A digest that differs between any two runs, or a run that is
 not correct or has failed operations, is flagged, and then the exit status
 is 1. The temporary directory is deleted at the end.
+
+`--out PATH` also adds the whole comparison to a JSON list in PATH,
+creating it if missing, so that one file (such as BENCH_<PR>.json) can
+hold several workloads and seeds. See `record` for what one entry holds.
 """
 
 from __future__ import annotations
@@ -40,11 +44,16 @@ def run_order(pairs: int) -> list:
             for side in (SIDES if i % 2 == 0 else SIDES[::-1])]
 
 
+def _line(lines: list, key: str) -> str:
+    return next(ln.split(None, 1)[1] for ln in lines if ln.startswith(key + " "))
+
+
 def parse_run(stdout: str) -> dict:
-    """The digest and the result JSON of one `bench/run.py` output."""
+    """The digest, the `info` stamp and the result JSON of one `bench/run.py`
+    output."""
     lines = stdout.strip().splitlines()
-    digest = next(ln.split(None, 1)[1] for ln in lines if ln.startswith("digest "))
-    return {"digest": digest, **json.loads(lines[-1])}
+    return {"digest": _line(lines, "digest"), "info": json.loads(_line(lines, "info")),
+            **json.loads(lines[-1])}
 
 
 def quartiles(values) -> tuple:
@@ -81,6 +90,25 @@ def flags(runs: dict) -> list:
     if len(digests) > 1:
         out.append("digest mismatch: " + ", ".join(sorted(digests)))
     return out
+
+
+def record(args, runs: dict, metrics: list) -> dict:
+    """One comparison as `--out` stores it: the command line and its parsed
+    arguments, runs[side][pair] as parse_run gives them (metrics, digest,
+    info stamp, correct, failed), the summary rows and the flags."""
+    return {"command": list(sys.argv), "args": vars(args), "runs": runs,
+            "summary": summarize(runs, metrics), "flags": flags(runs)}
+
+
+def append_record(path: str, entry: dict):
+    """Add `entry` to the JSON list in `path`, which is created if missing."""
+    entries = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            entries = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump([*entries, entry], fh, indent=1)
+        fh.write("\n")
 
 
 def extract(rev: str, into: str):
@@ -124,7 +152,11 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", help="JSON file to add this comparison to")
     args = parser.parse_args()
+    if args.pairs < 1:
+        print("error: --pairs must be at least 1", file=sys.stderr)
+        return 2
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     tmp = tempfile.mkdtemp(prefix="bench_pairs_")
@@ -139,6 +171,8 @@ def main():
             print(f"pair {i} {side}: digest {run['digest'][:8]} {values}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    if args.out:
+        append_record(args.out, record(args, runs, metrics))
     return report(runs, metrics,
                   f"workload={args.workload} seed={args.seed} seconds={args.seconds} "
                   f"base={args.base}: median [q1, q3] per side, change of the median, "
