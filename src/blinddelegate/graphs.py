@@ -160,12 +160,12 @@ class CellEntry:
     frames: dict  # branch_frames(wire0, wire1, bridge, target)
 
     @cached_property
-    def fold_bits(self) -> np.ndarray:
-        """`frames` as uint8 rows (x of each wire, then z), row i for the bits
-        i spells in binary."""
+    def fold_bits(self) -> tuple:
+        """`frames` as rows of bits (x of each wire, then z), row i for the bits
+        i spells in binary: tuples of ints, so a run reads them as ints."""
         keys = itertools.product((0, 1), repeat=len(next(iter(self.frames))))
-        return np.array([[f.x for f in self.frames[bits]] + [f.z for f in self.frames[bits]]
-                         for bits in keys], np.uint8)
+        return tuple(tuple(f.x for f in self.frames[bits]) + tuple(f.z for f in self.frames[bits])
+                     for bits in keys)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import graphs, pauli, qsim
 from .errors import CapacityError, DegenerateMeasurementError, FormatError, RetryLimitError
-from .pauli import FRAME_I, PauliFrame
 from .qsim import Angle, StateVector
 
 RETRY_CAP = 1000
@@ -123,11 +122,13 @@ class RoundPlan:
     round_index: int
     wants: tuple              # (Angle if the driver's m is 0, Angle if it is 1)
     driver: int = None
+    commands: tuple = field(init=False, repr=False)
 
-    def adapt_rule(self, m_bits, frame: PauliFrame) -> Angle:
-        """Command angle: the wanted angle, sign-flipped to cancel frame.z."""
-        want = self.wants[0 if self.driver is None else m_bits[self.driver - 1]]
-        return -want if frame.z else want
+    def __post_init__(self):
+        # The command angle's index, [the driver's m][frame z]: the wanted
+        # angle, sign-flipped to cancel the frame's z bit.
+        w0, w1 = self.wants
+        self.commands = ((w0.k, -w0.k % 8), (w1.k, -w1.k % 8))
 
 
 @dataclass(frozen=True)
@@ -291,52 +292,66 @@ class RunResult:
 
 @dataclass(slots=True)
 class _Node:
-    """A run's record, updated in place: wire frames, reported bits, branch
-    probability, the last round's command angle and a chain's read-out bit."""
+    """A run's record, updated in place and indexed as a walk's _Columns, in
+    Python ints: frame bits x[w] and z[w] of each wire w (lists), reported
+    bits m[r - 1] of each round r (a tuple); the branch probability, the last
+    round's command angle index and a chain's read-out bit."""
 
-    frames: list
-    m_bits: tuple = ()
+    x: list
+    z: list
+    m: tuple = ()
     prob: float = 1.0
-    command: Angle = None
-    out: tuple = ()
+    command: int = None
+    out: int = None
+    root = 0  # a run starts from one node
+    lookup = staticmethod(lambda table, i, j=slice(None): table[i][j])  # nested tuples
+
+    def children(self, parent, prob, *bits):
+        """Itself as its one branch: prob times `prob`, `bits` appended to m."""
+        self.prob *= prob
+        self.m += bits
+        return self
 
 
 @dataclass(slots=True)
 class _Columns:
-    """A walk level's records, row b for node b: frame bits x and z (nodes x
-    wires) and reported bits m, column blocks of one uint8 matrix `bits`
-    that a child copies in one gather; the probabilities; the root (start
-    node) each descends from; after a chain's readout, the read-out bit."""
+    """A walk level's records, column b for node b: rows x[w], z[w] and
+    m[r - 1] as in _Node, wire-major blocks of one uint8 matrix `bits` that a
+    child copies in one gather; the probabilities; the root (start node) each
+    descends from; the command angle indices; a chain's read-out bits."""
 
     bits: np.ndarray
     wires: int
     prob: np.ndarray
     root: np.ndarray
+    command: np.ndarray = None
     out: np.ndarray = None
 
-    x = property(lambda self: self.bits[:, :self.wires])
-    z = property(lambda self: self.bits[:, self.wires:2 * self.wires])
-    m = property(lambda self: self.bits[:, 2 * self.wires:])
+    x = property(lambda self: self.bits[:self.wires])
+    z = property(lambda self: self.bits[self.wires:2 * self.wires])
+    m = property(lambda self: self.bits[2 * self.wires:])
+    # _Node.lookup per node, i and j ints or rows; an entry's own axis first.
+    lookup = staticmethod(lambda table, i, j=slice(None): np.asarray(table, np.uint8)[i, j].T)
 
     def children(self, parents, probs, *bits):
         """The records of branches of the nodes `parents`: each its parent's,
-        prob times `probs`, and `bits` (one column each) appended to m."""
-        new = np.array(bits, np.uint8).reshape(len(bits), len(parents)).T
-        return _Columns(np.concatenate((self.bits[parents], new), axis=1), self.wires,
+        prob times `probs`, and `bits` (one row each) appended to m."""
+        new = np.array(bits, np.uint8).reshape(-1, len(parents))
+        return _Columns(np.concatenate((self.bits[:, parents], new)), self.wires,
                         self.prob[parents] * probs, self.root[parents])
 
 
 @dataclass(slots=True)
 class _Level:
     """The nodes at one depth of the outcome tree and their registers: a
-    run's one _Node in a list, or a walk's _Columns. Labels follow the events,
-    not the outcomes, so every node's register holds the same `labels` (qubit
-    i is labels[i]) and `amps` stacks them, row b for node b (None with no
+    run's one _Node, or a walk's _Columns. Labels follow the events, not the
+    outcomes, so every node's register holds the same `labels` (qubit i is
+    labels[i]) and `amps` stacks them, row b for node b (None with no
     register). A level is consumed by _step."""
 
     amps: np.ndarray | None
     labels: list
-    nodes: list | _Columns
+    nodes: _Node | _Columns
 
     def qubit(self, label) -> int:
         return self.labels.index(label)
@@ -349,12 +364,17 @@ class _Level:
         self.amps = qsim.apply_stack(self.amps, gate, [self.qubit(l) for l in labels])
 
     def fork(self, pick, label, bras):
-        """Measure `label` on every node by qsim.measure_stack, `pick` as there:
-        (parents, outcomes, probs) per branch, lists in a run, arrays in a walk."""
+        """Measure `label`: a walk's nodes (`pick` None) by qsim.measure_stack,
+        as arrays (parents, outcomes, probs) per branch; a run's node by
+        qsim.measure_node, as its one branch (0, outcome, prob)."""
         qubit = self.qubit(label)
-        parents, outcomes, probs, self.amps = qsim.measure_stack(self.amps, qubit, bras, pick)
         del self.labels[qubit]
-        return parents, outcomes, probs
+        if pick is None:
+            parents, outcomes, probs, self.amps = qsim.measure_stack(self.amps, qubit, bras)
+            return parents, outcomes, probs
+        outcome, prob, post = qsim.measure_node(self.amps[0], qubit, bras, pick)
+        self.amps = post[None]
+        return 0, outcome, prob
 
     def relabel(self, old, new):
         self.labels[self.qubit(old)] = new
@@ -367,11 +387,13 @@ class _Level:
         return StateVector(np.transpose(psi, axes=perm).reshape(-1, order="F"), check=False)
 
 
-def _level(state, labels, frames) -> _Level:
-    """A level of one node: a copy of `state` (None: no register) on `labels`."""
+def _level(state, labels, wires) -> _Level:
+    """A level of one node at the identity frames of `wires` wires: a copy of
+    `state` (None: no register) on `labels`."""
+    node = _Node([0] * wires, [0] * wires)
     if state is None:
-        return _Level(None, [], [_Node(frames)])
-    return _Level(state.amplitudes[None].copy(), list(labels), [_Node(frames)])
+        return _Level(None, [], node)
+    return _Level(state.amplitudes[None].copy(), list(labels), node)
 
 
 def _measurement(rng, forced, count):
@@ -430,12 +452,12 @@ def _deliver(channel, rng_loss, rng_mask, transcript, round_index, device=None):
 
 def _start(program: AngleProgram, input_state: StateVector) -> _Level:
     """The start level; it holds no register if `input_state` is None."""
-    frames = [FRAME_I] * program.num_wires
     if input_state is None:
-        return _level(None, (), frames)
+        return _level(None, (), program.num_wires)
     if input_state.num_qubits != program.num_wires:
         raise ValueError("input state does not match the program's wire count")
-    return _level(input_state, [("wire", w) for w in range(program.num_wires)], frames)
+    return _level(input_state, [("wire", w) for w in range(program.num_wires)],
+                  program.num_wires)
 
 
 def _step(level, event, pick, pairs=None):
@@ -444,37 +466,33 @@ def _step(level, event, pick, pairs=None):
     readout. Each gate and measurement is one kernel call on the whole stack.
     A run (`pick` set) updates its _Node along the branch `pick` names; a
     walk (`pick` None) gives each node a child per possible branch, node by
-    node and outcome 0 first, by array operations on its _Columns. A child's
-    probability is its parent's times the branch's. `pairs` is a substituted
-    pair's table (_pair_table), or None for Bell pairs."""
+    node and outcome 0 first, in its _Columns. Both records index alike, so
+    each event has one body: x[w], z[w] and m[r - 1] are a run's ints and a
+    walk's rows. A child's probability is its parent's times the branch's.
+    `pairs` is a substituted pair's table (_pair_table), or None for Bell
+    pairs."""
     kind, nodes = event[0], level.nodes
     if kind == "round":
         return _round(level, event[1], pick, pairs)
     if kind in ("deliver", "done"):
         return level  # classical only: the run loop sends the messages
-    if kind == "bridge":
+    if kind == "bridge":  # the CZ: each wire's z takes the other's x
         _, (wa, wb) = event
         if level.amps is not None:
             level.apply(qsim.CZ, [("wire", wa), ("wire", wb)])
-        if pick is None:  # each wire's z takes the other's x
-            nodes.z[:, [wa, wb]] ^= nodes.x[:, [wb, wa]]
-        else:
-            f, fa, fb = nodes[0].frames, nodes[0].frames[wa], nodes[0].frames[wb]
-            f[wa], f[wb] = pauli.frame(fa.x, fa.z ^ fb.x), pauli.frame(fb.x, fb.z ^ fa.x)
+        nodes.z[wa] ^= nodes.x[wb]
+        nodes.z[wb] ^= nodes.x[wa]
         return level
     if kind == "extract":
-        # The Pauli factors the group's word leaves on each branch.
-        group = event[1]
-        positions = [r - 1 for r in group.rounds]
-        if pick is None:  # the fold table's row: the group's bits as a binary number
-            row = nodes.m[:, positions] @ _BINARY[:len(positions)][::-1]
-            columns = [*group.wires, *(nodes.wires + w for w in group.wires)]  # x's, z's
-            nodes.bits[:, columns] ^= group.entry.fold_bits[row.astype(np.intp)]
-            return level
-        node = nodes[0]
-        folds = group.entry.frames[tuple([node.m_bits[p] for p in positions])]
-        for w, f in zip(group.wires, folds):  # composed: the XOR of the frames' bits
-            node.frames[w] = pauli.frame(node.frames[w].x ^ f.x, node.frames[w].z ^ f.z)
+        # The Pauli factors the group's word leaves on each branch: the row of
+        # its fold table that the group's bits spell as a binary number.
+        group, row = event[1], 0
+        for r in group.rounds:
+            row = 2 * row + nodes.m[r - 1]
+        folds, n = nodes.lookup(group.entry.fold_bits, row), len(group.wires)
+        for i, w in enumerate(group.wires):  # composed: the XOR of the frames' bits
+            nodes.x[w] ^= folds[i]
+            nodes.z[w] ^= folds[n + i]
         return level
     if kind == "teleport":
         # The server teleports the vertex to the client through a fresh pair
@@ -487,23 +505,16 @@ def _step(level, event, pick, pairs=None):
         z_of, mz, pz = level.fork(pick, vertex, qsim.Z_BRAS)
         x_of, mx, px = level.fork(pick, keep, qsim.Z_BRAS)
         level.relabel(sent, vertex)
-        if pick is None:
-            level.nodes = nodes.children(z_of[x_of], pz[x_of] * px, mz[x_of], mx)
-        else:
-            nodes[0].m_bits += (mz[0], mx[0])
-            nodes[0].prob *= pz[0] * px[0]
+        if pick is None:  # a walk's mz branch of each mx branch
+            z_of, mz, pz = z_of[x_of], mz[x_of], pz[x_of]
+        level.nodes = nodes.children(z_of, pz * px, mz, mx)
         return level
     if kind == "readout":
         # The client reads the last vertex in Z; X^mx and frame.x flip her bit.
         _, vertex, teleported = event
         of, bits, probs = level.fork(pick, vertex, qsim.Z_BRAS)
-        if pick is None:
-            nodes = level.nodes = nodes.children(of, probs)
-            nodes.out = bits ^ (nodes.m[:, -1] if teleported else 0) ^ nodes.x[:, 0]
-        else:
-            node = nodes[0]
-            node.prob *= probs[0]
-            node.out = (bits[0] ^ (node.m_bits[-1] if teleported else 0) ^ node.frames[0].x,)
+        nodes = level.nodes = nodes.children(of, probs)
+        nodes.out = bits ^ (nodes.m[-1] if teleported else 0) ^ nodes.x[0]
         return level
     if kind == "vertex":
         # The client measures a delivered vertex at commands[sign][root]: the
@@ -511,25 +522,13 @@ def _step(level, event, pick, pairs=None):
         # carries X^mx Z^mz from the last two reported bits, and Z^mz flips
         # her outcome s: (x, z) -> (s ^ mz ^ z, x), a round's with a = 0.
         _, vertex, commands, teleported = event
-        if pick is None:
-            mx = nodes.m[:, -1] if teleported else 0
-            ks = np.asarray(commands)[nodes.x[:, 0] ^ mx, nodes.root]
-            of, s, probs = level.fork(None, vertex, qsim.ROTATED_BRAS[ks])
-            nodes = level.nodes = nodes.children(of, probs)
-            x = s ^ (nodes.m[:, -2] if teleported else 0) ^ nodes.z[:, 0]
-            nodes.z[:, 0] = nodes.x[:, 0]
-            nodes.x[:, 0] = x
-            return level
-        node = nodes[0]
-        mz, mx = node.m_bits[-2:] if teleported else (0, 0)
-        f = node.frames[0]
-        _, (s,), (p,) = level.fork(pick, vertex, qsim.ROTATED_BRAS[commands[f.x ^ mx][0]])
-        node.frames[0] = pauli.ALL_FRAMES[(s ^ mz ^ f.z) | f.x << 1]
-        node.prob *= p
+        ks = nodes.lookup(commands, nodes.x[0] ^ (nodes.m[-1] if teleported else 0), nodes.root)
+        of, s, probs = level.fork(pick, vertex, qsim.ROTATED_BRAS[ks])
+        nodes = level.nodes = nodes.children(of, probs)
+        # A walk's x[0] is a view of its bits: z takes it before x changes.
+        nodes.z[0], nodes.x[0] = nodes.x[0], s ^ (nodes.m[-2] if teleported else 0) ^ nodes.z[0]
         return level
 
-
-_BINARY = 2.0 ** np.arange(64)  # place values: n bits times _BINARY[:n][::-1] spell a number
 
 # The server's round on the wire w, as a map of his half s: the CZ's sign
 # (-1)^(s w), then the wire's X-basis read-out <x_m|w>, indexed [m, s, w].
@@ -580,32 +579,24 @@ def _round(level, plan, pick, pairs):
     Bell pair's client half is maximally mixed, and after the CZ the server's
     half has <Z> = 0, so m is unbiased for any angle and state."""
     nodes, wire, w = level.nodes, ("wire", plan.wire), plan.wire
-    if pick is None:
-        p0, maps = pairs or _bell_table()
-        # adapt_rule as a table: [the driver's m, frame.z] -> command angle.
-        table = np.array([[want.k, -want.k % 8] for want in plan.wants])
-        ks = table[0 if plan.driver is None else nodes.m[:, plan.driver - 1], nodes.z[:, w]]
-        a_of, a, pa = qsim.branches(np.array(p0)[ks])
-        level.amps = level.amps[a_of]
-        m_of, m, pm = level.fork(None, wire, maps[2 * ks[a_of] + a])
-        level.labels.append(wire)
-        nodes = level.nodes = nodes.children(a_of[m_of], pa[m_of] * pm, m)
-        nodes.x[:, w], nodes.z[:, w] = m ^ nodes.z[:, w], a[m_of] ^ nodes.x[:, w]
-        return level
-    (node,) = nodes
-    command = plan.adapt_rule(node.m_bits, node.frames[w])
-    if level.amps is None:  # no register: two fair coins
-        a, pa, m, pm = pick(0.5), 0.5, pick(0.5), 0.5
+    ks = nodes.lookup(plan.commands, 0 if plan.driver is None else nodes.m[plan.driver - 1],
+                      nodes.z[w])
+    if level.amps is None:  # a run with no register: two fair coins
+        a_of, a, pa, m, pm = 0, pick(0.5), 0.5, pick(0.5), 0.5
     else:
         p0, maps = pairs or _bell_table()
-        a, pa = qsim.draw(p0[command.k], pick)
-        qubit = level.qubit(wire)
-        m, pm, post = qsim.measure_node(level.amps[0], qubit, maps[2 * command.k + a], pick)
-        level.amps = post[None]
-        level.labels.append(level.labels.pop(qubit))
-    f = node.frames[w]
-    node.frames[w] = pauli.ALL_FRAMES[(m ^ f.z) | (a ^ f.x) << 1]
-    node.m_bits, node.prob, node.command = node.m_bits + (m,), node.prob * (pa * pm), command
+        if pick is None:
+            a_of, a, pa = qsim.branches(np.array(p0)[ks])
+            level.amps = level.amps[a_of]
+            m_of, m, pm = level.fork(None, wire, maps[2 * ks[a_of] + a])
+            a_of, a, pa = a_of[m_of], a[m_of], pa[m_of]  # the a branch of each m branch
+        else:
+            a_of, (a, pa) = 0, qsim.draw(p0[ks], pick)
+            _, m, pm = level.fork(pick, wire, maps[2 * ks + a])
+        level.labels.append(wire)
+    nodes.command = ks
+    nodes = level.nodes = nodes.children(a_of, pa * pm, m)
+    nodes.x[w], nodes.z[w] = m ^ nodes.z[w], a ^ nodes.x[w]
     return level
 
 
@@ -636,17 +627,17 @@ def _run(level, events, pick, *, channel=None,
             resends += _deliver(channel, rng_loss, rng_mask, transcript, rnd, device)
         elif kind == "done":
             transcript.append(_message(rnd, A2B, "DONE"))
-        reported = len(level.nodes[0].m_bits)
+        reported = len(level.nodes.m)
         level = _step(level, event, pick, pairs)
-        (node,) = level.nodes
+        node = level.nodes
         if kind == "round" and device is not None:
-            device.observe_angle(node.command.k)
-        for m in node.m_bits[reported:]:
+            device.observe_angle(node.command)
+        for m in node.m[reported:]:
             transcript.append(_message(rnd, B2A, "X_RESULT", m))
-    (node,) = level.nodes
-    return level, RunResult(transcript=transcript, final_frames=list(node.frames),
-                           retransmission_count=resends, branch_probability=node.prob,
-                           rounds_completed=rnd)
+    node = level.nodes
+    return level, RunResult(
+        transcript=transcript, final_frames=list(map(pauli.frame, node.x, node.z)),
+        retransmission_count=resends, branch_probability=node.prob, rounds_completed=rnd)
 
 
 # A walk holds a whole level in memory, a record and a register row per
@@ -670,8 +661,8 @@ def _walk(level, events):
     contiguous, in the order of itertools.product over the outcome bits.
     Before an event that could take a level (nodes times 2^n amplitudes, all
     roots) past WALK_AMPLITUDES, it raises CapacityError."""
-    count, wires = len(level.amps), len(level.nodes[0].frames)
-    level.nodes = _Columns(np.zeros((count, 2 * wires), np.uint8), wires, np.ones(count),
+    count, wires = len(level.amps), len(level.nodes.x)
+    level.nodes = _Columns(np.zeros((2 * wires, count), np.uint8), wires, np.ones(count),
                            np.arange(count))
     for event in events:
         if _GROWTH.get(event[0], 1) * level.amps.size > WALK_AMPLITUDES:
@@ -732,7 +723,7 @@ def walk_protocol2(program: AngleProgram, input_state: StateVector):
     if input_state is None:
         raise ValueError("the walk needs an input state")
     leaves = _walk(_start(program, input_state), program.events).nodes
-    bits = zip(*leaves.m.T.tolist()) if program.num_rounds else [()] * len(leaves.prob)
+    bits = zip(*leaves.m.tolist()) if program.num_rounds else [()] * len(leaves.prob)
     return zip(bits, leaves.prob.tolist())
 
 
@@ -749,7 +740,7 @@ def walk_protocol1(states, plans):
     ks = np.array([[step.base_angle.k for step in plan] for plan in plans]).reshape(len(plans), -1)
     events = [("vertex", v, np.array((k, -k % 8)), False) for v, k in zip(vertices, ks.T)]
     states = np.asarray(states, complex)
-    start = _Level(states, list(range(states.shape[1].bit_length() - 1)), [_Node([FRAME_I])])
+    start = _Level(states, list(range(states.shape[1].bit_length() - 1)), _Node([0], [0]))
     leaves = _walk(start, events)
     return leaves.amps, leaves.nodes.prob, leaves.nodes.root
 
@@ -776,11 +767,10 @@ def round2_step(register: StateVector, wire_qubit: int, theta: Angle,
     program = builder.program
     pick = _measurement(rng, None if hasattr(rng, "random") else rng, 2)
     level, result = _run(_start(program, register), program.events, pick, channel=channel)
-    (node,) = level.nodes
     # From the identity frame a round leaves the frame (x, z) = (m, a).
-    a = node.frames[wire_qubit].z
+    node = level.nodes
     out = level.state([("wire", w) for w in range(register.num_qubits)])
-    return a, node.m_bits[-1], out, result.transcript
+    return node.z[wire_qubit], node.m[-1], out, result.transcript
 
 
 # --------------------------------------------------------------------------
@@ -853,14 +843,14 @@ def _chain(resource, plan, teleported: bool):
             events.append(("vertex", vertex, ((k,), (-k % 8,)), teleported))
         else:
             events.append(("readout", vertex, teleported))
-    start = _level(resource.state, range(n), [FRAME_I])
+    start = _level(resource.state, range(n), 1)
     return start, events + [_DONE], n * (3 if teleported else 1)
 
 
 def _run_chain(resource, plan, teleported, rng, forced_outcomes, channel=None):
     start, events, count = _chain(resource, plan, teleported)
     level, result = _run(start, events, _measurement(rng, forced_outcomes, count), channel=channel)
-    result.outcome_bits = list(level.nodes[0].out)
+    result.outcome_bits = [level.nodes.out]
     return result
 
 

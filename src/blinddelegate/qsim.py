@@ -46,9 +46,6 @@ class Angle:
     def radians(self) -> float:
         return self.k * np.pi / 4.0
 
-    def __neg__(self) -> "Angle":
-        return ALL_ANGLES[-self.k % 8]
-
     def __repr__(self):
         return f"Angle({self.k})"
 
@@ -347,7 +344,7 @@ def branches(p0):
     return parents, outcomes, probs[parents, outcomes]
 
 
-def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
+def measure_stack(stack: np.ndarray, qubit: int, bras):
     """Measure `qubit` of every node of `stack` (one row of amplitudes per
     node), node b in the basis whose bras (conjugated kets, outcome 0 first)
     are bras[b]; `bras` is (nodes, 2, 2), or one (2, 2) basis for all.
@@ -358,23 +355,16 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
     bra (r = 1) removes it; such as the X read-out of a wire after a CZ with
     a qubit whose state the block carries.
 
-    A pick (a run's) needs a stack of one node (ValueError otherwise) and keeps
-    the branch it names (measure_node); None (the walk's) keeps every one
-    (branches). Returns (parents, outcomes, probs, posts): each branch's node,
-    outcome and probability (arrays, a pick's lists), and the stack of its
-    normalized post states. p0 is <b0|b0> of branch 0 = block_0 rows (|b0|^2
-    for one amplitude), clamped to [0, 1], outcome 1 has 1 - p0, and a post is
-    its rows divided by sqrt(prob), by np.matmul: measure_node's floats.
+    Every possible branch is kept (branches). Returns (parents, outcomes,
+    probs, posts): arrays of each branch's node, outcome and probability, and
+    the stack of its normalized post states. p0 is <b0|b0> of branch 0 =
+    block_0 rows (|b0|^2 for one amplitude), clamped to [0, 1], outcome 1 has
+    1 - p0, and a post is its rows divided by sqrt(prob), by np.matmul:
+    measure_node's floats.
     """
     count, bras = len(stack), np.asarray(bras)
     if bras.ndim < 4:
         bras = bras[..., None, :]
-    if pick is not None:
-        if count != 1:
-            raise ValueError(f"a pick keeps one branch of one node, not of a stack of {count}")
-        (amps,) = stack
-        outcome, prob, post = measure_node(amps, qubit, bras if bras.ndim == 3 else bras[0], pick)
-        return [0], [outcome], [prob], post[None]
     rows = _rows(stack.reshape(count, -1, 2, 1 << qubit), (0, 2, 1, 3), 2)
     branch0 = np.matmul(bras[..., 0, :, :], rows)
     flat = branch0.reshape(count, 1, -1)
@@ -392,8 +382,11 @@ def measure_stack(stack: np.ndarray, qubit: int, bras, pick=None):
 
 def measure_node(amps, qubit, bras, pick):
     """(outcome, prob, post) of the branch pick names (by draw) of measure_stack
-    on one register `amps` with (2, r, 2) bras: np.dot on contiguous rows (a
-    strided view rounds apart) and an np.vdot norm, a stack node's floats."""
+    on one register `amps` with (2, 2) bras or (2, r, 2) blocks: np.dot on
+    contiguous rows (a strided view rounds apart) and an np.vdot norm, a
+    stack node's floats."""
+    if bras.ndim == 2:
+        bras = bras[:, None, :]
     rows = np.ascontiguousarray(amps.reshape(-1, 2, 1 << qubit).swapaxes(0, 1)).reshape(2, -1)
     branch0 = np.dot(bras[0], rows)
     p0 = abs(branch0[0, 0]) ** 2 if branch0.size == 1 else np.vdot(branch0, branch0).real

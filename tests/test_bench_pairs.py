@@ -3,6 +3,8 @@ results: no benchmark runs here."""
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,9 +80,9 @@ def test_exit_status_is_1_exactly_when_a_flag_is_printed(monkeypatch, capsys, ch
 
     def fake_bench(root, args):
         result = {**_result(100.0, 1.0), "metrics": {n: {"value": 1.0} for n in names}}
-        return {**result, **change} if root == bench_pairs.ROOT else result
+        return {**result, **change} if os.path.basename(root) == "change" else result
 
-    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
+    _no_trees(monkeypatch)
     monkeypatch.setattr(bench_pairs, "bench", fake_bench)
     monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--base", "HEAD", "--workload",
                                      "certify", "--pairs", "2", "--seconds", "1"])
@@ -91,6 +93,18 @@ def test_exit_status_is_1_exactly_when_a_flag_is_printed(monkeypatch, capsys, ch
     assert bench_pairs.report(runs, METRICS, "header") == status
 
 
+_TREES = {"base": {"rev": "REV", "commit": "b" * 40},
+          "change": {"head": "c" * 40, "dirty": True}}
+
+
+def _no_trees(monkeypatch):
+    """Stub out what main() does with git: nothing is extracted or copied,
+    and describe() gives _TREES."""
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda into: None)
+    monkeypatch.setattr(bench_pairs, "describe", lambda rev: _TREES)
+
+
 def _canned_main(monkeypatch, argv, digest="d0"):
     """main() with `argv` on canned runs: nothing is extracted or
     benchmarked. Returns (status, the runs it was given)."""
@@ -99,14 +113,14 @@ def _canned_main(monkeypatch, argv, digest="d0"):
     given = {"base": [], "change": []}
 
     def fake_bench(root, args):
-        side = "change" if root == bench_pairs.ROOT else "base"
+        side = os.path.basename(root)
         value = 100.0 + len(given[side]) + (side == "change")
         run = {**_result(value, 1.0, digest=digest), "info": {"seed": args.seed},
                "metrics": {n: {"value": value, "unit": "x"} for n in names}}
         given[side].append(run)
         return run
 
-    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: None)
+    _no_trees(monkeypatch)
     monkeypatch.setattr(bench_pairs, "bench", fake_bench)
     monkeypatch.setattr("sys.argv", ["bench_pairs.py", *argv])
     return bench_pairs.main(), given
@@ -114,8 +128,9 @@ def _canned_main(monkeypatch, argv, digest="d0"):
 
 def test_out_adds_one_comparison_per_call_and_round_trips(monkeypatch, capsys, tmp_path):
     """--out keeps a JSON list: each call adds its command line, arguments,
-    every run (metrics, digest, info stamp) per side and pair, the summary
-    rows and the flags, exactly as record() builds them from those runs."""
+    the trees each side ran, every run (metrics, digest, info stamp) per
+    side and pair, the summary rows and the flags, exactly as record()
+    builds them from those runs."""
     out = tmp_path / "BENCH.json"
     metrics = json.loads((Path(bench_pairs.ROOT) / "BENCHMARK.json").read_text())["end_to_end"]
     calls = [(["--base", "HEAD", "--workload", "delegate", "--pairs", "3", "--seed", "2"], "d0"),
@@ -127,7 +142,8 @@ def test_out_adds_one_comparison_per_call_and_round_trips(monkeypatch, capsys, t
     entries = json.loads(out.read_text())
     assert len(entries) == 2
     for entry, (argv, digest) in zip(entries, calls):
-        assert set(entry) == {"command", "args", "runs", "summary", "flags"}
+        assert set(entry) == {"command", "args", "trees", "runs", "summary", "flags"}
+        assert entry["trees"] == _TREES
         assert entry["command"] == ["bench_pairs.py", *argv, "--out", str(out)]
         assert entry["args"]["base"] == argv[1] and entry["args"]["out"] == str(out)
         pairs = entry["args"]["pairs"]
@@ -156,3 +172,72 @@ def test_pairs_below_one_exits_2_before_extracting(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --pairs must be at least 1\n"
+
+
+def test_both_sides_run_from_sibling_copies_under_one_temp_dir(monkeypatch, capsys):
+    """The base is extracted and the working tree copied into two sibling
+    directories of one temporary directory, and every run of each side goes
+    from its own; neither is the checkout. The directory is gone at the end."""
+    names = [m["name"] for m in json.loads(
+        (Path(bench_pairs.ROOT) / "BENCHMARK.json").read_text())["end_to_end"]]
+    made, ran = {}, {"base": set(), "change": set()}
+
+    def fake_bench(root, args):
+        assert os.path.isdir(root)
+        ran[os.path.basename(root)].add(root)
+        return {**_result(1.0, 1.0), "metrics": {n: {"value": 1.0} for n in names}}
+
+    monkeypatch.setattr(bench_pairs, "extract",
+                        lambda rev, into: os.makedirs(made.setdefault("base", into)))
+    monkeypatch.setattr(bench_pairs, "copy_worktree",
+                        lambda into: os.makedirs(made.setdefault("change", into)))
+    monkeypatch.setattr(bench_pairs, "describe", lambda rev: _TREES)
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--base", "HEAD", "--workload",
+                                     "delegate", "--pairs", "3", "--seconds", "1"])
+    assert bench_pairs.main() == 0
+    capsys.readouterr()
+    base, change = made["base"], made["change"]
+    tmp = os.path.dirname(base)
+    assert os.path.dirname(change) == tmp and base != change
+    assert os.path.basename(tmp).startswith("bench_pairs_")
+    assert bench_pairs.ROOT not in (base, change, tmp)
+    assert ran == {"base": {base}, "change": {change}}
+    assert not os.path.exists(tmp)
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                           "-c", "commit.gpgsign=false", *args],
+                          cwd=root, capture_output=True, text=True, check=True).stdout
+
+
+def test_copy_worktree_and_describe_read_the_tree_git_sees(tmp_path):
+    """copy_worktree copies tracked and untracked files but not ignored ones
+    or a tracked file deleted from disk; describe names the base's commit,
+    the working tree's HEAD, and whether `git status` lists anything."""
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("a = 1\n")
+    (repo / "gone.txt").write_text("x\n")
+    (repo / ".gitignore").write_text("*.log\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "one")
+    first = _git(repo, "rev-parse", "HEAD").strip()
+    assert bench_pairs.describe("HEAD", root=str(repo)) == {
+        "base": {"rev": "HEAD", "commit": first}, "change": {"head": first, "dirty": False}}
+    (repo / "src" / "a.py").write_text("a = 2\n")
+    _git(repo, "commit", "-q", "-am", "two")
+    second = _git(repo, "rev-parse", "HEAD").strip()
+    (repo / "src" / "new.py").write_text("b = 1\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.txt").unlink()
+    trees = bench_pairs.describe("HEAD~1", root=str(repo))
+    assert trees == {"base": {"rev": "HEAD~1", "commit": first},
+                     "change": {"head": second, "dirty": True}}
+    copy = tmp_path / "change"
+    bench_pairs.copy_worktree(str(copy), root=str(repo))
+    files = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/a.py", "src/new.py"]
+    assert (copy / "src" / "a.py").read_text() == "a = 2\n"

@@ -270,16 +270,16 @@ def test_bob_view_equals_partial_trace():
 def test_walk_protocol1_leaf_equals_measure_rotated_basis(k, outcome):
     """Each leaf of the walk is the post-state and probability of a
     measurement in the ROTATED_BRAS basis at +theta: bit for bit those of
-    measure_stack forced to that outcome, and within 1e-12 those of the
+    measure_node forced to that outcome, and within 1e-12 those of the
     projector oracle on the ket (|0> + (-1)^outcome e^{-i theta}|1>)/sqrt2."""
     joint = graphs.build_graph_state(graphs.linear_cluster(2)).state
     leaves = list(zip(*_walk_protocol1(joint, [protocols.PlanStep(0, qsim.Angle(k))])))
     assert len(leaves) == 2
     post, p = leaves[outcome]
-    _, [drawn], [ref_p], refs = qsim.measure_stack(
-        joint.amplitudes[None], 0, qsim.ROTATED_BRAS[k], lambda p0: outcome)
+    drawn, ref_p, ref = qsim.measure_node(
+        joint.amplitudes, 0, qsim.ROTATED_BRAS[k], lambda p0: outcome)
     assert drawn == outcome
-    assert np.array_equal(post, refs[0])
+    assert np.array_equal(post, ref)
     assert p == ref_p
     vec = np.array([1.0, (-1) ** outcome * np.exp(-1j * k * np.pi / 4)]) / np.sqrt(2)
     branch = measured_branch(joint.amplitudes, 0, vec)

@@ -197,7 +197,7 @@ def _reference_round(psi, wire, k, pair):
     order)} over every possible branch."""
     n = psi.num_qubits
     wires = [("wire", w) for w in range(n)]
-    level = protocols._level(psi, wires, [FRAME_I] * n)
+    level = protocols._level(psi, wires, n)
     level.append(pair.amplitudes, ["server", "client"])
     level.apply(qsim.CZ, ["server", wires[wire]])
     a_of, a, pa = level.fork(None, "client", qsim.ROTATED_BRAS[k])
@@ -217,18 +217,17 @@ def _one_map_round(psi, wire, k, pair, forced=None):
     plan = protocols.RoundPlan(wire, 1, (qsim.Angle(k), qsim.Angle(k)))
     pairs = protocols._pair_table(pair.amplitudes)
     level = protocols._start(protocols.AngleProgram(n), psi)
-    if forced is None:  # the walk's records: a row of columns per node
+    if forced is None:  # the walk's records: a column of rows per node
         level = protocols._step(protocols._walk(level, []), ("round", plan), None, pairs)
         c = level.nodes
-        records = zip(c.x[:, wire].tolist(), c.z[:, wire].tolist(), map(tuple, c.m.tolist()),
+        records = zip(c.x[wire].tolist(), c.z[wire].tolist(), map(tuple, c.m.T.tolist()),
                       c.prob.tolist())
     else:
         pick = protocols._measurement(None, forced, 2)
         level = protocols._step(level, ("round", plan), pick, pairs)
-        (node,) = level.nodes
-        assert node.command.k == k
-        frame = node.frames[wire]
-        records = [(frame.x, frame.z, node.m_bits, node.prob)]
+        node = level.nodes
+        assert node.command == k
+        records = [(node.x[wire], node.z[wire], tuple(node.m), node.prob)]
     assert len(level.labels) == n
     out = {}
     for j, (x, z, m_bits, prob) in enumerate(records):
@@ -266,11 +265,15 @@ def test_protocol2_register_holds_only_the_wires(monkeypatch):
     """Every stack a protocol-2 run or walk measures, and every level after
     a step, holds exactly the program's wires: the pair never joins it."""
     widths = []
-    measure_stack, step = qsim.measure_stack, protocols._step
+    measure_stack, measure_node, step = qsim.measure_stack, qsim.measure_node, protocols._step
 
-    def recording_measure(stack, qubit, bras, pick=None):
+    def recording_measure(stack, qubit, bras):
         widths.append(stack.shape[1])
-        return measure_stack(stack, qubit, bras, pick)
+        return measure_stack(stack, qubit, bras)
+
+    def recording_node(amps, *args):
+        widths.append(amps.size)
+        return measure_node(amps, *args)
 
     def recording_step(level, *args):
         level = step(level, *args)
@@ -278,6 +281,7 @@ def test_protocol2_register_holds_only_the_wires(monkeypatch):
         return level
 
     monkeypatch.setattr(qsim, "measure_stack", recording_measure)
+    monkeypatch.setattr(qsim, "measure_node", recording_node)
     monkeypatch.setattr(protocols, "_step", recording_step)
     for text in ("H 0\nCNOT 0 1\nT 1", "CZ 0 1"):
         program = protocols.compile_circuit(protocols.parse_circuit(text))
@@ -844,8 +848,8 @@ def test_table_frames_equal_word_accumulation_on_every_leaf(case):
     start = protocols._start(program, psi)
     leaves = protocols._walk(start, program.events).nodes
     strings = itertools.product((0, 1), repeat=2 * program.num_rounds)
-    for m_bits, xs, zs, bits in zip(leaves.m.tolist(), leaves.x.tolist(), leaves.z.tolist(),
-                                    strings, strict=True):
+    for m_bits, xs, zs, bits in zip(leaves.m.T.tolist(), leaves.x.T.tolist(),
+                                    leaves.z.T.tolist(), strings, strict=True):
         assert tuple(m_bits) == bits[1::2]
         assert [pauli.frame(x, z) for x, z in zip(xs, zs)] == _reference_frames(program, bits)
 
@@ -1110,6 +1114,24 @@ def test_a_run_draws_one_branch_and_a_walk_enumerates_them(monkeypatch):
     leaves = list(protocols.walk_protocol2(program, qsim.random_state(1, default_rng(34))))
     assert program.num_rounds == 6 and len(leaves) == 4**6
     assert calls == {"branches": 12, "measure_stack": 6, "measure_node": 0, "draw": 0}
+
+
+@pytest.mark.parametrize("text", ["H 0", "T 0\nS 0"])
+def test_a_chain_run_measures_each_vertex_once_on_its_one_node(monkeypatch, text):
+    """Counts, no timer. A protocol-1 run measures each of its n vertices
+    (the readout included) by one qsim.measure_node call; a tp run three
+    times per vertex: the two teleport bits, then the client's. Each call
+    draws once, and neither run calls qsim.branches or qsim.measure_stack."""
+    for teleported, per_vertex in ((False, 1), (True, 3)):
+        runner, args, count = _chain_case(text, teleported)
+        n = len(args[1]) + 1
+        for seed in range(3):
+            calls = _measurement_calls(monkeypatch)
+            result = runner(*args, rng=default_rng(seed))
+            assert calls == {"branches": 0, "measure_stack": 0,
+                             "measure_node": per_vertex * n, "draw": per_vertex * n}
+            assert count == per_vertex * n and len(result.outcome_bits) == 1
+            monkeypatch.undo()
 
 
 def _walk_counts(monkeypatch):

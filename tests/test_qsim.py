@@ -12,7 +12,6 @@ from oracles import measured_branch, partial_trace, signed_permutation
 def test_angle_wraps_mod_8():
     assert qsim.Angle(9).k == 1
     assert qsim.Angle(-1).k == 7
-    assert (-qsim.Angle(2)).k == 6
     assert qsim.Angle(2).radians == pytest.approx(np.pi / 2)
 
 
@@ -23,13 +22,6 @@ def test_angle_takes_only_integer_indices():
     # Anything with __index__ is an integer: it is stored as a plain int.
     for k, want in ((np.int64(9), 1), (True, 1), (False, 0), (np.uint8(7), 7)):
         assert type(qsim.Angle(k).k) is int and qsim.Angle(k).k == want
-        assert -qsim.Angle(k) is qsim.ALL_ANGLES[-want % 8]
-
-
-def test_negated_angle_is_the_tabled_instance():
-    for k in range(-8, 16):
-        assert -qsim.Angle(k) == qsim.Angle(-k)
-        assert -qsim.Angle(k) is qsim.ALL_ANGLES[-k % 8]
 
 
 def test_rotation_constants_relate():
@@ -155,11 +147,10 @@ def test_two_qubit_kernel_every_ordered_pair(n):
 
 
 def _forced(psi, qubit, bras, outcome):
-    """measure_stack on one state, keeping `outcome` through its pick:
+    """measure_node on one state, keeping `outcome` through its pick:
     (outcome, post amplitudes, prob)."""
-    _, [got], [prob], posts = qsim.measure_stack(
-        psi.amplitudes[None], qubit, bras, lambda p0: outcome)
-    return got, posts[0], prob
+    got, prob, post = qsim.measure_node(psi.amplitudes, qubit, bras, lambda p0: outcome)
+    return got, post, prob
 
 
 @pytest.mark.parametrize("n", [w for w in KERNEL_WIDTHS if w >= 2])
@@ -637,9 +628,9 @@ def test_measure_stack_round_blocks_equal_per_node_arithmetic(count, width):
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_measure_stack_forced_outcomes_equal_per_node_arithmetic(width):
-    """At count 1, a run's level, a pick of each possible outcome keeps
-    exactly the per-node oracle's branch, for bras and for a round's blocks,
-    and a pick of an impossible one raises."""
+    """On a run's one register, measure_node's pick of each possible outcome
+    keeps exactly the per-node oracle's branch, for bras and for a round's
+    blocks, and a pick of an impossible one raises."""
     rng = np.random.default_rng([width, 5])
     blocks = [maps[j] for maps in _round_tables() for j in range(16)]
     impossible = 0
@@ -652,44 +643,40 @@ def test_measure_stack_forced_outcomes_equal_per_node_arithmetic(width):
             for outcome in (0, 1):
                 if outcome not in possible:
                     with pytest.raises(DegenerateMeasurementError):
-                        qsim.measure_stack(stack, qubit, bras[None], lambda p0: outcome)
+                        qsim.measure_node(stack[0], qubit, bras, lambda p0: outcome)
                     impossible += 1
                     continue
                 prob, post = possible[outcome]
-                got = qsim.measure_stack(stack, qubit, bras[None], lambda p0: outcome)
-                assert got[:3] == ([0], [outcome], [prob])
-                assert got[3].shape == (1, post.size)
-                assert np.array_equal(got[3][0], post.reshape(-1))
+                got = qsim.measure_node(stack[0], qubit, bras, lambda p0: outcome)
+                assert got[:2] == (outcome, prob)
+                assert got[2].shape == (post.size,)
+                assert np.array_equal(got[2], post.reshape(-1))
     assert impossible >= 9 * width  # at least every eigenstate case
 
 
 @pytest.mark.parametrize("count", [1, 3, 64])
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
 def test_measure_stack_picks_one_branch_per_node(count, width):
-    """A pick keeps, on a stack of one node (a run's level), the outcome it
-    names with the walk's floats, and raises on an impossible one. A pick on
-    a stack of several nodes raises ValueError: a run has one node."""
+    """measure_node's pick on one node's register (a run's) keeps the outcome
+    it names with the floats the walk's measure_stack gives that node's
+    branch, on a stack of one node or several, and raises on an impossible
+    one."""
     rng = np.random.default_rng([count, width, 1])
     qubit = width - 1
     stack = _random_stack(rng, count, width, qubit, [None] * count)
     bras = qsim.ROTATED_BRAS[rng.integers(8, size=count)]
     every = qsim.measure_stack(stack, qubit, bras)
     wanted = [int(o) for o in rng.integers(2, size=count)]
-    picked = iter(wanted)
-    if count > 1:
-        with pytest.raises(ValueError, match=f"pick .* one node, not of a stack of {count}$"):
-            qsim.measure_stack(stack, qubit, bras, lambda p0: next(picked))
-        return
-    parents, outcomes, probs, posts = qsim.measure_stack(
-        stack, qubit, bras, lambda p0: next(picked))
-    assert parents == list(range(count)) and outcomes == wanted
     rows = [every[0].tolist().index(b) + o for b, o in enumerate(wanted)]
-    assert probs == [every[2].tolist()[r] for r in rows]
-    assert np.array_equal(posts, every[3][rows])
+    for b, (o, r) in enumerate(zip(wanted, rows)):
+        outcome, prob, post = qsim.measure_node(stack[b], qubit, bras[b], lambda p0: o)
+        assert outcome == o and every[1][r] == o
+        assert prob == every[2].tolist()[r]
+        assert np.array_equal(post, every[3][r])
     eigen = _random_stack(rng, 1, width, qubit, [qsim.Z_BRAS])
     impossible = 1 - qsim.measure_stack(eigen, qubit, qsim.Z_BRAS)[1].tolist()[0]
     with pytest.raises(DegenerateMeasurementError):
-        qsim.measure_stack(eigen, qubit, qsim.Z_BRAS, lambda p0: impossible)
+        qsim.measure_node(eigen[0], qubit, qsim.Z_BRAS, lambda p0: impossible)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])

@@ -3,11 +3,15 @@
     python3 tools/bench_pairs.py --base REV --workload W --pairs N \\
         --seconds S --seed K [--out BENCH_<PR>.json]
 
-Extracts REV with `git archive` into a temporary directory (nothing is
-fetched) and runs `bench/run.py --trace 0` from there and from the working
-tree, once each per pair, alternating which side goes first: the base in
-even pairs, the working tree in odd ones. Both sides run the same
-`bench/run.py` arguments, each with its own checkout's benchmark code.
+Both sides run from sibling directories under one temporary directory:
+`base/` holds REV, extracted with `git archive` (nothing is fetched), and
+`change/` a copy of the working tree's files, tracked or untracked but not
+ignored (`git ls-files -co --exclude-standard`). Neither runs from the
+checkout itself, so the two differ only in their files, not in where they
+sit. Each pair runs `bench/run.py --trace 0` once per side, alternating
+which side goes first: the base in even pairs, the working tree in odd
+ones. Both sides run the same `bench/run.py` arguments, each with its own
+tree's benchmark code.
 
 Prints one line per run, then, for each end-to-end metric that
 BENCHMARK.json lists, both sides' median and quartiles, the change of the
@@ -18,7 +22,9 @@ is 1. The temporary directory is deleted at the end.
 
 `--out PATH` also adds the whole comparison to a JSON list in PATH,
 creating it if missing, so that one file (such as BENCH_<PR>.json) can
-hold several workloads and seeds. See `record` for what one entry holds.
+hold several workloads and seeds. See `record` for what one entry holds;
+`trees` names the commit each side ran, since `bench/run.py`'s own stamp
+finds no git checkout in either directory.
 """
 
 from __future__ import annotations
@@ -92,11 +98,12 @@ def flags(runs: dict) -> list:
     return out
 
 
-def record(args, runs: dict, metrics: list) -> dict:
+def record(args, runs: dict, metrics: list, trees: dict) -> dict:
     """One comparison as `--out` stores it: the command line and its parsed
-    arguments, runs[side][pair] as parse_run gives them (metrics, digest,
-    info stamp, correct, failed), the summary rows and the flags."""
-    return {"command": list(sys.argv), "args": vars(args), "runs": runs,
+    arguments, the trees the sides ran (see describe), runs[side][pair] as
+    parse_run gives them (metrics, digest, info stamp, correct, failed), the
+    summary rows and the flags."""
+    return {"command": list(sys.argv), "args": vars(args), "trees": trees, "runs": runs,
             "summary": summarize(runs, metrics), "flags": flags(runs)}
 
 
@@ -111,12 +118,37 @@ def append_record(path: str, entry: dict):
         fh.write("\n")
 
 
+def git(*args: str, root: str = ROOT) -> bytes:
+    """The output of one git command in `root`."""
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, check=True).stdout
+
+
 def extract(rev: str, into: str):
     """The tree of `rev` from the local repository, written under `into`."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
-                         capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as archive:
         archive.extractall(into, filter="data")
+
+
+def copy_worktree(into: str, root: str = ROOT):
+    """The files of the working tree at `root`, tracked or untracked but not
+    ignored, copied under `into`; a tracked file deleted from disk is left out."""
+    for name in git("ls-files", "-co", "--exclude-standard", "-z", root=root).split(b"\0"):
+        source = os.path.join(root, os.fsdecode(name))
+        if name and os.path.isfile(source):
+            target = os.path.join(into, os.fsdecode(name))
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+
+
+def describe(rev: str, root: str = ROOT) -> dict:
+    """The trees the two sides ran: the commit `rev` resolves to, and the
+    working tree's HEAD with `dirty` set if `git status --porcelain` lists
+    anything (a change not committed, or an untracked file)."""
+    def commit(name):
+        return git("rev-parse", "--verify", name + "^{commit}", root=root).decode().strip()
+    return {"base": {"rev": rev, "commit": commit(rev)},
+            "change": {"head": commit("HEAD"),
+                       "dirty": bool(git("status", "--porcelain", root=root).strip())}}
 
 
 def bench(root: str, args) -> dict:
@@ -161,8 +193,10 @@ def main():
         metrics = json.load(fh)["end_to_end"]
     tmp = tempfile.mkdtemp(prefix="bench_pairs_")
     try:
-        extract(args.base, tmp)
-        roots = {"base": tmp, "change": ROOT}
+        roots = {side: os.path.join(tmp, side) for side in SIDES}
+        extract(args.base, roots["base"])
+        copy_worktree(roots["change"])
+        trees = describe(args.base)
         runs = {side: [None] * args.pairs for side in SIDES}
         for i, side in run_order(args.pairs):
             run = runs[side][i] = bench(roots[side], args)
@@ -172,7 +206,7 @@ def main():
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     if args.out:
-        append_record(args.out, record(args, runs, metrics))
+        append_record(args.out, record(args, runs, metrics, trees))
     return report(runs, metrics,
                   f"workload={args.workload} seed={args.seed} seconds={args.seconds} "
                   f"base={args.base}: median [q1, q3] per side, change of the median, "
