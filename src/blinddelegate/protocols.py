@@ -100,6 +100,9 @@ class ChannelModel:
     def __post_init__(self):
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ValueError("loss probability must lie in [0, 1]")
+        # None would seed the loss stream from OS entropy: no run would repeat.
+        if not hasattr(self.rng_seed, "__index__") or operator.index(self.rng_seed) < 0:
+            raise ValueError(f"channel seed must be an integer >= 0, not {self.rng_seed!r}")
 
 
 def transmit(channel: ChannelModel, rng) -> str:
@@ -110,6 +113,9 @@ def transmit(channel: ChannelModel, rng) -> str:
 # --------------------------------------------------------------------------
 # Compiled programs
 # --------------------------------------------------------------------------
+
+
+_COMMANDS = tuple((k, -k % 8) for k in range(8))  # [wanted angle index][frame z]
 
 
 @dataclass
@@ -126,9 +132,8 @@ class RoundPlan:
 
     def __post_init__(self):
         # The command angle's index, [the driver's m][frame z]: the wanted
-        # angle, sign-flipped to cancel the frame's z bit.
-        w0, w1 = self.wants
-        self.commands = ((w0.k, -w0.k % 8), (w1.k, -w1.k % 8))
+        # angle, sign-flipped to cancel the frame's z bit (_COMMANDS).
+        self.commands = (_COMMANDS[self.wants[0].k], _COMMANDS[self.wants[1].k])
 
 
 @dataclass(frozen=True)
@@ -398,14 +403,16 @@ def _level(state, labels, wires) -> _Level:
 
 def _measurement(rng, forced, count):
     """The pick of a run, which follows one branch per measurement: pick(p0)
-    is the outcome of one whose outcome 0 has probability p0, by one
-    rng.random() against p0, or the next of the `forced` bits, which must
-    number the run's `count` measurements (ValueError if neither is given).
+    is the outcome of one whose outcome 0 has probability p0, by the next of
+    the `count` doubles of one rng.random(count) call (drawn up front: those
+    of `count` rng.random() calls) against p0, or the next of the `forced`
+    bits, which must number `count` (ValueError if neither is given).
     qsim.draw calls it; the walk passes None."""
     if forced is None and rng is None and count:
         raise ValueError(f"no rng: a run of {count} measurements needs an rng or forced outcomes")
     if forced is None:
-        return lambda p0: 0 if rng.random() < p0 else 1
+        draws = iter(rng.random(count).tolist() if count else ())
+        return lambda p0: 0 if next(draws) < p0 else 1
     forced = list(forced)
     if len(forced) != count:
         more = "more" if len(forced) > count else "fewer"
@@ -902,7 +909,6 @@ def format_loss(value: float) -> str:
 
 def format_transcript(protocol: str, seed: int, loss: float, transcript) -> str:
     lines = [f"run protocol={protocol} seed={seed} loss={format_loss(loss)}"]
-    for m in transcript:
-        payload = "-" if m.payload is None else str(m.payload)
-        lines.append(f"r={m.round} d={m.direction} k={m.kind} p={payload}")
+    for rnd, direction, kind, payload in transcript:
+        lines.append(f"r={rnd} d={direction} k={kind} p={'-' if payload is None else payload}")
     return "\n".join(lines) + "\n"

@@ -184,7 +184,9 @@ def _rows(view: np.ndarray, axes, count: int) -> np.ndarray:
     One node goes through np.dot (its norm through np.vdot); a stack keeps a
     leading node axis through np.matmul, which gives each node its own
     np.dot's floats. Nodes are never folded into the columns of one product,
-    which rounds differently (tests/test_qsim.py pins this).
+    which rounds differently (tests/test_qsim.py pins this). measure_node
+    stacks a round's two 2-row blocks into one np.dot, which keeps each
+    block's floats; a bra's one-row products stay one per outcome.
     """
     return np.ascontiguousarray(view.transpose(axes)).reshape(len(view), count, -1)
 
@@ -360,7 +362,8 @@ def measure_stack(stack: np.ndarray, qubit: int, bras):
     the stack of its normalized post states. p0 is <b0|b0> of branch 0 =
     block_0 rows (|b0|^2 for one amplitude), clamped to [0, 1], outcome 1 has
     1 - p0, and a post is its rows divided by sqrt(prob), by np.matmul:
-    measure_node's floats.
+    measure_node's floats, whose one np.dot takes both of a round's blocks
+    (a bra's outcomes take one product each).
     """
     count, bras = len(stack), np.asarray(bras)
     if bras.ndim < 4:
@@ -383,16 +386,21 @@ def measure_stack(stack: np.ndarray, qubit: int, bras):
 def measure_node(amps, qubit, bras, pick):
     """(outcome, prob, post) of the branch pick names (by draw) of measure_stack
     on one register `amps` with (2, 2) bras or (2, r, 2) blocks: np.dot on
-    contiguous rows (a strided view rounds apart) and an np.vdot norm, a
-    stack node's floats."""
-    if bras.ndim == 2:
-        bras = bras[:, None, :]
-    rows = np.ascontiguousarray(amps.reshape(-1, 2, 1 << qubit).swapaxes(0, 1)).reshape(2, -1)
-    branch0 = np.dot(bras[0], rows)
+    contiguous rows (a strided view rounds apart; a qubit on top is a plain
+    reshape), an np.vdot norm and the kept branch normalized in place, a stack
+    node's floats. Both of a round's 2-row blocks come from one np.dot of the
+    stacked (4, 2) block, each with its own product's floats; a bra's one-row
+    products stay one per outcome (stacked, they round apart)."""
+    r, flat = bras.size // 4, bras.reshape(-1, 2)  # r rows per outcome, stacked
+    rows = amps.reshape(2, -1) if amps.size == 2 << qubit else np.ascontiguousarray(
+        amps.reshape(-1, 2, 1 << qubit).swapaxes(0, 1)).reshape(2, -1)
+    both = np.dot(flat, rows) if r > 1 else None
+    branch0 = both[:r] if r > 1 else np.dot(flat[:1], rows)
     p0 = abs(branch0[0, 0]) ** 2 if branch0.size == 1 else np.vdot(branch0, branch0).real
     outcome, prob = draw(float(p0), pick)
-    post = np.dot(bras[1], rows) if outcome else branch0
-    return outcome, prob, (post / math.sqrt(prob)).reshape(-1)
+    post = branch0 if outcome == 0 else both[r:] if r > 1 else np.dot(flat[1:], rows)
+    post /= math.sqrt(prob)
+    return outcome, prob, post.reshape(-1)
 
 
 # ROTATED_BRAS[k][a]: the bra of outcome a when measuring at Angle(k), in the

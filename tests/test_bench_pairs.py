@@ -4,6 +4,7 @@ results: no benchmark runs here."""
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -241,3 +242,62 @@ def test_copy_worktree_and_describe_read_the_tree_git_sees(tmp_path):
     files = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
     assert files == [".gitignore", "src/a.py", "src/new.py"]
     assert (copy / "src" / "a.py").read_text() == "a = 2\n"
+
+
+def _entry(workload, seed, ops):
+    """A canned --out entry whose working-tree ops_per_s median is `ops`."""
+    row = {"metric": "ops_per_s", "base": [1, 1, 1], "change": [ops - 1, ops, ops + 1]}
+    return {"args": {"workload": workload, "seed": seed}, "summary": [row]}
+
+
+def _bench_file(root, pr, entries):
+    (root / f"BENCH_{pr}.json").write_text(json.dumps(entries))
+
+
+def test_deltas_name_the_newest_entry_of_the_same_workload_and_seed(tmp_path):
+    _bench_file(tmp_path, 31, [_entry("delegate", 1, 100.0), _entry("certify", 1, 7.0),
+                               _entry("delegate", 1, 120.0), _entry("delegate", 2, 90.0)])
+    (tmp_path / "BENCH_notes.json").write_text("not a comparison")
+    previous = bench_pairs.newest_entry("delegate", 1, str(tmp_path))
+    assert previous == ("BENCH_31.json", _entry("delegate", 1, 120.0))
+    rows = [{"metric": "ops_per_s", "change": (125.0, 126.0, 127.0)},
+            {"metric": "latency_p50_ms", "change": (0.4, 0.5, 0.6)}]
+    assert bench_pairs.deltas(rows, previous, "delegate", 1) == [
+        "      ops_per_s BENCH_31.json: 120 -> 126  +5.0%",
+        " latency_p50_ms BENCH_31.json: not recorded, now 0.5"]
+
+
+def test_deltas_say_so_when_no_file_holds_the_workload_and_seed(tmp_path):
+    _bench_file(tmp_path, 31, [_entry("delegate", 2, 90.0), _entry("certify", 1, 7.0)])
+    assert bench_pairs.newest_entry("delegate", 1, str(tmp_path)) is None
+    assert bench_pairs.deltas([], None, "delegate", 1) == [
+        "no BENCH_*.json entry for workload=delegate seed=1 to compare with"]
+
+
+def test_deltas_take_the_highest_pr_and_skip_the_out_file(tmp_path):
+    """BENCH_31 is newer than BENCH_9 (numbers, not strings), and BENCH_40,
+    the file `--out` writes now, is left out; a file without the workload
+    does not hide an older one that has it."""
+    _bench_file(tmp_path, 9, [_entry("delegate", 1, 50.0)])
+    _bench_file(tmp_path, 31, [_entry("delegate", 1, 100.0)])
+    _bench_file(tmp_path, 32, [_entry("certify", 1, 7.0)])
+    _bench_file(tmp_path, 40, [_entry("delegate", 1, 200.0)])
+    skip = str(tmp_path / "BENCH_40.json")
+    assert bench_pairs.newest_entry("delegate", 1, str(tmp_path), skip=skip) == (
+        "BENCH_31.json", _entry("delegate", 1, 100.0))
+    assert bench_pairs.newest_entry("delegate", 1, str(tmp_path))[0] == "BENCH_40.json"
+
+
+def test_main_prints_the_deltas_after_the_summary(monkeypatch, capsys, tmp_path):
+    shutil.copy(Path(bench_pairs.ROOT) / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    _bench_file(tmp_path, 31, [_entry("delegate", 1, 100.0)])
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    for seed, want in ((1, "      ops_per_s BENCH_31.json: 100 -> 101  +1.0%"),
+                       (2, "no BENCH_*.json entry for workload=delegate seed=2 to compare with")):
+        status, _ = _canned_main(monkeypatch, ["--base", "HEAD", "--workload", "delegate",
+                                               "--pairs", "1", "--seed", str(seed)])
+        assert status == 0
+        out = capsys.readouterr().out.splitlines()
+        header = out.index("working-tree median against the newest recorded one:")
+        assert max(i for i, line in enumerate(out) if " won " in line) < header
+        assert want in out[header + 1:]

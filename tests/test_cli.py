@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from blinddelegate import blindness, cli, graphs, pauli
+from blinddelegate import blindness, cli, graphs, pauli, qsim
 from blinddelegate.errors import ConfigError
 from oracles import parse_transcript
 
@@ -174,6 +174,20 @@ def test_run_makes_no_directory_call_for_an_existing_outdir(tmp_path, monkeypatc
     # A missing outdir is still made, parents and all.
     assert _count_run_calls(tmp_path, monkeypatch, tmp_path / "a" / "b")["mkdir"] == 2
     assert (tmp_path / "a" / "b" / "report.txt").is_file()
+
+
+def test_run_checks_protocol2_against_raw_rows(tmp_path, monkeypatch):
+    """Counts, no timer: a protocol-2 run builds its reference state with
+    qsim.apply_stack on a stack of one, with no qsim.apply_gate call (one per
+    gate before), and still finds the corrected output equal to it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("qsim.apply_gate called")
+
+    monkeypatch.setattr(qsim, "apply_gate", refuse)
+    for text in ("H 0\nCNOT 0 1\n", "T 0\nCZ 1 0\nS 1\nX 0\n"):
+        assert cli.main(["run", "--protocol", "2", "--circuit", _circuit(tmp_path, text),
+                         "--loss", "0.3", "--outdir", str(tmp_path)]) == 0
+        assert "output_match=true" in (tmp_path / "report.txt").read_text()
 
 
 def test_env_seed_overrides_flag(monkeypatch):

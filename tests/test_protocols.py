@@ -66,6 +66,14 @@ def test_message_is_an_immutable_record():
         Message(1, "B2A", "X_RESULT", [1])
 
 
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "3"], ids=repr)
+def test_channel_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # None would seed a lossy run's loss stream from OS entropy; the others
+    # would construct and fail only mid-run, inside numpy.
+    with pytest.raises(ValueError, match="channel seed must be an integer >= 0"):
+        ChannelModel(0.3, rng_seed=seed)
+
+
 def test_channel_validation_and_transmit():
     with pytest.raises(ValueError):
         ChannelModel(-0.1)
@@ -982,8 +990,8 @@ def test_bell_table_draws_a_against_exactly_one_half():
 class _DrawJustBelowHalf:
     """An rng whose every draw is the largest double below 1/2."""
 
-    def random(self):
-        return 0.49999999999999994
+    def random(self, size=None):
+        return 0.49999999999999994 if size is None else np.full(size, 0.49999999999999994)
 
 
 def test_draw_just_below_one_half_gives_the_same_a_with_and_without_register():
@@ -1063,18 +1071,17 @@ def _kernel_calls(monkeypatch):
 def test_protocol2_run_takes_the_one_node_kernels(monkeypatch):
     """A run's level holds one node, so its kernels take np.dot products and
     one np.vdot norm per register measurement (each round's m; a is drawn
-    from the pair's table), never a stacked np.matmul. A walk's levels of
-    several nodes still go through np.matmul."""
+    from the pair's table), never a stacked np.matmul: one np.dot per round,
+    whose stacked (4, 2) block gives both outcomes, and one per bridge's CZ.
+    A walk's levels of several nodes still go through np.matmul."""
     program = protocols.compile_circuit(protocols.parse_circuit("H 0\nCNOT 0 1\nT 1"))
     psi = qsim.random_state(2, default_rng(31))
     bridges = sum(event[0] == "bridge" for event in program.events)
     protocols._bell_table()  # built once per process, by np.matmul over the angles
     for seed in range(4):
         calls = _kernel_calls(monkeypatch)
-        result = protocols.run_protocol2(program, psi, ChannelModel(0.0), default_rng(seed))
-        m_ones = sum(m.payload for m in result.transcript if m.kind == "X_RESULT")
-        # One product per round, one more for each m = 1, one per bridge's CZ.
-        assert calls == {"matmul": 0, "dot": program.num_rounds + m_ones + bridges,
+        protocols.run_protocol2(program, psi, ChannelModel(0.0), default_rng(seed))
+        assert calls == {"matmul": 0, "dot": program.num_rounds + bridges,
                          "vdot": program.num_rounds}
         monkeypatch.undo()
     calls = _kernel_calls(monkeypatch)
@@ -1114,6 +1121,59 @@ def test_a_run_draws_one_branch_and_a_walk_enumerates_them(monkeypatch):
     leaves = list(protocols.walk_protocol2(program, qsim.random_state(1, default_rng(34))))
     assert program.num_rounds == 6 and len(leaves) == 4**6
     assert calls == {"branches": 12, "measure_stack": 6, "measure_node": 0, "draw": 0}
+
+
+class _RecordingRng:
+    """default_rng(seed), recording the size of each random() call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = default_rng(seed), []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def _drawn_runs(text="H 0\nCNOT 0 1\nT 1"):
+    """(name, run(rng), measurements) for a drawn run of every runner: protocol
+    2 with and without a register, at loss 0 and 0.3, masked and unmasked;
+    protocols 1 and tp; round2_step."""
+    program = _p2_program(text)
+    psi = qsim.random_state(program.num_wires, default_rng(35))
+    for state, loss, masked in itertools.product((psi, None), (0.0, 0.3), (False, True)):
+        yield (f"p2 register={state is not None} loss={loss} masked={masked}",
+               lambda rng, state=state, loss=loss, masked=masked: protocols.run_protocol2(
+                   program, state, ChannelModel(loss, rng_seed=7), rng, loss_masking=masked),
+               2 * program.num_rounds)
+    for teleported in (False, True):
+        runner, args, count = _chain_case("T 0\nS 0", teleported)
+        yield f"chain teleported={teleported}", lambda rng, r=runner, a=args: r(*a, rng=rng), count
+    yield ("round2_step", lambda rng: protocols.round2_step(
+        psi, 1, qsim.Angle(3), ChannelModel(0.3, rng_seed=2), rng), 2)
+
+
+def test_a_drawn_run_makes_one_random_call_sized_to_its_measurements():
+    """Counts, no timer: every runner draws a run's outcomes by one
+    rng.random(count) call on its outcome stream (the loss and masking
+    streams are its own), where it made one rng.random() per measurement."""
+    for name, run, count in _drawn_runs():
+        for seed in range(3):
+            rng = _RecordingRng(seed)
+            run(rng)
+            assert rng.sizes == [count], name
+
+
+def test_a_run_leaves_its_rng_where_count_scalar_draws_would():
+    """The batch is the doubles of `count` scalar rng.random() calls in their
+    order: a run leaves its caller's bit generator exactly where those calls
+    would, so whatever the caller draws next is unchanged."""
+    for name, run, count in _drawn_runs():
+        for seed in range(3):
+            rng, scalar = default_rng([seed, 0]), default_rng([seed, 0])
+            run(rng)
+            for _ in range(count):
+                scalar.random()
+            assert rng.bit_generator.state == scalar.bit_generator.state, name
 
 
 @pytest.mark.parametrize("text", ["H 0", "T 0\nS 0"])

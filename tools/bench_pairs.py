@@ -20,6 +20,12 @@ neither side). A digest that differs between any two runs, or a run that is
 not correct or has failed operations, is flagged, and then the exit status
 is 1. The temporary directory is deleted at the end.
 
+After the summary it prints each metric's working-tree median next to the
+working-tree median of the newest recorded comparison of the same workload
+and seed, with the file and the change: the last such entry of the
+highest-numbered BENCH_<PR>.json at the top of the repository, other than
+the `--out` file (see newest_entry). It says so if no file holds one.
+
 `--out PATH` also adds the whole comparison to a JSON list in PATH,
 creating it if missing, so that one file (such as BENCH_<PR>.json) can
 hold several workloads and seeds. See `record` for what one entry holds;
@@ -33,6 +39,7 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -116,6 +123,46 @@ def append_record(path: str, entry: dict):
     with open(path, "w") as fh:
         json.dump([*entries, entry], fh, indent=1)
         fh.write("\n")
+
+
+def newest_entry(workload: str, seed: int, root: str, skip: str = None):
+    """(file name, entry) of the newest comparison of `workload` at `seed` in
+    the BENCH_<PR>.json files in `root`: the last such entry of the file with
+    the highest PR number that has one, or None. The file `skip` (the one
+    `--out` writes now) is left out."""
+    numbered = []
+    for name in os.listdir(root):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", name)
+        path = os.path.join(root, name)
+        if match and not (skip and os.path.abspath(skip) == os.path.abspath(path)):
+            numbered.append((int(match.group(1)), name))
+    for _, name in sorted(numbered, reverse=True):
+        with open(os.path.join(root, name)) as fh:
+            same = [entry for entry in json.load(fh) if entry["args"]["workload"] == workload
+                    and entry["args"]["seed"] == seed]
+        if same:
+            return name, same[-1]
+    return None
+
+
+def deltas(rows: list, previous, workload: str, seed: int) -> list:
+    """Lines comparing each summary row's working-tree median with that of
+    `previous`, a (file name, entry) from newest_entry, or one line saying
+    there is none."""
+    if previous is None:
+        return [f"no BENCH_*.json entry for workload={workload} seed={seed} to compare with"]
+    name, entry = previous
+    recorded = {row["metric"]: row["change"][1] for row in entry["summary"]}
+    lines = []
+    for row in rows:
+        metric, new = row["metric"], row["change"][1]
+        old = recorded.get(metric)
+        if old is None:
+            lines.append(f"{metric:>15} {name}: not recorded, now {new:.6g}")
+        else:
+            change = new / old - 1.0 if old else float("nan")
+            lines.append(f"{metric:>15} {name}: {old:.6g} -> {new:.6g}  {change:+.1%}")
+    return lines
 
 
 def git(*args: str, root: str = ROOT) -> bytes:
@@ -207,10 +254,15 @@ def main():
         shutil.rmtree(tmp, ignore_errors=True)
     if args.out:
         append_record(args.out, record(args, runs, metrics, trees))
-    return report(runs, metrics,
-                  f"workload={args.workload} seed={args.seed} seconds={args.seconds} "
-                  f"base={args.base}: median [q1, q3] per side, change of the median, "
-                  "pairs the working tree won")
+    status = report(runs, metrics,
+                    f"workload={args.workload} seed={args.seed} seconds={args.seconds} "
+                    f"base={args.base}: median [q1, q3] per side, change of the median, "
+                    "pairs the working tree won")
+    previous = newest_entry(args.workload, args.seed, ROOT, skip=args.out)
+    print("working-tree median against the newest recorded one:")
+    for line in deltas(summarize(runs, metrics), previous, args.workload, args.seed):
+        print(line)
+    return status
 
 
 if __name__ == "__main__":
