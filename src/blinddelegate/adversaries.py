@@ -131,12 +131,6 @@ def estimate_mutual_information(samples) -> float:
     return _entropy_mm(cx, n) + _entropy_mm(cy, n) - _entropy_mm(cxy, n)
 
 
-def attack_mutual_information(n_trials: int, countermeasure: bool,
-                              loss_prob: float = 0.0, seed: int = 0) -> float:
-    samples = collect_attack_samples(n_trials, countermeasure, loss_prob, seed)
-    return estimate_mutual_information(samples)
-
-
 def countermeasure_overhead(n_trials: int = 200, loss_prob: float = 0.0,
                             seed: int = 0):
     """Mean deliveries per accepted particle, (masked, unmasked)."""

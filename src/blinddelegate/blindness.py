@@ -22,11 +22,6 @@ from .qsim import Angle, DensityMatrix
 BLINDNESS_TOL = 1e-9
 
 
-@dataclass
-class BobView:
-    marginal: DensityMatrix
-
-
 def _close(a, b) -> bool:
     """np.allclose(a, b, atol=1e-12)'s test on finite entries; NaN fails."""
     return bool((abs(a - b) <= 1e-12 + 1e-5 * abs(b)).all())
@@ -69,19 +64,15 @@ def povm_distribution(rho: DensityMatrix, povm: Povm) -> np.ndarray:
     return np.matmul(povm.elements, rho.entries).trace(axis1=1, axis2=2).real
 
 
-def bob_view_protocol1(joint, alice_qubits, alice_angles) -> BobView:
-    """The server's view of one secret: protocol1_views' for [alice_angles]."""
-    return protocol1_views(joint, alice_qubits, [alice_angles])[0]
-
-
 def protocol1_views(joint, alice_qubits, secrets) -> list:
-    """The server's view of each secret (an angle per client qubit): his
-    conditional states summed over the outcomes of the client, who measures
-    `alice_qubits` of the joint state (a StateVector or a DensityMatrix) in
-    turn by protocol 1's vertex step. A mixed joint state sum_i l_i
-    |v_i><v_i| has the view sum_i l_i view(v_i): one protocols.walk_protocol1
-    has a root per (secret, eigenvector). No outcome-dependent message ever
-    reaches the server, so the classical view is constant."""
+    """The server's view of each secret (an angle per client qubit), a
+    DensityMatrix: his conditional states summed over the outcomes of the
+    client, who measures `alice_qubits` of the joint state (a StateVector or
+    a DensityMatrix) in turn by protocol 1's vertex step. A mixed joint state
+    sum_i l_i |v_i><v_i| has the view sum_i l_i view(v_i): one
+    protocols.walk_protocol1 has a root per (secret, eigenvector). No
+    outcome-dependent message ever reaches the server, so the classical view
+    is constant."""
     alice_qubits = list(alice_qubits)
     secrets = [[a if isinstance(a, Angle) else Angle(a) for a in s] for s in secrets]
     if any(len(alice_qubits) != len(s) for s in secrets):
@@ -101,7 +92,7 @@ def protocol1_views(joint, alice_qubits, secrets) -> list:
     # Each secret's leaves are contiguous: a sum over the leading axis adds
     # them left to right, in the order of a walk of that secret alone.
     ends = [0, *np.searchsorted(roots, np.arange(1, len(secrets) + 1) * count).tolist()]
-    return [BobView(DensityMatrix(leaves[a:b].sum(axis=0))) for a, b in zip(ends, ends[1:])]
+    return [DensityMatrix(leaves[a:b].sum(axis=0)) for a, b in zip(ends, ends[1:])]
 
 
 def _pair_views(table) -> np.ndarray:
@@ -161,12 +152,6 @@ def biases_from_distribution(dist: dict, num_rounds: int):
         p0 = sum(p for s, p in dist.items() if s[r] == "0")
         biases.append(abs(p0 - 0.5))
     return biases
-
-
-def m_bit_biases(program, input_state):
-    """|P(m_r = 0) - 1/2| per round, from the exact string distribution."""
-    dist = m_string_distribution(program, input_state)
-    return biases_from_distribution(dist, program.num_rounds)
 
 
 def _round_angle_options(plan):
@@ -241,14 +226,14 @@ def certify_protocol1(secrets, joint=None, n_povms: int = 4,
         joint = graphs.build_graph_state(graphs.linear_cluster(width + 1)).state
 
     views = protocol1_views(joint, range(width), secrets)
-    bob_dim = views[0].marginal.entries.shape[0]
+    bob_dim = views[0].entries.shape[0]
     povms = [random_povm(bob_dim, 4, rng) for _ in range(n_povms)]
     # Each POVM's outcome vector, once per view.
-    outcomes = [[povm_distribution(v.marginal, povm) for v in views] for povm in povms]
+    outcomes = [[povm_distribution(v, povm) for v in views] for povm in povms]
     report = BlindnessReport()
     for i, j in itertools.combinations(range(len(secrets)), 2):
         report.add("p1-marginal", (i, j),
-                   qsim.frobenius_distance(views[i].marginal, views[j].marginal))
+                   qsim.frobenius_distance(views[i], views[j]))
         report.add("p1-transcript", (i, j), float(len(secrets[i]) != len(secrets[j])))
         for p, dists in enumerate(outcomes):
             report.add("p1-povm", (i, j), _max_abs(dists[i], dists[j]), povm=p)

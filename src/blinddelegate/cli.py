@@ -167,7 +167,7 @@ def _verify(config):
     if "stabilizers" in config.checks:
         for label, graph in (
             ("chain5", graphs.linear_cluster(5)),
-            ("unitcell", graphs.build_unit_cell()),
+            ("unitcell", graphs.tile(1, 1)),
             ("tile1x2", graphs.tile(1, 2)),
         ):
             resource = graphs.build_graph_state(graph)
@@ -229,9 +229,8 @@ def _attack(config):
             f"attack digit={k} guess={guess} success={'true' if success else 'false'}"
         )
     for masked, label in ((False, "off"), (True, "on")):
-        bits = adversaries.attack_mutual_information(
-            config.trials, masked, config.loss, config.seed
-        )
+        bits = adversaries.estimate_mutual_information(adversaries.collect_attack_samples(
+            config.trials, masked, config.loss, config.seed))
         lines.append(f"mi countermeasure={label} bits={bits:.12g}")
     return [("attack.txt", _text(lines))], True
 

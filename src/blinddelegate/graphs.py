@@ -316,7 +316,8 @@ def tile(cells_wide: int, cells_deep: int) -> GraphSpec:
     """Brickwork-style tiling: cells_wide+1 wires, one cell row per wire pair.
 
     A row bridges only in cells whose depth parity matches the row parity, so
-    vertically adjacent rows bridge in different cell columns.
+    vertically adjacent rows bridge in different cell columns. tile(1, 1) is
+    the calibrated two-wire unit cell: 4 columns per wire.
     """
     if cells_wide < 1 or cells_deep < 1:
         raise ValueError("tiling dimensions must be >= 1")
@@ -336,8 +337,3 @@ def tile(cells_wide: int, cells_deep: int) -> GraphSpec:
                 base = ROUNDS_PER_CELL * depth
                 edges.append((vid(row, base + bi), vid(row + 1, base + bj)))
     return make_graph(wires * cols, edges)
-
-
-def build_unit_cell() -> GraphSpec:
-    """The calibrated two-wire cell: 4 columns per wire, bridged as found."""
-    return tile(1, 1)

@@ -413,11 +413,6 @@ Z_BRAS = np.eye(2, dtype=complex)
 Z_BRAS.setflags(write=False)
 
 
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = STATE_TOL) -> bool:
-    """True iff a = phase * b for some unit phase, within `tol` in 2-norm."""
-    return matrices_equal_up_to_phase(a.amplitudes, b.amplitudes, tol)
-
-
 def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = STATE_TOL) -> bool:
     """True iff a = phase * b for some unit phase, within `tol` in the 2-norm
     (Frobenius for matrices)."""

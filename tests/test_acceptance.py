@@ -44,7 +44,7 @@ def test_c01_single_round_rotation_identity(acceptance_log):
                     op = qsim.Z.entries @ op
                 ref = qsim.expand_gate(qsim.GateMatrix(op, "ref"), [0], 2)
                 want = qsim.StateVector(ref @ psi.amplitudes, check=False)
-                ok = ok and qsim.equal_up_to_global_phase(out, want, 1e-10)
+                ok = ok and qsim.matrices_equal_up_to_phase(out.amplitudes, want.amplitudes, 1e-10)
     _report(acceptance_log, "01 round-rotation-identity", ok, time.monotonic() - start, 1.0)
 
 
@@ -90,7 +90,8 @@ def test_c03_blocks_exhaustive_branches(acceptance_log):
                 continue
             total += result.branch_probability
             corrected = protocols.correct_output(result)
-            ok = ok and qsim.equal_up_to_global_phase(corrected, want, 1e-10)
+            ok = ok and qsim.matrices_equal_up_to_phase(
+                corrected.amplitudes, want.amplitudes, 1e-10)
         ok = ok and abs(total - 1.0) < 1e-10
     _report(acceptance_log, "03 block-branches", ok, time.monotonic() - start, 5.0)
 
@@ -208,12 +209,10 @@ def test_c06_blindness_both_protocols(acceptance_log):
     for _ in range(20):
         joint = adversaries.random_mixed_state(4, rng)
         views = [
-            blindness.bob_view_protocol1(joint, [0, 1], angles)
+            blindness.protocol1_views(joint, [0, 1], [angles])[0]
             for angles in ((0, 0), (int(rng.integers(8)), int(rng.integers(8))))
         ]
-        dev = float(
-            np.max(np.abs(views[0].marginal.entries - views[1].marginal.entries))
-        )
+        dev = float(np.max(np.abs(views[0].entries - views[1].entries)))
         ok = ok and dev < 1e-12
 
     for k in range(8):
@@ -222,7 +221,8 @@ def test_c06_blindness_both_protocols(acceptance_log):
 
     for text in ("H 0", "T 0"):
         program = protocols.compile_circuit(protocols.parse_circuit(text))
-        biases = blindness.m_bit_biases(program, qsim.basis_state(1, 0))
+        biases = blindness.biases_from_distribution(
+            blindness.m_string_distribution(program, qsim.basis_state(1, 0)), program.num_rounds)
         ok = ok and max(biases) < 1e-12
     _report(acceptance_log, "06 blindness", ok, time.monotonic() - start, 30.0)
 
@@ -295,8 +295,10 @@ def test_c08_loss_side_channel(acceptance_log):
             program, False, ChannelModel(0.0, rng_seed=k), default_rng([0, k])
         )
         ok = ok and success
-    mi_off = adversaries.attack_mutual_information(10_000, False, seed=0)
-    mi_on = adversaries.attack_mutual_information(10_000, True, seed=0)
+    mi_off = adversaries.estimate_mutual_information(
+        adversaries.collect_attack_samples(10_000, False, 0.0, seed=0))
+    mi_on = adversaries.estimate_mutual_information(
+        adversaries.collect_attack_samples(10_000, True, 0.0, seed=0))
     ok = ok and 2.9 <= mi_off <= 3.1
     ok = ok and mi_on < 0.02
     _report(acceptance_log, "08 loss-side-channel", ok, time.monotonic() - start, 30.0)
@@ -307,7 +309,7 @@ def test_c09_resource_integrity(acceptance_log):
     single edge is caught by an adjacent stabilizer."""
     start = time.monotonic()
     ok = True
-    for graph in (graphs.linear_cluster(5), graphs.build_unit_cell(), graphs.tile(1, 2)):
+    for graph in (graphs.linear_cluster(5), graphs.tile(1, 1), graphs.tile(1, 2)):
         resource = graphs.build_graph_state(graph)
         for v in range(graph.num_vertices):
             ok = ok and abs(graphs.stabilizer_expectation(resource, v) - 1.0) < 1e-12

@@ -244,9 +244,12 @@ def test_copy_worktree_and_describe_read_the_tree_git_sees(tmp_path):
     assert (copy / "src" / "a.py").read_text() == "a = 2\n"
 
 
-def _entry(workload, seed, ops):
-    """A canned --out entry whose working-tree ops_per_s median is `ops`."""
-    row = {"metric": "ops_per_s", "base": [1, 1, 1], "change": [ops - 1, ops, ops + 1]}
+def _entry(workload, seed, ops, base=None):
+    """A canned --out entry whose working-tree ops_per_s median is `ops` and
+    whose base median is `base` (`ops` if None)."""
+    base = ops if base is None else base
+    row = {"metric": "ops_per_s", "base": [base - 1, base, base + 1],
+           "change": [ops - 1, ops, ops + 1]}
     return {"args": {"workload": workload, "seed": seed}, "summary": [row]}
 
 
@@ -260,11 +263,24 @@ def test_deltas_name_the_newest_entry_of_the_same_workload_and_seed(tmp_path):
     (tmp_path / "BENCH_notes.json").write_text("not a comparison")
     previous = bench_pairs.newest_entry("delegate", 1, str(tmp_path))
     assert previous == ("BENCH_31.json", _entry("delegate", 1, 120.0))
-    rows = [{"metric": "ops_per_s", "change": (125.0, 126.0, 127.0)},
-            {"metric": "latency_p50_ms", "change": (0.4, 0.5, 0.6)}]
+    rows = [{"metric": "ops_per_s", "base": (119.0, 120.0, 121.0),
+             "change": (125.0, 126.0, 127.0)},
+            {"metric": "latency_p50_ms", "base": (0.4, 0.5, 0.6), "change": (0.4, 0.5, 0.6)}]
     assert bench_pairs.deltas(rows, previous, "delegate", 1) == [
-        "      ops_per_s BENCH_31.json: 120 -> 126  +5.0%",
+        "      ops_per_s BENCH_31.json: 120 -> 126  +5.0%  base 120 -> 120  +0.0%",
         " latency_p50_ms BENCH_31.json: not recorded, now 0.5"]
+
+
+def test_deltas_print_the_base_medians_so_host_drift_shows(tmp_path):
+    """A canned entry recorded base 100 and change 110; this run's base and
+    change both read 10 % higher. The working-tree delta alone (+10 %) would
+    read as a gain; the base medians beside it move by the same +10 %."""
+    _bench_file(tmp_path, 34, [_entry("certify", 1, 110.0, base=100.0)])
+    previous = bench_pairs.newest_entry("certify", 1, str(tmp_path))
+    rows = [{"metric": "ops_per_s", "base": (109.0, 110.0, 111.0),
+             "change": (120.0, 121.0, 122.0)}]
+    assert bench_pairs.deltas(rows, previous, "certify", 1) == [
+        "      ops_per_s BENCH_34.json: 110 -> 121  +10.0%  base 100 -> 110  +10.0%"]
 
 
 def test_deltas_say_so_when_no_file_holds_the_workload_and_seed(tmp_path):
@@ -292,7 +308,8 @@ def test_main_prints_the_deltas_after_the_summary(monkeypatch, capsys, tmp_path)
     shutil.copy(Path(bench_pairs.ROOT) / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     _bench_file(tmp_path, 31, [_entry("delegate", 1, 100.0)])
     monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
-    for seed, want in ((1, "      ops_per_s BENCH_31.json: 100 -> 101  +1.0%"),
+    for seed, want in ((1, "      ops_per_s BENCH_31.json: 100 -> 101  +1.0%"
+                           "  base 100 -> 100  +0.0%"),
                        (2, "no BENCH_*.json entry for workload=delegate seed=2 to compare with")):
         status, _ = _canned_main(monkeypatch, ["--base", "HEAD", "--workload", "delegate",
                                                "--pairs", "1", "--seed", str(seed)])

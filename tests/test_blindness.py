@@ -122,7 +122,7 @@ def _walk_protocol1(psi, plan):
 
 
 def _per_leaf_view(joint, alice_qubits, angles):
-    """bob_view_protocol1 as a loop over leaves: total + (w p) |v><v|."""
+    """protocol1_views of one secret as a loop over leaves: total + (w p) |v><v|."""
     if isinstance(joint, qsim.StateVector):
         mixture = [(1.0, joint)]
     else:
@@ -140,12 +140,12 @@ def test_bob_view_equals_per_leaf_sum():
     # verify's protocol-1 secrets on the honest cluster, then a mixed joint state.
     cluster = graphs.build_graph_state(graphs.linear_cluster(4)).state
     for secret in ((0, 2, 7), (1, 4, 2), (7, 7, 0)):
-        view = blindness.bob_view_protocol1(cluster, range(3), secret)
-        assert np.array_equal(view.marginal.entries, _per_leaf_view(cluster, range(3), secret))
+        view = blindness.protocol1_views(cluster, range(3), [secret])[0]
+        assert np.array_equal(view.entries, _per_leaf_view(cluster, range(3), secret))
     rho = adversaries.random_mixed_state(3, default_rng(22))
     for secret in ((0, 1), (6, 3)):
-        view = blindness.bob_view_protocol1(rho, [0, 1], secret)
-        assert np.array_equal(view.marginal.entries, _per_leaf_view(rho, [0, 1], secret))
+        view = blindness.protocol1_views(rho, [0, 1], [secret])[0]
+        assert np.array_equal(view.entries, _per_leaf_view(rho, [0, 1], secret))
 
 
 def test_stacked_views_equal_a_per_secret_loop_bit_for_bit():
@@ -166,9 +166,10 @@ def test_stacked_views_equal_a_per_secret_loop_bit_for_bit():
         assert len(views) == len(secrets)
         for view, secret in zip(views, secrets):
             want = _per_leaf_view(joint, qubits, secret)
-            assert np.array_equal(view.marginal.entries, want), secret
-            alone = blindness.bob_view_protocol1(joint, qubits, secret)
-            assert np.array_equal(alone.marginal.entries, want), secret
+            assert isinstance(view, qsim.DensityMatrix), secret
+            assert np.array_equal(view.entries, want), secret
+            alone = blindness.protocol1_views(joint, qubits, [secret])[0]
+            assert np.array_equal(alone.entries, want), secret
     posts, probs, roots = protocols.walk_protocol1(
         np.array([plus.amplitudes] * 4),
         [[protocols.PlanStep(0, qsim.Angle(k))] for k in (0, 2, 4, 1)])
@@ -185,8 +186,8 @@ def test_a_stacked_walk_counts_every_root_against_its_budget():
     assert 32 * 2**12 <= protocols.WALK_AMPLITUDES < 33 * 2**12
     joint = qsim.random_state(12, default_rng(39))
     secrets = [[(k + j) % 8 for j in range(11)] for k in range(33)]
-    view = blindness.bob_view_protocol1(joint, range(11), secrets[0])
-    assert view.marginal.entries.shape == (2, 2)
+    view = blindness.protocol1_views(joint, range(11), [secrets[0]])[0]
+    assert view.entries.shape == (2, 2)
     with pytest.raises(CapacityError, match="could exceed"):
         blindness.protocol1_views(joint, range(11), secrets)
 
@@ -261,8 +262,8 @@ def test_bob_view_equals_partial_trace():
     for joint in (qsim.random_state(4, rng), adversaries.random_mixed_state(4, rng)):
         ref = partial_trace(joint, [1, 3])
         for angles in ([0, 0], [2, 7], [5, 3]):
-            view = blindness.bob_view_protocol1(joint, [0, 2], angles)
-            np.testing.assert_allclose(view.marginal.entries, ref.entries, atol=1e-12)
+            view = blindness.protocol1_views(joint, [0, 2], [angles])[0]
+            np.testing.assert_allclose(view.entries, ref.entries, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -316,16 +317,16 @@ def test_bob_view_accepts_density_input():
     g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    view = blindness.bob_view_protocol1(qsim.DensityMatrix(rho), [0, 1], [3, 6])
-    assert view.marginal.entries.shape == (2, 2)
-    assert np.trace(view.marginal.entries).real == pytest.approx(1.0, abs=1e-10)
+    view = blindness.protocol1_views(qsim.DensityMatrix(rho), [0, 1], [[3, 6]])[0]
+    assert view.entries.shape == (2, 2)
+    assert np.trace(view.entries).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bob_view_guards():
     with pytest.raises(ValueError):
-        blindness.bob_view_protocol1(qsim.plus_state(2), [0], [1, 2])
+        blindness.protocol1_views(qsim.plus_state(2), [0], [[1, 2]])
     with pytest.raises(ValueError):
-        blindness.bob_view_protocol1(qsim.plus_state(2), [0, 1], [1, 2])
+        blindness.protocol1_views(qsim.plus_state(2), [0, 1], [[1, 2]])
 
 
 def test_round_view_is_maximally_mixed_for_every_angle():
@@ -385,7 +386,8 @@ def test_m_string_distribution_is_uniform():
         assert p == pytest.approx(1 / 8, abs=1e-10)
     biases = blindness.biases_from_distribution(dist, 3)
     assert max(biases) < 1e-10
-    assert blindness.m_bit_biases(program, qsim.basis_state(1, 0)) == biases
+    exact = blindness.m_string_distribution(program, qsim.basis_state(1, 0))
+    assert blindness.biases_from_distribution(exact, program.num_rounds) == biases
 
 
 def test_report_line_render():

@@ -29,7 +29,7 @@ def test_linear_cluster_shape():
 
 
 def test_graph_state_stabilizers_are_plus_one():
-    for g in (graphs.linear_cluster(5), graphs.build_unit_cell()):
+    for g in (graphs.linear_cluster(5), graphs.tile(1, 1)):
         resource = graphs.build_graph_state(g)
         for v in range(g.num_vertices):
             assert graphs.stabilizer_expectation(resource, v) == pytest.approx(
@@ -73,8 +73,7 @@ def _random_graphs(count, seed):
 
 
 def _named_graphs():
-    return [graphs.linear_cluster(5), graphs.build_unit_cell(), graphs.tile(1, 1),
-            graphs.tile(1, 2)]
+    return [graphs.linear_cluster(5), graphs.tile(1, 1), graphs.tile(1, 2)]
 
 
 def test_graph_state_equals_dense_cz_reference():
@@ -284,7 +283,7 @@ def test_group_entries_are_built_only_where_used(monkeypatch):
     assert all(entry is graphs._ENTRIES[name] for name, entry in cal.entries.items())
 
     monkeypatch.setattr(graphs, "_ENTRIES", {})
-    assert graphs.tile(1, 1) == graphs.build_unit_cell()
+    graphs.tile(1, 1)
     assert set(graphs._ENTRIES) == {"CZCNOT"}
 
 
@@ -322,7 +321,7 @@ def test_cell_operator_without_bridge_factorizes():
 
 
 def test_tile_geometry():
-    g = graphs.build_unit_cell()
+    g = graphs.tile(1, 1)
     assert g.num_vertices == 8
     assert (0, 6) in g.edge_list()  # bridge anchored at columns (0, 2)
 

@@ -24,7 +24,10 @@ After the summary it prints each metric's working-tree median next to the
 working-tree median of the newest recorded comparison of the same workload
 and seed, with the file and the change: the last such entry of the
 highest-numbered BENCH_<PR>.json at the top of the repository, other than
-the `--out` file (see newest_entry). It says so if no file holds one.
+the `--out` file (see newest_entry). It says so if no file holds one. Each
+such line also gives the recorded base median next to this run's, and their
+change: the base sides run the same code, so a change there is the host's
+drift between the two sessions, not the code's.
 
 `--out PATH` also adds the whole comparison to a JSON list in PATH,
 creating it if missing, so that one file (such as BENCH_<PR>.json) can
@@ -147,21 +150,26 @@ def newest_entry(workload: str, seed: int, root: str, skip: str = None):
 
 def deltas(rows: list, previous, workload: str, seed: int) -> list:
     """Lines comparing each summary row's working-tree median with that of
-    `previous`, a (file name, entry) from newest_entry, or one line saying
-    there is none."""
+    `previous`, a (file name, entry) from newest_entry, and its base median
+    with the entry's, or one line saying there is none."""
     if previous is None:
         return [f"no BENCH_*.json entry for workload={workload} seed={seed} to compare with"]
     name, entry = previous
-    recorded = {row["metric"]: row["change"][1] for row in entry["summary"]}
+    recorded = {row["metric"]: row for row in entry["summary"]}
+
+    def move(side, row, old):
+        was, now = old[side][1], row[side][1]
+        change = now / was - 1.0 if was else float("nan")
+        return f"{was:.6g} -> {now:.6g}  {change:+.1%}"
+
     lines = []
     for row in rows:
-        metric, new = row["metric"], row["change"][1]
-        old = recorded.get(metric)
+        metric, old = row["metric"], recorded.get(row["metric"])
         if old is None:
-            lines.append(f"{metric:>15} {name}: not recorded, now {new:.6g}")
+            lines.append(f"{metric:>15} {name}: not recorded, now {row['change'][1]:.6g}")
         else:
-            change = new / old - 1.0 if old else float("nan")
-            lines.append(f"{metric:>15} {name}: {old:.6g} -> {new:.6g}  {change:+.1%}")
+            lines.append(f"{metric:>15} {name}: {move('change', row, old)}"
+                         f"  base {move('base', row, old)}")
     return lines
 
 
