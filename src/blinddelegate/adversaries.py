@@ -57,11 +57,11 @@ def random_mixed_state(num_qubits: int, rng) -> DensityMatrix:
 
 
 @functools.cache
-def make_signal_program(first_digit: int, extra_rounds: int = 1):
-    """A round sequence whose first command digit is the secret under attack,
-    built once per argument: a run only reads its program, so callers share
-    it and must not change it."""
-    return protocols.make_raw_program([first_digit % 8] + [0] * extra_rounds)
+def make_signal_program(first_digit: int):
+    """Two rounds whose first command digit is the secret under attack, built
+    once per digit: a run only reads its program, so callers share it and
+    must not change it."""
+    return protocols.make_raw_program([first_digit % 8, 0])
 
 
 def decode_digit_from_transcript(transcript) -> int:
@@ -77,7 +77,7 @@ def run_with_evil_device(program, countermeasure: bool,
         program, None, channel, rng, device=EvilDevice(), loss_masking=countermeasure,
     )
     guess = decode_digit_from_transcript(result.transcript)
-    secret = program.rounds[0].wants[0].k
+    secret = program.rounds[0].commands[0][0]
     return guess, result.transcript, guess == secret
 
 

@@ -74,24 +74,26 @@ def protocol1_views(joint, alice_qubits, secrets) -> list:
     outcome-dependent message ever reaches the server, so the classical view
     is constant."""
     alice_qubits = list(alice_qubits)
-    secrets = [[a if isinstance(a, Angle) else Angle(a) for a in s] for s in secrets]
-    if any(len(alice_qubits) != len(s) for s in secrets):
+    ks = [[(a if isinstance(a, Angle) else Angle(a)).k for a in s] for s in secrets]
+    if any(len(alice_qubits) != len(s) for s in ks):
         raise ValueError("one angle per client qubit")
     weights, vectors = (np.linalg.eigh(joint.entries) if isinstance(joint, DensityMatrix)
                         else (np.ones(1), joint.amplitudes[:, None]))
-    if not set(range(joint.num_qubits)) - set(alice_qubits):
+    qubits, chosen = set(range(joint.num_qubits)), set(alice_qubits)
+    if len(chosen) != len(alice_qubits) or not chosen <= qubits:
+        raise ValueError(f"client qubits {alice_qubits} must be distinct qubits of the joint state")
+    if chosen == qubits:
         raise ValueError("server must retain at least one qubit")
 
-    plans = [[protocols.PlanStep(q, a) for q, a in zip(alice_qubits, s)] for s in secrets]
     count = len(weights)  # roots per secret: root r has weight weights[r % count]
     posts, probs, roots = protocols.walk_protocol1(
-        np.concatenate([vectors.T] * len(secrets)), [plan for plan in plans for _ in weights])
+        np.concatenate([vectors.T] * len(ks)), alice_qubits, [k for k in ks for _ in weights])
     # (weight * prob) v v^dagger per leaf, np.outer's floats in one broadcast.
     outers = posts[:, :, None] * posts.conj()[:, None, :]
     leaves = (weights[roots % count] * probs)[:, None, None] * outers
     # Each secret's leaves are contiguous: a sum over the leading axis adds
     # them left to right, in the order of a walk of that secret alone.
-    ends = [0, *np.searchsorted(roots, np.arange(1, len(secrets) + 1) * count).tolist()]
+    ends = [0, *np.searchsorted(roots, np.arange(1, len(ks) + 1) * count).tolist()]
     return [DensityMatrix(leaves[a:b].sum(axis=0)) for a, b in zip(ends, ends[1:])]
 
 
@@ -155,10 +157,9 @@ def biases_from_distribution(dist: dict, num_rounds: int):
 
 
 def _round_angle_options(plan):
-    """Every command angle the client can send in this round: each tabled
-    want, with either frame-cancelling sign."""
-    ks = {k for want in plan.wants for k in (want.k, -want.k % 8)}
-    return [qsim.ALL_ANGLES[k] for k in sorted(ks)]
+    """Every command angle index the client can send in this round, sorted:
+    each tabled want, with either frame-cancelling sign."""
+    return sorted({k for commands in plan.commands for k in commands})
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +217,6 @@ def certify_protocol1(secrets, joint=None, n_povms: int = 4,
     compares those counts, which the equal-width check keeps equal.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    secrets = [[a if isinstance(a, Angle) else Angle(a) for a in s] for s in secrets]
     if len(secrets) < 2:  # a certificate that compares nothing could not fail
         raise ValueError(f"certification needs two or more secrets, got {len(secrets)}")
     width = len(secrets[0])
@@ -260,10 +260,8 @@ def certify_protocol2(secrets, n_povms: int = 4, rng=None) -> BlindnessReport:
     input_state = qsim.basis_state(wires, 0)
 
     # Per program and round, the angles the server's round view is taken at.
-    round_angles = [[[t.k for t in _round_angle_options(plan)] for plan in prog.rounds]
-                    for prog in programs]
-    views = {k: bob_view_protocol2_round(k)
-             for per_round in round_angles for ks in per_round for k in ks}
+    round_angles = [[_round_angle_options(plan) for plan in prog.rounds] for prog in programs]
+    views = {k: _round_views()[k] for per_round in round_angles for ks in per_round for k in ks}
     distances = _round_view_distances(_round_views())
     m_dists = [m_string_distribution(p, input_state) for p in programs]
     povms = [random_povm(2, 4, rng) for _ in range(n_povms)]

@@ -157,15 +157,7 @@ class CellEntry:
     wire1: WireSchedule  # None for a one-wire group
     bridge: tuple  # (i, j) after-round anchors, or None
     target: np.ndarray  # 2x2, or 4x4 as qsim.kron(wire1_factor, wire0_factor)
-    frames: dict  # branch_frames(wire0, wire1, bridge, target)
-
-    @cached_property
-    def fold_bits(self) -> tuple:
-        """`frames` as rows of bits (x of each wire, then z), row i for the bits
-        i spells in binary: tuples of ints, so a run reads them as ints."""
-        keys = itertools.product((0, 1), repeat=len(next(iter(self.frames))))
-        return tuple(tuple(f.x for f in self.frames[bits]) + tuple(f.z for f in self.frames[bits])
-                     for bits in keys)
+    frames: tuple  # branch_frames(wire0, wire1, bridge, target): fold rows
 
 
 @dataclass(frozen=True)
@@ -211,16 +203,18 @@ def cell_operator(w0: WireSchedule, w1: WireSchedule, bridge, m0_bits, m1_bits):
 
 
 def branch_frames(w0, w1, bridge, target):
-    """{m bits: per-wire folds} over every outcome branch, or None if some
-    branch's word is not Pauli * target.
+    """The Pauli folds of every outcome branch as rows of bits (tuples of
+    ints), or None if some branch's word is not Pauli * target.
 
-    The key lists the reported bits of the group's rounds, wire 0's first;
-    the folds (low slot first) are the Pauli factors P with word = P @ target
-    up to phase. w1=None checks w0 alone. The all-zero branch is tried first.
+    Row i is the branch whose reported bits (the group's rounds, wire 0's
+    first) spell i in binary. It lists the x bit of each wire's fold, low
+    slot first, then the z bits; the folds are the Pauli factors P with
+    word = P @ target up to phase. w1=None checks w0 alone. The all-zero
+    branch is tried first.
     """
     n0 = len(w0.base)
     n = n0 + (0 if w1 is None else len(w1.base))
-    table = {}
+    rows = []
     for bits in itertools.product((0, 1), repeat=n):
         if w1 is None:
             op = _wire_word(w0, bits)
@@ -229,8 +223,8 @@ def branch_frames(w0, w1, bridge, target):
         folds = pauli.match_frames(op, target)
         if folds is None:
             return None
-        table[bits] = folds
-    return table
+        rows.append(tuple(f.x for f in folds) + tuple(f.z for f in folds))
+    return tuple(rows)
 
 
 def make_entry(name, w0, w1, bridge, target) -> CellEntry:

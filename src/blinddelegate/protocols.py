@@ -120,20 +120,15 @@ _COMMANDS = tuple((k, -k % 8) for k in range(8))  # [wanted angle index][frame z
 
 @dataclass
 class RoundPlan:
-    """One round: its wire, its 1-based position in the program, and the angle
-    the client wants, one per value of the reported bit of round `driver`
-    (None when both agree), as the compiler tabled them."""
+    """One round: its wire, its 1-based position in the program, and its
+    command angle indices [the reported bit of round `driver`][frame z] (driver
+    None when both agree), as the compiler tabled them: the wanted angle,
+    sign-flipped to cancel the frame's z bit (_COMMANDS)."""
 
     wire: int
     round_index: int
-    wants: tuple              # (Angle if the driver's m is 0, Angle if it is 1)
+    commands: tuple           # (_COMMANDS[want if the driver's m is 0], ...[if it is 1])
     driver: int = None
-    commands: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # The command angle's index, [the driver's m][frame z]: the wanted
-        # angle, sign-flipped to cancel the frame's z bit (_COMMANDS).
-        self.commands = (_COMMANDS[self.wants[0].k], _COMMANDS[self.wants[1].k])
 
 
 @dataclass(frozen=True)
@@ -215,9 +210,9 @@ class _ProgramBuilder:
         angle is tabled for both values of the bit of `done`'s first round,
         which becomes the driver only if the two angles differ."""
         k0, k1 = schedule.angle_index(len(done), 0), schedule.angle_index(len(done), 1)
-        wants = (qsim.ALL_ANGLES[k0 % 8], qsim.ALL_ANGLES[k1 % 8])
         driver = done[0].round_index if k0 != k1 else None
-        plan = RoundPlan(wire, len(self.program.rounds) + 1, wants, driver)
+        plan = RoundPlan(wire, len(self.program.rounds) + 1,
+                         (_COMMANDS[k0 % 8], _COMMANDS[k1 % 8]), driver)
         self.program.rounds.append(plan)
         self.program.events.append(("round", plan))
         done.append(plan)
@@ -255,8 +250,10 @@ _GATE_GROUPS = {"T": ("H", "TH"), "TDG": ("H", "TDGH"), "CNOT": ("CZCNOT", "CZ")
 
 def compile_circuit(gates, num_wires: int = None, pad_to: int = None) -> AngleProgram:
     """Compile a gate list into a round-by-round adaptive angle program."""
-    if num_wires is None:
-        num_wires = max((w for g in gates for w in g.wires), default=0) + 1
+    top = max((w for g in gates for w in g.wires), default=0)
+    num_wires = top + 1 if num_wires is None else num_wires
+    if top >= num_wires:
+        raise ValueError(f"wire {top} is outside the program's {num_wires} wires")
     builder = _ProgramBuilder(num_wires)
     for gate in gates:
         for name in _GATE_GROUPS.get(gate.name, (gate.name,)):
@@ -496,7 +493,7 @@ def _step(level, event, pick, pairs=None):
         group, row = event[1], 0
         for r in group.rounds:
             row = 2 * row + nodes.m[r - 1]
-        folds, n = nodes.lookup(group.entry.fold_bits, row), len(group.wires)
+        folds, n = nodes.lookup(group.entry.frames, row), len(group.wires)
         for i, w in enumerate(group.wires):  # composed: the XOR of the frames' bits
             nodes.x[w] ^= folds[i]
             nodes.z[w] ^= folds[n + i]
@@ -734,18 +731,16 @@ def walk_protocol2(program: AngleProgram, input_state: StateVector):
     return zip(bits, leaves.prob.tolist())
 
 
-def walk_protocol1(states, plans):
+def walk_protocol1(states, vertices, ks):
     """(posts, probs, roots) over the leaves of one walk of protocol 1's vertex
-    step (adaptive sign included): root r is register states[r] under
-    plans[r], all measuring the same vertices. Leaf i has the server state
-    posts[i] (the unmeasured qubits, ascending), probs[i] and roots[i]; each
-    root's leaves are contiguous, in the order of itertools.product over her
-    outcomes, and equal bit for bit those of a walk of that root alone."""
-    vertices = [step.vertex for step in plans[0]]
-    if any([step.vertex for step in plan] != vertices for plan in plans):
-        raise ValueError("every plan must measure the same vertices")
-    ks = np.array([[step.base_angle.k for step in plan] for plan in plans]).reshape(len(plans), -1)
-    events = [("vertex", v, np.array((k, -k % 8)), False) for v, k in zip(vertices, ks.T)]
+    step (adaptive sign included): root r is register states[r], whose
+    `vertices` the client measures in turn at the angle indices ks[r] (0..7).
+    Leaf i has the server state posts[i] (the unmeasured qubits, ascending),
+    probs[i] and roots[i]; each root's leaves are contiguous, in the order of
+    itertools.product over her outcomes, and equal bit for bit those of a walk
+    of that root alone."""
+    events = [("vertex", v, np.array((k, -k % 8)), False)
+              for v, k in zip(vertices, np.array(ks).T)]
     states = np.asarray(states, complex)
     start = _Level(states, list(range(states.shape[1].bit_length() - 1)), _Node([0], [0]))
     leaves = _walk(start, events)

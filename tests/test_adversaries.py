@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from blinddelegate import adversaries, blindness, protocols, qsim
+from blinddelegate import adversaries, blindness, protocols
 from blinddelegate.adversaries import EvilDevice
 
 
@@ -27,10 +27,10 @@ def test_random_mixed_state_is_valid():
 
 
 def test_signal_program_shape():
-    program = adversaries.make_signal_program(5, extra_rounds=2)
+    program = protocols.make_raw_program([5, 0, 0])
     assert program.num_rounds == 3
-    assert program.rounds[0].wants == (qsim.Angle(5), qsim.Angle(5))
-    assert all(p.wants == (qsim.Angle(0), qsim.Angle(0)) for p in program.rounds[1:])
+    assert [c[0] for c in program.rounds[0].commands] == [5, 5]
+    assert all([c[0] for c in p.commands] == [0, 0] for p in program.rounds[1:])
     assert all(p.driver is None for p in program.rounds)
 
 

@@ -114,9 +114,9 @@ def test_povm_distribution_equals_per_element_traces():
         assert np.array_equal(blindness.povm_distribution(rho, povm), expected)
 
 
-def _walk_protocol1(psi, plan):
+def _walk_protocol1(psi, vertices, ks):
     """(posts, probs) of protocols.walk_protocol1 from the one root psi."""
-    posts, probs, roots = protocols.walk_protocol1(psi.amplitudes[None], [plan])
+    posts, probs, roots = protocols.walk_protocol1(psi.amplitudes[None], vertices, [ks])
     assert not roots.any()
     return posts, probs
 
@@ -128,10 +128,9 @@ def _per_leaf_view(joint, alice_qubits, angles):
     else:
         weights, vectors = np.linalg.eigh(joint.entries)
         mixture = [(w, qsim.StateVector(v, check=False)) for w, v in zip(weights, vectors.T)]
-    plan = [protocols.PlanStep(q, qsim.Angle(k)) for q, k in zip(alice_qubits, angles)]
     total = 0.0
     for weight, psi in mixture:
-        for v, prob in zip(*_walk_protocol1(psi, plan)):
+        for v, prob in zip(*_walk_protocol1(psi, list(alice_qubits), list(angles))):
             total = total + (weight * prob) * np.outer(v, v.conj())
     return total
 
@@ -171,12 +170,8 @@ def test_stacked_views_equal_a_per_secret_loop_bit_for_bit():
             alone = blindness.protocol1_views(joint, qubits, [secret])[0]
             assert np.array_equal(alone.entries, want), secret
     posts, probs, roots = protocols.walk_protocol1(
-        np.array([plus.amplitudes] * 4),
-        [[protocols.PlanStep(0, qsim.Angle(k))] for k in (0, 2, 4, 1)])
+        np.array([plus.amplitudes] * 4), [0], [[k] for k in (0, 2, 4, 1)])
     assert roots.tolist() == [0, 1, 1, 2, 3, 3]
-    with pytest.raises(ValueError, match="same vertices"):
-        protocols.walk_protocol1(np.array([plus.amplitudes] * 2),
-                                 [[protocols.PlanStep(v, qsim.Angle(0))] for v in (0, 1)])
 
 
 def test_a_stacked_walk_counts_every_root_against_its_budget():
@@ -274,7 +269,7 @@ def test_walk_protocol1_leaf_equals_measure_rotated_basis(k, outcome):
     measure_node forced to that outcome, and within 1e-12 those of the
     projector oracle on the ket (|0> + (-1)^outcome e^{-i theta}|1>)/sqrt2."""
     joint = graphs.build_graph_state(graphs.linear_cluster(2)).state
-    leaves = list(zip(*_walk_protocol1(joint, [protocols.PlanStep(0, qsim.Angle(k))])))
+    leaves = list(zip(*_walk_protocol1(joint, [0], [k])))
     assert len(leaves) == 2
     post, p = leaves[outcome]
     drawn, ref_p, ref = qsim.measure_node(
@@ -295,8 +290,7 @@ def test_announced_outcomes_would_reveal_the_secret():
     angles. Only their sum, what the server holds, is angle-independent."""
     joint = graphs.build_graph_state(graphs.linear_cluster(4)).state
     leaves = [
-        list(zip(*_walk_protocol1(
-            joint, [protocols.PlanStep(v, qsim.Angle(k)) for v, k in enumerate(secret)])))
+        list(zip(*_walk_protocol1(joint, list(range(len(secret))), list(secret))))
         for secret in ((0, 2, 7), (1, 4, 2))
     ]
     assert len(leaves[0]) == len(leaves[1]) == 8
@@ -327,6 +321,11 @@ def test_bob_view_guards():
         blindness.protocol1_views(qsim.plus_state(2), [0], [[1, 2]])
     with pytest.raises(ValueError):
         blindness.protocol1_views(qsim.plus_state(2), [0, 1], [[1, 2]])
+    # A repeated qubit, or one the joint state lacks, is refused up front
+    # rather than deep in the walk.
+    for qubits, secret in (([0, 0], [1, 2]), ([5], [1])):
+        with pytest.raises(ValueError, match="distinct qubits of the joint state"):
+            blindness.protocol1_views(qsim.plus_state(2), qubits, [secret])
 
 
 def test_round_view_is_maximally_mixed_for_every_angle():
@@ -554,7 +553,7 @@ def test_round_angle_options_cover_every_issued_command(text):
     # a command outside them would be a view it never checked.
     program = protocols.compile_circuit(protocols.parse_circuit(text))
     psi = qsim.basis_state(program.num_wires, 0)
-    options = [{a.k for a in blindness._round_angle_options(plan)} for plan in program.rounds]
+    options = [set(blindness._round_angle_options(plan)) for plan in program.rounds]
     rng = default_rng(31)
     for _ in range(40):
         bits = rng.integers(0, 2, size=(program.num_rounds, 2)).tolist()

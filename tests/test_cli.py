@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from blinddelegate import blindness, cli, graphs, pauli, qsim
+from blinddelegate import blindness, cli, graphs, qsim
 from blinddelegate.errors import ConfigError
 from oracles import parse_transcript
 
@@ -447,8 +447,8 @@ def test_verify_unitcell_fails_on_a_flipped_fold(tmp_path, capsys, monkeypatch):
     # Negative control: an entry whose table disagrees with its schedules on
     # one branch (wire 0's fold there gains an X) fails its unit-cell line.
     entry = graphs.group_entry("HxI")
-    bits, folds = next(iter(entry.frames.items()))
-    flipped = {**entry.frames, bits: (pauli.frame(folds[0].x ^ 1, folds[0].z), *folds[1:])}
+    folds = entry.frames[0]
+    flipped = ((folds[0] ^ 1, *folds[1:]), *entry.frames[1:])
     monkeypatch.setitem(graphs._ENTRIES, "HxI", dataclasses.replace(entry, frames=flipped))
     assert cli.main(["verify", "--checks", "unitcell", "--outdir", str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()

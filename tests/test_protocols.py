@@ -141,8 +141,8 @@ def _groups(program):
 def test_compile_single_blocks():
     program = protocols.compile_circuit(protocols.parse_circuit("S 0"))
     assert program.num_rounds == 3
-    assert [p.wants[0].k for p in program.rounds] == [2, 2, 0]
-    assert all(p.wants[1] == p.wants[0] and p.driver is None for p in program.rounds)
+    assert [p.commands[0][0] for p in program.rounds] == [2, 2, 0]
+    assert all(p.commands[1] == p.commands[0] and p.driver is None for p in program.rounds)
     assert [p.round_index for p in program.rounds] == [1, 2, 3]
     assert [g.entry.name for g in _groups(program)] == ["S"]
 
@@ -151,8 +151,16 @@ def test_compile_single_blocks():
     assert [g.entry.name for g in _groups(program)] == ["H", "TH"]
     assert _groups(program)[1].rounds == (4, 5, 6)
     th_rounds = program.rounds[3:]
-    assert [[a.k for a in p.wants] for p in th_rounds] == [[7, 7], [0, 0], [0, 2]]
+    assert [[c[0] for c in p.commands] for p in th_rounds] == [[7, 7], [0, 0], [0, 2]]
     assert [p.driver for p in th_rounds] == [None, None, 4]
+
+
+@pytest.mark.parametrize("gate, wires", [(Gate("CZ", (0, 1)), 1), (Gate("H", (2,)), 2)])
+def test_compile_rejects_a_gate_outside_the_wires(gate, wires):
+    # Refused at compile time: a program naming a missing wire fails its
+    # run with a ValueError and its walk with an IndexError.
+    with pytest.raises(ValueError, match=f"wire {max(gate.wires)} is outside"):
+        protocols.compile_circuit([gate], num_wires=wires)
 
 
 def test_compile_pauli_group_has_no_rounds():
@@ -222,7 +230,7 @@ def _one_map_round(psi, wire, k, pair, forced=None):
     """The runtime's round on a level of one node: every branch (forced
     None, the walk), or the one the forced (a, m) names."""
     n = psi.num_qubits
-    plan = protocols.RoundPlan(wire, 1, (qsim.Angle(k), qsim.Angle(k)))
+    plan = protocols.RoundPlan(wire, 1, (protocols._COMMANDS[k],) * 2)
     pairs = protocols._pair_table(pair.amplitudes)
     level = protocols._start(protocols.AngleProgram(n), psi)
     if forced is None:  # the walk's records: a column of rows per node
@@ -806,7 +814,7 @@ def _reference_frames(program, bits):
             r = plan.round_index - 1
             f = frames[plan.wire]  # Z^a on the fresh qubit, X^m H on the old frame
             frames[plan.wire] = pauli.frame(m_bits[r] ^ f.z, bits[2 * r] ^ f.x)
-            k = plan.wants[0 if plan.driver is None else m_bits[plan.driver - 1]].k
+            k = plan.commands[0 if plan.driver is None else m_bits[plan.driver - 1]][0]
             open_ops.append((plan.wire, gains[-k if m_bits[r] else k]))
         elif event[0] == "bridge":
             wa, wb = event[1]
@@ -921,7 +929,7 @@ def test_table_frames_equal_word_accumulation_on_sampled_runs():
 def _p2_program(case):
     if case.startswith("signal"):
         _, k, extra = case.split()
-        return adversaries.make_signal_program(int(k), extra_rounds=int(extra))
+        return protocols.make_raw_program([int(k)] + [0] * int(extra))
     return protocols.compile_circuit(protocols.parse_circuit(case))
 
 
