@@ -25,6 +25,8 @@ import numpy as np
 from . import protocols
 from .qsim import DensityMatrix
 
+MIN_SAMPLES = 100  # fewest (x, y) samples estimate_mutual_information accepts
+
 
 class EvilDevice:
     """Captures the first command digit, then fakes that many no-clicks.
@@ -123,8 +125,8 @@ def _entropy_mm(counts, n: int) -> float:
 def estimate_mutual_information(samples) -> float:
     """Bias-corrected plug-in mutual information (bits) of (x, y) samples."""
     n = len(samples)
-    if n < 100:
-        raise ValueError("need at least 100 samples for a stable estimate")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for a stable estimate")
     cx = Counter(x for x, _ in samples)
     cy = Counter(y for _, y in samples)
     cxy = Counter(samples)
@@ -134,6 +136,8 @@ def estimate_mutual_information(samples) -> float:
 def countermeasure_overhead(n_trials: int = 200, loss_prob: float = 0.0,
                             seed: int = 0):
     """Mean deliveries per accepted particle, (masked, unmasked)."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     def mean_deliveries(masked: bool) -> float:
         total_rounds = 0
         total_sends = 0

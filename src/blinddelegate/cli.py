@@ -77,6 +77,8 @@ def parse_config(argv) -> argparse.Namespace:
         raise ConfigError(f"{ENV_SEED if os.environ.get(ENV_SEED) else '--seed'} must be >= 0")
     if config.command in ("run", "attack") and not 0.0 <= config.loss <= 1.0:
         raise ConfigError("loss must lie in [0, 1]")
+    if config.command == "attack" and config.trials < adversaries.MIN_SAMPLES:
+        raise ConfigError(f"--trials must be >= {adversaries.MIN_SAMPLES}")
     if config.command == "run" and config.protocol != "2" and (
             config.adversary != "honest" or config.countermeasure):
         # Only protocol 2's deliveries consult a measuring device.

@@ -33,8 +33,10 @@ class GraphSpec:
 
     def __post_init__(self):
         for e in self.edges:
-            if len(e) != 2:
+            if len(e) == 1:
                 raise ValueError("self-loop edge")
+            if len(e) != 2:
+                raise ValueError(f"edge {tuple(sorted(e))} does not have two ends")
             u, v = sorted(e)
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError("edge references unknown vertex")

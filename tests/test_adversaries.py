@@ -158,6 +158,12 @@ def test_repeated_attacked_runs_check_no_message_and_build_no_program(monkeypatc
     assert calls == {"Message.__new__": 1, "_add_round": 1}
 
 
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_countermeasure_overhead_needs_a_trial(n_trials):
+    with pytest.raises(ValueError, match="n_trials must be >= 1"):
+        adversaries.countermeasure_overhead(n_trials=n_trials)
+
+
 def test_shared_signal_programs_stay_unchanged_by_runs():
     for k in range(8):
         for masked in (False, True):

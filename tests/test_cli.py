@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from blinddelegate import blindness, cli, graphs, qsim
+from blinddelegate import adversaries, blindness, cli, graphs, qsim
 from blinddelegate.errors import ConfigError
 from oracles import parse_transcript
 
@@ -103,6 +103,7 @@ _PARSE_CASES = {
     "calibrate": ["calibrate", "--outdir", "d"],
     "calibrate-extra": ["calibrate", "x", "y"],
     "attack": ["attack", "--trials", "10", "--loss=0.2", "--seed", "5"],
+    "attack-fewest-trials": ["attack", "--trials", "100", "--loss=0.2", "--seed", "5"],
     "attack-bad-int": ["attack", "--trials", "1.5"],
     "attack-negative-seed": ["attack", "--seed", "-1"],
 }
@@ -480,6 +481,18 @@ def test_attack_report(tmp_path):
             mi[fields["countermeasure"]] = float(fields["bits"])
     assert mi["off"] > 2.0
     assert mi["on"] < 0.3
+
+
+@pytest.mark.parametrize("trials", ["50", "-3"])
+def test_attack_with_too_few_trials_exits_2_before_any_attack(tmp_path, capsys, monkeypatch,
+                                                              trials):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an attack ran")
+
+    monkeypatch.setattr(adversaries, "run_with_evil_device", refuse)
+    assert cli.main(["attack", "--trials", trials, "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", "error: --trials must be >= 100\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv,artifact", [

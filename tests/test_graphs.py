@@ -11,6 +11,8 @@ from oracles import searched_catalog
 def test_graph_spec_validation():
     with pytest.raises(ValueError, match="self-loop"):
         graphs.make_graph(2, [(0, 0)])
+    with pytest.raises(ValueError, match=r"edge \(0, 1, 2\) does not have two ends"):
+        graphs.make_graph(3, [(0, 1, 2)])
     with pytest.raises(ValueError, match="unknown vertex"):
         graphs.make_graph(2, [(0, 5)])
 

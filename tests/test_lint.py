@@ -1,12 +1,15 @@
 """Static checks on the package source that need no installed linter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blinddelegate"
-# __init__.py imports names to re-export them, not to use them.
+# __init__.py binds the layer modules as package attributes; it reads none.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # Code outside the unit tests: the benchmark, the acceptance criteria and the
 # golden pins.
@@ -186,6 +189,23 @@ def test_unread_definitions_detects_what_it_should():
 
 
 def test_every_public_definition_is_read_outside_the_unit_tests():
-    # __init__.py only re-exports; a re-export is not a read.
+    # __init__.py only binds the layer modules; binding one is not a read.
     package = {path.stem: path.read_text() for path in MODULES}
     assert unread_definitions(package, [path.read_text() for path in READERS]) == []
+
+
+def test_package_root_binds_only_its_modules():
+    # Every name is reached through its layer module; the root re-exports none.
+    # A fresh process, so no other test's imports add to the package's names.
+    pythonpath = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "import blinddelegate as bd; print(*sorted(vars(bd)))"],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    public = [name for name in proc.stdout.split() if not name.startswith("_")]
+    assert public == ["adversaries", "blindness", "cli", "errors", "graphs", "pauli",
+                      "protocols", "qsim"]
